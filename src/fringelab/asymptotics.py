@@ -79,20 +79,26 @@ def covariance_interaction(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTre
 def fringe_covariance_density(
     p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree
 ):
-    """Asymptotic covariance per vertex of the two fringe counts.
+    """Asymptotic covariance per vertex of the two fringe counts."""
+    same = t1 == t2
+    return _covariance_density(
+        tree_probability(p, t1),
+        tree_probability(p, t2),
+        0 if same else count_fringe(t1, t2),
+        0 if same else count_fringe(t2, t1),
+        covariance_interaction(p, t1, t2),
+        same,
+    )
 
-    Diagonal: pi + eta * pi^2.  Off-diagonal: the two cross-containment
-    terms plus eta * pi * pi'.  Always finite (inf * 0 := 0).
-    """
-    pi1 = tree_probability(p, t1)
-    if t1 == t2:
-        eta = covariance_interaction(p, t1, t1)
-        if pi1 == 0:
-            return pi1
-        return pi1 + eta * pi1 * pi1
-    pi2 = tree_probability(p, t2)
-    cross = count_fringe(t1, t2) * pi1 + count_fringe(t2, t1) * pi2
-    eta = covariance_interaction(p, t1, t2)
+
+def _covariance_density(pi1, pi2, inner1, inner2, eta, same):
+    """Diagonal (same shape): pi + eta * pi^2.  Off-diagonal: the two
+    cross-containment terms inner1 * pi + inner2 * pi', where inner1 counts
+    copies of the second tree inside the first, plus eta * pi * pi'.
+    Always finite (inf * 0 := 0)."""
+    if same:
+        return pi1 if pi1 == 0 else pi1 + eta * pi1 * pi1
+    cross = inner1 * pi1 + inner2 * pi2
     if pi1 == 0 or pi2 == 0:
         return cross
     return cross + eta * pi1 * pi2
@@ -263,18 +269,15 @@ def unordered_covariance_density(p: OffspringDistribution, t1, t2):
     as the plane formula but with unordered probabilities and unordered
     containment counts."""
     r1, r2 = _as_plane_representative(t1), _as_plane_representative(t2)
-    pi1 = unordered_tree_probability(p, r1)
-    if canonical_unordered(r1) == canonical_unordered(r2):
-        eta = covariance_interaction(p, r1, r1)
-        if pi1 == 0:
-            return pi1
-        return pi1 + eta * pi1 * pi1
-    pi2 = unordered_tree_probability(p, r2)
-    cross = count_fringe_unordered(r1, r2) * pi1 + count_fringe_unordered(r2, r1) * pi2
-    eta = covariance_interaction(p, r1, r2)
-    if pi1 == 0 or pi2 == 0:
-        return cross
-    return cross + eta * pi1 * pi2
+    same = canonical_unordered(r1) == canonical_unordered(r2)
+    return _covariance_density(
+        unordered_tree_probability(p, r1),
+        unordered_tree_probability(p, r2),
+        0 if same else count_fringe_unordered(r1, r2),
+        0 if same else count_fringe_unordered(r2, r1),
+        covariance_interaction(p, r1, r2),
+        same,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +293,6 @@ class EquivalentOffspring:
     theta: OffspringDistribution
     nu: object
     sigma2: object
-    varsigma2: object
 
 
 def _log_weights(w: WeightSequence) -> dict:
@@ -322,8 +324,7 @@ def _tilted_mean(log_weights: dict, s: float) -> float:
 @lru_cache(maxsize=None)
 def equivalent_offspring(w: WeightSequence) -> EquivalentOffspring:
     """Solve for the tilting parameter and return the equivalent offspring
-    law with its mean, variance, and the variance surrogate used by the
-    covariance formulas (the variance itself when finite, else inf)."""
+    law with its mean and variance (inf for heavy power-law tails)."""
     exact = _exact_critical_fixed_point(w)
     if exact is not None:
         return exact
@@ -352,8 +353,7 @@ def equivalent_offspring(w: WeightSequence) -> EquivalentOffspring:
         _, beta, *_ = w.params
         if tau >= float(rho) - 1e-15 and beta <= 3:
             sigma2 = INF
-    varsigma2 = sigma2 if sigma2 < INF else INF
-    return EquivalentOffspring(tau, theta, nu, sigma2, varsigma2)
+    return EquivalentOffspring(tau, theta, nu, sigma2)
 
 
 def _exact_critical_fixed_point(w: WeightSequence):
@@ -370,7 +370,7 @@ def _exact_critical_fixed_point(w: WeightSequence):
     theta = OffspringDistribution.finite(dict(w.params))
     sigma2 = sum(d * d * v for d, v in w.params) - 1
     nu = max(d for d, _ in w.params)
-    return EquivalentOffspring(Fraction(1), theta, nu, sigma2, sigma2)
+    return EquivalentOffspring(Fraction(1), theta, nu, sigma2)
 
 
 def _solve_unit_mean(log_weights: dict, rho) -> float:
@@ -403,22 +403,19 @@ def _solve_unit_mean(log_weights: dict, rho) -> float:
     raise NotConverged(f"tilt bisection stalled at [{lo}, {hi}]")
 
 
-def _resolve_varsigma2(w: WeightSequence, regime: str):
+def _inverse_variance(w: WeightSequence, regime: str):
+    """(equivalent law, 1/vs^2) with 1/inf := 0 in the infinite-variance regime."""
     eq = equivalent_offspring(w)
-    if regime == "auto":
-        if eq.nu >= 1 and 0 < eq.sigma2 < INF:
-            return eq, eq.sigma2
+    if regime == "infinite_variance":
+        return eq, 0
+    if regime not in ("auto", "finite_variance"):
+        raise UnsupportedRegime(f"unknown regime {regime!r}")
+    if not (eq.nu >= 1 and 0 < eq.sigma2 < INF):
         raise UnsupportedRegime(
             "weights outside the finite-variance critical case; pass "
             "regime='infinite_variance' to assert a stable/subcritical regime"
         )
-    if regime == "finite_variance":
-        if not (eq.nu >= 1 and 0 < eq.sigma2 < INF):
-            raise UnsupportedRegime("finite-variance regime does not apply")
-        return eq, eq.sigma2
-    if regime == "infinite_variance":
-        return eq, INF
-    raise UnsupportedRegime(f"unknown regime {regime!r}")
+    return eq, 1 / eq.sigma2
 
 
 @dataclass(frozen=True)
@@ -471,8 +468,7 @@ def sg_fringe_covariance(
     patterns = list(patterns)
     if len(set(patterns)) != len(patterns):
         raise DuplicatePatterns("patterns must be pairwise distinct")
-    eq, varsigma2 = _resolve_varsigma2(w, regime)
-    inv = 0 if math.isinf(varsigma2) else 1 / varsigma2
+    eq, inv = _inverse_variance(w, regime)
     theta = eq.theta
     pis = [tree_probability(theta, t) for t in patterns]
     m = len(patterns)
@@ -492,8 +488,7 @@ def sg_fringe_covariance(
 def sg_degree_covariance(w: WeightSequence, k: int, regime: str = "auto") -> CovMatrix:
     """Limit covariance of the vertex counts per degree 0..k in
     size-conditioned weighted trees."""
-    eq, varsigma2 = _resolve_varsigma2(w, regime)
-    inv = 0 if math.isinf(varsigma2) else 1 / varsigma2
+    eq, inv = _inverse_variance(w, regime)
     theta = [eq.theta.p(i) for i in range(k + 1)]
     entries = [[None] * (k + 1) for _ in range(k + 1)]
     for i in range(k + 1):
@@ -582,9 +577,11 @@ def additive_variance_density(p: OffspringDistribution, toll: TollFunction):
     before returning."""
     direct, quadratic = additive_variance_forms(p, toll)
     if isinstance(direct, Fraction) and isinstance(quadratic, Fraction):
-        assert direct == quadratic
+        agree = direct == quadratic
     else:
-        assert math.isclose(float(direct), float(quadratic), rel_tol=1e-9, abs_tol=1e-12)
+        agree = math.isclose(float(direct), float(quadratic), rel_tol=1e-9, abs_tol=1e-12)
+    if not agree:
+        raise ArithmeticError(f"additive variance forms disagree: {direct} != {quadratic}")
     return direct
 
 

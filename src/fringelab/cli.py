@@ -28,11 +28,7 @@ from .asymptotics import (
 )
 from .distributions import OffspringDistribution, WeightSequence
 from .errors import FringelabError
-from .exact_moments import (
-    factorial_moment,
-    joint_factorial_moment,
-    mean_count,
-)
+from .exact_moments import joint_factorial_moment
 from .mc_harness import (
     ExperimentConfig,
     StatFamily,
@@ -81,24 +77,14 @@ def parse_patterns(text: str) -> list:
     return [PlaneTree.from_text(c) for c in chunks]
 
 
-def parse_offspring(text: str) -> OffspringDistribution:
+def parse_law(cls, text: str):
+    """An OffspringDistribution or WeightSequence (``cls``) from a JSON map
+    of exact values or a family spec such as ``geometric:1/2``."""
     body = _read_arg(text).strip()
     if body.startswith("{"):
         raw = json.loads(body)
-        return OffspringDistribution.finite(
-            {int(k): Fraction(str(v)) for k, v in raw.items()}
-        )
-    return OffspringDistribution.from_spec(body)
-
-
-def parse_weights(text: str) -> WeightSequence:
-    body = _read_arg(text).strip()
-    if body.startswith("{"):
-        raw = json.loads(body)
-        return WeightSequence.finite(
-            {int(k): Fraction(str(v)) for k, v in raw.items()}
-        )
-    return WeightSequence.from_spec(body)
+        return cls.finite({int(k): Fraction(str(v)) for k, v in raw.items()})
+    return cls.from_spec(body)
 
 
 def _emit(payload: dict, out_path, fmt: str = "json") -> None:
@@ -198,14 +184,7 @@ def _cmd_moments(args) -> int:
         "q": orders,
         "schema": SCHEMA_VERSION,
     }
-    if len(patterns) == 1:
-        value = (
-            mean_count(stat, patterns[0])
-            if orders[0] == 1
-            else factorial_moment(stat, patterns[0], orders[0])
-        )
-    else:
-        value = joint_factorial_moment(stat, patterns, orders)
+    value = joint_factorial_moment(stat, patterns, orders)
     result = {"value": encode(value), "float": float(value)}
     _emit({"config": encode(config), "result": result}, args.out)
     return 0
@@ -215,7 +194,7 @@ def _cmd_asymptotics(args) -> int:
     if not args.p and not args.w:
         raise ValueError("need --p (offspring law) or --w (weight sequence)")
     if args.p:
-        p = parse_offspring(args.p)
+        p = parse_law(OffspringDistribution, args.p)
         patterns = parse_patterns(args.patterns) if args.patterns else []
         config = {
             "subcommand": "asymptotics",
@@ -243,7 +222,7 @@ def _cmd_asymptotics(args) -> int:
             ]
         _emit({"config": encode(config), "result": result}, args.out)
         return 0
-    w = parse_weights(args.w)
+    w = parse_law(WeightSequence, args.w)
     eq = equivalent_offspring(w)
     config = {
         "subcommand": "asymptotics",
@@ -254,7 +233,7 @@ def _cmd_asymptotics(args) -> int:
         "tau": encode(eq.tau),
         "nu": encode(eq.nu),
         "sigma2": encode(eq.sigma2),
-        "varsigma2": encode(eq.varsigma2),
+        "varsigma2": encode(eq.sigma2),
         "theta": {
             str(i): encode(eq.theta.p(i))
             for i in eq.theta.support()
@@ -417,11 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="semicolon-separated preorder degree lists, e.g. '2,0,0;1,0'",
     )
     p.add_argument("--q", help="comma-separated factorial orders, default all 1")
-    p.add_argument(
-        "--exact",
-        action="store_true",
-        help="rational num/den output (always on; accepted for compatibility)",
-    )
     add_common(p)
     p.set_defaults(func=_cmd_moments)
 

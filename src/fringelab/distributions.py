@@ -145,9 +145,6 @@ class OffspringDistribution:
             return r / (1 - r)
         return sum(i * p for i, p in self.probabilities().items())
 
-    def max_degree(self) -> int:
-        return self.support()[-1]
-
     def label(self) -> str:
         if self.kind == "finite":
             body = ",".join(f"{d}:{v}" for d, v in self.params)
@@ -273,14 +270,6 @@ class WeightSequence:
         if self.kind == "finite":
             return self.params[-1][0]
         return self.truncation
-
-    def support_weights(self) -> dict:
-        out = {}
-        for i in range(self.truncated_degree() + 1):
-            w = self.weight(i)
-            if w:
-                out[i] = w
-        return out
 
     def radius_of_convergence(self):
         if self.kind == "finite":

@@ -61,10 +61,6 @@ class NotConverged(FringelabError):
     """Root finding failed to reach the requested tolerance."""
 
 
-class UnsupportedTail(FringelabError):
-    """Weight sequence kind outside the named infinite-support families."""
-
-
 class UnsupportedRegime(FringelabError):
     """Covariance formulas requested outside their supported regime."""
 

@@ -1,7 +1,8 @@
 """Exact rational moments of fringe-subtree counts in uniform trees.
 
 Everything here is evaluated in arbitrary-precision rational arithmetic
-(``fractions.Fraction``); no rounding occurs in this module.  The central
+(``fractions.Fraction``); the only rounding is ``partial_sum_pmf``'s final
+conversion for float laws.  The central
 quantity is the joint factorial moment
 
     E[ (N_1)_{q_1} ... (N_m)_{q_m} ]
@@ -11,13 +12,24 @@ random tree with prescribed degree counts.  The moment decomposes over the
 number b_j of marked copies of T_j that sit inside another marked copy
 ("bound" copies); each term is a ratio of falling factorials of the degree
 counts times a combinatorial factor counting the placements of the bound
-copies.
+copies.  Means, single-pattern factorial moments and product moments are
+the special cases q = (1), q = (q) and q = (1, 1) of that one sum.
+
+Degree-count factorial moments of size-conditioned weighted trees need the
+law of S_m, a sum of m iid child counts.  With the law scaled to integer
+numerators a_i = D p_i, P(S_m = k) is the coefficient of x^k in
+(sum_i a_i x^i)^m over D^m; the coefficients come from J.C.P. Miller's
+recurrence for powers of a power series in integers only, so every m up to
+``PARTIAL_SUM_CAP`` is reachable.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
+from operator import truediv
 from typing import NamedTuple
 
 from .distributions import OffspringDistribution
@@ -47,56 +59,20 @@ def falling_factorial(x, q: int):
 
 
 def mean_count(stat: DegreeStatistic, pattern: PlaneTree) -> Fraction:
-    """E[N_T] = |n| / (|n|)_{|T|} * prod_i (n(i))_{n_T(i)}, exact."""
-    n = stat.size
-    if n < pattern.size:
-        raise SizeTooSmall(f"|n| = {n} < |T| = {pattern.size}")
-    value = Fraction(n, falling_factorial(n, pattern.size))
-    for degree, count in degree_statistic(pattern).items:
-        value *= falling_factorial(stat.count(degree), count)
-        if value == 0:
-            return Fraction(0)
-    return value
+    """E[N_T], exact."""
+    return joint_factorial_moment(stat, [pattern], [1])
 
 
 def factorial_moment(stat: DegreeStatistic, pattern: PlaneTree, q: int) -> Fraction:
-    """E[(N_T)_q] = |n| / (|n|)_{q|T|-q+1} * prod_i (n(i))_{q n_T(i)}."""
-    if q == 0:
-        return Fraction(1)
-    n = stat.size
-    needed = q * pattern.size - q + 1
-    if n < needed:
-        raise SizeTooSmall(f"|n| = {n} < {needed} for q = {q}")
-    value = Fraction(n, falling_factorial(n, needed))
-    for degree, count in degree_statistic(pattern).items:
-        value *= falling_factorial(stat.count(degree), q * count)
-        if value == 0:
-            return Fraction(0)
-    return value
+    """E[(N_T)_q], exact; equals 1 for q = 0."""
+    return joint_factorial_moment(stat, [pattern], [q])
 
 
 def product_moment(
     stat: DegreeStatistic, pattern: PlaneTree, pattern2: PlaneTree
 ) -> Fraction:
-    """E[N_T N_T'] for distinct patterns: the two cross-containment terms
-    plus the disjoint-pair term."""
-    if pattern == pattern2:
-        raise DuplicatePatterns("patterns must be distinct plane trees")
-    n = stat.size
-    needed = pattern.size + pattern2.size - 1
-    if n < needed:
-        raise SizeTooSmall(f"|n| = {n} < {needed}")
-    value = count_fringe(pattern2, pattern) * mean_count(stat, pattern2)
-    value += count_fringe(pattern, pattern2) * mean_count(stat, pattern)
-    disjoint = Fraction(n, falling_factorial(n, needed))
-    prof, prof2 = degree_statistic(pattern).as_dict(), degree_statistic(pattern2).as_dict()
-    for degree in set(prof) | set(prof2):
-        disjoint *= falling_factorial(
-            stat.count(degree), prof.get(degree, 0) + prof2.get(degree, 0)
-        )
-        if disjoint == 0:
-            break
-    return value + disjoint
+    """E[N_T N_T'] for distinct patterns, exact."""
+    return joint_factorial_moment(stat, [pattern, pattern2], [1, 1])
 
 
 def containment_matrix(patterns) -> list:
@@ -123,36 +99,25 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
           * prod_i (n(i))_{sum_j (q_j-b_j) n_{T_j}(i)}
           * prod_j (q_j)_{b_j} (sum_k (q_k-b_k) tau_{jk})_{b_j} / b_j!
 
-    where tau_{jk} counts proper fringe copies of T_j in T_k.
+    where tau_{jk} counts proper fringe copies of T_j in T_k.  An order
+    q_j = 0 leaves the single point b_j = 0 and a factor 1.
     """
     patterns = list(patterns)
     q = [int(x) for x in q]
     if len(patterns) != len(q):
         raise ValueError("patterns and q must have equal length")
-    if any(x < 1 for x in q):
-        raise ValueError("q entries must be positive")
+    if any(x < 0 for x in q):
+        raise ValueError("q entries must be nonnegative")
     n = stat.size
     needed = sum(qj * (pj.size - 1) for qj, pj in zip(q, patterns)) + 1
     if n < needed:
         raise SizeTooSmall(f"|n| = {n} < {needed}")
     tau = containment_matrix(patterns)
     profiles = [degree_statistic(p).as_dict() for p in patterns]
-    m = len(patterns)
-
-    total = Fraction(0)
-    b = [0] * m
-    while True:
-        total += _bound_term(stat, patterns, profiles, q, b, tau)
-        # advance b through the box prod_j [0, q_j]
-        j = 0
-        while j < m:
-            b[j] += 1
-            if b[j] <= q[j]:
-                break
-            b[j] = 0
-            j += 1
-        if j == m:
-            return total
+    box = product(*(range(qj + 1) for qj in q))
+    return sum(
+        (_bound_term(stat, patterns, profiles, q, b, tau) for b in box), Fraction(0)
+    )
 
 
 def _bound_term(stat, patterns, profiles, q, b, tau) -> Fraction:
@@ -165,30 +130,19 @@ def _bound_term(stat, patterns, profiles, q, b, tau) -> Fraction:
         hosts = sum(free[k] * tau[j][k] for k in range(m))
         placements *= Fraction(
             falling_factorial(q[j], b[j]) * falling_factorial(hosts, b[j]),
-            _factorial(b[j]),
+            math.factorial(b[j]),
         )
         if placements == 0:
             return Fraction(0)
     n = stat.size
     depth = 1 + sum(free[j] * (patterns[j].size - 1) for j in range(m))
     value = Fraction(n, falling_factorial(n, depth))
-    degrees = set()
-    for prof in profiles:
-        degrees |= set(prof)
-    for degree in degrees:
+    for degree in set().union(*profiles):
         pulls = sum(free[j] * profiles[j].get(degree, 0) for j in range(m))
         value *= falling_factorial(stat.count(degree), pulls)
         if value == 0:
             return Fraction(0)
     return value * placements
-
-
-@lru_cache(maxsize=None)
-def _factorial(k: int) -> int:
-    out = 1
-    for j in range(2, k + 1):
-        out *= j
-    return out
 
 
 class PartialSumDistribution(NamedTuple):
@@ -202,38 +156,44 @@ class PartialSumDistribution(NamedTuple):
 def partial_sum_pmf(
     w: OffspringDistribution, m: int, cap: int = PARTIAL_SUM_CAP
 ) -> PartialSumDistribution:
-    """Distribution of S_m, the sum of m iid draws from w, by iterated
-    dense convolution over the reachable support [0, m * max_degree]."""
+    """Distribution of S_m, the sum of m iid draws from w, over its
+    support; floats only for float laws, converted from the exact values."""
+    offset, scale, coefficients = _partial_sum(w, m, cap)
+    convert = Fraction if w.is_exact else truediv
+    pmf = {offset + k: convert(c, scale) for k, c in enumerate(coefficients) if c}
+    return PartialSumDistribution(pmf, w.is_exact)
+
+
+def _partial_sum(w: OffspringDistribution, m: int, cap: int) -> tuple:
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > cap:
         raise CapExceeded(f"m = {m} exceeds partial-sum cap {cap}")
-    # Fraction(1,2) == 0.5 hashes identically, so exact and float variants of
-    # one distribution would share a cache slot without the explicit flag
-    return _partial_sum_cached(w, m, w.is_exact)
+    return _partial_sum_cached(w, m)
 
 
 @lru_cache(maxsize=None)
-def _partial_sum_cached(
-    w: OffspringDistribution, m: int, exact: bool
-) -> PartialSumDistribution:
-    step_items = sorted(w.probabilities().items())
-    if exact:
-        step_items = [(i, Fraction(p)) for i, p in step_items]
-    else:
-        step_items = [(i, float(p)) for i, p in step_items]
-    if m == 0:
-        one = Fraction(1) if exact else 1.0
-        return PartialSumDistribution({0: one}, exact)
-    prev = _partial_sum_cached(w, m - 1, exact).pmf
-    zero = Fraction(0) if exact else 0.0
-    max_prev = max(prev)
-    dense = [zero] * (max_prev + step_items[-1][0] + 1)
-    for s, mass in prev.items():
-        for i, p in step_items:
-            dense[s + i] += mass * p
-    pmf = {s: mass for s, mass in enumerate(dense) if mass}
-    return PartialSumDistribution(pmf, exact)
+def _partial_sum_cached(w: OffspringDistribution, m: int) -> tuple:
+    """(offset, D^m, c) with P(S_m = offset + k) = c[k] / D^m.
+
+    The law is scaled to integers a_i = D p_i and shifted so that a_0 > 0;
+    the coefficients c of (sum_i a_i x^i)^m then follow from Miller's
+    recurrence  k a_0 c_k = sum_{j>=1} ((m+1) j - k) a_j c_{k-j},  in which
+    every division is exact.  Exact and float laws that compare equal give
+    the same integers, so they may share a cache slot.
+    """
+    probs = [(i, Fraction(p)) for i, p in sorted(w.probabilities().items()) if p]
+    scale = math.lcm(*(p.denominator for _, p in probs))
+    low = probs[0][0]
+    a = [0] * (probs[-1][0] - low + 1)
+    for i, p in probs:
+        a[i - low] = p.numerator * (scale // p.denominator)
+    steps = [(j, aj) for j, aj in enumerate(a) if j and aj]
+    c = [a[0] ** m]
+    for k in range(1, m * (len(a) - 1) + 1):
+        acc = sum(((m + 1) * j - k) * aj * c[k - j] for j, aj in steps if j <= k)
+        c.append(acc // (k * a[0]))
+    return low * m, scale**m, c
 
 
 def degree_factorial_moment(
@@ -253,7 +213,7 @@ def degree_factorial_moment(
     q = {int(i): int(v) for i, v in dict(q).items() if v}
     if any(v < 0 for v in q.values()):
         raise ValueError("q entries must be nonnegative")
-    denominator = partial_sum_pmf(w, n, cap).pmf.get(n - 1, Fraction(0))
+    denominator = _point_mass(w, n, n - 1, cap)
     if denominator == 0:
         raise InfeasibleSize(f"no size-{n} tree has positive weight")
     q_total = sum(q.values())
@@ -265,7 +225,12 @@ def degree_factorial_moment(
         value *= w.p(i) ** v
         if value == 0:
             return Fraction(0)
-    numerator = partial_sum_pmf(w, n - q_total, cap).pmf.get(
-        n - 1 - weighted, Fraction(0)
-    )
+    numerator = _point_mass(w, n - q_total, n - 1 - weighted, cap)
     return value * numerator / denominator
+
+
+def _point_mass(w: OffspringDistribution, m: int, k: int, cap: int) -> Fraction:
+    """P(S_m = k) as one Fraction, without building the whole pmf."""
+    offset, scale, coefficients = _partial_sum(w, m, cap)
+    inside = 0 <= k - offset < len(coefficients)
+    return Fraction(coefficients[k - offset] if inside else 0, scale)

@@ -29,7 +29,7 @@ from scipy import stats as scistats
 from .asymptotics import fringe_covariance_density, plugin_mean
 from .distributions import OffspringDistribution
 from .errors import SizeTooSmall, TooFewSamples
-from .exact_moments import factorial_moment, mean_count, product_moment
+from .exact_moments import factorial_moment, joint_factorial_moment, mean_count
 from .sampling import Seed, excursion_degrees, sample_hub_tree, sample_uniform_trees
 from .tree_core import DegreeStatistic, PlaneTree, count_fringe, count_trees, enumerate_trees
 
@@ -258,8 +258,8 @@ def _empirical_moments(counts: np.ndarray) -> dict:
 
 def exact_variance(stat: DegreeStatistic, pattern: PlaneTree) -> Fraction:
     """Var N_T from the first two factorial moments, exact."""
-    first = mean_count(stat, pattern)
-    second = factorial_moment(stat, pattern, 2)
+    first = joint_factorial_moment(stat, [pattern], [1])
+    second = joint_factorial_moment(stat, [pattern], [2])
     return second + first - first * first
 
 
@@ -268,7 +268,8 @@ def exact_covariance(
 ) -> Fraction:
     if t1 == t2:
         return exact_variance(stat, t1)
-    return product_moment(stat, t1, t2) - mean_count(stat, t1) * mean_count(stat, t2)
+    joint = joint_factorial_moment(stat, [t1, t2], [1, 1])
+    return joint - mean_count(stat, t1) * mean_count(stat, t2)
 
 
 def normality_test(samples, threshold: float = DEFAULT_KS_THRESHOLD):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import OffspringDistribution, sample_offspring
-from .errors import AttemptsExhausted, InfeasibleSize, InvalidDegreeSequence
+from .errors import AttemptsExhausted, InfeasibleSize, InvalidDegreeSequence, InvalidPath
 from .tree_core import DegreeStatistic, PlaneTree, _unchecked_tree
 
 FEASIBILITY_DP_LIMIT = 100_000
@@ -100,7 +100,8 @@ def excursion_degrees(multiset: np.ndarray, rng: np.random.Generator) -> np.ndar
     shift = int(np.argmin(walk)) + 1  # argmin takes the first minimum
     rotated = np.roll(shuffled, -shift)
     excursion = np.cumsum(rotated - 1)
-    assert excursion[-1] == -1 and (excursion[:-1] >= 0).all()
+    if excursion[-1] != -1 or (excursion[:-1] < 0).any():
+        raise InvalidPath("rotated degree word is not an excursion")
     return rotated
 
 

@@ -63,10 +63,6 @@ class PlaneTree:
         return f"PlaneTree({','.join(map(str, self.degrees))})"
 
     @classmethod
-    def leaf(cls) -> "PlaneTree":
-        return cls((0,))
-
-    @classmethod
     def from_text(cls, text: str) -> "PlaneTree":
         """Parse the comma-separated preorder format, e.g. ``2,0,2,0,0``."""
         return cls(tuple(int(part) for part in text.strip().split(",")))
@@ -310,9 +306,10 @@ def count_trees(stat: DegreeStatistic):
     denom = n
     for _, c in stat.items:
         denom *= math.factorial(c)
-    total = math.factorial(n)
-    assert total % denom == 0
-    return total // denom
+    count, remainder = divmod(math.factorial(n), denom)
+    if remainder:
+        raise InvalidDegreeStatistic(f"tree count of {stat.as_dict()} is not integral")
+    return count
 
 
 def enumerate_trees(stat: DegreeStatistic, cap: int = ENUMERATION_CAP):
@@ -465,22 +462,18 @@ def canonical_unordered(tree: PlaneTree) -> UnorderedKey:
 
 def _parse_code(code: bytes):
     """Parse a canonical code into a nested list-of-children structure."""
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        assert code[pos : pos + 1] == b"("
-        pos += 1
-        children = []
-        while code[pos : pos + 1] == b"(":
-            children.append(parse())
-        assert code[pos : pos + 1] == b")"
-        pos += 1
-        return children
-
-    node = parse()
-    assert pos == len(code)
-    return node
+    stack = [[]]
+    for token in code:
+        if token == ord("("):
+            stack.append([])
+        elif token == ord(")") and len(stack) > 1:
+            children = stack.pop()
+            stack[-1].append(children)
+        else:
+            raise ValueError(f"malformed unordered key {code!r}")
+    if len(stack) != 1 or len(stack[0]) != 1:
+        raise ValueError(f"malformed unordered key {code!r}")
+    return stack[0][0]
 
 
 def _code_size(node) -> int:
@@ -538,8 +531,3 @@ def _multiset_permutations(item_counts):
             counts[item] += 1
 
     yield from backtrack()
-
-
-def ordering_count(key: UnorderedKey, cap: int = ENUMERATION_CAP) -> int:
-    """|Ord(T)|: the number of plane orderings of an unordered tree."""
-    return len(enumerate_orderings(key, cap=cap))

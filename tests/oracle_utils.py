@@ -1,8 +1,11 @@
-"""Brute-force oracles used by the test suite.
+"""Reference values used by the test suite.
 
-These deliberately avoid the closed-form moment formulas: expectations are
-exact averages over full enumerations, so agreement with the formula
-implementations is a meaningful check.
+The brute-force oracles avoid every moment formula: expectations are exact
+averages over full enumerations, so agreement with the library is a
+meaningful check.  The closed-form references are the hand-specialised
+mean, factorial-moment and product-moment formulas; the library derives all
+three from its bound-copy sum, so comparing the two checks the reductions at
+sizes that enumeration cannot reach.
 """
 
 import math
@@ -13,8 +16,10 @@ from fringelab.distributions import OffspringDistribution
 from fringelab.exact_moments import falling_factorial
 from fringelab.tree_core import (
     all_degree_statistics,
+    count_fringe,
     count_fringe_by_extraction,
     count_trees,
+    degree_statistic,
     enumerate_trees,
 )
 
@@ -84,3 +89,32 @@ def brute_degree_factorial(w, n, q):
     if denom == 0:
         raise ZeroDivisionError("no feasible profile at this size")
     return numer / denom
+
+
+def closed_form_mean(stat, pattern):
+    """E[N_T] = |n| / (|n|)_{|T|} * prod_i (n(i))_{n_T(i)}."""
+    return closed_form_factorial_moment(stat, pattern, 1)
+
+
+def closed_form_factorial_moment(stat, pattern, q):
+    """E[(N_T)_q] = |n| / (|n|)_{q|T|-q+1} * prod_i (n(i))_{q n_T(i)}."""
+    n = stat.size
+    value = Fraction(n, falling_factorial(n, q * pattern.size - q + 1))
+    for degree, count in degree_statistic(pattern).items:
+        value *= falling_factorial(stat.count(degree), q * count)
+    return value
+
+
+def closed_form_product_moment(stat, pattern, pattern2):
+    """E[N_T N_T'] for distinct patterns: the two cross-containment terms
+    plus the disjoint-pair term."""
+    n = stat.size
+    value = count_fringe(pattern2, pattern) * closed_form_mean(stat, pattern2)
+    value += count_fringe(pattern, pattern2) * closed_form_mean(stat, pattern)
+    disjoint = Fraction(n, falling_factorial(n, pattern.size + pattern2.size - 1))
+    prof, prof2 = degree_statistic(pattern).as_dict(), degree_statistic(pattern2).as_dict()
+    for degree in set(prof) | set(prof2):
+        disjoint *= falling_factorial(
+            stat.count(degree), prof.get(degree, 0) + prof2.get(degree, 0)
+        )
+    return value + disjoint

@@ -15,6 +15,8 @@ from scipy import stats as scistats
 from oracle_utils import (
     brute_degree_factorial,
     brute_mean,
+    closed_form_factorial_moment,
+    closed_form_product_moment,
     random_distribution_corpus,
 )
 
@@ -30,11 +32,9 @@ from fringelab.asymptotics import (
 from fringelab.distributions import OffspringDistribution, WeightSequence
 from fringelab.exact_moments import (
     degree_factorial_moment,
-    factorial_moment,
     falling_factorial,
     joint_factorial_moment,
     mean_count,
-    product_moment,
 )
 from fringelab.mc_harness import (
     ExperimentConfig,
@@ -139,7 +139,7 @@ def test_criterion_02_joint_moment_oracle():
                     got = joint_factorial_moment(stat, chosen, q)
                     assert got == brute(stat, ids, q)
                     checked += 1
-    # reductions: the one- and two-pattern conveniences match the joint form
+    # reductions: the one- and two-pattern closed forms match the joint form
     reduction_checked = 0
     for stat in stats:
         if stat.size < 5:
@@ -148,14 +148,14 @@ def test_criterion_02_joint_moment_oracle():
             for q in (1, 2, 3):
                 if stat.size < q * pattern.size - q + 1:
                     continue
-                assert factorial_moment(stat, pattern, q) == joint_factorial_moment(
-                    stat, [pattern], [q]
-                )
+                assert closed_form_factorial_moment(
+                    stat, pattern, q
+                ) == joint_factorial_moment(stat, [pattern], [q])
                 reduction_checked += 1
         for t1, t2 in combinations(patterns, 2):
             if stat.size < t1.size + t2.size - 1:
                 continue
-            assert product_moment(stat, t1, t2) == joint_factorial_moment(
+            assert closed_form_product_moment(stat, t1, t2) == joint_factorial_moment(
                 stat, [t1, t2], [1, 1]
             )
             reduction_checked += 1

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from oracle_utils import random_distribution_corpus as _shared_corpus
 
+from fringelab import asymptotics
 from fringelab.asymptotics import (
     CovMatrix,
     TollFunction,
@@ -387,3 +388,10 @@ class TestAdditive:
                 direct, quadratic = additive_variance_forms(p, toll)
                 assert direct == quadratic
                 assert direct >= 0
+
+    def test_disagreeing_forms_raise(self, monkeypatch):
+        monkeypatch.setattr(
+            asymptotics, "additive_variance_forms", lambda p, toll: (Fraction(1), 0.5)
+        )
+        with pytest.raises(ArithmeticError):
+            additive_variance_density(GEO, TollFunction.indicator(CHERRY))

@@ -218,6 +218,12 @@ class TestErrorPaths:
         code, _, _ = run_cli(capsys, "frobnicate")
         assert code == 1
 
+    def test_removed_exact_flag(self, capsys):
+        code, _, err = run_cli(
+            capsys, "moments", "--stat", '{"0":3,"2":2}', "--pattern", "2,0,0", "--exact"
+        )
+        assert code == 1 and "--exact" in err
+
     def test_infeasible_moment(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -2,7 +2,14 @@ import math
 from fractions import Fraction
 
 import pytest
-from oracle_utils import brute_degree_factorial, brute_joint_factorial, brute_mean
+from oracle_utils import (
+    brute_degree_factorial,
+    brute_joint_factorial,
+    brute_mean,
+    closed_form_factorial_moment,
+    closed_form_mean,
+    closed_form_product_moment,
+)
 
 from fringelab.distributions import OffspringDistribution
 from fringelab.errors import (
@@ -13,6 +20,8 @@ from fringelab.errors import (
     SizeTooSmall,
 )
 from fringelab.exact_moments import (
+    PARTIAL_SUM_CAP,
+    _partial_sum_cached,
     containment_matrix,
     degree_factorial_moment,
     factorial_moment,
@@ -36,6 +45,8 @@ T5 = PlaneTree((2, 0, 2, 0, 0))
 
 STAT_5 = DegreeStatistic.from_counts({0: 3, 2: 2})
 STAT_7 = DegreeStatistic.from_counts({0: 4, 2: 3})
+
+STAT_10001 = DegreeStatistic.from_counts({0: 5001, 2: 5000})
 
 FULL_BINARY = OffspringDistribution.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
 
@@ -157,14 +168,35 @@ class TestJointFactorialMoment:
     def test_m1_reduces(self):
         for q in (1, 2, 3):
             stat = DegreeStatistic.from_counts({0: 7, 2: 6})
-            assert joint_factorial_moment(stat, [CHERRY], [q]) == factorial_moment(
-                stat, CHERRY, q
-            )
+            assert joint_factorial_moment(
+                stat, [CHERRY], [q]
+            ) == closed_form_factorial_moment(stat, CHERRY, q)
 
     def test_m2_reduces_to_product(self):
-        assert joint_factorial_moment(STAT_7, [CHERRY, T5], [1, 1]) == product_moment(
-            STAT_7, CHERRY, T5
+        assert joint_factorial_moment(
+            STAT_7, [CHERRY, T5], [1, 1]
+        ) == closed_form_product_moment(STAT_7, CHERRY, T5)
+
+    def test_reductions_beyond_enumeration(self):
+        assert joint_factorial_moment(STAT_10001, [T5], [1]) == closed_form_mean(
+            STAT_10001, T5
         )
+        assert joint_factorial_moment(
+            STAT_10001, [CHERRY], [7]
+        ) == closed_form_factorial_moment(STAT_10001, CHERRY, 7)
+        assert joint_factorial_moment(
+            STAT_10001, [CHERRY, T5], [1, 1]
+        ) == closed_form_product_moment(STAT_10001, CHERRY, T5)
+
+    def test_zero_orders_drop_out(self):
+        assert joint_factorial_moment(STAT_7, [CHERRY], [0]) == 1
+        assert joint_factorial_moment(
+            STAT_10001, [CHERRY, T5], [0, 2]
+        ) == closed_form_factorial_moment(STAT_10001, T5, 2)
+
+    def test_negative_order_rejected(self):
+        with pytest.raises(ValueError):
+            joint_factorial_moment(STAT_7, [CHERRY], [-1])
 
     def test_worked_example_vs_oracle(self):
         value = joint_factorial_moment(STAT_7, [CHERRY, T5], [1, 1])
@@ -216,10 +248,21 @@ class TestPartialSumPmf:
         dist = partial_sum_pmf(w, 4)
         assert not dist.exact
         assert dist.pmf[4] == pytest.approx(0.375)
+        approx, exact = partial_sum_pmf(w, 30).pmf, partial_sum_pmf(FULL_BINARY, 30).pmf
+        assert approx.keys() == exact.keys()
+        for s, mass in exact.items():
+            assert approx[s] == pytest.approx(float(mass), rel=1e-12)
 
     def test_cap(self):
         with pytest.raises(CapExceeded):
             partial_sum_pmf(FULL_BINARY, 10, cap=5)
+
+    def test_cold_total_mass_at_600(self):
+        _partial_sum_cached.cache_clear()
+        w = OffspringDistribution.finite(
+            {0: Fraction(21, 64), 1: Fraction(22, 64), 3: Fraction(21, 64)}
+        )
+        assert sum(partial_sum_pmf(w, 600).pmf.values()) == 1
 
 
 class TestDegreeFactorialMoment:
@@ -243,6 +286,18 @@ class TestDegreeFactorialMoment:
 
     def test_zero_weight_degree(self):
         assert degree_factorial_moment(FULL_BINARY, 5, {1: 1}) == 0
+
+    def test_documented_cap_is_reachable(self):
+        _partial_sum_cached.cache_clear()
+        w = OffspringDistribution.finite(
+            {0: Fraction(21, 64), 1: Fraction(22, 64), 2: Fraction(13, 64), 3: Fraction(8, 64)}
+        )
+        n = PARTIAL_SUM_CAP
+        means = [degree_factorial_moment(w, n, {i: 1}) for i in range(4)]
+        assert all(isinstance(x, Fraction) for x in means)
+        assert sum(means) == n
+        assert sum(i * x for i, x in enumerate(means)) == n - 1
+        _partial_sum_cached.cache_clear()  # release the large integer tables
 
     def test_vs_enumeration(self):
         geometric_cut = OffspringDistribution.finite(

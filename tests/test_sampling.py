@@ -6,10 +6,16 @@ import pytest
 from scipy import stats as scistats
 
 from fringelab.distributions import OffspringDistribution
-from fringelab.errors import AttemptsExhausted, InfeasibleSize, InvalidDegreeSequence
+from fringelab.errors import (
+    AttemptsExhausted,
+    InfeasibleSize,
+    InvalidDegreeSequence,
+    InvalidPath,
+)
 from fringelab.sampling import (
     DegreeSequence,
     Seed,
+    excursion_degrees,
     sample_conditioned_gw,
     sample_hub_tree,
     sample_labelled_tree,
@@ -63,6 +69,10 @@ class TestSeed:
 
 
 class TestUniformTree:
+    def test_unbalanced_word_is_not_an_excursion(self):
+        with pytest.raises(InvalidPath):
+            excursion_degrees(np.array([0, 0, 1]), Seed(1).generator())
+
     def test_singleton(self):
         stat = DegreeStatistic.from_counts({0: 1})
         assert sample_uniform_tree(stat, Seed(1)) == PlaneTree((0,))

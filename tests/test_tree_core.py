@@ -11,6 +11,7 @@ from fringelab.tree_core import (
     DegreeStatistic,
     LukasiewiczPath,
     PlaneTree,
+    UnorderedKey,
     all_degree_statistics,
     all_trees,
     all_trees_up_to,
@@ -282,6 +283,11 @@ class TestUnordered:
         assert len(enumerate_orderings(canonical_unordered(PATH3))) == 1
         two = canonical_unordered(PlaneTree((2, 0, 1, 0)))
         assert len(enumerate_orderings(two)) == 2
+
+    @pytest.mark.parametrize("code", [b"x", b"", b"(", b"(()", b"()()", b"())"])
+    def test_malformed_key_rejected(self, code):
+        with pytest.raises(ValueError):
+            enumerate_orderings(UnorderedKey(code))
 
     def test_orderings_partition_plane_trees(self):
         # plane trees of a given size split exactly into unordered classes

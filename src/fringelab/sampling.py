@@ -7,6 +7,13 @@ an excursion, and decode the excursion as a tree.  The rotation is an
 |n|-to-1 map from bridges onto excursions with the same increment counts,
 so the resulting tree is exactly uniform.
 
+Size-conditioned Galton-Watson trees reduce to the same primitive: given
+its degree counts, such a tree is uniform among the trees with those
+counts.  So only the counts are drawn by rejection, one multinomial count
+vector per attempt at O(support) cost, after Devroye, "Simulating
+size-constrained Galton-Watson trees" (SIAM J. Comput. 2012); the shuffle
+and rotation then build the tree.
+
 Randomness is PCG64 with explicit SeedSequence stream derivation: a Seed
 is (value, stream_id), and replicate r of a batch uses the spawn key
 (stream_id, r).  Identical seeds reproduce identical output on any worker
@@ -15,15 +22,16 @@ layout.
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .distributions import OffspringDistribution, sample_offspring
+from .distributions import OffspringDistribution, _cdf_table
 from .errors import AttemptsExhausted, InfeasibleSize, InvalidDegreeSequence, InvalidPath
 from .tree_core import DegreeStatistic, PlaneTree, _unchecked_tree
-
-FEASIBILITY_DP_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -137,28 +145,34 @@ def sample_conditioned_gw(
     max_attempts: int = 1_000_000,
     batch: int = 256,
 ) -> PlaneTree:
-    """Size-conditioned branching-process tree, exact by rejection.
+    """Size-conditioned branching-process tree, exact by rejection on the
+    degree counts (Devroye, "Simulating size-constrained Galton-Watson
+    trees", SIAM J. Comput. 2012).
 
-    Draw n iid child counts until they sum to n - 1; conditioned on the
-    acceptance, the degree counts follow the exact conditional law, and the
-    uniform-tree sampler finishes the job.
+    Given its degree counts, a conditioned Galton-Watson tree is a uniform
+    tree with those counts, so only the counts need rejection.  One attempt
+    draws a whole count vector (c_i) ~ multinomial(n, p) in C, at a cost of
+    O(support) rather than n separate degree draws, and is accepted when
+    sum_i i*c_i = n - 1; the accepted vector then has the exact conditional
+    law, and the uniform-tree sampler finishes the job.  Attempts are drawn
+    ``batch`` count vectors at a time, at most ``max_attempts`` in all.
     """
     if n < 1:
         raise InfeasibleSize("n must be at least 1")
     _check_feasible(w, n)
+    support, cdf = _cdf_table(w)
+    # the same per-degree masses that sample_offspring inverts; degrees of
+    # float mass 0 are never drawn and are left out of the count vectors
+    probs = np.diff(np.minimum(cdf, 1.0), prepend=0.0)
+    support, probs = support[probs > 0], probs[probs > 0]
     rng = _as_generator(seed)
     attempts = 0
     while attempts < max_attempts:
         block = min(batch, max_attempts - attempts)
-        draws = sample_offspring(w, rng, block * n).reshape(block, n)
-        hits = np.nonzero(draws.sum(axis=1) == n - 1)[0]
+        counts = rng.multinomial(n, probs, size=block)
+        hits = np.flatnonzero(counts @ support == n - 1)
         if hits.size:
-            attempts += int(hits[0]) + 1
-            row = draws[hits[0]]
-            degrees, counts = np.unique(row, return_counts=True)
-            stat = DegreeStatistic.from_counts(
-                {int(d): int(c) for d, c in zip(degrees, counts)}
-            )
+            stat = DegreeStatistic.from_counts(zip(support, counts[hits[0]]))
             return _sample_tree(stat, rng)
         attempts += block
     raise AttemptsExhausted(
@@ -170,30 +184,51 @@ def sample_conditioned_gw(
 def _check_feasible(w: OffspringDistribution, n: int) -> None:
     """Reject (w, n) pairs for which no degree draw can sum to n - 1.
 
-    Only finite supports can be infeasible; the check is a coin-style
-    reachability table over sums of at most n - 1 positive degrees, run
-    when n is small enough to afford it.
+    Exact at every n: n - 1 must be a sum of positive degrees (n - 1 of
+    them at most, since each adds at least 1), which holds iff it is at
+    least the least such sum in its residue class mod the smallest
+    positive degree.
     """
-    if w.kind != "finite" or n > FEASIBILITY_DP_LIMIT:
-        return
-    if w.p(0) == 0 and n > 1:
+    if w.p(0) == 0:
         raise InfeasibleSize("trees need leaves: p_0 = 0")
-    if n == 1:
-        if w.p(0) == 0:
-            raise InfeasibleSize("a single vertex needs p_0 > 0")
-        return
-    coins = [d for d in w.support() if d >= 1]
     target = n - 1
-    reachable = np.zeros(target + 1, dtype=bool)
-    reachable[0] = True
-    for value in range(1, target + 1):
-        reachable[value] = any(
-            c <= value and reachable[value - c] for c in coins
+    least = _least_sums(w)
+    if target and target < least[target % len(least)]:
+        raise InfeasibleSize(
+            f"n - 1 = {target} is not a sum of degrees from {w.support()}"
         )
-    # each positive degree adds >= 1 to the sum, so at most n - 1 coins are
-    # ever used and the unbounded table is valid
-    if not reachable[target]:
-        raise InfeasibleSize(f"sum {target} unreachable from degrees {coins}")
+
+
+@lru_cache(maxsize=None)
+def _least_sums(w: OffspringDistribution) -> tuple:
+    """least[r] = least sum of positive degrees that is r mod a, with a
+    the smallest positive degree (infinity if there is none).
+
+    Classes that the gcd of the degrees does not divide stay infinite, so
+    the table also enforces that the gcd divides n - 1.  Computed by
+    Dijkstra over the a residues; only the smallest degree of each class
+    (the support is sorted) can be part of a least sum.
+    """
+    coins = [d for d in w.support() if d >= 1]
+    if not coins:
+        return (math.inf,)
+    a = coins[0]
+    steps = {}
+    for c in coins[1:]:
+        steps.setdefault(c % a, c)
+    least = [math.inf] * a
+    least[0] = 0
+    heap = [(0, 0)]
+    while heap:
+        total, r = heapq.heappop(heap)
+        if total > least[r]:
+            continue
+        for c in steps.values():
+            nxt = (r + c) % a
+            if total + c < least[nxt]:
+                least[nxt] = total + c
+                heapq.heappush(heap, (total + c, nxt))
+    return tuple(least)
 
 
 def sample_hub_tree(n0: int, n1: int, seed) -> PlaneTree:

@@ -5,7 +5,9 @@ averages over full enumerations, so agreement with the library is a
 meaningful check.  The closed-form references are the hand-specialised
 mean, factorial-moment and product-moment formulas; the library derives all
 three from its bound-copy sum, so comparing the two checks the reductions at
-sizes that enumeration cannot reach.
+sizes that enumeration cannot reach.  ``dp_feasible`` is the plain
+reachability table that the sampler's residue-class feasibility test
+replaces.
 """
 
 import math
@@ -118,3 +120,16 @@ def closed_form_product_moment(stat, pattern, pattern2):
             stat.count(degree), prof.get(degree, 0) + prof2.get(degree, 0)
         )
     return value + disjoint
+
+
+def dp_feasible(w, n):
+    """Whether some size-n degree draw from w sums to n - 1, by a
+    coin-style reachability table over the sums 0..n - 1 of positive
+    degrees (O(n * |support|))."""
+    if w.p(0) == 0:
+        return False
+    coins = [d for d in w.support() if d >= 1]
+    reachable = [True] + [False] * (n - 1)
+    for value in range(1, n):
+        reachable[value] = any(c <= value and reachable[value - c] for c in coins)
+    return reachable[n - 1]

@@ -1,8 +1,11 @@
+import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
+from oracle_utils import dp_feasible
 from scipy import stats as scistats
 
 from fringelab.distributions import OffspringDistribution
@@ -15,6 +18,7 @@ from fringelab.errors import (
 from fringelab.sampling import (
     DegreeSequence,
     Seed,
+    _check_feasible,
     excursion_degrees,
     sample_conditioned_gw,
     sample_hub_tree,
@@ -197,6 +201,34 @@ class TestConditionedGW:
         with pytest.raises(InfeasibleSize):
             sample_conditioned_gw(w, 3, Seed(0))
 
+    def test_infeasible_at_any_size(self):
+        with pytest.raises(InfeasibleSize):
+            sample_conditioned_gw(FULL_BINARY, 100_002, Seed(0), max_attempts=4, batch=2)
+        w = OffspringDistribution.finite({1: Fraction(1, 2), 2: Fraction(1, 2)})
+        with pytest.raises(InfeasibleSize):
+            sample_conditioned_gw(w, 100_003, Seed(0), max_attempts=4, batch=2)
+
+    def test_feasible_large_size(self):
+        # mean-1 law on {0, 3, 5}; 200 000 = 3a + 5b is reachable
+        w = OffspringDistribution.finite(
+            {0: Fraction(11, 15), 3: Fraction(1, 6), 5: Fraction(1, 10)}
+        )
+        tree = sample_conditioned_gw(w, 200_001, Seed(0))
+        assert tree.size == 200_001
+        assert set(tree.degrees) <= {0, 3, 5}
+
+    @pytest.mark.parametrize("coins", [(2,), (3, 5), (4, 6), (6, 10, 15)])
+    def test_feasibility_matches_reachability_table(self, coins):
+        probs = {0: Fraction(1, 2)} | {c: Fraction(1, 2 * len(coins)) for c in coins}
+        w = OffspringDistribution.finite(probs)
+        for n in range(1, 301):
+            try:
+                _check_feasible(w, n)
+                feasible = True
+            except InfeasibleSize:
+                feasible = False
+            assert feasible == dp_feasible(w, n), n
+
     def test_attempts_exhausted(self):
         # feasible but forced through an absurdly small attempt budget is
         # indistinguishable from never hitting: make the hit impossible at
@@ -227,6 +259,59 @@ class TestConditionedGW:
             tally[sample_conditioned_gw(w, n, gen).degrees] += 1
         assert set(tally) <= set(expected)
         assert chisquare_pvalue(tally, expected, reps) > 1e-3
+
+
+    def test_degree_counts_follow_conditioned_multinomial(self):
+        # exact law of the counts: multinomial(n, p) conditioned on
+        # sum_i i*c_i = n - 1, by enumerating every count vector
+        w = OffspringDistribution.finite({d: Fraction(1, 4) for d in range(4)})
+        n, reps = 12, 20_000
+        mass = {}
+        for tail in product(range(n + 1), repeat=3):
+            counts = (n - sum(tail),) + tail
+            if counts[0] >= 0 and sum(d * c for d, c in enumerate(counts)) == n - 1:
+                weight = Fraction(math.factorial(n))
+                for d, c in enumerate(counts):
+                    weight *= w.p(d) ** c / math.factorial(c)
+                mass[counts] = weight
+        total = sum(mass.values())
+        # count vectors expected fewer than 5 times share the cell ()
+        rare = {k for k, v in mass.items() if v / total * reps < 5}
+        expected = Counter()
+        for k, v in mass.items():
+            expected[() if k in rare else k] += v / total
+        tally = Counter()
+        gen = Seed(37).generator()
+        for _ in range(reps):
+            stat = degree_statistic(sample_conditioned_gw(w, n, gen))
+            key = tuple(stat.count(d) for d in range(4))
+            tally[() if key in rare else key] += 1
+        assert set(tally) <= set(expected)
+        assert chisquare_pvalue(tally, expected, reps) > 1e-3
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            OffspringDistribution.finite(
+                {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(1, 3)}
+            ),
+            OffspringDistribution.geometric(Fraction(1, 2)),
+            OffspringDistribution.poisson(1.0),
+            OffspringDistribution.power_law(0.3, 2.5),
+        ],
+        ids=["finite", "geometric", "poisson", "power_law"],
+    )
+    def test_every_offspring_kind(self, w):
+        tree = sample_conditioned_gw(w, 200, Seed(3))
+        assert PlaneTree(tree.degrees) == tree  # revalidates the preorder word
+        assert tree.size == 200
+        assert set(tree.degrees) <= set(w.support())
+
+    def test_same_seed_same_tree(self):
+        w = OffspringDistribution.geometric(Fraction(1, 2))
+        first = sample_conditioned_gw(w, 500, Seed(9, 2))
+        assert sample_conditioned_gw(w, 500, Seed(9, 2)) == first
+        assert sample_conditioned_gw(w, 500, Seed(9, 3)) != first
 
 
 class TestHubSampler:

@@ -182,9 +182,23 @@ def _cdf_table(dist: OffspringDistribution):
     return support, cdf
 
 
-def sample_offspring(dist: OffspringDistribution, rng, size: int):
-    """Draw iid child counts via inverse CDF over the (truncated) support."""
+def sample_offspring(dist: OffspringDistribution, rng, size: int, *, tally=None):
+    """Draw iid child counts via inverse CDF over the (truncated) support.
+
+    With ``tally=n`` the ``size`` draws form size // n rows of n, and each
+    row is returned only as its degree counts: a pair (degrees, counts)
+    where counts[r, j] is how many draws of row r equal degrees[j].  A row
+    is one multinomial(n, p) vector over the same masses the inverse CDF
+    uses, drawn at O(support) cost; degrees of float mass 0 are left out.
+    """
     support, cdf = _cdf_table(dist)
+    if tally is not None:
+        rows, rest = divmod(size, tally)
+        if rest:
+            raise ValueError(f"size {size} is not a multiple of tally {tally}")
+        probs = np.diff(np.minimum(cdf, 1.0), prepend=0.0)
+        keep = probs > 0
+        return support[keep], rng.multinomial(tally, probs[keep], size=rows)
     u = rng.random(size)
     return support[np.searchsorted(cdf, u, side="left")]
 

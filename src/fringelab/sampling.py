@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import OffspringDistribution, _cdf_table
+from .distributions import OffspringDistribution, sample_offspring
 from .errors import AttemptsExhausted, InfeasibleSize, InvalidDegreeSequence, InvalidPath
 from .tree_core import DegreeStatistic, PlaneTree, _unchecked_tree
 
@@ -151,7 +151,8 @@ def sample_conditioned_gw(
 
     Given its degree counts, a conditioned Galton-Watson tree is a uniform
     tree with those counts, so only the counts need rejection.  One attempt
-    draws a whole count vector (c_i) ~ multinomial(n, p) in C, at a cost of
+    draws a whole count vector (c_i) ~ multinomial(n, p) in C, the tally of
+    n offspring draws from ``sample_offspring(..., tally=n)``, at a cost of
     O(support) rather than n separate degree draws, and is accepted when
     sum_i i*c_i = n - 1; the accepted vector then has the exact conditional
     law, and the uniform-tree sampler finishes the job.  Attempts are drawn
@@ -160,16 +161,12 @@ def sample_conditioned_gw(
     if n < 1:
         raise InfeasibleSize("n must be at least 1")
     _check_feasible(w, n)
-    support, cdf = _cdf_table(w)
-    # the same per-degree masses that sample_offspring inverts; degrees of
-    # float mass 0 are never drawn and are left out of the count vectors
-    probs = np.diff(np.minimum(cdf, 1.0), prepend=0.0)
-    support, probs = support[probs > 0], probs[probs > 0]
     rng = _as_generator(seed)
     attempts = 0
     while attempts < max_attempts:
         block = min(batch, max_attempts - attempts)
-        counts = rng.multinomial(n, probs, size=block)
+        # block rows of n offspring draws, each kept only as its tally
+        support, counts = sample_offspring(w, rng, block * n, tally=n)
         hits = np.flatnonzero(counts @ support == n - 1)
         if hits.size:
             stat = DegreeStatistic.from_counts(zip(support, counts[hits[0]]))

@@ -55,6 +55,22 @@ class TestOffspringDistribution:
                 float(w.p(degree)), abs=0.01
             )
 
+    def test_tally_rows_count_the_draws(self):
+        w = OffspringDistribution.finite(
+            {0: Fraction(1, 2), 1: Fraction(1, 3), 4: Fraction(1, 6)}
+        )
+        rng = np.random.default_rng(0)
+        degrees, counts = sample_offspring(w, rng, 6_000 * 10, tally=10)
+        assert degrees.tolist() == [0, 1, 4]
+        assert counts.shape == (6_000, 3)
+        assert (counts.sum(axis=1) == 10).all()
+        for j, degree in enumerate(degrees):
+            assert counts[:, j].mean() / 10 == pytest.approx(
+                float(w.p(int(degree))), abs=0.01
+            )
+        with pytest.raises(ValueError):
+            sample_offspring(w, rng, 25, tally=10)
+
 
 class TestWeightSequence:
     def test_weight_constraints(self):

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import OffspringDistribution, WeightSequence
+from .distributions import OffspringDistribution, WeightSequence, normalize_log_weights
 from .errors import DuplicatePatterns, NotConverged, UnsupportedRegime
 from .tree_core import (
     DegreeStatistic,
@@ -295,25 +295,11 @@ class EquivalentOffspring:
     sigma2: object
 
 
-def _log_weights(w: WeightSequence) -> dict:
-    out = {}
-    for i in range(w.truncated_degree() + 1):
-        weight = w.weight(i)
-        if w.kind == "poisson":
-            (rate,) = w.params
-            out[i] = i * math.log(rate) - math.lgamma(i + 1)
-        elif weight > 0:
-            out[i] = math.log(float(weight))
-    return out
-
-
 def _tilted_pmf(log_weights: dict, s: float) -> dict:
-    logs = {i: lw + i * math.log(s) if s > 0 else (lw if i == 0 else -INF)
-            for i, lw in log_weights.items()}
-    top = max(logs.values())
-    raw = {i: math.exp(x - top) for i, x in logs.items()}
-    total = sum(raw.values())
-    return {i: v / total for i, v in raw.items()}
+    return normalize_log_weights(
+        {i: lw + i * math.log(s) if s > 0 else (lw if i == 0 else -INF)
+         for i, lw in log_weights.items()}
+    )
 
 
 def _tilted_mean(log_weights: dict, s: float) -> float:
@@ -325,19 +311,14 @@ def _tilted_mean(log_weights: dict, s: float) -> float:
 def equivalent_offspring(w: WeightSequence) -> EquivalentOffspring:
     """Solve for the tilting parameter and return the equivalent offspring
     law with its mean and variance (inf for heavy power-law tails)."""
-    exact = _exact_critical_fixed_point(w)
-    if exact is not None:
-        return exact
+    theta = w.critical_law()
+    if theta is not None:  # critical rational weights tilt to themselves: stay exact
+        sigma2 = sum(i * i * v for i, v in theta.probabilities().items()) - 1
+        return EquivalentOffspring(Fraction(1), theta, w.nu(), sigma2)
 
-    log_weights = _log_weights(w)
+    log_weights = w.log_weights()
     rho = w.radius_of_convergence()
-    if w.kind == "finite":
-        nu = max(log_weights)  # tilted mean tends to the top degree
-    elif w.kind in ("geometric", "poisson"):
-        nu = INF
-    else:  # power_law: finite radius, evaluable at the boundary
-        nu = _tilted_mean(log_weights, 1.0)
-
+    nu = w.nu()
     if nu < 1:
         tau = float(rho)
     else:
@@ -349,28 +330,9 @@ def equivalent_offspring(w: WeightSequence) -> EquivalentOffspring:
     )
     mean = sum(i * v for i, v in pmf.items())
     sigma2 = sum(i * i * v for i, v in pmf.items()) - mean * mean
-    if w.kind == "power_law":
-        _, beta, *_ = w.params
-        if tau >= float(rho) - 1e-15 and beta <= 3:
-            sigma2 = INF
+    if w.heavy_tailed and tau >= float(rho) - 1e-15:
+        sigma2 = INF
     return EquivalentOffspring(tau, theta, nu, sigma2)
-
-
-def _exact_critical_fixed_point(w: WeightSequence):
-    """Finite rational weights that already form a critical probability
-    distribution tilt to themselves; keep that case exact."""
-    if w.kind != "finite":
-        return None
-    if not all(isinstance(v, Fraction) for _, v in w.params):
-        return None
-    total = sum(v for _, v in w.params)
-    mean = sum(d * v for d, v in w.params)
-    if total != 1 or mean != 1:
-        return None
-    theta = OffspringDistribution.finite(dict(w.params))
-    sigma2 = sum(d * d * v for d, v in w.params) - 1
-    nu = max(d for d, _ in w.params)
-    return EquivalentOffspring(Fraction(1), theta, nu, sigma2)
 
 
 def _solve_unit_mean(log_weights: dict, rho) -> float:

@@ -1,10 +1,12 @@
 """Offspring distributions and unnormalized weight sequences.
 
-Finite distributions and geometric ones with a rational ratio are exact
-(Fraction probabilities); the other named families (poisson, power_law)
-are truncated at a configurable index, renormalized, and evaluated in
-floats.  Exact-mode operations elsewhere in the package require
-``is_exact`` inputs.
+Both are laws of one kind: 'finite', 'geometric', 'poisson' or
+'power_law', with a kind-specific parameter tuple.  Finite laws and
+geometric ones with a rational ratio are exact (Fraction values); the other
+named families (poisson, power_law) are truncated at a configurable index
+and evaluated in floats.  Exact-mode operations elsewhere in the package
+require ``is_exact`` inputs.  This is the only module that reads a law's
+kind or parameters; other modules ask the law.
 """
 
 from __future__ import annotations
@@ -30,66 +32,52 @@ def _as_exact(value):
     return float(value)
 
 
-@dataclass(frozen=True)
-class OffspringDistribution:
-    """Probability weights p_i on child counts {0, 1, 2, ...}.
+def _poisson_log_weight(rate: float, i: int) -> float:
+    """log(rate**i / i!)."""
+    return i * math.log(rate) - math.lgamma(i + 1)
 
-    kind is 'finite', 'geometric', 'poisson' or 'power_law'; params is the
-    kind-specific parameter tuple.  p(i) returns a Fraction for exact kinds
-    and a float otherwise.
-    """
+
+def normalize_log_weights(logs: dict) -> dict:
+    """exp(logs[i]) rescaled to sum 1, taken relative to the largest log so
+    that no weight overflows; a log of -inf gets probability 0."""
+    top = max(logs.values())
+    raw = {i: math.exp(x - top) for i, x in logs.items()}
+    total = sum(raw.values())
+    return {i: v / total for i, v in raw.items()}
+
+
+@dataclass(frozen=True)
+class _Law:
+    """A law kind with its params and truncation; the base of both
+    OffspringDistribution and WeightSequence.  A finite law's params are
+    its sorted (degree, nonzero value) pairs.  Each class checks its
+    constraints in __post_init__, so every way of building a law is
+    validated.  Laws of different classes never compare equal, so caches
+    keyed by laws keep them apart."""
 
     kind: str
     params: tuple
     truncation: int = DEFAULT_TRUNCATION
 
-    # -- constructors ------------------------------------------------------
+    def __post_init__(self):
+        if self.kind == "poisson" and not self.params[0] > 0:
+            raise ValueError("poisson rate must be positive")
 
     @classmethod
-    def finite(cls, probs) -> "OffspringDistribution":
-        items = []
-        for degree, p in dict(probs).items():
-            value = _as_exact(p)
-            if value < 0:
-                raise ValueError(f"negative probability at degree {degree}")
-            if value:
-                items.append((int(degree), value))
-        items.sort()
-        total = sum(v for _, v in items)
-        if any(isinstance(v, float) for _, v in items):
-            if abs(total - 1.0) > _FLOAT_TOL:
-                raise ValueError(f"probabilities sum to {total}, not 1")
-        elif total != 1:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        return cls("finite", tuple(items))
+    def finite(cls, values):
+        items = ((int(d), _as_exact(v)) for d, v in dict(values).items())
+        return cls("finite", tuple(sorted(item for item in items if item[1])))
 
     @classmethod
     def geometric(cls, ratio, truncation: int = DEFAULT_TRUNCATION):
-        """p_i = (1 - ratio) * ratio**i; exact when ratio is rational."""
-        r = _as_exact(ratio)
-        if not 0 < r < 1:
-            raise ValueError("geometric ratio must lie in (0, 1)")
-        return cls("geometric", (r,), truncation)
+        return cls("geometric", (_as_exact(ratio),), truncation)
 
     @classmethod
     def poisson(cls, rate, truncation: int = DEFAULT_TRUNCATION):
-        """p_i proportional to rate**i / i!, truncated and renormalized."""
-        rate = float(rate)
-        if rate <= 0:
-            raise ValueError("poisson rate must be positive")
-        return cls("poisson", (rate,), truncation)
+        return cls("poisson", (float(rate),), truncation)
 
     @classmethod
-    def power_law(cls, c, beta, truncation: int = DEFAULT_TRUNCATION):
-        """p_i = c * i**-beta for 1 <= i <= truncation; p_0 soaks the rest."""
-        c, beta = float(c), float(beta)
-        tail = sum(c * i ** -beta for i in range(1, truncation + 1))
-        if tail >= 1:
-            raise ValueError("power-law tail mass >= 1; reduce c")
-        return cls("power_law", (c, beta), truncation)
-
-    @classmethod
-    def from_spec(cls, text: str) -> "OffspringDistribution":
+    def from_spec(cls, text: str):
         """Parse CLI syntax: 'geometric:1/2', 'poisson:0.9',
         'power_law:0.3,2.5', or a JSON-ish finite map handled by callers."""
         kind, _, arg = text.partition(":")
@@ -101,23 +89,14 @@ class OffspringDistribution:
         if kind == "power_law":
             c, beta = arg.split(",")
             return cls.power_law(float(c), float(beta))
-        raise ValueError(f"unknown distribution spec {text!r}")
+        raise ValueError(f"unknown {cls._spec_noun} spec {text!r}")
 
-    # -- accessors ---------------------------------------------------------
-
-    def p(self, i: int):
-        """Probability of child count i (0 outside the support)."""
-        if i < 0:
-            return Fraction(0)
-        if self.kind == "finite":
-            for degree, value in self.params:
-                if degree == i:
-                    return value
-            return Fraction(0)
-        if self.kind == "geometric":
-            (r,) = self.params
-            return (1 - r) * r**i
-        return _family_pmf(self).get(i, 0.0)
+    def _finite_value(self, i: int):
+        """Value listed at degree i by a finite law (0 when unlisted)."""
+        for degree, value in self.params:
+            if degree == i:
+                return value
+        return Fraction(0)
 
     @property
     def is_exact(self) -> bool:
@@ -126,6 +105,74 @@ class OffspringDistribution:
         if self.kind == "geometric":
             return isinstance(self.params[0], Fraction)
         return False
+
+    @property
+    def is_finite(self) -> bool:
+        """True for a law given by its listed (degree, value) pairs."""
+        return self.kind == "finite"
+
+    def truncated_degree(self) -> int:
+        """Largest index kept when evaluating the law."""
+        if self.kind == "finite":
+            return self.params[-1][0]
+        return self.truncation
+
+    def label(self) -> str:
+        if self.kind == "finite":
+            body = ",".join(f"{d}:{v}" for d, v in self.params)
+            return f"finite{{{body}}}"
+        args = ",".join(str(x) for x in self.params)
+        return f"{self.kind}:{args}"
+
+
+@dataclass(frozen=True)
+class OffspringDistribution(_Law):
+    """Probability weights p_i on child counts {0, 1, 2, ...}.
+
+    geometric(ratio) means p_i = (1 - ratio) * ratio**i, exact when the
+    ratio is rational; poisson(rate) means p_i proportional to rate**i / i!,
+    truncated and renormalized; power_law(c, beta) means p_i = c * i**-beta
+    for 1 <= i <= truncation, with p_0 soaking up the rest.  p(i) returns a
+    Fraction for exact kinds and a float otherwise.
+    """
+
+    _spec_noun = "distribution"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.kind == "finite":
+            for degree, value in self.params:
+                if value < 0:
+                    raise ValueError(f"negative probability at degree {degree}")
+            total = sum(v for _, v in self.params)
+            if any(isinstance(v, float) for _, v in self.params):
+                if abs(total - 1.0) > _FLOAT_TOL:
+                    raise ValueError(f"probabilities sum to {total}, not 1")
+            elif total != 1:
+                raise ValueError(f"probabilities sum to {total}, not 1")
+        elif self.kind == "geometric" and not 0 < self.params[0] < 1:
+            raise ValueError("geometric ratio must lie in (0, 1)")
+        elif self.kind == "power_law":
+            c, beta = self.params
+            if c < 0:
+                raise ValueError("power-law c must be nonnegative")
+            if sum(c * i**-beta for i in range(1, self.truncation + 1)) >= 1:
+                raise ValueError("power-law tail mass >= 1; reduce c")
+
+    @classmethod
+    def power_law(cls, c, beta, truncation: int = DEFAULT_TRUNCATION):
+        return cls("power_law", (float(c), float(beta)), truncation)
+
+    def p(self, i: int):
+        """Probability of child count i (0 outside the support)."""
+        if i < 0:
+            return Fraction(0)
+        if self.kind == "finite":
+            return self._finite_value(i)
+        if self.kind == "geometric":
+            (r,) = self.params
+            return (1 - r) * r**i
+        return _family_pmf(self).get(i, 0.0)
 
     def support(self) -> tuple:
         """Degrees with positive probability (families: up to truncation)."""
@@ -145,13 +192,6 @@ class OffspringDistribution:
             return r / (1 - r)
         return sum(i * p for i, p in self.probabilities().items())
 
-    def label(self) -> str:
-        if self.kind == "finite":
-            body = ",".join(f"{d}:{v}" for d, v in self.params)
-            return f"finite{{{body}}}"
-        args = ",".join(str(x) for x in self.params)
-        return f"{self.kind}:{args}"
-
 
 @lru_cache(maxsize=None)
 def _family_pmf(dist: OffspringDistribution) -> dict:
@@ -159,11 +199,8 @@ def _family_pmf(dist: OffspringDistribution) -> dict:
     k = dist.truncation
     if dist.kind == "poisson":
         (rate,) = dist.params
-        logs = [i * math.log(rate) - math.lgamma(i + 1) for i in range(k + 1)]
-        top = max(logs)
-        weights = [math.exp(x - top) for x in logs]
-        total = sum(weights)
-        return {i: w / total for i, w in enumerate(weights) if w / total > 0}
+        logs = {i: _poisson_log_weight(rate, i) for i in range(k + 1)}
+        return {i: v for i, v in normalize_log_weights(logs).items() if v > 0}
     if dist.kind == "power_law":
         c, beta = dist.params
         pmf = {i: c * i**-beta for i in range(1, k + 1)}
@@ -204,7 +241,7 @@ def sample_offspring(dist: OffspringDistribution, rng, size: int, *, tally=None)
 
 
 @dataclass(frozen=True)
-class WeightSequence:
+class WeightSequence(_Law):
     """Nonnegative weights w_i with w_0 > 0 and some w_i > 0 for i >= 2.
 
     Same kinds as OffspringDistribution but unnormalized:
@@ -213,77 +250,47 @@ class WeightSequence:
     w_0 = w0 and w_i = c * i**-beta for i >= 1.
     """
 
-    kind: str
-    params: tuple
-    truncation: int = DEFAULT_TRUNCATION
+    _spec_noun = "weight"
 
-    @classmethod
-    def finite(cls, weights) -> "WeightSequence":
-        items = tuple(
-            sorted((int(d), _as_exact(w)) for d, w in dict(weights).items() if w)
-        )
-        seq = cls("finite", items)
-        seq._check_weight_constraints()
-        return seq
-
-    @classmethod
-    def geometric(cls, ratio, truncation: int = DEFAULT_TRUNCATION):
-        r = _as_exact(ratio)
-        if r <= 0:
-            raise ValueError("ratio must be positive")
-        return cls("geometric", (r,), truncation)
-
-    @classmethod
-    def poisson(cls, rate, truncation: int = DEFAULT_TRUNCATION):
-        return cls("poisson", (float(rate),), truncation)
+    def __post_init__(self):
+        super().__post_init__()
+        if self.weight(0) <= 0:
+            raise ValueError("w_0 must be positive")
+        weights = self._weights()
+        if min(weights) < 0:
+            raise ValueError("weights must be nonnegative")
+        if not any(v > 0 for v in weights[2:]):
+            raise ValueError("need w_i > 0 for some i >= 2")
 
     @classmethod
     def power_law(cls, c, beta, w0=1, truncation: int = DEFAULT_TRUNCATION):
-        if w0 <= 0:
-            raise ValueError("w_0 must be positive")
         return cls("power_law", (float(c), float(beta), _as_exact(w0)), truncation)
-
-    @classmethod
-    def from_spec(cls, text: str) -> "WeightSequence":
-        kind, _, arg = text.partition(":")
-        kind = kind.strip()
-        if kind == "geometric":
-            return cls.geometric(Fraction(arg))
-        if kind == "poisson":
-            return cls.poisson(float(arg))
-        if kind == "power_law":
-            parts = arg.split(",")
-            return cls.power_law(float(parts[0]), float(parts[1]))
-        raise ValueError(f"unknown weight spec {text!r}")
-
-    def _check_weight_constraints(self):
-        if self.weight(0) <= 0:
-            raise ValueError("w_0 must be positive")
-        if not any(self.weight(i) > 0 for i in range(2, self.truncated_degree() + 1)):
-            raise ValueError("need w_i > 0 for some i >= 2")
 
     def weight(self, i: int):
         if i < 0:
             return Fraction(0)
         if self.kind == "finite":
-            for degree, value in self.params:
-                if degree == i:
-                    return value
-            return Fraction(0)
+            return self._finite_value(i)
         if self.kind == "geometric":
             (r,) = self.params
             return r**i
         if self.kind == "poisson":
             (rate,) = self.params
-            return math.exp(i * math.log(rate) - math.lgamma(i + 1))
+            return math.exp(_poisson_log_weight(rate, i))
         c, beta, w0 = self.params
         return w0 if i == 0 else c * i**-beta
 
-    def truncated_degree(self) -> int:
-        """Largest index kept when evaluating generating functions."""
-        if self.kind == "finite":
-            return self.params[-1][0]
-        return self.truncation
+    def _weights(self) -> list:
+        return [self.weight(i) for i in range(self.truncated_degree() + 1)]
+
+    def log_weights(self) -> dict:
+        """log w_i for every positive w_i up to the truncated degree.  Poisson
+        logs come from the closed form, so weights that underflow as floats
+        keep their logarithm."""
+        if self.kind == "poisson":
+            (rate,) = self.params
+            return {i: _poisson_log_weight(rate, i) for i in range(self.truncation + 1)}
+        return {i: math.log(float(v)) for i, v in enumerate(self._weights()) if v > 0}
 
     def radius_of_convergence(self):
         if self.kind == "finite":
@@ -295,6 +302,33 @@ class WeightSequence:
             return math.inf
         return 1  # power law
 
+    def nu(self):
+        """Supremum of the tilted mean over tilts below the radius: the top
+        degree of finite weights, inf for geometric and poisson weights, and
+        the mean of the normalized (truncated) weights at the radius 1 for a
+        power law."""
+        if self.kind == "finite":
+            return self.truncated_degree()
+        if self.kind in ("geometric", "poisson"):
+            return math.inf
+        return sum(i * v for i, v in normalize_log_weights(self.log_weights()).items())
+
+    @property
+    def heavy_tailed(self) -> bool:
+        """True for power-law weights with beta <= 3, whose tilted variance
+        at the radius of convergence is infinite."""
+        return self.kind == "power_law" and self.params[1] <= 3
+
+    def critical_law(self):
+        """These weights as an OffspringDistribution when they are finite,
+        rational, sum to 1 and have mean 1 (they then tilt to themselves);
+        None otherwise."""
+        if not (self.is_finite and self.is_exact):
+            return None
+        if sum(v for _, v in self.params) != 1 or sum(d * v for d, v in self.params) != 1:
+            return None
+        return OffspringDistribution.finite(dict(self.params))
+
     def scaled(self, a, b) -> "WeightSequence":
         """Equivalent weights a * b**i * w_i (finite kind only)."""
         if self.kind != "finite":
@@ -303,10 +337,3 @@ class WeightSequence:
         return WeightSequence.finite(
             {d: a * b**d * w for d, w in self.params}
         )
-
-    def label(self) -> str:
-        if self.kind == "finite":
-            body = ",".join(f"{d}:{v}" for d, v in self.params)
-            return f"finite{{{body}}}"
-        args = ",".join(str(x) for x in self.params)
-        return f"{self.kind}:{args}"

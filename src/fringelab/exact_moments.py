@@ -208,7 +208,7 @@ def degree_factorial_moment(
     """
     if not w.is_exact:
         raise IrrationalWeights("exact mode needs finite rational weights")
-    if w.kind not in ("finite",):
+    if not w.is_finite:
         raise IrrationalWeights("exact mode needs finite support")
     q = {int(i): int(v) for i, v in dict(q).items() if v}
     if any(v < 0 for v in q.values()):

@@ -228,22 +228,29 @@ def collect_counts(
 
 
 def _empirical_moments(counts: np.ndarray) -> dict:
-    """Exact sample mean/variance/covariance from integer count sums."""
+    """Exact sample mean/variance/covariance from the integer power sums
+    s_k = sum x^k of each column (and s12 = sum x*y of each pair); the
+    fourth central moment behind se_var is exact too, as
+    R^4 m4 = R^3 s4 - 4 R^2 s1 s3 + 6 R s1^2 s2 - 3 s1^4."""
     reps, m = counts.shape
     cols = [[int(x) for x in counts[:, j]] for j in range(m)]
     out = {"mean": [], "var": [], "se_mean": [], "se_var": [], "cov": None}
     means = []
     for j in range(m):
-        s1 = sum(cols[j])
-        s2 = sum(x * x for x in cols[j])
+        squares = [x * x for x in cols[j]]
+        s1, s2 = sum(cols[j]), sum(squares)
+        s3 = sum(x * q for x, q in zip(cols[j], squares))
+        s4 = sum(q * q for q in squares)
         mean = Fraction(s1, reps)
         var = (Fraction(s2) - Fraction(s1 * s1, reps)) / (reps - 1)
         means.append(mean)
         out["mean"].append(mean)
         out["var"].append(var)
         out["se_mean"].append(math.sqrt(float(var) / reps))
-        centered2 = [(x - mean) ** 2 for x in cols[j]]
-        m4 = sum(c * c for c in centered2) / reps
+        m4 = Fraction(
+            reps**3 * s4 - 4 * reps**2 * s1 * s3 + 6 * reps * s1 * s1 * s2 - 3 * s1**4,
+            reps**4,
+        )
         se_var = math.sqrt(max(float(m4 - var * var), 0.0) / reps)
         out["se_var"].append(se_var)
     cov = [[None] * m for _ in range(m)]

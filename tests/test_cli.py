@@ -224,6 +224,13 @@ class TestErrorPaths:
         )
         assert code == 1 and "--exact" in err
 
+    def test_invalid_weight_parameter_named(self, capsys):
+        code, _, err = run_cli(
+            capsys, "asymptotics", "--w", "poisson:-1", "--patterns", "2,0,0"
+        )
+        assert code == 1
+        assert "poisson rate must be positive" in err
+
     def test_infeasible_moment(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -41,8 +41,12 @@ class TestOffspringDistribution:
     def test_from_spec(self):
         assert OffspringDistribution.from_spec("geometric:1/2").p(0) == Fraction(1, 2)
         assert OffspringDistribution.from_spec("poisson:1.0").kind == "poisson"
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown distribution spec"):
             OffspringDistribution.from_spec("cauchy:1")
+
+    def test_negative_power_law_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            OffspringDistribution.power_law(-0.1, 2.5)
 
     def test_sampling_matches_pmf(self):
         w = OffspringDistribution.finite(
@@ -89,6 +93,44 @@ class TestWeightSequence:
         w = WeightSequence.finite({0: 1, 2: 1})
         scaled = w.scaled(2, 3)
         assert scaled.weight(0) == 2 and scaled.weight(2) == 18
+
+    def test_poisson_rate_must_be_positive(self):
+        with pytest.raises(ValueError, match="poisson rate must be positive"):
+            WeightSequence.poisson(-1.0)
+        with pytest.raises(ValueError, match="poisson rate"):
+            WeightSequence.poisson(0.0)
+
+    def test_negative_weights_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightSequence.power_law(-0.1, 2.5)
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightSequence.finite({0: 1, 1: -1, 2: 1})
+        with pytest.raises(ValueError, match="w_0 must be positive"):
+            WeightSequence.power_law(0.1, 2.5, w0=0)
+
+    def test_every_kind_checked_at_construction(self):
+        for kind, params in [
+            ("finite", ((0, Fraction(1)), (1, Fraction(1)))),
+            ("geometric", (Fraction(-1, 2),)),
+            ("poisson", (-1.0,)),
+            ("power_law", (0.0, 2.5, Fraction(1))),
+        ]:
+            with pytest.raises(ValueError):
+                WeightSequence(kind, params)
+
+    def test_from_spec_rejects_extra_power_law_fields(self):
+        for cls in (OffspringDistribution, WeightSequence):
+            with pytest.raises(ValueError):
+                cls.from_spec("power_law:0.1,2.5,7")
+        with pytest.raises(ValueError, match="unknown weight spec"):
+            WeightSequence.from_spec("cauchy:1")
+
+    def test_laws_of_different_classes_never_equal(self):
+        p = OffspringDistribution.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
+        w = WeightSequence.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
+        assert p.params == w.params and p != w
+        assert p.label() == w.label() == "finite{0:1/2,2:1/2}"
+        assert w.critical_law() == p
 
 
 class TestBoundTermInvariants:

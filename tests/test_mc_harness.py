@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +9,7 @@ from fringelab.mc_harness import (
     ExperimentConfig,
     StatFamily,
     _count_occurrences,
+    _empirical_moments,
     collect_counts,
     composition_crosscheck,
     exact_covariance,
@@ -87,6 +89,23 @@ class TestCountCollection:
         monkeypatch.setenv("FRINGELAB_THREADS", "3")
         parallel = collect_counts(stat, [CHERRY, LEAF], 24, Seed(4))
         assert (serial == parallel).all()
+
+
+class TestEmpiricalMoments:
+    def test_hand_checked_matrix(self):
+        # columns x = 0,1,2,5 and y = 1,3,2,2: both means 2; the fourth
+        # central moments are 98/4 and 2/4
+        emp = _empirical_moments(np.array([[0, 1], [1, 3], [2, 2], [5, 2]]))
+        assert emp["mean"] == [2, 2]
+        assert emp["var"] == [Fraction(14, 3), Fraction(2, 3)]
+        assert emp["cov"] == [
+            [Fraction(14, 3), Fraction(1, 3)],
+            [Fraction(1, 3), Fraction(2, 3)],
+        ]
+        assert all(isinstance(v, Fraction) for v in emp["mean"] + emp["var"])
+        assert emp["se_mean"] == pytest.approx([math.sqrt(7 / 6), math.sqrt(1 / 6)])
+        # se_var = sqrt((m4 - var^2) / R)
+        assert emp["se_var"] == pytest.approx([7 / math.sqrt(72), 1 / math.sqrt(72)])
 
 
 class TestNormalityTest:

@@ -46,6 +46,10 @@ def normalize_log_weights(logs: dict) -> dict:
     return {i: v / total for i, v in raw.items()}
 
 
+# one parser per field of each family spec that from_spec reads
+_SPEC_ARGS = {"geometric": [Fraction], "poisson": [float], "power_law": [float, float]}
+
+
 @dataclass(frozen=True)
 class _Law:
     """A law kind with its params and truncation; the base of both
@@ -79,17 +83,19 @@ class _Law:
     @classmethod
     def from_spec(cls, text: str):
         """Parse CLI syntax: 'geometric:1/2', 'poisson:0.9',
-        'power_law:0.3,2.5', or a JSON-ish finite map handled by callers."""
+        'power_law:0.3,2.5', or a JSON-ish finite map handled by callers.
+        A spec with the wrong number of fields or an unreadable number
+        raises ValueError quoting the spec."""
         kind, _, arg = text.partition(":")
         kind = kind.strip()
-        if kind == "geometric":
-            return cls.geometric(Fraction(arg))
-        if kind == "poisson":
-            return cls.poisson(float(arg))
-        if kind == "power_law":
-            c, beta = arg.split(",")
-            return cls.power_law(float(c), float(beta))
-        raise ValueError(f"unknown {cls._spec_noun} spec {text!r}")
+        if kind not in _SPEC_ARGS:
+            raise ValueError(f"unknown {cls._spec_noun} spec {text!r}")
+        try:
+            fields = zip(_SPEC_ARGS[kind], arg.split(","), strict=True)
+            values = [parse(field) for parse, field in fields]
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"malformed {cls._spec_noun} spec {text!r}") from None
+        return getattr(cls, kind)(*values)
 
     def _finite_value(self, i: int):
         """Value listed at degree i by a finite law (0 when unlisted)."""

@@ -13,7 +13,10 @@ number b_j of marked copies of T_j that sit inside another marked copy
 ("bound" copies); each term is a ratio of falling factorials of the degree
 counts times a combinatorial factor counting the placements of the bound
 copies.  Means, single-pattern factorial moments and product moments are
-the special cases q = (1), q = (q) and q = (1, 1) of that one sum.
+the special cases q = (1), q = (q) and q = (1, 1) of that one sum.  Its
+terms are integer numerators over the one denominator (|n|)_top / |n|,
+top = 1 + sum_j q_j (|T_j| - 1), read from prefix and suffix tables of
+falling factorials and divided once.
 
 Degree-count factorial moments of size-conditioned weighted trees need the
 law of S_m, a sum of m iid child counts.  With the law scaled to integer
@@ -28,8 +31,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
-from operator import truediv
+from itertools import accumulate, product
+from operator import mul, sub, truediv
 from typing import NamedTuple
 
 from .distributions import OffspringDistribution
@@ -95,12 +98,20 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
     copies) or bound inside a free one; with b_j bound copies of T_j the
     expectation contributes
 
-        |n| / (|n|)_{1 + sum_j (q_j-b_j)(|T_j|-1)}
-          * prod_i (n(i))_{sum_j (q_j-b_j) n_{T_j}(i)}
-          * prod_j (q_j)_{b_j} (sum_k (q_k-b_k) tau_{jk})_{b_j} / b_j!
+        |n| / (|n|)_d * prod_i (n(i))_{sum_j (q_j-b_j) n_{T_j}(i)}
+          * prod_j C(q_j, b_j) (sum_k (q_k-b_k) tau_{jk})_{b_j},
+        d = 1 + sum_j (q_j-b_j)(|T_j|-1),
 
     where tau_{jk} counts proper fringe copies of T_j in T_k.  An order
     q_j = 0 leaves the single point b_j = 0 and a factor 1.
+
+    The sum is evaluated in integers.  With top = 1 + sum_j q_j(|T_j|-1),
+    |n| / (|n|)_d = (|n|-d)_{top-d} / (|n|-1)_{top-1}, so every term is an
+    integer over the one denominator (|n|-1)_{top-1} = (|n|)_top / |n|.  The
+    numerators read (|n|-d)_{top-d} from a table of the trailing factors of
+    (|n|)_top, indexed by top - d = sum_j b_j(|T_j|-1), and each (n(i))_p
+    from a prefix table of falling factorials; one Fraction is built at the
+    end.
     """
     patterns = list(patterns)
     q = [int(x) for x in q]
@@ -109,40 +120,33 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
     if any(x < 0 for x in q):
         raise ValueError("q entries must be nonnegative")
     n = stat.size
-    needed = sum(qj * (pj.size - 1) for qj, pj in zip(q, patterns)) + 1
-    if n < needed:
-        raise SizeTooSmall(f"|n| = {n} < {needed}")
+    edges = [p.size - 1 for p in patterns]
+    top = 1 + sum(map(mul, q, edges))
+    if n < top:
+        raise SizeTooSmall(f"|n| = {n} < {top}")
     tau = containment_matrix(patterns)
     profiles = [degree_statistic(p).as_dict() for p in patterns]
-    box = product(*(range(qj + 1) for qj in q))
-    return sum(
-        (_bound_term(stat, patterns, profiles, q, b, tau) for b in box), Fraction(0)
-    )
-
-
-def _bound_term(stat, patterns, profiles, q, b, tau) -> Fraction:
-    m = len(patterns)
-    free = [q[j] - b[j] for j in range(m)]
-    placements = Fraction(1)
-    for j in range(m):
-        if b[j] == 0:
-            continue
-        hosts = sum(free[k] * tau[j][k] for k in range(m))
-        placements *= Fraction(
-            falling_factorial(q[j], b[j]) * falling_factorial(hosts, b[j]),
-            math.factorial(b[j]),
-        )
-        if placements == 0:
-            return Fraction(0)
-    n = stat.size
-    depth = 1 + sum(free[j] * (patterns[j].size - 1) for j in range(m))
-    value = Fraction(n, falling_factorial(n, depth))
+    trailing = list(accumulate(range(n - top + 1, n), mul, initial=1))
+    pulls = []
     for degree in set().union(*profiles):
-        pulls = sum(free[j] * profiles[j].get(degree, 0) for j in range(m))
-        value *= falling_factorial(stat.count(degree), pulls)
-        if value == 0:
-            return Fraction(0)
-    return value * placements
+        uses = [profile.get(degree, 0) for profile in profiles]
+        count = stat.count(degree)
+        steps = range(count, count - sum(map(mul, q, uses)), -1)
+        pulls.append((uses, list(accumulate(steps, mul, initial=1))))
+    total = 0
+    for b in product(*(range(qj + 1) for qj in q)):
+        free = list(map(sub, q, b))
+        value = 1
+        for j, bj in enumerate(b):
+            if bj:
+                hosts = sum(map(mul, free, tau[j]))
+                value *= math.comb(q[j], bj) * math.perm(hosts, bj)
+        if value:
+            value *= trailing[sum(map(mul, b, edges))]
+            for uses, falling in pulls:
+                value *= falling[sum(map(mul, free, uses))]
+            total += value
+    return Fraction(total, trailing[-1])
 
 
 class PartialSumDistribution(NamedTuple):

@@ -5,17 +5,20 @@ averages over full enumerations, so agreement with the library is a
 meaningful check.  The closed-form references are the hand-specialised
 mean, factorial-moment and product-moment formulas; the library derives all
 three from its bound-copy sum, so comparing the two checks the reductions at
-sizes that enumeration cannot reach.  ``dp_feasible`` is the plain
-reachability table that the sampler's residue-class feasibility test
-replaces.
+sizes that enumeration cannot reach.  ``bound_copy_sum`` is the bound-copy
+sum term by term in ``Fraction``s, each falling factorial recomputed; the
+library sums the same terms as integers over one denominator.
+``dp_feasible`` is the plain reachability table that the sampler's
+residue-class feasibility test replaces.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
 
 from fringelab.distributions import OffspringDistribution
-from fringelab.exact_moments import falling_factorial
+from fringelab.exact_moments import containment_matrix, falling_factorial
 from fringelab.tree_core import (
     all_degree_statistics,
     count_fringe,
@@ -120,6 +123,45 @@ def closed_form_product_moment(stat, pattern, pattern2):
             stat.count(degree), prof.get(degree, 0) + prof2.get(degree, 0)
         )
     return value + disjoint
+
+
+def bound_copy_term(stat, patterns, profiles, q, b, tau):
+    """The bound-copy term of the vector b as one Fraction,
+    |n| / (|n|)_d * prod_i (n(i))_{pulls_i}
+      * prod_j (q_j)_{b_j} (hosts_j)_{b_j} / b_j!."""
+    m = len(patterns)
+    free = [q[j] - b[j] for j in range(m)]
+    placements = Fraction(1)
+    for j in range(m):
+        if b[j] == 0:
+            continue
+        hosts = sum(free[k] * tau[j][k] for k in range(m))
+        placements *= Fraction(
+            falling_factorial(q[j], b[j]) * falling_factorial(hosts, b[j]),
+            math.factorial(b[j]),
+        )
+        if placements == 0:
+            return Fraction(0)
+    n = stat.size
+    depth = 1 + sum(free[j] * (patterns[j].size - 1) for j in range(m))
+    value = Fraction(n, falling_factorial(n, depth))
+    for degree in set().union(*profiles):
+        pulls = sum(free[j] * profiles[j].get(degree, 0) for j in range(m))
+        value *= falling_factorial(stat.count(degree), pulls)
+        if value == 0:
+            return Fraction(0)
+    return value * placements
+
+
+def bound_copy_sum(stat, patterns, q):
+    """E[prod_j (N_{T_j})_{q_j}] summed term by term over the b-box."""
+    profiles = [degree_statistic(p).as_dict() for p in patterns]
+    tau = containment_matrix(patterns)
+    box = itertools.product(*(range(qj + 1) for qj in q))
+    return sum(
+        (bound_copy_term(stat, patterns, profiles, q, b, tau) for b in box),
+        Fraction(0),
+    )
 
 
 def dp_feasible(w, n):

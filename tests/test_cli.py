@@ -231,6 +231,15 @@ class TestErrorPaths:
         assert code == 1
         assert "poisson rate must be positive" in err
 
+    @pytest.mark.parametrize("flag", ["--p", "--w"])
+    def test_malformed_spec_named(self, capsys, flag):
+        for spec in ("power_law:0.1,2.5,7", "poisson:abc", "geometric:x"):
+            code, _, err = run_cli(
+                capsys, "asymptotics", flag, spec, "--patterns", "2,0,0"
+            )
+            assert code == 1
+            assert f"spec {spec!r}" in err
+
     def test_infeasible_moment(self, capsys):
         code, _, err = run_cli(
             capsys,

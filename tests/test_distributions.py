@@ -4,13 +4,14 @@ from itertools import product
 
 import numpy as np
 import pytest
+from oracle_utils import bound_copy_term
 
 from fringelab.distributions import (
     OffspringDistribution,
     WeightSequence,
     sample_offspring,
 )
-from fringelab.exact_moments import _bound_term, containment_matrix, partial_sum_pmf
+from fringelab.exact_moments import containment_matrix, partial_sum_pmf
 from fringelab.tree_core import DegreeStatistic, PlaneTree, degree_statistic
 
 
@@ -125,6 +126,24 @@ class TestWeightSequence:
         with pytest.raises(ValueError, match="unknown weight spec"):
             WeightSequence.from_spec("cauchy:1")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "power_law:0.1,2.5,7",
+            "power_law:0.1",
+            "poisson:abc",
+            "poisson:1,2",
+            "geometric:x",
+            "geometric:1/0",
+        ],
+    )
+    def test_malformed_spec_is_named(self, spec):
+        nouns = {OffspringDistribution: "distribution", WeightSequence: "weight"}
+        for cls, noun in nouns.items():
+            with pytest.raises(ValueError, match=f"malformed {noun} spec") as info:
+                cls.from_spec(spec)
+            assert repr(spec) in str(info.value)
+
     def test_laws_of_different_classes_never_equal(self):
         p = OffspringDistribution.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
         w = WeightSequence.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
@@ -141,7 +160,7 @@ class TestBoundTermInvariants:
         tau = containment_matrix(patterns)
         for q in product(range(1, 3), repeat=2):
             for b in product(range(3), repeat=2):
-                term = _bound_term(stat, patterns, profiles, list(q), list(b), tau)
+                term = bound_copy_term(stat, patterns, profiles, list(q), list(b), tau)
                 assert term >= 0
                 if any(bj > qj for bj, qj in zip(b, q)):
                     assert term == 0

@@ -1,8 +1,10 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from oracle_utils import (
+    bound_copy_sum,
     brute_degree_factorial,
     brute_joint_factorial,
     brute_mean,
@@ -226,6 +228,54 @@ class TestJointFactorialMoment:
                         assert joint_factorial_moment(
                             stat, [t1, t2], q
                         ) == brute_joint_factorial(stat, [t1, t2], q)
+
+
+
+def _random_statistic(rng, size):
+    """A degree statistic with exactly ``size`` vertices and degrees <= 3:
+    the nonzero degrees are a random composition of size - 1."""
+    counts = {0: size}
+    remaining = size - 1
+    while remaining:
+        part = rng.randint(1, min(3, remaining))
+        counts[part] = counts.get(part, 0) + 1
+        counts[0] -= 1
+        remaining -= part
+    return DegreeStatistic.from_counts(counts)
+
+
+class TestBoundCopySumOracle:
+    """The integer kernel against the per-term Fraction sum."""
+
+    def test_ladder_at_10001(self):
+        for q in range(10, 61, 10):
+            orders = [q, q // 2]
+            assert joint_factorial_moment(
+                STAT_10001, [CHERRY, T5], orders
+            ) == bound_copy_sum(STAT_10001, [CHERRY, T5], orders)
+
+    def test_seeded_random_cases(self):
+        rng = random.Random(5150)
+        patterns = all_trees_up_to(4)
+        seen = {"q0": 0, "three": 0, "nested": 0, "tight": 0, "too_small": 0}
+        for case in range(300):
+            chosen = rng.sample(patterns, rng.randint(1, 3))
+            q = [rng.randint(0, 4) for _ in chosen]
+            top = 1 + sum(qj * (t.size - 1) for qj, t in zip(q, chosen))
+            size = top if case % 4 == 0 else top + rng.randint(1, 12)
+            stat = _random_statistic(rng, size)
+            value = joint_factorial_moment(stat, chosen, q)
+            assert isinstance(value, Fraction)
+            assert value == bound_copy_sum(stat, chosen, q), (stat, chosen, q)
+            seen["q0"] += 0 in q
+            seen["three"] += len(chosen) == 3
+            seen["nested"] += any(map(any, containment_matrix(chosen)))
+            seen["tight"] += size == top
+            if top >= 2:
+                with pytest.raises(SizeTooSmall):
+                    joint_factorial_moment(_random_statistic(rng, top - 1), chosen, q)
+                seen["too_small"] += 1
+        assert min(seen.values()) >= 20, seen
 
 
 class TestPartialSumPmf:

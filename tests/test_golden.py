@@ -40,6 +40,10 @@ CASES = {
     "moments_joint_default_q": [
         "moments", "--stat", '{"0":6,"2":5}', "--patterns", "2,0,0;0",
     ],
+    "moments_joint_high_q": [
+        "moments", "--stat", '{"0":10001,"2":10000}', "--patterns", "2,0,0;2,2,0,0,0",
+        "--q", "20,10",
+    ],
     "asymptotics_p": [
         "asymptotics", "--p", "geometric:1/2", "--patterns", "2,0,0;2,2,0,0,0;1,0",
     ],

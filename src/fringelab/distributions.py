@@ -55,15 +55,19 @@ class _Law:
     """A law kind with its params and truncation; the base of both
     OffspringDistribution and WeightSequence.  A finite law's params are
     its sorted (degree, nonzero value) pairs.  Each class checks its
-    constraints in __post_init__, so every way of building a law is
-    validated.  Laws of different classes never compare equal, so caches
-    keyed by laws keep them apart."""
+    constraints in __post_init__, after the base rejects NaN and infinite
+    parameters, so every way of building a law is validated.  Laws of
+    different classes never compare equal, so caches keyed by laws keep
+    them apart."""
 
     kind: str
     params: tuple
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        values = [v for _, v in self.params] if self.kind == "finite" else self.params
+        if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+            raise ValueError(f"non-finite parameter in {self.kind} law")
         if self.kind == "poisson" and not self.params[0] > 0:
             raise ValueError("poisson rate must be positive")
 

@@ -34,7 +34,7 @@ class CapExceeded(FringelabError):
 
 
 class SizeTooSmall(FringelabError):
-    """A moment formula was evaluated below its minimal admissible size."""
+    """A size-dependent check was asked for at a size too small for it."""
 
 
 class DuplicatePatterns(FringelabError):

@@ -14,21 +14,27 @@ number b_j of marked copies of T_j that sit inside another marked copy
 counts times a combinatorial factor counting the placements of the bound
 copies.  Means, single-pattern factorial moments and product moments are
 the special cases q = (1), q = (q) and q = (1, 1) of that one sum.  Its
-terms are integer numerators over the one denominator (|n|)_top / |n|,
-top = 1 + sum_j q_j (|T_j| - 1), read from prefix and suffix tables of
-falling factorials and divided once.
+terms are integer numerators over the one denominator (|n|)_t / |n|,
+t = min(|n|, 1 + sum_j q_j (|T_j| - 1)), read from prefix and suffix tables
+of falling factorials and divided once.  The sum visits only the b that can
+contribute: b_j is at most the number of possible hosts of T_j, and terms
+that place more vertices than |n| are skipped, so every |n| >= 1 has a
+value.
 
 Degree-count factorial moments of size-conditioned weighted trees need the
 law of S_m, a sum of m iid child counts.  With the law scaled to integer
 numerators a_i = D p_i, P(S_m = k) is the coefficient of x^k in
 (sum_i a_i x^i)^m over D^m; the coefficients come from J.C.P. Miller's
 recurrence for powers of a power series in integers only, so every m up to
-``PARTIAL_SUM_CAP`` is reachable.
+``PARTIAL_SUM_CAP`` is reachable.  The recurrence runs only as far as the
+highest coefficient requested so far for each m: a point mass P(S_m = k)
+costs the prefix up to k, not the whole series.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
@@ -41,11 +47,12 @@ from .errors import (
     DuplicatePatterns,
     InfeasibleSize,
     IrrationalWeights,
-    SizeTooSmall,
 )
 from .tree_core import DegreeStatistic, PlaneTree, count_fringe, degree_statistic
 
 PARTIAL_SUM_CAP = 5000
+
+_EXTENDING = threading.Lock()
 
 
 def falling_factorial(x, q: int):
@@ -103,15 +110,20 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
         d = 1 + sum_j (q_j-b_j)(|T_j|-1),
 
     where tau_{jk} counts proper fringe copies of T_j in T_k.  An order
-    q_j = 0 leaves the single point b_j = 0 and a factor 1.
+    q_j = 0 leaves the single point b_j = 0 and a factor 1.  A term
+    vanishes once b_j exceeds the hosts sum_k q_k tau_{jk}, so each b_j runs
+    only up to min(q_j, sum_k q_k tau_{jk}).  It also vanishes once d > |n|:
+    its pulls add up to sum_j (q_j-b_j)|T_j| >= d vertices, so some
+    (n(i))_p is 0.
 
-    The sum is evaluated in integers.  With top = 1 + sum_j q_j(|T_j|-1),
-    |n| / (|n|)_d = (|n|-d)_{top-d} / (|n|-1)_{top-1}, so every term is an
-    integer over the one denominator (|n|-1)_{top-1} = (|n|)_top / |n|.  The
-    numerators read (|n|-d)_{top-d} from a table of the trailing factors of
-    (|n|)_top, indexed by top - d = sum_j b_j(|T_j|-1), and each (n(i))_p
-    from a prefix table of falling factorials; one Fraction is built at the
-    end.
+    The sum is evaluated in integers over the terms with d <= |n|.  With
+    t = min(|n|, top), top = 1 + sum_j q_j(|T_j|-1),
+    |n| / (|n|)_d = (|n|-d)_{t-d} / (|n|-1)_{t-1}, so every term is an
+    integer over the one denominator (|n|-1)_{t-1} = (|n|)_t / |n|.  The
+    numerators read (|n|-d)_{t-d} from a table of the trailing factors of
+    (|n|)_t, indexed by t - d = sum_j b_j(|T_j|-1) - (top - t), and each
+    (n(i))_p from a prefix table of falling factorials; one Fraction is
+    built at the end.
     """
     patterns = list(patterns)
     q = [int(x) for x in q]
@@ -122,11 +134,11 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
     n = stat.size
     edges = [p.size - 1 for p in patterns]
     top = 1 + sum(map(mul, q, edges))
-    if n < top:
-        raise SizeTooSmall(f"|n| = {n} < {top}")
+    cut = max(0, top - n)  # terms with sum_j b_j(|T_j|-1) < cut have d > |n|
     tau = containment_matrix(patterns)
+    reach = [min(qj, sum(map(mul, q, row))) for qj, row in zip(q, tau)]
     profiles = [degree_statistic(p).as_dict() for p in patterns]
-    trailing = list(accumulate(range(n - top + 1, n), mul, initial=1))
+    trailing = list(accumulate(range(n - top + cut + 1, n), mul, initial=1))
     pulls = []
     for degree in set().union(*profiles):
         uses = [profile.get(degree, 0) for profile in profiles]
@@ -134,7 +146,10 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
         steps = range(count, count - sum(map(mul, q, uses)), -1)
         pulls.append((uses, list(accumulate(steps, mul, initial=1))))
     total = 0
-    for b in product(*(range(qj + 1) for qj in q)):
+    for b in product(*(range(r + 1) for r in reach)):
+        bound = sum(map(mul, b, edges))
+        if bound < cut:
+            continue
         free = list(map(sub, q, b))
         value = 1
         for j, bj in enumerate(b):
@@ -142,7 +157,7 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
                 hosts = sum(map(mul, free, tau[j]))
                 value *= math.comb(q[j], bj) * math.perm(hosts, bj)
         if value:
-            value *= trailing[sum(map(mul, b, edges))]
+            value *= trailing[bound - cut]
             for uses, falling in pulls:
                 value *= falling[sum(map(mul, free, uses))]
             total += value
@@ -162,29 +177,42 @@ def partial_sum_pmf(
 ) -> PartialSumDistribution:
     """Distribution of S_m, the sum of m iid draws from w, over its
     support; floats only for float laws, converted from the exact values."""
-    offset, scale, coefficients = _partial_sum(w, m, cap)
+    offset, scale, coefficients = _partial_sum(w, m, cap, math.inf)
     convert = Fraction if w.is_exact else truediv
     pmf = {offset + k: convert(c, scale) for k, c in enumerate(coefficients) if c}
     return PartialSumDistribution(pmf, w.is_exact)
 
 
-def _partial_sum(w: OffspringDistribution, m: int, cap: int) -> tuple:
+def _partial_sum(w: OffspringDistribution, m: int, cap: int, k) -> tuple:
+    """(offset, D^m, c) with c the coefficients of _partial_sum_cached(w, m)
+    through index k - offset, or through the last one if that comes first."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > cap:
         raise CapExceeded(f"m = {m} exceeds partial-sum cap {cap}")
-    return _partial_sum_cached(w, m)
+    offset, scale, a, c = _partial_sum_cached(w, m)
+    last = min(k - offset, m * (len(a) - 1))
+    if len(c) <= last:
+        steps = [(j, aj) for j, aj in enumerate(a) if j and aj]
+        with _EXTENDING:  # entries are final once appended; readers need no lock
+            for t in range(len(c), last + 1):
+                acc = sum(((m + 1) * j - t) * aj * c[t - j] for j, aj in steps if j <= t)
+                c.append(acc // (t * a[0]))
+    return offset, scale, c
 
 
 @lru_cache(maxsize=None)
 def _partial_sum_cached(w: OffspringDistribution, m: int) -> tuple:
-    """(offset, D^m, c) with P(S_m = offset + k) = c[k] / D^m.
+    """(offset, D^m, a, c) with P(S_m = offset + k) = c[k] / D^m.
 
     The law is scaled to integers a_i = D p_i and shifted so that a_0 > 0;
     the coefficients c of (sum_i a_i x^i)^m then follow from Miller's
     recurrence  k a_0 c_k = sum_{j>=1} ((m+1) j - k) a_j c_{k-j},  in which
-    every division is exact.  Exact and float laws that compare equal give
-    the same integers, so they may share a cache slot.
+    every division is exact.  c starts as the prefix [a_0^m]; _partial_sum
+    extends it in place up to the highest index requested so far, so a
+    later request reuses it and a shorter one costs nothing.  Exact and
+    float laws that compare equal give the same integers, so they may share
+    a cache slot.
     """
     probs = [(i, Fraction(p)) for i, p in sorted(w.probabilities().items()) if p]
     scale = math.lcm(*(p.denominator for _, p in probs))
@@ -192,12 +220,7 @@ def _partial_sum_cached(w: OffspringDistribution, m: int) -> tuple:
     a = [0] * (probs[-1][0] - low + 1)
     for i, p in probs:
         a[i - low] = p.numerator * (scale // p.denominator)
-    steps = [(j, aj) for j, aj in enumerate(a) if j and aj]
-    c = [a[0] ** m]
-    for k in range(1, m * (len(a) - 1) + 1):
-        acc = sum(((m + 1) * j - k) * aj * c[k - j] for j, aj in steps if j <= k)
-        c.append(acc // (k * a[0]))
-    return low * m, scale**m, c
+    return low * m, scale**m, a, [a[0] ** m]
 
 
 def degree_factorial_moment(
@@ -234,7 +257,7 @@ def degree_factorial_moment(
 
 
 def _point_mass(w: OffspringDistribution, m: int, k: int, cap: int) -> Fraction:
-    """P(S_m = k) as one Fraction, without building the whole pmf."""
-    offset, scale, coefficients = _partial_sum(w, m, cap)
+    """P(S_m = k) as one Fraction, from the series prefix through k."""
+    offset, scale, coefficients = _partial_sum(w, m, cap, k)
     inside = 0 <= k - offset < len(coefficients)
     return Fraction(coefficients[k - offset] if inside else 0, scale)

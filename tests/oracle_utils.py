@@ -142,15 +142,16 @@ def bound_copy_term(stat, patterns, profiles, q, b, tau):
         )
         if placements == 0:
             return Fraction(0)
-    n = stat.size
-    depth = 1 + sum(free[j] * (patterns[j].size - 1) for j in range(m))
-    value = Fraction(n, falling_factorial(n, depth))
+    value = placements
     for degree in set().union(*profiles):
         pulls = sum(free[j] * profiles[j].get(degree, 0) for j in range(m))
         value *= falling_factorial(stat.count(degree), pulls)
         if value == 0:
             return Fraction(0)
-    return value * placements
+    # nonzero pulls fit in the tree, so depth <= |n| and (|n|)_depth > 0
+    n = stat.size
+    depth = 1 + sum(free[j] * (patterns[j].size - 1) for j in range(m))
+    return value * Fraction(n, falling_factorial(n, depth))
 
 
 def bound_copy_sum(stat, patterns, q):

@@ -240,8 +240,20 @@ class TestErrorPaths:
             assert code == 1
             assert f"spec {spec!r}" in err
 
+    @pytest.mark.parametrize(
+        "flag, spec",
+        [("--p", "power_law:nan,2.5"), ("--p", "poisson:inf"), ("--w", "poisson:inf")],
+    )
+    def test_non_finite_parameter_rejected(self, capsys, flag, spec):
+        code, out, err = run_cli(
+            capsys, "asymptotics", flag, spec, "--patterns", "2,0,0"
+        )
+        assert code == 1 and out == ""
+        assert "non-finite parameter" in err
+
     def test_infeasible_moment(self, capsys):
-        code, _, err = run_cli(
+        # no longer an error: a tree too small for any copy has moment 0
+        code, out, _ = run_cli(
             capsys,
             "moments",
             "--stat",
@@ -251,7 +263,8 @@ class TestErrorPaths:
             "--q",
             "1",
         )
-        assert code == 1
+        assert code == 0
+        assert json.loads(out)["result"]["value"] == "0/1"
 
 
 class TestLabelledSampling:

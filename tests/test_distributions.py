@@ -1,3 +1,5 @@
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
@@ -11,7 +13,13 @@ from fringelab.distributions import (
     WeightSequence,
     sample_offspring,
 )
-from fringelab.exact_moments import containment_matrix, partial_sum_pmf
+from fringelab.exact_moments import (
+    PARTIAL_SUM_CAP,
+    _partial_sum_cached,
+    _point_mass,
+    containment_matrix,
+    partial_sum_pmf,
+)
 from fringelab.tree_core import DegreeStatistic, PlaneTree, degree_statistic
 
 
@@ -119,6 +127,22 @@ class TestWeightSequence:
             with pytest.raises(ValueError):
                 WeightSequence(kind, params)
 
+    def test_non_finite_parameters_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        for cls in (OffspringDistribution, WeightSequence):
+            for spec in ("power_law:nan,2.5", "power_law:0.1,inf", "poisson:inf"):
+                with pytest.raises(ValueError, match="non-finite parameter"):
+                    cls.from_spec(spec)
+            for law in (
+                lambda: cls.finite({0: nan, 2: 0.5}),
+                lambda: cls.poisson(-inf),
+                lambda: cls.power_law(inf, 2.5),
+            ):
+                with pytest.raises(ValueError, match="non-finite parameter"):
+                    law()
+        with pytest.raises(ValueError, match="non-finite parameter"):
+            WeightSequence.power_law(0.1, 2.5, w0=inf)
+
     def test_from_spec_rejects_extra_power_law_fields(self):
         for cls in (OffspringDistribution, WeightSequence):
             with pytest.raises(ValueError):
@@ -172,3 +196,29 @@ class TestPartialSumCacheConcurrency:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(lambda m: partial_sum_pmf(w, m).pmf[0], [40] * 32))
         assert len(set(results)) == 1
+
+    def test_concurrent_prefix_extension(self):
+        # eight threads ask for different lengths of one cold series at once,
+        # so they extend the shared prefix at the same time
+        w = OffspringDistribution.finite(
+            {0: Fraction(3, 8), 1: Fraction(1, 8), 3: Fraction(1, 2)}
+        )
+        _partial_sum_cached.cache_clear()
+        full = partial_sum_pmf(w, 300).pmf
+        ks = [900 - 97 * t for t in range(8)]
+        barrier = threading.Barrier(len(ks))
+
+        def mass(k):
+            barrier.wait()
+            return _point_mass(w, 300, k, PARTIAL_SUM_CAP)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                _partial_sum_cached.cache_clear()
+                with ThreadPoolExecutor(max_workers=len(ks)) as pool:
+                    assert list(pool.map(mass, ks)) == [full.get(k, 0) for k in ks]
+        finally:
+            sys.setswitchinterval(interval)
+        assert partial_sum_pmf(w, 300).pmf == full

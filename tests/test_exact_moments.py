@@ -19,11 +19,11 @@ from fringelab.errors import (
     DuplicatePatterns,
     InfeasibleSize,
     IrrationalWeights,
-    SizeTooSmall,
 )
 from fringelab.exact_moments import (
     PARTIAL_SUM_CAP,
     _partial_sum_cached,
+    _point_mass,
     containment_matrix,
     degree_factorial_moment,
     factorial_moment,
@@ -38,6 +38,7 @@ from fringelab.tree_core import (
     PlaneTree,
     all_degree_statistics,
     all_trees_up_to,
+    count_fringe,
 )
 
 LEAF = PlaneTree((0,))
@@ -78,15 +79,14 @@ class TestMeanCount:
         assert mean_count(STAT_5, PATH3) == 0
 
     def test_size_too_small(self):
-        with pytest.raises(SizeTooSmall):
-            mean_count(DegreeStatistic.from_counts({0: 1}), CHERRY)
+        # a tree smaller than the pattern holds no copy: the value is 0
+        stat = DegreeStatistic.from_counts({0: 1})
+        assert mean_count(stat, CHERRY) == brute_mean(stat, CHERRY) == 0
 
     def test_matches_brute_force_small(self):
         for size in range(1, 8):
             for stat in all_degree_statistics(size):
                 for pattern in all_trees_up_to(4):
-                    if stat.size < pattern.size:
-                        continue
                     assert mean_count(stat, pattern) == brute_mean(stat, pattern)
 
 
@@ -109,8 +109,6 @@ class TestFactorialMoment:
         for stat in all_degree_statistics(7):
             for pattern in all_trees_up_to(3):
                 for q in (1, 2, 3):
-                    if stat.size < q * pattern.size - q + 1:
-                        continue
                     assert factorial_moment(stat, pattern, q) == brute_joint_factorial(
                         stat, [pattern], [q]
                     )
@@ -139,8 +137,6 @@ class TestProductMoment:
         for stat in all_degree_statistics(7):
             for i, t1 in enumerate(patterns):
                 for t2 in patterns[i + 1 :]:
-                    if stat.size < t1.size + t2.size - 1:
-                        continue
                     assert product_moment(stat, t1, t2) == brute_joint_factorial(
                         stat, [t1, t2], [1, 1]
                     )
@@ -220,14 +216,34 @@ class TestJointFactorialMoment:
             for i, t1 in enumerate(patterns):
                 for t2 in patterns[i + 1 :]:
                     for q in ([1, 2], [2, 1]):
-                        needed = (
-                            q[0] * (t1.size - 1) + q[1] * (t2.size - 1) + 1
-                        )
-                        if stat.size < needed:
-                            continue
                         assert joint_factorial_moment(
                             stat, [t1, t2], q
                         ) == brute_joint_factorial(stat, [t1, t2], q)
+
+    def test_nested_patterns_below_top(self):
+        # top = 1 + 2 + 4 = 7 > |n| = 5, yet the cherry of every T5 copy is
+        # a bound copy: E[N_cherry N_T5] = 1/2
+        value = joint_factorial_moment(STAT_5, [CHERRY, T5], [1, 1])
+        assert value == brute_joint_factorial(STAT_5, [CHERRY, T5], [1, 1])
+        assert value == Fraction(1, 2)
+
+    def test_every_size_below_top_vs_oracle(self):
+        patterns = all_trees_up_to(4)
+        nested = 0
+        for size in range(1, 9):
+            for stat in all_degree_statistics(size):
+                for i, t1 in enumerate(patterns):
+                    for t2 in patterns[i + 1 :]:
+                        if count_fringe(t2, t1) + count_fringe(t1, t2) == 0:
+                            continue
+                        for q in ([1, 1], [2, 1], [1, 2], [2, 2]):
+                            top = 1 + q[0] * (t1.size - 1) + q[1] * (t2.size - 1)
+                            if size >= top:
+                                continue
+                            value = joint_factorial_moment(stat, [t1, t2], q)
+                            assert value == brute_joint_factorial(stat, [t1, t2], q)
+                            nested += value > 0
+        assert nested >= 5
 
 
 
@@ -272,10 +288,25 @@ class TestBoundCopySumOracle:
             seen["nested"] += any(map(any, containment_matrix(chosen)))
             seen["tight"] += size == top
             if top >= 2:
-                with pytest.raises(SizeTooSmall):
-                    joint_factorial_moment(_random_statistic(rng, top - 1), chosen, q)
-                seen["too_small"] += 1
+                small = _random_statistic(rng, top - 1)
+                value = joint_factorial_moment(small, chosen, q)
+                assert value == bound_copy_sum(small, chosen, q), (small, chosen, q)
+                if small.size <= 9:
+                    assert value == brute_joint_factorial(small, chosen, q)
+                    seen["too_small"] += 1
         assert min(seen.values()) >= 20, seen
+
+    def test_hostless_patterns_at_high_q(self):
+        # T5 and PlaneTree((1, 0)) sit in no other pattern (zero tau rows);
+        # the cherry's bound copies are capped by the T5 hosts, or by its
+        # own order when that is smaller
+        patterns = [CHERRY, T5, PlaneTree((1, 0))]
+        assert containment_matrix(patterns) == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+        stat = DegreeStatistic.from_counts({0: 120, 1: 9, 2: 119})
+        for q in ([40, 3, 4], [2, 6, 0], [5, 5, 8], [0, 9, 9]):
+            value = joint_factorial_moment(stat, patterns, q)
+            assert value > 0
+            assert value == bound_copy_sum(stat, patterns, q), q
 
 
 class TestPartialSumPmf:
@@ -313,6 +344,57 @@ class TestPartialSumPmf:
             {0: Fraction(21, 64), 1: Fraction(22, 64), 3: Fraction(21, 64)}
         )
         assert sum(partial_sum_pmf(w, 600).pmf.values()) == 1
+
+
+def _convolution_pmf(w, m):
+    """P(S_m = s) by m plain convolutions of the law, in Fractions."""
+    pmf = {0: Fraction(1)}
+    for _ in range(m):
+        step = {}
+        for s, mass in pmf.items():
+            for i, p in w.probabilities().items():
+                step[s + i] = step.get(s + i, 0) + mass * p
+        pmf = step
+    return {s: mass for s, mass in pmf.items() if mass}
+
+
+SERIES_LAWS = [
+    FULL_BINARY,
+    OffspringDistribution.finite({1: Fraction(1, 3), 2: Fraction(2, 3)}),
+    OffspringDistribution.finite({2: Fraction(1, 7), 3: Fraction(2, 7), 5: Fraction(4, 7)}),
+    OffspringDistribution.finite(
+        {0: Fraction(21, 64), 1: Fraction(22, 64), 2: Fraction(13, 64), 3: Fraction(8, 64)}
+    ),
+]
+
+
+class TestTruncatedSeries:
+    """Point masses read a prefix of the Miller series that later requests
+    extend; every prefix must agree with the full pmf."""
+
+    @pytest.mark.parametrize("w", SERIES_LAWS, ids=lambda w: w.label())
+    @pytest.mark.parametrize("m", [0, 1, 2, 5, 17, 60])
+    def test_point_masses_in_either_order(self, w, m):
+        _partial_sum_cached.cache_clear()
+        full = partial_sum_pmf(w, m).pmf
+        assert full == _convolution_pmf(w, m)
+        support = w.support()
+        offset, span = m * support[0], support[-1] - support[0]
+        ks = range(offset - 2, offset + m * span + 3)
+        for order in (reversed(ks), ks):
+            _partial_sum_cached.cache_clear()
+            for k in order:
+                assert _point_mass(w, m, k, PARTIAL_SUM_CAP) == full.get(k, 0), k
+
+    @pytest.mark.parametrize("w", SERIES_LAWS, ids=lambda w: w.label())
+    def test_full_pmf_after_short_request(self, w):
+        _partial_sum_cached.cache_clear()
+        full = partial_sum_pmf(w, 17).pmf
+        _partial_sum_cached.cache_clear()
+        low = 17 * w.support()[0]
+        assert _point_mass(w, 17, low + 1, PARTIAL_SUM_CAP) == full.get(low + 1, 0)
+        assert partial_sum_pmf(w, 17).pmf == full
+        assert _partial_sum_cached.cache_info().currsize == 1
 
 
 class TestDegreeFactorialMoment:

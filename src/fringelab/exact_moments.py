@@ -201,7 +201,7 @@ def _partial_sum(w: OffspringDistribution, m: int, cap: int, k) -> tuple:
     return offset, scale, c
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _partial_sum_cached(w: OffspringDistribution, m: int) -> tuple:
     """(offset, D^m, a, c) with P(S_m = offset + k) = c[k] / D^m.
 
@@ -212,7 +212,9 @@ def _partial_sum_cached(w: OffspringDistribution, m: int) -> tuple:
     extends it in place up to the highest index requested so far, so a
     later request reuses it and a shorter one costs nothing.  Exact and
     float laws that compare equal give the same integers, so they may share
-    a cache slot.
+    a cache slot.  The 256 most recently used (w, m) prefixes are kept, so a
+    run over many laws holds bounded memory; an evicted prefix starts again
+    from [a_0^m] and gives the same coefficients.
     """
     probs = [(i, Fraction(p)) for i, p in sorted(w.probabilities().items()) if p]
     scale = math.lcm(*(p.denominator for _, p in probs))

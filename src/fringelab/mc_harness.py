@@ -171,14 +171,19 @@ class ExperimentReport:
 
 
 def _count_occurrences(hay: np.ndarray, needle: np.ndarray) -> int:
+    """Occurrences of needle as a contiguous block of hay.  Each distinct
+    degree of the needle is compared against hay once; every offset then
+    ANDs a shifted slice of its degree's mask."""
     n, m = hay.size, needle.size
     if m > n:
         return 0
     window = n - m + 1
-    match = hay[:window] == needle[0]
+    degrees = needle.tolist()
+    masks = {d: hay == d for d in set(degrees)}
+    match = masks[degrees[0]][:window].copy()
     for j in range(1, m):
-        match &= hay[j : window + j] == needle[j]
-    return int(match.sum())
+        match &= masks[degrees[j]][j : window + j]
+    return int(np.count_nonzero(match))
 
 
 def _counts_chunk(args) -> list:

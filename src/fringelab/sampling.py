@@ -5,7 +5,10 @@ inside numpy's permutation), read the shuffled degrees as a lattice bridge
 with increments degree - 1, rotate the bridge at its first minimum to get
 an excursion, and decode the excursion as a tree.  The rotation is an
 |n|-to-1 map from bridges onto excursions with the same increment counts,
-so the resulting tree is exactly uniform.
+so the resulting tree is exactly uniform.  By the cycle lemma, the rotation
+of an integer walk at its first minimum is an excursion ending at -1
+exactly when the walk ends at -1, so the sampler checks that one value
+instead of walking the rotated word again.
 
 Size-conditioned Galton-Watson trees reduce to the same primitive: given
 its degree counts, such a tree is uniform among the trees with those
@@ -102,15 +105,22 @@ def _sample_tree(stat: DegreeStatistic, rng: np.random.Generator) -> PlaneTree:
 
 def excursion_degrees(multiset: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Shuffle a degree multiset and rotate the induced bridge at its first
-    minimum; the result is the preorder degree word of a uniform tree."""
+    minimum; the result is the preorder degree word of a uniform tree.
+
+    By the cycle lemma the rotated word is an excursion (partial sums of
+    degree - 1 stay >= 0 and end at -1) exactly when the walk ends at -1:
+    after the cut the walk stays at or above its minimum, and before the
+    cut strictly above it, so at least 1 above on integers, which the
+    wrap's total of -1 takes back.  So one look at the walk's last value
+    replaces a second walk over the rotated word; InvalidPath is raised
+    when it is not -1.
+    """
     shuffled = rng.permutation(multiset)
     walk = np.cumsum(shuffled - 1)
+    if walk[-1] != -1:
+        raise InvalidPath("degree word does not sum to its length - 1")
     shift = int(np.argmin(walk)) + 1  # argmin takes the first minimum
-    rotated = np.roll(shuffled, -shift)
-    excursion = np.cumsum(rotated - 1)
-    if excursion[-1] != -1 or (excursion[:-1] < 0).any():
-        raise InvalidPath("rotated degree word is not an excursion")
-    return rotated
+    return np.concatenate((shuffled[shift:], shuffled[:shift]))
 
 
 def sample_labelled_tree(dseq: DegreeSequence, seed):

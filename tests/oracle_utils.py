@@ -9,7 +9,11 @@ sizes that enumeration cannot reach.  ``bound_copy_sum`` is the bound-copy
 sum term by term in ``Fraction``s, each falling factorial recomputed; the
 library sums the same terms as integers over one denominator.
 ``dp_feasible`` is the plain reachability table that the sampler's
-residue-class feasibility test replaces.
+residue-class feasibility test replaces.  ``rolled_excursion_degrees`` and
+``offsetwise_count_occurrences`` are the first forms of the sampler's
+rotation and of the harness's window counter: the rotation by ``np.roll``
+checked by a second walk over the rotated word, and one fresh comparison
+of the whole word per needle position.
 """
 
 import itertools
@@ -17,7 +21,10 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from fringelab.distributions import OffspringDistribution
+from fringelab.errors import InvalidPath
 from fringelab.exact_moments import containment_matrix, falling_factorial
 from fringelab.tree_core import (
     all_degree_statistics,
@@ -176,3 +183,29 @@ def dp_feasible(w, n):
     for value in range(1, n):
         reachable[value] = any(c <= value and reachable[value - c] for c in coins)
     return reachable[n - 1]
+
+
+def rolled_excursion_degrees(multiset, rng):
+    """Shuffle, rotate the bridge at its first minimum with ``np.roll`` and
+    walk the rotated word again to check that it is an excursion."""
+    shuffled = rng.permutation(multiset)
+    walk = np.cumsum(shuffled - 1)
+    shift = int(np.argmin(walk)) + 1  # argmin takes the first minimum
+    rotated = np.roll(shuffled, -shift)
+    excursion = np.cumsum(rotated - 1)
+    if excursion[-1] != -1 or (excursion[:-1] < 0).any():
+        raise InvalidPath("rotated degree word is not an excursion")
+    return rotated
+
+
+def offsetwise_count_occurrences(hay, needle):
+    """Occurrences of needle as a contiguous block of hay, comparing hay
+    against each needle entry afresh."""
+    n, m = hay.size, needle.size
+    if m > n:
+        return 0
+    window = n - m + 1
+    match = hay[:window] == needle[0]
+    for j in range(1, m):
+        match &= hay[j : window + j] == needle[j]
+    return int(match.sum())

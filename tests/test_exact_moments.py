@@ -397,6 +397,24 @@ class TestTruncatedSeries:
         assert _partial_sum_cached.cache_info().currsize == 1
 
 
+class TestPartialSumCacheBound:
+    def test_evicted_law_gives_its_cold_values(self):
+        _partial_sum_cached.cache_clear()
+        w = SERIES_LAWS[3]
+        qs = ({0: 1}, {1: 2}, {0: 1, 3: 1})
+        cold = [degree_factorial_moment(w, n, q) for n in (30, 61) for q in qs]
+        limit = _partial_sum_cached.cache_info().maxsize
+        for m in range(limit + 10):
+            _point_mass(FULL_BINARY, m, 0, PARTIAL_SUM_CAP)
+        info = _partial_sum_cached.cache_info()
+        assert info.currsize == limit
+        again = [degree_factorial_moment(w, n, q) for n in (30, 61) for q in qs]
+        assert again == cold
+        # the law's prefixes were evicted and rebuilt, not found again
+        assert _partial_sum_cached.cache_info().misses > info.misses
+        _partial_sum_cached.cache_clear()
+
+
 class TestDegreeFactorialMoment:
     def test_worked_leaf_mean(self):
         assert degree_factorial_moment(FULL_BINARY, 5, {0: 1}) == 3

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from oracle_utils import offsetwise_count_occurrences, rolled_excursion_degrees
 
 from fringelab.errors import TooFewSamples
 from fringelab.mc_harness import (
@@ -76,6 +77,54 @@ class TestCountCollection:
                     assert _count_occurrences(
                         hay, np.array(pattern.degrees)
                     ) == count_fringe(tree, pattern)
+
+    def test_counter_matches_offsetwise_oracle(self):
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            hay = rng.integers(0, 4, rng.integers(1, 30))
+            needle = rng.integers(0, 4, rng.integers(1, 7))
+            assert _count_occurrences(hay, needle) == offsetwise_count_occurrences(
+                hay, needle
+            )
+
+    def test_needle_longer_than_hay(self):
+        assert _count_occurrences(np.array([2, 0, 0]), np.array([2, 2, 0, 0, 0])) == 0
+
+    def test_needle_is_the_whole_tree(self):
+        tree = np.array([3, 0, 2, 0, 0, 1, 0])
+        assert _count_occurrences(tree, tree.copy()) == 1
+
+    def test_one_vertex_tree(self):
+        assert _count_occurrences(np.array([0]), np.array([0])) == 1
+        assert _count_occurrences(np.array([0]), np.array([1, 0])) == 0
+
+    def test_needle_degree_absent_from_hay(self):
+        hay = np.array([2, 2, 0, 0, 2, 0, 0])
+        assert _count_occurrences(hay, np.array([1, 0])) == 0
+        assert _count_occurrences(hay, np.array([2, 3, 0, 0, 0, 0])) == 0
+
+    def test_every_small_tree_and_pattern(self):
+        patterns = all_trees_up_to(4)
+        for tree in all_trees_up_to(7):
+            hay = np.array(tree.degrees)
+            for pattern in patterns:
+                assert _count_occurrences(
+                    hay, np.array(pattern.degrees)
+                ) == count_fringe(tree, pattern)
+
+    def test_counts_equal_the_rolled_oracle_pipeline(self):
+        # the sampled words and their counts are those of the first forms
+        # of the rotation and the counter, replicate by replicate
+        stat = StatFamily.full_binary().statistic(1001)
+        patterns = [CHERRY, PlaneTree((2, 2, 0, 0, 0))]
+        multiset = np.array(stat.degree_multiset(), dtype=np.int64)
+        needles = [np.array(p.degrees) for p in patterns]
+        for seed in (Seed(1), Seed(101, 3)):
+            counts = collect_counts(stat, patterns, 30, seed, size_index=1)
+            for r in range(30):
+                word = rolled_excursion_degrees(multiset, seed.generator(1, r))
+                expected = [offsetwise_count_occurrences(word, x) for x in needles]
+                assert counts[r].tolist() == expected
 
     def test_deterministic_given_seed(self):
         stat = DegreeStatistic.from_counts({0: 51, 2: 50})

@@ -1,11 +1,12 @@
 import math
+import random
 from collections import Counter
 from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
-from oracle_utils import dp_feasible
+from oracle_utils import dp_feasible, rolled_excursion_degrees
 from scipy import stats as scistats
 
 from fringelab.distributions import OffspringDistribution
@@ -76,6 +77,37 @@ class TestUniformTree:
     def test_unbalanced_word_is_not_an_excursion(self):
         with pytest.raises(InvalidPath):
             excursion_degrees(np.array([0, 0, 1]), Seed(1).generator())
+
+    def test_matches_rolled_oracle_on_random_multisets(self):
+        # the check on the walk's last value must raise exactly where the
+        # second walk over the rotated word did, and the one-copy rotation
+        # must give the same word everywhere else
+        rng = random.Random(20261018)
+        raised = returned = 0
+        for i in range(600):
+            n = rng.randint(1, 12)
+            degrees = [0] * n
+            for _ in range(n - 1):
+                degrees[rng.randrange(n)] += 1
+            if i % 3 == 1:  # the same sum, possibly with negative entries
+                k = rng.randint(1, 3)
+                degrees[rng.randrange(n)] += k
+                degrees[rng.randrange(n)] -= k
+            elif i % 3 == 2:  # any sum
+                degrees = [rng.randint(-2, 4) for _ in range(n)]
+            multiset = np.array(degrees, dtype=np.int64)
+            try:
+                expected = rolled_excursion_degrees(multiset, Seed(i).generator())
+            except InvalidPath:
+                raised += 1
+                with pytest.raises(InvalidPath):
+                    excursion_degrees(multiset, Seed(i).generator())
+                continue
+            returned += 1
+            word = excursion_degrees(multiset, Seed(i).generator())
+            assert word.dtype == expected.dtype
+            assert word.tolist() == expected.tolist()
+        assert raised >= 100 and returned >= 300
 
     def test_singleton(self):
         stat = DegreeStatistic.from_counts({0: 1})

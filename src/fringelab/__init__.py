@@ -2,8 +2,8 @@
 
 Submodules
 ----------
-tree_core      trees, walks, fringe counting, enumeration oracles
-sampling       exact-uniform and size-conditioned samplers
+tree_core      trees, degree profiles, fringe counting, enumeration
+sampling       exact-uniform samplers by bridge rotation, conditioned GW trees
 exact_moments  arbitrary-precision factorial moments of fringe counts
 asymptotics    limit means/covariances, tilted equivalents, additive tolls
 mc_harness     seeded Monte Carlo confrontation of the limit laws
@@ -12,12 +12,11 @@ cli            the ``fringelab`` command-line entry point
 
 from .distributions import OffspringDistribution, WeightSequence
 from .sampling import DegreeSequence, Seed
-from .tree_core import DegreeStatistic, LukasiewiczPath, PlaneTree, UnorderedKey
+from .tree_core import DegreeStatistic, PlaneTree, UnorderedKey
 
 __all__ = [
     "DegreeSequence",
     "DegreeStatistic",
-    "LukasiewiczPath",
     "OffspringDistribution",
     "PlaneTree",
     "Seed",

@@ -545,23 +545,3 @@ def additive_variance_density(p: OffspringDistribution, toll: TollFunction):
     if not agree:
         raise ArithmeticError(f"additive variance forms disagree: {direct} != {quadratic}")
     return direct
-
-
-def covariance_matrix_probe(p: OffspringDistribution, patterns):
-    """Spectral diagnostics of the fringe covariance matrix for distinct
-    patterns with positive probability: (matrix, min eigenvalue,
-    determinant).  Purely exploratory; no structural claim attached."""
-    patterns = list(patterns)
-    if len(set(patterns)) != len(patterns):
-        raise DuplicatePatterns("patterns must be pairwise distinct")
-    for t in patterns:
-        if t.size <= 1:
-            raise ValueError("probe needs patterns with at least 2 vertices")
-        if tree_probability(p, t) == 0:
-            raise ValueError(f"pattern {t.to_text()} has probability zero")
-    entries = [
-        [fringe_covariance_density(p, t1, t2) for t2 in patterns]
-        for t1 in patterns
-    ]
-    matrix = CovMatrix.build(entries, [t.to_text() for t in patterns])
-    return matrix, matrix.min_eigenvalue(), matrix.determinant()

@@ -87,24 +87,22 @@ def parse_law(cls, text: str):
     return cls.from_spec(body)
 
 
-def _emit(payload: dict, out_path, fmt: str = "json") -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) if fmt == "json" else payload
+def _write(text: str, out_path) -> None:
+    """Write text and a newline to ``out_path``, or to stdout if none is given."""
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text if isinstance(text, str) else str(text))
-            fh.write("\n")
+            fh.write(text + "\n")
     else:
         print(text)
 
 
+def _emit(payload: dict, out_path) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True), out_path)
+
+
 def _emit_csv(lines, config: dict, out_path) -> None:
     header = "# " + json.dumps(config, sort_keys=True)
-    body = "\n".join([header] + lines)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(body + "\n")
-    else:
-        print(body)
+    _write("\n".join([header] + lines), out_path)
 
 
 # ---------------------------------------------------------------------------

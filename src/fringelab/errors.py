@@ -26,7 +26,8 @@ class InvalidDegreeSequence(FringelabError):
 
 
 class InvalidPath(FringelabError):
-    """An integer walk fails the bridge/excursion shape conditions."""
+    """A degree word whose walk does not end at -1: it is not a bridge, so no
+    rotation of it is an excursion."""
 
 
 class CapExceeded(FringelabError):

@@ -568,9 +568,8 @@ def composition_crosscheck(n0: int, n1: int, reps: int, seed: Seed) -> dict:
         law = {}
         total = 0
         for tree in enumerate_trees(stat, cap=stat.size):
-            law[count_fringe(tree, pattern)] = (
-                law.get(count_fringe(tree, pattern), 0) + 1
-            )
+            k = count_fringe(tree, pattern)
+            law[k] = law.get(k, 0) + 1
             total += 1
         expected = {k: v / total for k, v in law.items()}
         result["exact_support"] = sorted(expected)

@@ -7,10 +7,11 @@ sequence is valid iff
     sum_{i<=j} d(i) >= j   for 1 <= j <= k-1,   and   sum_i d(i) = k - 1.
 
 Equivalently, the walk with increments d(i) - 1 is a lattice excursion:
-it stays >= 0 and first hits -1 at time k.  This module provides the
-encodings between trees, walks and degree counts, fringe-subtree counting,
-canonicalization of unordered trees, and exhaustive enumeration used as a
-brute-force oracle by the moment and sampling modules.
+it stays >= 0 and first hits -1 at time k.  The sampler builds such
+excursions by rotating a shuffled degree word (sampling.excursion_degrees).
+This module provides the tree and degree-count types, fringe-subtree
+counting, the number and the enumeration of trees with a given degree
+profile, and canonicalization of unordered trees.
 """
 
 from __future__ import annotations
@@ -19,9 +20,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import CapExceeded, InvalidDegreeStatistic, InvalidPath, InvalidPreorder
+from .errors import CapExceeded, InvalidDegreeStatistic, InvalidPreorder
 
 ENUMERATION_CAP = 12
 
@@ -69,11 +69,6 @@ class PlaneTree:
 
     def to_text(self) -> str:
         return ",".join(map(str, self.degrees))
-
-
-def decode_preorder(degrees) -> PlaneTree:
-    """Validate a preorder degree sequence and wrap it as a tree."""
-    return PlaneTree(tuple(degrees))
 
 
 def _unchecked_tree(degrees: tuple) -> PlaneTree:
@@ -159,85 +154,6 @@ def degree_statistic(tree: PlaneTree) -> DegreeStatistic:
 
 
 # ---------------------------------------------------------------------------
-# Lattice walks
-
-
-@dataclass(frozen=True)
-class LukasiewiczPath:
-    """Integer walk x(0..k) with x(0) = 0 and increments >= -1.
-
-    kind is one of 'bridge' (ends at -1), 'excursion' (ends at -1 and stays
-    >= 0 before the end), or 'general'.
-    """
-
-    values: tuple
-    kind: str = "general"
-
-    def __post_init__(self):
-        v = self.values
-        if not v or v[0] != 0:
-            raise InvalidPath("walk must start at 0")
-        for i in range(1, len(v)):
-            if v[i] - v[i - 1] < -1:
-                raise InvalidPath(f"increment < -1 at step {i}")
-        if self.kind == "bridge":
-            if v[-1] != -1:
-                raise InvalidPath("bridge must finish at -1")
-        elif self.kind == "excursion":
-            if v[-1] != -1 or any(x < 0 for x in v[:-1]):
-                raise InvalidPath("excursion must first hit -1 at the last step")
-        elif self.kind != "general":
-            raise InvalidPath(f"unknown kind {self.kind!r}")
-
-    @property
-    def length(self) -> int:
-        return len(self.values) - 1
-
-    def increments(self) -> tuple:
-        v = self.values
-        return tuple(v[i] - v[i - 1] for i in range(1, len(v)))
-
-    @classmethod
-    def from_increments(cls, increments, kind="general") -> "LukasiewiczPath":
-        values = [0]
-        for step in increments:
-            values.append(values[-1] + step)
-        return cls(tuple(values), kind)
-
-
-def lukasiewicz_path(tree: PlaneTree) -> LukasiewiczPath:
-    """Depth-first walk of a tree: increments d(i) - 1; an excursion."""
-    return LukasiewiczPath.from_increments(
-        (d - 1 for d in tree.degrees), kind="excursion"
-    )
-
-
-def decode_path(path: LukasiewiczPath) -> PlaneTree:
-    """Inverse of lukasiewicz_path: vertex degrees are increments + 1."""
-    return PlaneTree(tuple(step + 1 for step in path.increments()))
-
-
-def vervaat(bridge: LukasiewiczPath):
-    """Cyclic shift of a bridge at the first minimum, yielding an excursion.
-
-    Returns (excursion, shift) where shift is the 1-based time of the first
-    minimum of the bridge; the j-th increment of the output is the
-    (shift + j)-th increment of the input, indices wrapping around.  Ties
-    are broken by the earliest index.  An excursion input maps to itself
-    with shift equal to its length.
-    """
-    if bridge.kind not in ("bridge", "excursion"):
-        raise InvalidPath("vervaat expects a bridge")
-    values = bridge.values
-    k = bridge.length
-    minimum = min(values[1:])
-    shift = next(i for i in range(1, k + 1) if values[i] == minimum)
-    inc = bridge.increments()
-    rotated = inc[shift:] + inc[:shift]
-    return LukasiewiczPath.from_increments(rotated, kind="excursion"), shift
-
-
-# ---------------------------------------------------------------------------
 # Fringe subtrees
 
 
@@ -278,21 +194,6 @@ def count_fringe(tree: PlaneTree, pattern: PlaneTree) -> int:
     return sum(
         1 for i in range(len(hay) - m + 1) if hay[i : i + m] == needle
     )
-
-
-def count_fringe_by_extraction(tree: PlaneTree, pattern: PlaneTree) -> int:
-    """Independent recount: extract the fringe subtree at every vertex and
-    compare trees.  Used to cross-check count_fringe."""
-    return sum(1 for sub in fringe_subtrees(tree) if sub == pattern)
-
-
-def fringe_distribution(tree: PlaneTree) -> dict:
-    """Law of the fringe subtree at a uniform vertex: tree -> exact weight."""
-    tally = {}
-    for sub in fringe_subtrees(tree):
-        tally[sub] = tally.get(sub, 0) + 1
-    n = tree.size
-    return {sub: Fraction(c, n) for sub, c in tally.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -342,92 +243,6 @@ def enumerate_trees(stat: DegreeStatistic, cap: int = ENUMERATION_CAP):
             remaining[idx] += 1
 
     yield from backtrack(0, 0)
-
-
-def enumerate_bridges(stat: DegreeStatistic, cap: int = ENUMERATION_CAP):
-    """Yield every bridge whose increment counts match the degree counts."""
-    n = stat.size
-    if n > cap:
-        raise CapExceeded(f"|n| = {n} exceeds enumeration cap {cap}")
-    degrees = sorted(stat.as_dict())
-    remaining = [stat.count(d) for d in degrees]
-    prefix = [0] * n
-
-    def backtrack(pos):
-        if pos == n:
-            yield LukasiewiczPath.from_increments(
-                (d - 1 for d in prefix), kind="bridge"
-            )
-            return
-        for idx, d in enumerate(degrees):
-            if remaining[idx] == 0:
-                continue
-            remaining[idx] -= 1
-            prefix[pos] = d
-            yield from backtrack(pos + 1)
-            remaining[idx] += 1
-
-    yield from backtrack(0)
-
-
-@lru_cache(maxsize=None)
-def all_trees(size: int) -> tuple:
-    """All plane trees with exactly ``size`` vertices (Catalan(size-1) many)."""
-    if size < 1:
-        return ()
-    if size == 1:
-        return (PlaneTree((0,)),)
-    out = []
-    for root_degree in range(1, size):
-        for split in _compositions(size - 1, root_degree):
-            for children in itertools.product(*(all_trees(s) for s in split)):
-                degrees = (root_degree,) + tuple(
-                    d for child in children for d in child.degrees
-                )
-                out.append(PlaneTree(degrees))
-    return tuple(out)
-
-
-def all_trees_up_to(max_size: int) -> tuple:
-    return tuple(t for s in range(1, max_size + 1) for t in all_trees(s))
-
-
-def _compositions(total, parts):
-    """Compositions of ``total`` into ``parts`` positive integers."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def all_degree_statistics(size: int):
-    """All feasible degree statistics with exactly ``size`` vertices.
-
-    The multiset of nonzero degrees is a partition of size-1; leaves make
-    up the rest, so feasibility is automatic.
-    """
-    out = []
-    for partition in _partitions(size - 1):
-        counts = {}
-        for part in partition:
-            counts[part] = counts.get(part, 0) + 1
-        counts[0] = size - len(partition)
-        out.append(DegreeStatistic.from_counts(counts))
-    return out
-
-
-def _partitions(total, max_part=None):
-    """Partitions of ``total`` into positive parts (nonincreasing tuples)."""
-    if total == 0:
-        yield ()
-        return
-    if max_part is None or max_part > total:
-        max_part = total
-    for first in range(max_part, 0, -1):
-        for rest in _partitions(total - first, first):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------

@@ -14,26 +14,134 @@ residue-class feasibility test replaces.  ``rolled_excursion_degrees`` and
 rotation and of the harness's window counter: the rotation by ``np.roll``
 checked by a second walk over the rotated word, and one fresh comparison
 of the whole word per needle position.
+
+The enumeration helpers (``all_trees``, ``all_degree_statistics``) list
+every plane tree and every feasible degree profile of a size;
+``count_fringe_by_extraction`` and ``fringe_distribution`` recount fringe
+subtrees by extracting each one; ``covariance_matrix_probe`` gives the
+spectrum of a fringe limit covariance matrix.  No library code needs them.
+``rotation_images`` passes fixed degree words through the sampler's own
+rotation, with a stand-in generator whose shuffle changes nothing.
 """
 
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
+from fringelab.asymptotics import CovMatrix, fringe_covariance_density, tree_probability
 from fringelab.distributions import OffspringDistribution
-from fringelab.errors import InvalidPath
+from fringelab.errors import DuplicatePatterns, InvalidPath
 from fringelab.exact_moments import containment_matrix, falling_factorial
+from fringelab.sampling import excursion_degrees
 from fringelab.tree_core import (
-    all_degree_statistics,
+    DegreeStatistic,
+    PlaneTree,
     count_fringe,
-    count_fringe_by_extraction,
     count_trees,
     degree_statistic,
     enumerate_trees,
+    fringe_subtrees,
 )
+
+
+def count_fringe_by_extraction(tree: PlaneTree, pattern: PlaneTree) -> int:
+    """Independent recount: extract the fringe subtree at every vertex and
+    compare trees.  Used to cross-check count_fringe."""
+    return sum(1 for sub in fringe_subtrees(tree) if sub == pattern)
+
+
+def fringe_distribution(tree: PlaneTree) -> dict:
+    """Law of the fringe subtree at a uniform vertex: tree -> exact weight."""
+    tally = {}
+    for sub in fringe_subtrees(tree):
+        tally[sub] = tally.get(sub, 0) + 1
+    n = tree.size
+    return {sub: Fraction(c, n) for sub, c in tally.items()}
+
+
+@lru_cache(maxsize=None)
+def all_trees(size: int) -> tuple:
+    """All plane trees with exactly ``size`` vertices (Catalan(size-1) many)."""
+    if size < 1:
+        return ()
+    if size == 1:
+        return (PlaneTree((0,)),)
+    out = []
+    for root_degree in range(1, size):
+        for split in _compositions(size - 1, root_degree):
+            for children in itertools.product(*(all_trees(s) for s in split)):
+                degrees = (root_degree,) + tuple(
+                    d for child in children for d in child.degrees
+                )
+                out.append(PlaneTree(degrees))
+    return tuple(out)
+
+
+def all_trees_up_to(max_size: int) -> tuple:
+    return tuple(t for s in range(1, max_size + 1) for t in all_trees(s))
+
+
+def _compositions(total, parts):
+    """Compositions of ``total`` into ``parts`` positive integers."""
+    if parts == 1:
+        yield (total,)
+        return
+    for first in range(1, total - parts + 2):
+        for rest in _compositions(total - first, parts - 1):
+            yield (first,) + rest
+
+
+def all_degree_statistics(size: int):
+    """All feasible degree statistics with exactly ``size`` vertices.
+
+    The multiset of nonzero degrees is a partition of size-1; leaves make
+    up the rest, so feasibility is automatic.
+    """
+    out = []
+    for partition in _partitions(size - 1):
+        counts = {}
+        for part in partition:
+            counts[part] = counts.get(part, 0) + 1
+        counts[0] = size - len(partition)
+        out.append(DegreeStatistic.from_counts(counts))
+    return out
+
+
+def _partitions(total, max_part=None):
+    """Partitions of ``total`` into positive parts (nonincreasing tuples)."""
+    if total == 0:
+        yield ()
+        return
+    if max_part is None or max_part > total:
+        max_part = total
+    for first in range(max_part, 0, -1):
+        for rest in _partitions(total - first, first):
+            yield (first,) + rest
+
+
+def covariance_matrix_probe(p: OffspringDistribution, patterns):
+    """Spectral diagnostics of the fringe covariance matrix for distinct
+    patterns with positive probability: (matrix, min eigenvalue,
+    determinant).  Purely exploratory; no structural claim attached."""
+    patterns = list(patterns)
+    if len(set(patterns)) != len(patterns):
+        raise DuplicatePatterns("patterns must be pairwise distinct")
+    for t in patterns:
+        if t.size <= 1:
+            raise ValueError("probe needs patterns with at least 2 vertices")
+        if tree_probability(p, t) == 0:
+            raise ValueError(f"pattern {t.to_text()} has probability zero")
+    entries = [
+        [fringe_covariance_density(p, t1, t2) for t2 in patterns]
+        for t1 in patterns
+    ]
+    matrix = CovMatrix.build(entries, [t.to_text() for t in patterns])
+    return matrix, matrix.min_eigenvalue(), matrix.determinant()
 
 
 def random_distribution_corpus(count=100, seed=20240801, max_degree=5):
@@ -209,3 +317,24 @@ def offsetwise_count_occurrences(hay, needle):
     for j in range(1, m):
         match &= hay[j : window + j] == needle[j]
     return int(match.sum())
+
+
+class UnshuffledRng:
+    """Stand-in generator: ``permutation`` returns its input unchanged, so
+    ``excursion_degrees`` rotates exactly the word it is given."""
+
+    def permutation(self, word):
+        return word
+
+
+def rotate_word(word) -> tuple:
+    """The sampler's rotation of one fixed degree word."""
+    multiset = np.array(word, dtype=np.int64)
+    return tuple(excursion_degrees(multiset, UnshuffledRng()).tolist())
+
+
+def rotation_images(stat) -> Counter:
+    """Rotated word -> number of distinct arrangements of the profile's
+    degree multiset that the sampler's rotation sends to it."""
+    arrangements = set(itertools.permutations(stat.degree_multiset()))
+    return Counter(rotate_word(word) for word in arrangements)

@@ -13,11 +13,14 @@ from itertools import combinations
 from scipy import stats as scistats
 
 from oracle_utils import (
+    all_degree_statistics,
+    all_trees_up_to,
     brute_degree_factorial,
     brute_mean,
     closed_form_factorial_moment,
     closed_form_product_moment,
     random_distribution_corpus,
+    rotation_images,
 )
 
 from fringelab.asymptotics import (
@@ -49,14 +52,9 @@ from fringelab.sampling import Seed, sample_uniform_trees
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
-    all_degree_statistics,
-    all_trees_up_to,
     count_fringe,
     count_trees,
-    enumerate_bridges,
     enumerate_trees,
-    lukasiewicz_path,
-    vervaat,
 )
 
 LEAF = PlaneTree((0,))
@@ -195,15 +193,18 @@ def test_criterion_03_sampler_uniformity_and_rotation():
         pvalues.append(p)
     uniform_ok = all(p > 1e-3 for p in pvalues)
 
+    # every arrangement of every profile up to size 7 through the sampler's
+    # own rotation (excursion_degrees, left unshuffled)
     rotation_ok = True
     for size in range(1, 8):
         for stat in all_degree_statistics(size):
-            classes = Counter()
-            for bridge in enumerate_bridges(stat):
-                excursion, _ = vervaat(bridge)
-                classes[excursion.values] += 1
-            images = {lukasiewicz_path(t).values for t in enumerate_trees(stat)}
-            if set(classes) != images or set(classes.values()) != {size}:
+            classes = rotation_images(stat)
+            images = {t.degrees for t in enumerate_trees(stat)}
+            if (
+                set(classes) != images
+                or set(classes.values()) != {size}
+                or sum(classes.values()) != size * count_trees(stat)
+            ):
                 rotation_ok = False
     elapsed = time.monotonic() - start
     _report(

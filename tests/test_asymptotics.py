@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracle_utils import all_trees, all_trees_up_to, covariance_matrix_probe
 from oracle_utils import random_distribution_corpus as _shared_corpus
 
 from fringelab import asymptotics
@@ -15,7 +16,6 @@ from fringelab.asymptotics import (
     classify_exceptional,
     count_fringe_unordered,
     covariance_interaction,
-    covariance_matrix_probe,
     equivalent_offspring,
     fringe_covariance_density,
     normalized_covariance_density,
@@ -31,8 +31,6 @@ from fringelab.errors import DuplicatePatterns, UnsupportedRegime
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
-    all_trees,
-    all_trees_up_to,
     canonical_unordered,
     count_fringe,
     enumerate_orderings,

@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import pytest
 from oracle_utils import (
+    all_degree_statistics,
+    all_trees_up_to,
     bound_copy_sum,
     brute_degree_factorial,
     brute_joint_factorial,
@@ -36,8 +38,6 @@ from fringelab.exact_moments import (
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
-    all_degree_statistics,
-    all_trees_up_to,
     count_fringe,
 )
 

@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from oracle_utils import offsetwise_count_occurrences, rolled_excursion_degrees
+from oracle_utils import (
+    all_degree_statistics,
+    all_trees_up_to,
+    offsetwise_count_occurrences,
+    rolled_excursion_degrees,
+)
 
 from fringelab.errors import TooFewSamples
 from fringelab.mc_harness import (
@@ -24,8 +29,6 @@ from fringelab.sampling import Seed
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
-    all_degree_statistics,
-    all_trees_up_to,
     count_fringe,
     enumerate_trees,
 )

@@ -25,11 +25,10 @@ def _tree(name):
 
 def test_law_kind_and_params_read_only_in_distributions():
     # distributions.py is the one module that knows the per-kind params
-    # layout; tree_core's LukasiewiczPath.kind and mc_harness's
-    # StatFamily.params are not laws, so those two names stay allowed there
+    # layout; mc_harness's StatFamily.params is not a law, so that name
+    # stays allowed there
     allowed = {
         "distributions.py": {"kind", "params"},
-        "tree_core.py": {"kind"},
         "mc_harness.py": {"params"},
     }
     found = [

@@ -1,34 +1,31 @@
 import math
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-
-from fringelab.errors import CapExceeded, InvalidDegreeStatistic, InvalidPath, InvalidPreorder
-from fringelab.tree_core import (
-    DegreeStatistic,
-    LukasiewiczPath,
-    PlaneTree,
-    UnorderedKey,
+from oracle_utils import (
     all_degree_statistics,
     all_trees,
     all_trees_up_to,
+    count_fringe_by_extraction,
+    fringe_distribution,
+    rotate_word,
+    rotation_images,
+)
+
+from fringelab.errors import CapExceeded, InvalidDegreeStatistic, InvalidPreorder
+from fringelab.tree_core import (
+    DegreeStatistic,
+    PlaneTree,
+    UnorderedKey,
     canonical_unordered,
     count_fringe,
-    count_fringe_by_extraction,
     count_trees,
-    decode_path,
-    decode_preorder,
     degree_statistic,
-    enumerate_bridges,
     enumerate_orderings,
     enumerate_trees,
-    fringe_distribution,
     fringe_subtrees,
-    lukasiewicz_path,
-    vervaat,
 )
 
 LEAF = PlaneTree((0,))
@@ -64,87 +61,55 @@ def random_tree_strategy(max_size=10):
 
 class TestDecodePreorder:
     def test_leaf(self):
-        assert decode_preorder((0,)).size == 1
+        assert PlaneTree((0,)).size == 1
 
     def test_five_vertex(self):
-        t = decode_preorder((2, 0, 2, 0, 0))
+        t = PlaneTree((2, 0, 2, 0, 0))
         assert t.size == 5
 
     def test_balance_violated(self):
         with pytest.raises(InvalidPreorder):
-            decode_preorder((2, 0, 0, 0))
+            PlaneTree((2, 0, 0, 0))
 
     def test_partial_sum_violated_reports_index(self):
         # walk hits -1 at step 2, before the end
         with pytest.raises(InvalidPreorder) as err:
-            decode_preorder((1, 0, 1, 0))
+            PlaneTree((1, 0, 1, 0))
         assert err.value.index == 1
 
     def test_empty(self):
         with pytest.raises(InvalidPreorder):
-            decode_preorder(())
+            PlaneTree(())
 
     def test_text_roundtrip(self):
         t = PlaneTree.from_text("2,0,2,0,0")
         assert t.to_text() == "2,0,2,0,0"
 
 
-class TestPath:
-    def test_leaf_path(self):
-        assert lukasiewicz_path(LEAF).values == (0, -1)
-
-    def test_cherry_path(self):
-        assert lukasiewicz_path(CHERRY).values == (0, 1, 0, -1)
-
-    def test_path3_path(self):
-        assert lukasiewicz_path(PATH3).values == (0, 0, 0, -1)
-
-    def test_bad_increment(self):
-        with pytest.raises(InvalidPath):
-            LukasiewiczPath((0, -2))
-
-    def test_excursion_kind_checked(self):
-        with pytest.raises(InvalidPath):
-            LukasiewiczPath((0, -1, 0, -1), kind="excursion")
-
-    @given(random_tree_strategy())
-    def test_roundtrip(self, tree):
-        assert decode_path(lukasiewicz_path(tree)) == tree
-
-
 class TestVervaat:
+    # the rotation is the sampler's own: excursion_degrees with a stand-in
+    # generator that leaves the word unshuffled
+
     def test_trivial_bridge(self):
-        exc, shift = vervaat(LukasiewiczPath((0, -1), kind="bridge"))
-        assert exc.values == (0, -1) and shift == 1
+        assert rotate_word([0]) == (0,)
 
     def test_hand_rotated(self):
-        bridge = LukasiewiczPath.from_increments([-1, 1, -1], kind="bridge")
-        exc, shift = vervaat(bridge)
-        assert exc.values == (0, 1, 0, -1)
-        assert shift == 1
+        # the walk reads -1, 0, -1: its first minimum is after step 1
+        assert rotate_word([0, 2, 0]) == (2, 0, 0)
 
     @given(random_tree_strategy())
     def test_excursion_fixed_point(self, tree):
-        path = lukasiewicz_path(tree)
-        exc, shift = vervaat(path)
-        assert exc == LukasiewiczPath(path.values, kind="excursion")
-        assert shift == path.length
+        assert rotate_word(tree.degrees) == tree.degrees
 
     @pytest.mark.parametrize("size", range(2, 8))
     def test_n_to_one_exhaustive(self, size):
-        # grouping all bridges by image yields classes of size exactly |n|
+        # grouping all arrangements by image yields classes of size exactly |n|
         for stat in all_degree_statistics(size):
-            classes = Counter()
-            total = 0
-            for bridge in enumerate_bridges(stat):
-                exc, _ = vervaat(bridge)
-                classes[exc.values] += 1
-                total += 1
+            classes = rotation_images(stat)
             assert set(classes.values()) == {size}
-            assert total == size * count_trees(stat)
-            # images are exactly the excursions coding trees with this profile
-            trees = {lukasiewicz_path(t).values for t in enumerate_trees(stat)}
-            assert set(classes) == trees
+            assert sum(classes.values()) == size * count_trees(stat)
+            # images are exactly the words of the trees with this profile
+            assert set(classes) == {t.degrees for t in enumerate_trees(stat)}
 
 
 class TestDegreeStatistic:

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,28 +68,48 @@ def covariance_interaction(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTre
     """
     prof1 = degree_statistic(t1).as_dict()
     prof2 = degree_statistic(t2).as_dict()
-    value = Fraction((t1.size - 1) * (t2.size - 1))
+    return _interaction(p.p, t1.size, prof1, t2.size, prof2)
+
+
+def _interaction(weight_of, size1, prof1, size2, prof2):
+    """covariance_interaction from the two sizes and degree profiles, with
+    weight_of(i) = p_i."""
+    value = Fraction((size1 - 1) * (size2 - 1))
     for degree in set(prof1) & set(prof2):
-        weight = p.p(degree)
+        weight = weight_of(degree)
         if weight == 0:
             return -INF
         value = value - Fraction(prof1[degree] * prof2[degree]) / weight
     return value
 
 
+class _Row(NamedTuple):
+    """What the covariance density reads of one tree besides the law."""
+
+    tree: PlaneTree
+    pi: object  # tree_probability
+    profile: dict  # degree -> count
+
+
+def _row(p: OffspringDistribution, tree: PlaneTree) -> _Row:
+    return _Row(tree, tree_probability(p, tree), degree_statistic(tree).as_dict())
+
+
 def fringe_covariance_density(
     p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree
 ):
     """Asymptotic covariance per vertex of the two fringe counts."""
-    same = t1 == t2
-    return _covariance_density(
-        tree_probability(p, t1),
-        tree_probability(p, t2),
-        0 if same else count_fringe(t1, t2),
-        0 if same else count_fringe(t2, t1),
-        covariance_interaction(p, t1, t2),
-        same,
-    )
+    inner1, inner2 = count_fringe(t1, t2), count_fringe(t2, t1)
+    return _pair_density(p.p, _row(p, t1), _row(p, t2), inner1, inner2)
+
+
+def _pair_density(weight_of, row1: _Row, row2: _Row, inner1: int, inner2: int):
+    """fringe_covariance_density of two rows; inner1 counts copies of the
+    second tree inside the first and inner2 the reverse (unread on the
+    diagonal)."""
+    t1, t2 = row1.tree, row2.tree
+    eta = _interaction(weight_of, t1.size, row1.profile, t2.size, row2.profile)
+    return _covariance_density(row1.pi, row2.pi, inner1, inner2, eta, t1 == t2)
 
 
 def _covariance_density(pi1, pi2, inner1, inner2, eta, same):
@@ -409,9 +430,6 @@ class CovMatrix:
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.to_numpy()).min())
 
-    def determinant(self) -> float:
-        return float(np.linalg.det(self.to_numpy()))
-
     def entry(self, i: int, j: int):
         return self.entries[i][j]
 
@@ -507,30 +525,37 @@ def additive_variance_forms(p: OffspringDistribution, toll: TollFunction):
     """The limit variance density of the additive functional, via both
     closed forms: the four-expectation formula and the quadratic form in
     fringe covariance densities.  They agree identically; both are returned
-    so callers can assert it."""
-    items = toll.items
+    so callers can assert it.  Both read one row per toll tree, the law's
+    weight of each degree and the fringe count of each ordered pair of toll
+    trees, each computed once."""
+    values = [value for _, value in toll.items]
+    rows = [_row(p, tree) for tree, _ in toll.items]
+    # inside[j][k]: fringe copies of tree k in tree j
+    inside = [[count_fringe(r.tree, s.tree) for s in rows] for r in rows]
+    weights = {degree: p.p(degree) for row in rows for degree in row.profile}
     e_ff = Fraction(0)
     e_f2 = Fraction(0)
     e_f_size = Fraction(0)
     e_f_deg = {}
-    for tree, value in items:
-        pi = tree_probability(p, tree)
+    for row, value, counts in zip(rows, values, inside):
+        pi = row.pi
         if pi == 0:
             continue
-        e_ff += value * additive_functional(tree, toll) * pi
+        e_ff += value * sum(v * c for v, c in zip(values, counts)) * pi
         e_f2 += value * value * pi
-        e_f_size += value * (tree.size - 1) * pi
-        for degree, count in degree_statistic(tree).items:
+        e_f_size += value * (row.tree.size - 1) * pi
+        for degree, count in row.profile.items():
             e_f_deg[degree] = e_f_deg.get(degree, Fraction(0)) + value * count * pi
     direct = 2 * e_ff - e_f2 + e_f_size * e_f_size
     for degree, moment in e_f_deg.items():
-        weight = p.p(degree)
+        weight = weights[degree]
         if weight > 0:
             direct -= moment * moment / weight
     quadratic = Fraction(0)
-    for t1, v1 in items:
-        for t2, v2 in items:
-            quadratic += v1 * v2 * fringe_covariance_density(p, t1, t2)
+    for j, (row1, v1) in enumerate(zip(rows, values)):
+        for k, (row2, v2) in enumerate(zip(rows, values)):
+            density = _pair_density(weights.get, row1, row2, inside[j][k], inside[k][j])
+            quadratic += v1 * v2 * density
     return direct, quadratic
 
 

@@ -28,7 +28,10 @@ numerators a_i = D p_i, P(S_m = k) is the coefficient of x^k in
 recurrence for powers of a power series in integers only, so every m up to
 ``PARTIAL_SUM_CAP`` is reachable.  The recurrence runs only as far as the
 highest coefficient requested so far for each m: a point mass P(S_m = k)
-costs the prefix up to k, not the whole series.
+costs the prefix up to k, not the whole series.  A degree moment of order
+Q at size n grows one size-dependent series, the one for m = n - Q; the
+normalizer P(S_n = n - 1) is its dot product with the short series for
+m = Q, and the moment is one integer ratio.
 """
 
 from __future__ import annotations
@@ -53,19 +56,6 @@ from .tree_core import DegreeStatistic, PlaneTree, count_fringe, degree_statisti
 PARTIAL_SUM_CAP = 5000
 
 _EXTENDING = threading.Lock()
-
-
-def falling_factorial(x, q: int):
-    """x (x-1) ... (x-q+1); equals 1 for q = 0 and vanishes for natural x
-    once the product crosses zero."""
-    if q < 0:
-        raise ValueError("q must be nonnegative")
-    out = x**0  # 1 of the same type as x
-    for j in range(q):
-        out *= x - j
-        if out == 0:
-            return out
-    return out
 
 
 def mean_count(stat: DegreeStatistic, pattern: PlaneTree) -> Fraction:
@@ -177,15 +167,15 @@ def partial_sum_pmf(
 ) -> PartialSumDistribution:
     """Distribution of S_m, the sum of m iid draws from w, over its
     support; floats only for float laws, converted from the exact values."""
-    offset, scale, coefficients = _partial_sum(w, m, cap, math.inf)
+    offset, scale, _, coefficients = _partial_sum(w, m, cap, math.inf)
     convert = Fraction if w.is_exact else truediv
     pmf = {offset + k: convert(c, scale) for k, c in enumerate(coefficients) if c}
     return PartialSumDistribution(pmf, w.is_exact)
 
 
 def _partial_sum(w: OffspringDistribution, m: int, cap: int, k) -> tuple:
-    """(offset, D^m, c) with c the coefficients of _partial_sum_cached(w, m)
-    through index k - offset, or through the last one if that comes first."""
+    """_partial_sum_cached(w, m) = (offset, D^m, a, c) with c grown through
+    index k - offset, or through the last one if that comes first."""
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > cap:
@@ -193,12 +183,17 @@ def _partial_sum(w: OffspringDistribution, m: int, cap: int, k) -> tuple:
     offset, scale, a, c = _partial_sum_cached(w, m)
     last = min(k - offset, m * (len(a) - 1))
     if len(c) <= last:
-        steps = [(j, aj) for j, aj in enumerate(a) if j and aj]
+        # ((m+1) j - t) a_j = u_j - t a_j with u_j fixed per series
+        steps = [(j, (m + 1) * j * aj, aj) for j, aj in enumerate(a) if j and aj]
         with _EXTENDING:  # entries are final once appended; readers need no lock
             for t in range(len(c), last + 1):
-                acc = sum(((m + 1) * j - t) * aj * c[t - j] for j, aj in steps if j <= t)
+                acc = 0
+                for j, u, aj in steps:
+                    if j > t:
+                        break
+                    acc += (u - t * aj) * c[t - j]
                 c.append(acc // (t * a[0]))
-    return offset, scale, c
+    return offset, scale, a, c
 
 
 @lru_cache(maxsize=256)
@@ -232,8 +227,18 @@ def degree_factorial_moment(
     size-n tree drawn proportionally to its offspring weights:
 
         E[prod_i (n(i))_{q_i}]
-          = (n)_{sum q} * prod_i w_i^{q_i}
-            * P(S_{n - sum q} = n - 1 - sum_i i q_i) / P(S_n = n - 1).
+          = (n)_Q * prod_i w_i^{q_i} * P(S_{n-Q} = n - 1 - W) / P(S_n = n - 1),
+        Q = sum_i q_i,  W = sum_i i q_i.
+
+    With f = sum_i a_i x^i the law scaled to integers, the powers of D
+    cancel, so the value is the one integer ratio
+
+        (n)_Q * prod_i a_i^{q_i} * [x^{n-1-W}] f^{n-Q}  /  [x^{n-1}] f^n.
+
+    The denominator is the dot product sum_j [x^j] f^Q [x^{n-1-j}] f^{n-Q}
+    of the short series for m = Q, which every call with the same Q shares,
+    and the one series for m = n - Q that the numerator also reads; f^n is
+    never built.  n above ``cap`` raises CapExceeded.
     """
     if not w.is_exact:
         raise IrrationalWeights("exact mode needs finite rational weights")
@@ -242,24 +247,21 @@ def degree_factorial_moment(
     q = {int(i): int(v) for i, v in dict(q).items() if v}
     if any(v < 0 for v in q.values()):
         raise ValueError("q entries must be nonnegative")
-    denominator = _point_mass(w, n, n - 1, cap)
+    if n > cap:
+        raise CapExceeded(f"n = {n} exceeds partial-sum cap {cap}")
+    q_total = sum(q.values())
+    split = min(q_total, n)  # Q > n splits f^n as f^n * f^0; the value is 0
+    low = w.support()[0]  # the series hold g^m = f^m / x^(low m)
+    top = n - 1 - low * n  # [x^{n-1}] f^n = [x^top] g^n
+    _, _, a, head = _partial_sum(w, split, cap, top + low * split)
+    _, _, _, tail = _partial_sum(w, n - split, cap, top + low * (n - split))
+    first = max(0, top - len(tail) + 1)
+    last = min(len(head), top + 1)
+    denominator = sum(head[j] * tail[top - j] for j in range(first, last))
     if denominator == 0:
         raise InfeasibleSize(f"no size-{n} tree has positive weight")
-    q_total = sum(q.values())
-    weighted = sum(i * v for i, v in q.items())
-    if q_total > n or n - 1 - weighted < 0:
-        return Fraction(0)
-    value = Fraction(falling_factorial(n, q_total))
+    at = top + low * q_total - sum(i * v for i, v in q.items())
+    value = math.perm(n, q_total) * tail[at] if 0 <= at < len(tail) else 0
     for i, v in q.items():
-        value *= w.p(i) ** v
-        if value == 0:
-            return Fraction(0)
-    numerator = _point_mass(w, n - q_total, n - 1 - weighted, cap)
-    return value * numerator / denominator
-
-
-def _point_mass(w: OffspringDistribution, m: int, k: int, cap: int) -> Fraction:
-    """P(S_m = k) as one Fraction, from the series prefix through k."""
-    offset, scale, coefficients = _partial_sum(w, m, cap, k)
-    inside = 0 <= k - offset < len(coefficients)
-    return Fraction(coefficients[k - offset] if inside else 0, scale)
+        value *= a[i - low] ** v if 0 <= i - low < len(a) else 0
+    return Fraction(value, denominator)

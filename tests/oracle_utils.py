@@ -14,6 +14,13 @@ residue-class feasibility test replaces.  ``rolled_excursion_degrees`` and
 rotation and of the harness's window counter: the rotation by ``np.roll``
 checked by a second walk over the rotated word, and one fresh comparison
 of the whole word per needle position.
+``two_series_degree_factorial_moment`` is the first form of the degree
+moment, a product of Fractions whose normalizer P(S_n = n - 1) reads its
+own series, and ``pairwise_additive_variance_forms`` the first form of the
+additive variance forms, one ``fringe_covariance_density`` call per
+ordered pair of toll trees.  ``point_mass`` reads one P(S_m = k) from the
+library's series prefix, ``falling_factorial`` is the plain product, and
+``outcome`` turns a raised exception into its type for comparisons.
 
 The enumeration helpers (``all_trees``, ``all_degree_statistics``) list
 every plane tree and every feasible degree profile of a size;
@@ -33,10 +40,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from fringelab.asymptotics import CovMatrix, fringe_covariance_density, tree_probability
+from fringelab.asymptotics import (
+    CovMatrix,
+    additive_functional,
+    fringe_covariance_density,
+    tree_probability,
+)
 from fringelab.distributions import OffspringDistribution
-from fringelab.errors import DuplicatePatterns, InvalidPath
-from fringelab.exact_moments import containment_matrix, falling_factorial
+from fringelab.errors import (
+    DuplicatePatterns,
+    InfeasibleSize,
+    InvalidPath,
+    IrrationalWeights,
+)
+from fringelab.exact_moments import PARTIAL_SUM_CAP, _partial_sum, containment_matrix
 from fringelab.sampling import excursion_degrees
 from fringelab.tree_core import (
     DegreeStatistic,
@@ -47,6 +64,19 @@ from fringelab.tree_core import (
     enumerate_trees,
     fringe_subtrees,
 )
+
+
+def falling_factorial(x, q: int):
+    """x (x-1) ... (x-q+1); equals 1 for q = 0 and vanishes for natural x
+    once the product crosses zero."""
+    if q < 0:
+        raise ValueError("q must be nonnegative")
+    out = x**0  # 1 of the same type as x
+    for j in range(q):
+        out *= x - j
+        if out == 0:
+            return out
+    return out
 
 
 def count_fringe_by_extraction(tree: PlaneTree, pattern: PlaneTree) -> int:
@@ -141,7 +171,7 @@ def covariance_matrix_probe(p: OffspringDistribution, patterns):
         for t1 in patterns
     ]
     matrix = CovMatrix.build(entries, [t.to_text() for t in patterns])
-    return matrix, matrix.min_eigenvalue(), matrix.determinant()
+    return matrix, matrix.min_eigenvalue(), float(np.linalg.det(matrix.to_numpy()))
 
 
 def random_distribution_corpus(count=100, seed=20240801, max_degree=5):
@@ -338,3 +368,78 @@ def rotation_images(stat) -> Counter:
     degree multiset that the sampler's rotation sends to it."""
     arrangements = set(itertools.permutations(stat.degree_multiset()))
     return Counter(rotate_word(word) for word in arrangements)
+
+
+def outcome(f, *args):
+    """f(*args), or the type of the exception it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:
+        return type(exc)
+
+
+def point_mass(w, m: int, k: int, cap: int) -> Fraction:
+    """P(S_m = k) as one Fraction, from the series prefix through k."""
+    offset, scale, _, coefficients = _partial_sum(w, m, cap, k)
+    inside = 0 <= k - offset < len(coefficients)
+    return Fraction(coefficients[k - offset] if inside else 0, scale)
+
+
+def two_series_degree_factorial_moment(w, n, q, cap=PARTIAL_SUM_CAP) -> Fraction:
+    """E[prod_i (n(i))_{q_i}] as a product of Fractions, reading P(S_n = n - 1)
+    from its own series:
+
+        (n)_{sum q} * prod_i w_i^{q_i}
+          * P(S_{n - sum q} = n - 1 - sum_i i q_i) / P(S_n = n - 1).
+    """
+    if not w.is_exact:
+        raise IrrationalWeights("exact mode needs finite rational weights")
+    if not w.is_finite:
+        raise IrrationalWeights("exact mode needs finite support")
+    q = {int(i): int(v) for i, v in dict(q).items() if v}
+    if any(v < 0 for v in q.values()):
+        raise ValueError("q entries must be nonnegative")
+    denominator = point_mass(w, n, n - 1, cap)
+    if denominator == 0:
+        raise InfeasibleSize(f"no size-{n} tree has positive weight")
+    q_total = sum(q.values())
+    weighted = sum(i * v for i, v in q.items())
+    if q_total > n or n - 1 - weighted < 0:
+        return Fraction(0)
+    value = Fraction(falling_factorial(n, q_total))
+    for i, v in q.items():
+        value *= w.p(i) ** v
+        if value == 0:
+            return Fraction(0)
+    numerator = point_mass(w, n - q_total, n - 1 - weighted, cap)
+    return value * numerator / denominator
+
+
+def pairwise_additive_variance_forms(p, toll):
+    """Both closed forms of the additive variance density, the quadratic
+    form by one fringe_covariance_density call per ordered pair of toll
+    trees."""
+    items = toll.items
+    e_ff = Fraction(0)
+    e_f2 = Fraction(0)
+    e_f_size = Fraction(0)
+    e_f_deg = {}
+    for tree, value in items:
+        pi = tree_probability(p, tree)
+        if pi == 0:
+            continue
+        e_ff += value * additive_functional(tree, toll) * pi
+        e_f2 += value * value * pi
+        e_f_size += value * (tree.size - 1) * pi
+        for degree, count in degree_statistic(tree).items:
+            e_f_deg[degree] = e_f_deg.get(degree, Fraction(0)) + value * count * pi
+    direct = 2 * e_ff - e_f2 + e_f_size * e_f_size
+    for degree, moment in e_f_deg.items():
+        weight = p.p(degree)
+        if weight > 0:
+            direct -= moment * moment / weight
+    quadratic = Fraction(0)
+    for t1, v1 in items:
+        for t2, v2 in items:
+            quadratic += v1 * v2 * fringe_covariance_density(p, t1, t2)
+    return direct, quadratic

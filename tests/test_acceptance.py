@@ -19,6 +19,7 @@ from oracle_utils import (
     brute_mean,
     closed_form_factorial_moment,
     closed_form_product_moment,
+    falling_factorial,
     random_distribution_corpus,
     rotation_images,
 )
@@ -35,7 +36,6 @@ from fringelab.asymptotics import (
 from fringelab.distributions import OffspringDistribution, WeightSequence
 from fringelab.exact_moments import (
     degree_factorial_moment,
-    falling_factorial,
     joint_factorial_moment,
     mean_count,
 )

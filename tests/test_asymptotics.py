@@ -2,8 +2,15 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from oracle_utils import all_trees, all_trees_up_to, covariance_matrix_probe
+from oracle_utils import (
+    all_trees,
+    all_trees_up_to,
+    covariance_matrix_probe,
+    outcome,
+    pairwise_additive_variance_forms,
+)
 from oracle_utils import random_distribution_corpus as _shared_corpus
 
 from fringelab import asymptotics
@@ -342,7 +349,7 @@ class TestCovMatrix:
                 continue
             matrix, eigmin, det = covariance_matrix_probe(p, patterns)
             assert eigmin >= -1e-9
-            assert det == pytest.approx(matrix.determinant())
+            assert det == pytest.approx(np.prod(np.linalg.eigvalsh(matrix.to_numpy())))
 
 
 class TestAdditive:
@@ -386,6 +393,26 @@ class TestAdditive:
                 direct, quadratic = additive_variance_forms(p, toll)
                 assert direct == quadratic
                 assert direct >= 0
+
+    def test_forms_equal_the_pairwise_oracle(self):
+        rng = random.Random(8080)
+        trees = all_trees_up_to(4)
+        floats = [
+            OffspringDistribution.from_spec("poisson:1"),
+            OffspringDistribution.finite({0: 0.5, 1: 0.25, 3: 0.25}),
+        ]
+        zero_probability = 0
+        for p in random_distribution_corpus(12, seed=31) + floats:
+            for size in (0, 1, 3, 7, len(trees)):
+                chosen = rng.sample(trees, size)
+                toll = TollFunction.from_dict(
+                    {t: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for t in chosen}
+                )
+                got = outcome(additive_variance_forms, p, toll)
+                expected = outcome(pairwise_additive_variance_forms, p, toll)
+                assert got == expected, (p.label(), toll)
+                zero_probability += any(tree_probability(p, t) == 0 for t in toll.support())
+        assert zero_probability >= 20
 
     def test_disagreeing_forms_raise(self, monkeypatch):
         monkeypatch.setattr(

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from oracle_utils import bound_copy_term
+from oracle_utils import bound_copy_term, point_mass
 
 from fringelab.distributions import (
     OffspringDistribution,
@@ -16,7 +16,6 @@ from fringelab.distributions import (
 from fringelab.exact_moments import (
     PARTIAL_SUM_CAP,
     _partial_sum_cached,
-    _point_mass,
     containment_matrix,
     partial_sum_pmf,
 )
@@ -210,7 +209,7 @@ class TestPartialSumCacheConcurrency:
 
         def mass(k):
             barrier.wait()
-            return _point_mass(w, 300, k, PARTIAL_SUM_CAP)
+            return point_mass(w, 300, k, PARTIAL_SUM_CAP)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

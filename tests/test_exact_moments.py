@@ -13,6 +13,10 @@ from oracle_utils import (
     closed_form_factorial_moment,
     closed_form_mean,
     closed_form_product_moment,
+    falling_factorial,
+    outcome,
+    point_mass,
+    two_series_degree_factorial_moment,
 )
 
 from fringelab.distributions import OffspringDistribution
@@ -25,11 +29,9 @@ from fringelab.errors import (
 from fringelab.exact_moments import (
     PARTIAL_SUM_CAP,
     _partial_sum_cached,
-    _point_mass,
     containment_matrix,
     degree_factorial_moment,
     factorial_moment,
-    falling_factorial,
     joint_factorial_moment,
     mean_count,
     partial_sum_pmf,
@@ -384,7 +386,7 @@ class TestTruncatedSeries:
         for order in (reversed(ks), ks):
             _partial_sum_cached.cache_clear()
             for k in order:
-                assert _point_mass(w, m, k, PARTIAL_SUM_CAP) == full.get(k, 0), k
+                assert point_mass(w, m, k, PARTIAL_SUM_CAP) == full.get(k, 0), k
 
     @pytest.mark.parametrize("w", SERIES_LAWS, ids=lambda w: w.label())
     def test_full_pmf_after_short_request(self, w):
@@ -392,7 +394,7 @@ class TestTruncatedSeries:
         full = partial_sum_pmf(w, 17).pmf
         _partial_sum_cached.cache_clear()
         low = 17 * w.support()[0]
-        assert _point_mass(w, 17, low + 1, PARTIAL_SUM_CAP) == full.get(low + 1, 0)
+        assert point_mass(w, 17, low + 1, PARTIAL_SUM_CAP) == full.get(low + 1, 0)
         assert partial_sum_pmf(w, 17).pmf == full
         assert _partial_sum_cached.cache_info().currsize == 1
 
@@ -405,7 +407,7 @@ class TestPartialSumCacheBound:
         cold = [degree_factorial_moment(w, n, q) for n in (30, 61) for q in qs]
         limit = _partial_sum_cached.cache_info().maxsize
         for m in range(limit + 10):
-            _point_mass(FULL_BINARY, m, 0, PARTIAL_SUM_CAP)
+            point_mass(FULL_BINARY, m, 0, PARTIAL_SUM_CAP)
         info = _partial_sum_cached.cache_info()
         assert info.currsize == limit
         again = [degree_factorial_moment(w, n, q) for n in (30, 61) for q in qs]
@@ -461,6 +463,77 @@ class TestDegreeFactorialMoment:
                     except InfeasibleSize:
                         continue
                     assert got == brute_degree_factorial(w, n, q)
+
+    def test_cap_holds_for_every_order(self):
+        n = PARTIAL_SUM_CAP + 1
+        for q in ({}, {0: 1}, {1: 1}, {0: 2, 2: 1}, {0: n}, {0: n + 1}, {7: 3}):
+            with pytest.raises(CapExceeded):
+                degree_factorial_moment(FULL_BINARY, n, q)
+        with pytest.raises(CapExceeded):
+            degree_factorial_moment(FULL_BINARY, 11, {0: 9}, cap=10)
+
+
+def _ladder_laws(count, seed):
+    """Laws on {0, 1, 2, 3} with numerators >= 1 over 64, drawn as the
+    benchmark ladder draws them."""
+    rng = random.Random(seed)
+    laws = []
+    for _ in range(count):
+        cuts = sorted(rng.sample(range(1, 64), 3))
+        numerators = [cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], 64 - cuts[2]]
+        laws.append(
+            OffspringDistribution.finite({i: Fraction(a, 64) for i, a in enumerate(numerators)})
+        )
+    return laws
+
+
+class TestTwoSeriesOracle:
+    """The one-series integer ratio against the two-series Fraction product
+    it replaces, value for value and exception for exception."""
+
+    def _orders(self, rng, w, n):
+        top = w.support()[-1] + 1  # one degree past the support
+        yield {}
+        for i in range(top + 1):
+            yield {i: 1}
+        yield {0: 2, 2: 1}
+        yield {-1: 1, 0: 1}
+        yield {0: 1, 3: 0}
+        yield {0: n}
+        yield {0: n - n // 2, 2: n // 2}  # Q = n, a whole binary profile at odd n
+        yield {0: n + 1}
+        yield {0: n, 1: 1}
+        yield {0: n - 1, top: 1}
+        for total in (n, n + 2, rng.randint(1, n + 1), rng.randint(1, 4)):
+            q = {}
+            for _ in range(total):
+                i = rng.randint(0, top)
+                q[i] = q.get(i, 0) + 1
+            yield q
+
+    @pytest.mark.parametrize(
+        "w", SERIES_LAWS + _ladder_laws(3, 909), ids=lambda w: w.label()
+    )
+    def test_equal_outcomes_up_to_80(self, w):
+        rng = random.Random(w.label())
+        _partial_sum_cached.cache_clear()
+        infeasible, nonzero = set(), 0
+        for n in range(1, 81):
+            for q in self._orders(rng, w, n):
+                got = outcome(degree_factorial_moment, w, n, q)
+                expected = outcome(two_series_degree_factorial_moment, w, n, q)
+                assert got == expected, (n, q)
+                if isinstance(got, Fraction):
+                    nonzero += got != 0
+                else:
+                    assert got is InfeasibleSize
+                    infeasible.add(n)
+        if w.p(0) == 0:  # no leaves: every size is infeasible
+            assert infeasible == set(range(1, 81)) and nonzero == 0
+        elif w.p(1) == 0:  # full binary: only odd sizes
+            assert infeasible == set(range(2, 81, 2)) and nonzero >= 150
+        else:
+            assert not infeasible and nonzero >= 500
 
 
 class TestFallingFactorialEstimate:

@@ -37,6 +37,17 @@ def _poisson_log_weight(rate: float, i: int) -> float:
     return i * math.log(rate) - math.lgamma(i + 1)
 
 
+def _log_binomial_pmf(n: int, k: int, log_p: float, log_q: float) -> float:
+    """log(C(n, k) p**k q**(n-k)) from log p and log q; a power with
+    exponent 0 adds 0 even when the log of its base is -inf."""
+    value = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    if k:
+        value += k * log_p
+    if n - k:
+        value += (n - k) * log_q
+    return value
+
+
 def normalize_log_weights(logs: dict) -> dict:
     """exp(logs[i]) rescaled to sum 1, taken relative to the largest log so
     that no weight overflows; a log of -inf gets probability 0."""
@@ -229,6 +240,19 @@ def _cdf_table(dist: OffspringDistribution):
     return support, cdf
 
 
+@lru_cache(maxsize=None)
+def _mass_table(dist: OffspringDistribution):
+    """(degrees, masses) of the steps of the inverse-CDF table that carry
+    positive float mass: the cell masses of every multinomial row drawn in
+    tally mode.  The arrays are read-only, since callers share them."""
+    support, cdf = _cdf_table(dist)
+    masses = np.diff(np.minimum(cdf, 1.0), prepend=0.0)
+    keep = masses > 0
+    degrees, masses = support[keep], masses[keep]
+    degrees.flags.writeable = masses.flags.writeable = False
+    return degrees, masses
+
+
 def sample_offspring(dist: OffspringDistribution, rng, size: int, *, tally=None):
     """Draw iid child counts via inverse CDF over the (truncated) support.
 
@@ -237,15 +261,15 @@ def sample_offspring(dist: OffspringDistribution, rng, size: int, *, tally=None)
     where counts[r, j] is how many draws of row r equal degrees[j].  A row
     is one multinomial(n, p) vector over the same masses the inverse CDF
     uses, drawn at O(support) cost; degrees of float mass 0 are left out.
+    The degrees array is cached and read-only.
     """
-    support, cdf = _cdf_table(dist)
     if tally is not None:
         rows, rest = divmod(size, tally)
         if rest:
             raise ValueError(f"size {size} is not a multiple of tally {tally}")
-        probs = np.diff(np.minimum(cdf, 1.0), prepend=0.0)
-        keep = probs > 0
-        return support[keep], rng.multinomial(tally, probs[keep], size=rows)
+        degrees, masses = _mass_table(dist)
+        return degrees, rng.multinomial(tally, masses, size=rows)
+    support, cdf = _cdf_table(dist)
     u = rng.random(size)
     return support[np.searchsorted(cdf, u, side="left")]
 

@@ -41,7 +41,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
-from operator import mul, sub, truediv
+from operator import index, mul, sub, truediv
 from typing import NamedTuple
 
 from .distributions import OffspringDistribution
@@ -88,6 +88,15 @@ def containment_matrix(patterns) -> list:
     ]
 
 
+def _integer(value) -> int:
+    """``value`` as an int through operator.index, so numpy integers pass
+    and floats or fractions raise TypeError instead of being truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"order or degree {value!r} is not an integer") from None
+
+
 def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
     """E[prod_j (N_{T_j})_{q_j}] as the sum over bound-count vectors b.
 
@@ -116,7 +125,7 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
     built at the end.
     """
     patterns = list(patterns)
-    q = [int(x) for x in q]
+    q = [_integer(x) for x in q]
     if len(patterns) != len(q):
         raise ValueError("patterns and q must have equal length")
     if any(x < 0 for x in q):
@@ -244,7 +253,8 @@ def degree_factorial_moment(
         raise IrrationalWeights("exact mode needs finite rational weights")
     if not w.is_finite:
         raise IrrationalWeights("exact mode needs finite support")
-    q = {int(i): int(v) for i, v in dict(q).items() if v}
+    q = {_integer(i): _integer(v) for i, v in dict(q).items()}
+    q = {i: v for i, v in q.items() if v}
     if any(v < 0 for v in q.values()):
         raise ValueError("q entries must be nonnegative")
     if n > cap:

@@ -15,7 +15,11 @@ its degree counts, such a tree is uniform among the trees with those
 counts.  So only the counts are drawn by rejection, one multinomial count
 vector per attempt at O(support) cost, after Devroye, "Simulating
 size-constrained Galton-Watson trees" (SIAM J. Comput. 2012); the shuffle
-and rotation then build the tree.
+and rotation then build the tree.  An attempt does not wait for its total
+to hit n - 1: the leaves and the smallest positive degree a form a pair
+whose split is forced by the other counts, and the attempt is accepted
+with the exact binomial probability of that split over its largest value,
+so for critical laws the acceptance rate does not fall with n.
 
 Randomness is PCG64 with explicit SeedSequence stream derivation: a Seed
 is (value, stream_id), and replicate r of a batch uses the spawn key
@@ -28,11 +32,17 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
 
-from .distributions import OffspringDistribution, sample_offspring
+from .distributions import (
+    OffspringDistribution,
+    _log_binomial_pmf,
+    _mass_table,
+    sample_offspring,
+)
 from .errors import AttemptsExhausted, InfeasibleSize, InvalidDegreeSequence, InvalidPath
 from .tree_core import DegreeStatistic, PlaneTree, _unchecked_tree
 
@@ -99,7 +109,8 @@ def sample_uniform_trees(stat: DegreeStatistic, reps: int, seed) -> list:
 
 
 def _sample_tree(stat: DegreeStatistic, rng: np.random.Generator) -> PlaneTree:
-    multiset = np.array(stat.degree_multiset(), dtype=np.int64)
+    degrees, counts = zip(*stat.items)
+    multiset = np.repeat(np.array(degrees, dtype=np.int64), counts)
     return _unchecked_tree(tuple(excursion_degrees(multiset, rng).tolist()))
 
 
@@ -148,6 +159,13 @@ def sample_labelled_tree(dseq: DegreeSequence, seed):
     return tree, tuple(labels)
 
 
+_FIRST_BLOCK = 32
+
+# float decisions closer than this (plus a share of the summed log terms)
+# to the threshold are redone in exact arithmetic
+_LOG_SLACK = 1e-9
+
+
 def sample_conditioned_gw(
     w: OffspringDistribution,
     n: int,
@@ -163,28 +181,137 @@ def sample_conditioned_gw(
     tree with those counts, so only the counts need rejection.  One attempt
     draws a whole count vector (c_i) ~ multinomial(n, p) in C, the tally of
     n offspring draws from ``sample_offspring(..., tally=n)``, at a cost of
-    O(support) rather than n separate degree draws, and is accepted when
-    sum_i i*c_i = n - 1; the accepted vector then has the exact conditional
-    law, and the uniform-tree sampler finishes the job.  Attempts are drawn
-    ``batch`` count vectors at a time, at most ``max_attempts`` in all.
+    O(support) rather than n separate degree draws.
+
+    Pair the leaves with a, the smallest positive degree.  The other counts
+    R, m in number with W = sum_i i*c_i over them, force the pair: the
+    tree needs c_0 + c_a = N = n - m and c_a = (n - 1 - W) / a.  Since
+
+        Mult(n, p)(c) = Mult(n; p_0 + p_a, p_R)(N, R) * Bin(N, rho)(c_a),
+
+    rho = p_a / (p_0 + p_a), and (c_0 + c_a, R) of a drawn vector has the
+    first law, an attempt reads (N, R), rejects when the forced c_a is not
+    an integer in [0, N], and otherwise accepts with probability
+    Bin(N, rho)(c_a) / M, its split overwritten by the forced one.  The
+    bound M is the largest Bin(L, rho) probability, L = n - (n-1) // (a+1):
+    a feasible vector has N >= L, since every other degree exceeds a, and
+    the largest Bin(N, rho) probability does not grow with N.  The accepted
+    vector then has the exact conditional law, and the uniform-tree sampler
+    finishes the job.  The test runs in log space and is decided with exact
+    fractions of the float masses and of u when the two logs are close.
+
+    Attempts are drawn in blocks of 32 count vectors, doubling up to
+    ``batch``, at most ``max_attempts`` in all.
     """
     if n < 1:
         raise InfeasibleSize("n must be at least 1")
     _check_feasible(w, n)
+    pair = _leaf_pair(w, n)
     rng = _as_generator(seed)
-    attempts = 0
+    attempts, block = 0, _FIRST_BLOCK
     while attempts < max_attempts:
-        block = min(batch, max_attempts - attempts)
-        # block rows of n offspring draws, each kept only as its tally
-        support, counts = sample_offspring(w, rng, block * n, tally=n)
-        hits = np.flatnonzero(counts @ support == n - 1)
-        if hits.size:
-            stat = DegreeStatistic.from_counts(zip(support, counts[hits[0]]))
-            return _sample_tree(stat, rng)
-        attempts += block
+        rows = min(block, batch, max_attempts - attempts)
+        # rows of n offspring draws, each kept only as its tally
+        _, counts = sample_offspring(w, rng, rows * n, tally=n)
+        for row, size, k in zip(*pair.splits(counts)):
+            if pair.accepts(rng.random(), size, k):
+                return _sample_tree(pair.statistic(counts[row], size, k), rng)
+        attempts += rows
+        block *= 2
     raise AttemptsExhausted(
-        f"no size-{n} hit in {attempts} attempts",
+        f"no size-{n} tree accepted in {attempts} attempts",
         acceptance_rate=1.0 / max(attempts, 1),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class _LeafPair:
+    """Per-(law, n) constants of the leaf-pair acceptance test.
+
+    ``degrees`` are the degrees of the drawn count vectors; the two
+    columns of ``others`` hold 1 and the degree at each degree outside
+    {0, a} and 0 at 0 and a, so a vector's product with them is (m, W).
+    ``low`` is L, ``mode`` the mode of Bin(L, rho), ``log_top`` log M and
+    ``slack`` the width of the band around the log threshold that is
+    decided exactly (infinite when rho is 0 or 1).
+    """
+
+    n: int
+    a: int
+    degrees: np.ndarray
+    others: np.ndarray
+    rho: Fraction
+    low: int
+    mode: int
+    log_rho: float
+    log_rest: float
+    log_top: float
+    slack: float
+
+    def splits(self, counts: np.ndarray):
+        """(rows, N, c_a) of the count vectors whose forced c_a is an
+        integer in [0, N], as lists in row order."""
+        m, weight = (counts @ self.others).T
+        sizes = self.n - m
+        k, rest = np.divmod(self.n - 1 - weight, self.a)
+        hits = np.flatnonzero((rest == 0) & (k >= 0) & (k <= sizes))
+        return hits.tolist(), sizes[hits].tolist(), k[hits].tolist()
+
+    def accepts(self, u: float, size: int, k: int) -> bool:
+        """u < Bin(size, rho)(k) / M, in floats unless the logs are close."""
+        threshold = _log_binomial_pmf(size, k, self.log_rho, self.log_rest) - self.log_top
+        log_u = math.log(u) if u > 0 else -math.inf
+        if abs(log_u - threshold) < self.slack:
+            return Fraction(u) < self.exact_ratio(size, k)
+        return log_u < threshold
+
+    def exact_ratio(self, size: int, k: int) -> Fraction:
+        """Bin(size, rho)(k) / M as an exact fraction."""
+        return _binomial_pmf(size, k, self.rho) / _binomial_pmf(self.low, self.mode, self.rho)
+
+    def statistic(self, row: np.ndarray, size: int, k: int) -> DegreeStatistic:
+        """The degree counts of ``row`` with the pair split as forced."""
+        counts = dict(zip(self.degrees.tolist(), row.tolist()))
+        counts[0] = size - k
+        counts[self.a] = k
+        return DegreeStatistic.from_counts(counts)
+
+
+def _binomial_pmf(n: int, k: int, rho: Fraction) -> Fraction:
+    p, d = rho.numerator, rho.denominator
+    return Fraction(math.comb(n, k) * p**k * (d - p) ** (n - k), d**n)
+
+
+@lru_cache(maxsize=64)
+def _leaf_pair(w: OffspringDistribution, n: int) -> _LeafPair:
+    """The acceptance constants of (w, n), from the same float masses the
+    count vectors are drawn with (exact dyadic rationals).  Without a
+    positive degree of positive mass, a = 1 with mass 0, so rho = 0 and
+    only n = 1 is ever accepted."""
+    degrees, masses = _mass_table(w)
+    mass = dict(zip(degrees.tolist(), masses.tolist()))
+    a = next((d for d in mass if d > 0), 1)
+    leaf, pair = Fraction(mass.get(0, 0.0)), Fraction(mass.get(a, 0.0))
+    rho = pair / (leaf + pair)
+    other = ((degrees != 0) & (degrees != a)).astype(np.int64)
+    low = n - (n - 1) // (a + 1)
+    mode = min((low + 1) * rho.numerator // rho.denominator, low)
+    log_rho = math.log(rho) if rho else -math.inf
+    log_rest = math.log(1 - rho) if rho != 1 else -math.inf
+    # a bound on the summed magnitudes of the float log terms (log n! <= n log n)
+    scale = n * (1 + 2 * math.log(n + 1) + abs(log_rho) + abs(log_rest))
+    return _LeafPair(
+        n=n,
+        a=a,
+        degrees=degrees,
+        others=np.stack((other, other * degrees), axis=1),
+        rho=rho,
+        low=low,
+        mode=mode,
+        log_rho=log_rho,
+        log_rest=log_rest,
+        log_top=_log_binomial_pmf(low, mode, log_rho, log_rest),
+        slack=_LOG_SLACK + 1e-13 * scale,
     )
 
 

@@ -1,7 +1,9 @@
 import math
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from oracle_utils import (
     all_degree_statistics,
@@ -165,6 +167,16 @@ class TestContainmentMatrix:
 
 
 class TestJointFactorialMoment:
+    @pytest.mark.parametrize("order", [1.9, 1.0, Fraction(1)])
+    def test_non_integer_order_raises(self, order):
+        with pytest.raises(TypeError, match=re.escape(repr(order))):
+            joint_factorial_moment(STAT_7, [CHERRY], [order])
+
+    def test_numpy_integer_orders_pass(self):
+        assert joint_factorial_moment(STAT_7, [CHERRY], np.array([2])) == (
+            joint_factorial_moment(STAT_7, [CHERRY], [2])
+        )
+
     def test_m1_reduces(self):
         for q in (1, 2, 3):
             stat = DegreeStatistic.from_counts({0: 7, 2: 6})
@@ -471,6 +483,16 @@ class TestDegreeFactorialMoment:
                 degree_factorial_moment(FULL_BINARY, n, q)
         with pytest.raises(CapExceeded):
             degree_factorial_moment(FULL_BINARY, 11, {0: 9}, cap=10)
+
+    @pytest.mark.parametrize("q", [{0: 1.5}, {0.7: 1}, {0: Fraction(1)}, {0: 0.0}])
+    def test_non_integer_order_or_degree_raises(self, q):
+        ((degree, order),) = q.items()
+        bad = order if isinstance(degree, int) else degree
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            degree_factorial_moment(FULL_BINARY, 5, q)
+
+    def test_numpy_integers_pass(self):
+        assert degree_factorial_moment(FULL_BINARY, 5, {np.int64(0): np.int32(1)}) == 3
 
 
 def _ladder_laws(count, seed):

@@ -2,14 +2,14 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
 from oracle_utils import dp_feasible, rolled_excursion_degrees
 from scipy import stats as scistats
 
-from fringelab.distributions import OffspringDistribution
+from fringelab.distributions import OffspringDistribution, _mass_table
 from fringelab.errors import (
     AttemptsExhausted,
     InfeasibleSize,
@@ -20,6 +20,8 @@ from fringelab.sampling import (
     DegreeSequence,
     Seed,
     _check_feasible,
+    _leaf_pair,
+    _LeafPair,
     excursion_degrees,
     sample_conditioned_gw,
     sample_hub_tree,
@@ -263,10 +265,11 @@ class TestConditionedGW:
 
     def test_attempts_exhausted(self):
         # feasible but forced through an absurdly small attempt budget is
-        # indistinguishable from never hitting: make the hit impossible at
-        # the budget by conditioning a wide law on a rare total
+        # indistinguishable from never accepting: condition a subcritical
+        # law on an exponentially rare total, so the forced leaf pair's
+        # binomial weight is far below its bound on every attempt
         w = OffspringDistribution.finite(
-            {0: Fraction(9, 10), 10: Fraction(1, 10)}
+            {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
         )
         with pytest.raises(AttemptsExhausted) as err:
             sample_conditioned_gw(w, 100_001, Seed(0), max_attempts=3, batch=2)
@@ -344,6 +347,139 @@ class TestConditionedGW:
         first = sample_conditioned_gw(w, 500, Seed(9, 2))
         assert sample_conditioned_gw(w, 500, Seed(9, 2)) == first
         assert sample_conditioned_gw(w, 500, Seed(9, 3)) != first
+
+
+def multinomial_mass(n, counts, masses):
+    """Mult(n, masses)(counts) as an exact fraction."""
+    value = Fraction(math.factorial(n))
+    for c, p in zip(counts, masses):
+        value *= p**c / math.factorial(c)
+    return value
+
+
+def compositions(n, parts):
+    """Every vector of ``parts`` nonnegative integers summing to n."""
+    for bars in combinations(range(n + parts - 1), parts - 1):
+        edges = (-1,) + bars + (n + parts - 1,)
+        yield [edges[i + 1] - edges[i] - 1 for i in range(parts)]
+
+
+LEAF_PAIR_LAWS = [
+    {d: Fraction(1, 4) for d in range(4)},
+    {0: Fraction(1, 2), 2: Fraction(1, 2)},
+    {0: Fraction(11, 15), 3: Fraction(1, 6), 5: Fraction(1, 10)},
+    {0: Fraction(1, 2), 2: Fraction(1, 4), 4: Fraction(1, 4)},
+    {0: Fraction(3, 8), 1: Fraction(1, 8), 2: Fraction(3, 8), 3: Fraction(1, 8)},
+    {0: Fraction(9, 10), 10: Fraction(1, 10)},
+]
+
+
+class TestLeafPairAcceptance:
+    @pytest.mark.parametrize(
+        "probs",
+        LEAF_PAIR_LAWS,
+        ids=["uniform", "binary", "0-3-5", "0-2-4", "0-1-2-3", "0-10"],
+    )
+    def test_accepted_mass_is_the_conditioned_multinomial(self, probs):
+        # every count vector of every feasible n <= 15, weighted by the
+        # proposal's exact (dyadic) masses and by the sampler's own exact
+        # acceptance ratio, lands on the conditioned multinomial times 1/M
+        w = OffspringDistribution.finite(probs)
+        degrees, masses = _mass_table(w)
+        degrees = degrees.tolist()
+        masses = [Fraction(m) for m in masses.tolist()]
+        largest = 0
+        for n in range(1, 16):
+            try:
+                _check_feasible(w, n)
+            except InfeasibleSize:
+                continue
+            pair = _leaf_pair(w, n)
+            rows = np.array(list(compositions(n, len(degrees))))
+            accepted = Counter()
+            for row, size, k in zip(*pair.splits(rows)):
+                ratio = pair.exact_ratio(size, k)
+                assert 0 <= ratio <= 1, (n, rows[row].tolist())
+                largest = max(largest, ratio)
+                key = pair.statistic(rows[row], size, k).items
+                accepted[key] += multinomial_mass(n, rows[row].tolist(), masses) * ratio
+            target = {
+                DegreeStatistic.from_counts(zip(degrees, row)).items:
+                    multinomial_mass(n, row, masses)
+                for row in rows.tolist()
+                if sum(d * c for d, c in zip(degrees, row)) == n - 1
+            }
+            assert set(accepted) == set(target), n
+            assert len({accepted[key] / target[key] for key in target}) == 1, n
+        assert largest == 1  # the bound M is attained, so L is tight
+
+    def test_law_without_degree_one(self):
+        # a = 2, so the forced c_2 = (15 - 3 c_3) / 2 also rejects every
+        # vector with c_3 even
+        probs = {0: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
+        w = OffspringDistribution.finite(probs)
+        n, reps = 16, 10_000
+        mass = {}
+        for c3 in range(n):
+            for c2 in range(n - c3):
+                counts = (n - c2 - c3, c2, c3)
+                if 2 * c2 + 3 * c3 == n - 1:
+                    mass[counts] = multinomial_mass(n, counts, probs.values())
+        total = sum(mass.values())
+        expected = {k: v / total for k, v in mass.items()}
+        tally = Counter()
+        gen = Seed(41).generator()
+        for _ in range(reps):
+            stat = degree_statistic(sample_conditioned_gw(w, n, gen))
+            tally[tuple(stat.count(d) for d in (0, 2, 3))] += 1
+        assert set(tally) <= set(expected)
+        assert chisquare_pvalue(tally, expected, reps) > 1e-3
+
+    @pytest.mark.parametrize(
+        "probs, n",
+        [(LEAF_PAIR_LAWS[0], 15), (LEAF_PAIR_LAWS[2], 14), (LEAF_PAIR_LAWS[4], 9)],
+    )
+    def test_exact_decision_at_the_boundary(self, probs, n, monkeypatch):
+        # u one grid step (2^-53) either side of the acceptance ratio puts
+        # log u within the slack of the threshold, so the exact branch
+        # decides; it must agree with a brute-force Fraction oracle
+        pair = _leaf_pair(OffspringDistribution.finite(probs), n)
+        rho = pair.rho
+
+        def pmf(size, k):
+            return math.comb(size, k) * rho**k * (1 - rho) ** (size - k)
+
+        top = max(pmf(pair.low, j) for j in range(pair.low + 1))
+        exact_calls = []
+        original = _LeafPair.exact_ratio
+
+        def spy(self, size, k):
+            exact_calls.append((size, k))
+            return original(self, size, k)
+
+        monkeypatch.setattr(_LeafPair, "exact_ratio", spy)
+        grid = 2**53
+        checked = 0
+        for size in range(pair.low, n + 1):
+            for k in range(size + 1):
+                ratio = pmf(size, k) / top
+                if ratio < Fraction(1, 10**6):
+                    continue  # the grid is too coarse to come this close
+                step = min(math.floor(ratio * grid), grid - 1)
+                for u in (Fraction(step, grid), Fraction(step + 1, grid)):
+                    if not 0 < u < 1:
+                        continue
+                    before = len(exact_calls)
+                    assert pair.accepts(float(u), size, k) == (u < ratio), (size, k, u)
+                    assert len(exact_calls) == before + 1
+                    checked += 1
+        assert checked > 20
+        # far from the threshold the float branch decides on its own
+        before = len(exact_calls)
+        assert pmf(n, 0) / top < Fraction(1, 2)
+        assert pair.accepts(2.0**-60, pair.low, pair.mode)
+        assert not pair.accepts(0.75, n, 0)
+        assert len(exact_calls) == before
 
 
 class TestHubSampler:

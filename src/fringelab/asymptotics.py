@@ -13,6 +13,11 @@ Conventions used throughout (hard-coded at the formula sites):
 Exact inputs (rational probabilities) produce exact rational outputs
 everywhere except where a genuine square root enters (the normalized
 cross-covariances of distinct trees); those fall back to floats.
+
+Pattern counts, unordered shape counts and additive functionals are all
+linear statistics sum_T f(T) N_T, given by a TollFunction (``indicator``,
+``orderings`` or any finite toll); their limit densities are
+additive_mean_density and the bilinear additive_covariance_density.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ from .tree_core import (
     count_fringe,
     degree_statistic,
     enumerate_orderings,
-    fringe_subtrees,
 )
 
 INF = math.inf
@@ -66,15 +70,13 @@ def covariance_interaction(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTre
 
     Returns -inf when a shared degree has zero probability.
     """
-    prof1 = degree_statistic(t1).as_dict()
-    prof2 = degree_statistic(t2).as_dict()
-    return _interaction(p.p, t1.size, prof1, t2.size, prof2)
+    return _interaction(p.p, _row(p, t1), _row(p, t2))
 
 
-def _interaction(weight_of, size1, prof1, size2, prof2):
-    """covariance_interaction from the two sizes and degree profiles, with
-    weight_of(i) = p_i."""
-    value = Fraction((size1 - 1) * (size2 - 1))
+def _interaction(weight_of, row1: _Row, row2: _Row):
+    """covariance_interaction of two rows, with weight_of(i) = p_i."""
+    prof1, prof2 = row1.profile, row2.profile
+    value = Fraction((row1.tree.size - 1) * (row2.tree.size - 1))
     for degree in set(prof1) & set(prof2):
         weight = weight_of(degree)
         if weight == 0:
@@ -104,20 +106,14 @@ def fringe_covariance_density(
 
 
 def _pair_density(weight_of, row1: _Row, row2: _Row, inner1: int, inner2: int):
-    """fringe_covariance_density of two rows; inner1 counts copies of the
-    second tree inside the first and inner2 the reverse (unread on the
-    diagonal)."""
-    t1, t2 = row1.tree, row2.tree
-    eta = _interaction(weight_of, t1.size, row1.profile, t2.size, row2.profile)
-    return _covariance_density(row1.pi, row2.pi, inner1, inner2, eta, t1 == t2)
-
-
-def _covariance_density(pi1, pi2, inner1, inner2, eta, same):
-    """Diagonal (same shape): pi + eta * pi^2.  Off-diagonal: the two
-    cross-containment terms inner1 * pi + inner2 * pi', where inner1 counts
-    copies of the second tree inside the first, plus eta * pi * pi'.
-    Always finite (inf * 0 := 0)."""
-    if same:
+    """fringe_covariance_density of two rows.  Diagonal (same tree):
+    pi + eta * pi^2.  Off-diagonal: the two cross-containment terms
+    inner1 * pi + inner2 * pi', where inner1 counts copies of the second
+    tree inside the first and inner2 the reverse (unread on the diagonal),
+    plus eta * pi * pi'.  Always finite (inf * 0 := 0)."""
+    (t1, pi1, _), (t2, pi2, _) = row1, row2
+    eta = _interaction(weight_of, row1, row2)
+    if t1 == t2:
         return pi1 if pi1 == 0 else pi1 + eta * pi1 * pi1
     cross = inner1 * pi1 + inner2 * pi2
     if pi1 == 0 or pi2 == 0:
@@ -255,50 +251,6 @@ def plugin_mean(stat: DegreeStatistic, tree: PlaneTree) -> Fraction:
         if value == 0:
             return value
     return value
-
-
-# ---------------------------------------------------------------------------
-# Unordered trees
-
-
-def _as_plane_representative(tree_or_key) -> PlaneTree:
-    if isinstance(tree_or_key, PlaneTree):
-        return tree_or_key
-    if isinstance(tree_or_key, UnorderedKey):
-        return min(enumerate_orderings(tree_or_key), key=lambda t: t.degrees)
-    raise TypeError(f"expected PlaneTree or UnorderedKey, got {tree_or_key!r}")
-
-
-def count_fringe_unordered(tree: PlaneTree, pattern) -> int:
-    """Fringe subtrees of ``tree`` isomorphic to ``pattern`` as unordered
-    rooted trees."""
-    rep = _as_plane_representative(pattern)
-    key = canonical_unordered(rep)
-    return sum(1 for sub in fringe_subtrees(tree) if canonical_unordered(sub) == key)
-
-
-def unordered_tree_probability(p: OffspringDistribution, tree_or_key):
-    """Probability that the unordered shape of the branching tree equals the
-    given unordered tree: |Ord(T)| times the plane-tree probability."""
-    rep = _as_plane_representative(tree_or_key)
-    orderings = enumerate_orderings(canonical_unordered(rep))
-    return len(orderings) * tree_probability(p, rep)
-
-
-def unordered_covariance_density(p: OffspringDistribution, t1, t2):
-    """Covariance density for counts of unordered fringe shapes; same shape
-    as the plane formula but with unordered probabilities and unordered
-    containment counts."""
-    r1, r2 = _as_plane_representative(t1), _as_plane_representative(t2)
-    same = canonical_unordered(r1) == canonical_unordered(r2)
-    return _covariance_density(
-        unordered_tree_probability(p, r1),
-        unordered_tree_probability(p, r2),
-        0 if same else count_fringe_unordered(r1, r2),
-        0 if same else count_fringe_unordered(r2, r1),
-        covariance_interaction(p, r1, r2),
-        same,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +437,8 @@ def sg_degree_covariance(w: WeightSequence, k: int, regime: str = "auto") -> Cov
 
 @dataclass(frozen=True)
 class TollFunction:
-    """Finite-support functional on plane trees: items (tree, value)."""
+    """Finite-support functional on plane trees, items (tree, value): the
+    linear statistic F = sum_T f(T) N_T of fringe counts."""
 
     items: tuple
 
@@ -502,6 +455,17 @@ class TollFunction:
     @classmethod
     def indicator(cls, tree: PlaneTree) -> "TollFunction":
         return cls(((tree, Fraction(1)),))
+
+    @classmethod
+    def orderings(cls, shape) -> "TollFunction":
+        """Value 1 on every plane ordering of an unordered shape (a PlaneTree
+        or an UnorderedKey), so F counts fringe subtrees up to reordering of
+        children.  Shapes above enumerate_orderings' cap raise CapExceeded."""
+        if isinstance(shape, PlaneTree):
+            shape = canonical_unordered(shape)
+        elif not isinstance(shape, UnorderedKey):
+            raise TypeError(f"expected PlaneTree or UnorderedKey, got {shape!r}")
+        return cls.from_dict(dict.fromkeys(enumerate_orderings(shape), Fraction(1)))
 
     def value(self, tree: PlaneTree):
         for t, v in self.items:
@@ -521,6 +485,42 @@ def additive_functional(tree: PlaneTree, toll: TollFunction):
     )
 
 
+def additive_mean_density(p: OffspringDistribution, toll: TollFunction):
+    """Limit mean per vertex of the additive functional: sum_T f(T) pi_T.
+    For an ``orderings`` toll this is the probability that the unordered
+    shape of the branching tree is the toll's shape."""
+    return sum((value * tree_probability(p, tree) for tree, value in toll.items), Fraction(0))
+
+
+def additive_covariance_density(p: OffspringDistribution, f: TollFunction, g: TollFunction):
+    """Limit covariance per vertex of the additive functionals of f and g:
+    the sum over T, T' of f(T) g(T') times the fringe covariance density of
+    (T, T'), read from one row per tree of either support."""
+    trees = sorted(set(f.support()) | set(g.support()), key=lambda t: t.degrees)
+    rows, inside, weights = _toll_rows(p, trees)
+    left, right = [f.value(t) for t in trees], [g.value(t) for t in trees]
+    return _bilinear_density(weights.get, rows, inside, left, right)
+
+
+def _toll_rows(p: OffspringDistribution, trees):
+    """One row per tree, inside[j][k] = fringe copies of tree k in tree j,
+    and the law's weight of each degree the rows use."""
+    rows = [_row(p, tree) for tree in trees]
+    inside = [[count_fringe(r.tree, s.tree) for s in rows] for r in rows]
+    weights = {degree: p.p(degree) for row in rows for degree in row.profile}
+    return rows, inside, weights
+
+
+def _bilinear_density(weight_of, rows, inside, left, right):
+    """sum over j, k of left[j] * right[k] * the covariance density of rows
+    j and k, summed in row-major order."""
+    total = Fraction(0)
+    for j, (row1, v1) in enumerate(zip(rows, left)):
+        for k, (row2, v2) in enumerate(zip(rows, right)):
+            total += v1 * v2 * _pair_density(weight_of, row1, row2, inside[j][k], inside[k][j])
+    return total
+
+
 def additive_variance_forms(p: OffspringDistribution, toll: TollFunction):
     """The limit variance density of the additive functional, via both
     closed forms: the four-expectation formula and the quadratic form in
@@ -529,10 +529,7 @@ def additive_variance_forms(p: OffspringDistribution, toll: TollFunction):
     weight of each degree and the fringe count of each ordered pair of toll
     trees, each computed once."""
     values = [value for _, value in toll.items]
-    rows = [_row(p, tree) for tree, _ in toll.items]
-    # inside[j][k]: fringe copies of tree k in tree j
-    inside = [[count_fringe(r.tree, s.tree) for s in rows] for r in rows]
-    weights = {degree: p.p(degree) for row in rows for degree in row.profile}
+    rows, inside, weights = _toll_rows(p, toll.support())
     e_ff = Fraction(0)
     e_f2 = Fraction(0)
     e_f_size = Fraction(0)
@@ -551,11 +548,7 @@ def additive_variance_forms(p: OffspringDistribution, toll: TollFunction):
         weight = weights[degree]
         if weight > 0:
             direct -= moment * moment / weight
-    quadratic = Fraction(0)
-    for j, (row1, v1) in enumerate(zip(rows, values)):
-        for k, (row2, v2) in enumerate(zip(rows, values)):
-            density = _pair_density(weights.get, row1, row2, inside[j][k], inside[k][j])
-            quadratic += v1 * v2 * density
+    quadratic = _bilinear_density(weights.get, rows, inside, values, values)
     return direct, quadratic
 
 

@@ -68,7 +68,7 @@ def _read_arg(text: str) -> str:
 
 def parse_stat(text: str) -> DegreeStatistic:
     raw = json.loads(_read_arg(text))
-    return DegreeStatistic.from_counts({int(k): int(v) for k, v in raw.items()})
+    return DegreeStatistic.from_counts({int(k): v for k, v in raw.items()})
 
 
 def parse_patterns(text: str) -> list:
@@ -450,7 +450,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
-    except (FringelabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (FringelabError, ValueError, TypeError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # pragma: no cover - internal failure path

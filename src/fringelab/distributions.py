@@ -18,6 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .errors import as_integer
+
 DEFAULT_TRUNCATION = 512
 
 _FLOAT_TOL = 1e-12
@@ -84,7 +86,7 @@ class _Law:
 
     @classmethod
     def finite(cls, values):
-        items = ((int(d), _as_exact(v)) for d, v in dict(values).items())
+        items = ((as_integer(d), _as_exact(v)) for d, v in dict(values).items())
         return cls("finite", tuple(sorted(item for item in items if item[1])))
 
     @classmethod
@@ -226,7 +228,7 @@ def _family_pmf(dist: OffspringDistribution) -> dict:
         c, beta = dist.params
         pmf = {i: c * i**-beta for i in range(1, k + 1)}
         pmf[0] = 1.0 - sum(pmf.values())
-        return pmf
+        return {i: v for i, v in pmf.items() if v > 0}
     raise ValueError(f"no family pmf for kind {dist.kind!r}")
 
 

@@ -1,4 +1,15 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer input check shared across the package."""
+
+from operator import index
+
+
+def as_integer(value) -> int:
+    """``value`` as an int through operator.index, so numpy integers pass
+    and floats or fractions raise TypeError instead of being truncated."""
+    try:
+        return index(value)
+    except TypeError:
+        raise TypeError(f"{value!r} is not an integer") from None
 
 
 class FringelabError(Exception):

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CapExceeded, InvalidDegreeStatistic, InvalidPreorder
+from .errors import CapExceeded, InvalidDegreeStatistic, InvalidPreorder, as_integer
 
 ENUMERATION_CAP = 12
 
@@ -110,9 +110,10 @@ class DegreeStatistic:
 
     @classmethod
     def from_counts(cls, counts) -> "DegreeStatistic":
-        """Build from a mapping degree -> count; zero counts are dropped."""
-        items = tuple(sorted((int(d), int(c)) for d, c in dict(counts).items() if c))
-        return cls(items)
+        """Build from a mapping degree -> count; zero counts are dropped and
+        a degree or count that is not an integer raises TypeError."""
+        pairs = dict(counts).items()
+        return cls(tuple(sorted((as_integer(d), as_integer(c)) for d, c in pairs if c)))
 
     @property
     def size(self) -> int:

@@ -18,9 +18,14 @@ of the whole word per needle position.
 moment, a product of Fractions whose normalizer P(S_n = n - 1) reads its
 own series, and ``pairwise_additive_variance_forms`` the first form of the
 additive variance forms, one ``fringe_covariance_density`` call per
-ordered pair of toll trees.  ``point_mass`` reads one P(S_m = k) from the
-library's series prefix, ``falling_factorial`` is the plain product, and
-``outcome`` turns a raised exception into its type for comparisons.
+ordered pair of toll trees.  ``count_fringe_unordered``,
+``unordered_tree_probability`` and ``unordered_covariance_density`` are
+the first forms of unordered shape counts and their limit densities,
+written per shape with one plane representative; the library reads a
+shape as the toll with value 1 on each of its orderings.  ``point_mass``
+reads one P(S_m = k) from the library's series prefix,
+``falling_factorial`` is the plain product, and ``outcome`` turns a
+raised exception into its type for comparisons.
 
 The enumeration helpers (``all_trees``, ``all_degree_statistics``) list
 every plane tree and every feasible degree profile of a size;
@@ -43,6 +48,7 @@ import numpy as np
 from fringelab.asymptotics import (
     CovMatrix,
     additive_functional,
+    covariance_interaction,
     fringe_covariance_density,
     tree_probability,
 )
@@ -58,9 +64,12 @@ from fringelab.sampling import excursion_degrees
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
+    UnorderedKey,
+    canonical_unordered,
     count_fringe,
     count_trees,
     degree_statistic,
+    enumerate_orderings,
     enumerate_trees,
     fringe_subtrees,
 )
@@ -443,3 +452,42 @@ def pairwise_additive_variance_forms(p, toll):
         for t2, v2 in items:
             quadratic += v1 * v2 * fringe_covariance_density(p, t1, t2)
     return direct, quadratic
+
+
+def _as_plane_representative(tree_or_key) -> PlaneTree:
+    if isinstance(tree_or_key, PlaneTree):
+        return tree_or_key
+    if isinstance(tree_or_key, UnorderedKey):
+        return min(enumerate_orderings(tree_or_key), key=lambda t: t.degrees)
+    raise TypeError(f"expected PlaneTree or UnorderedKey, got {tree_or_key!r}")
+
+
+def count_fringe_unordered(tree: PlaneTree, pattern) -> int:
+    """Fringe subtrees of ``tree`` isomorphic to ``pattern`` as unordered
+    rooted trees."""
+    rep = _as_plane_representative(pattern)
+    key = canonical_unordered(rep)
+    return sum(1 for sub in fringe_subtrees(tree) if canonical_unordered(sub) == key)
+
+
+def unordered_tree_probability(p, tree_or_key):
+    """Probability that the unordered shape of the branching tree equals the
+    given unordered tree: |Ord(T)| times the plane-tree probability."""
+    rep = _as_plane_representative(tree_or_key)
+    orderings = enumerate_orderings(canonical_unordered(rep))
+    return len(orderings) * tree_probability(p, rep)
+
+
+def unordered_covariance_density(p, t1, t2):
+    """Covariance density for counts of unordered fringe shapes: the plane
+    formula with unordered probabilities and unordered containment counts
+    (0/0 and inf * 0 read as 0, as in the library)."""
+    r1, r2 = _as_plane_representative(t1), _as_plane_representative(t2)
+    pi1, pi2 = unordered_tree_probability(p, r1), unordered_tree_probability(p, r2)
+    eta = covariance_interaction(p, r1, r2)
+    if canonical_unordered(r1) == canonical_unordered(r2):
+        return pi1 if pi1 == 0 else pi1 + eta * pi1 * pi1
+    cross = count_fringe_unordered(r1, r2) * pi1 + count_fringe_unordered(r2, r1) * pi2
+    if pi1 == 0 or pi2 == 0:
+        return cross
+    return cross + eta * pi1 * pi2

@@ -7,9 +7,12 @@ import pytest
 from oracle_utils import (
     all_trees,
     all_trees_up_to,
+    count_fringe_unordered,
     covariance_matrix_probe,
     outcome,
     pairwise_additive_variance_forms,
+    unordered_covariance_density,
+    unordered_tree_probability,
 )
 from oracle_utils import random_distribution_corpus as _shared_corpus
 
@@ -17,11 +20,12 @@ from fringelab import asymptotics
 from fringelab.asymptotics import (
     CovMatrix,
     TollFunction,
+    additive_covariance_density,
     additive_functional,
+    additive_mean_density,
     additive_variance_density,
     additive_variance_forms,
     classify_exceptional,
-    count_fringe_unordered,
     covariance_interaction,
     equivalent_offspring,
     fringe_covariance_density,
@@ -30,11 +34,9 @@ from fringelab.asymptotics import (
     sg_degree_covariance,
     sg_fringe_covariance,
     tree_probability,
-    unordered_covariance_density,
-    unordered_tree_probability,
 )
 from fringelab.distributions import OffspringDistribution, WeightSequence
-from fringelab.errors import DuplicatePatterns, UnsupportedRegime
+from fringelab.errors import CapExceeded, DuplicatePatterns, UnsupportedRegime
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
@@ -207,17 +209,55 @@ class TestPluginMean:
         assert plugin_mean(stat, PATH3) == 0
 
 
+def unordered_shapes(max_size):
+    """One plane representative per unordered shape, by size."""
+    shapes = {}
+    for t in all_trees_up_to(max_size):
+        shapes.setdefault(canonical_unordered(t), t)
+    return list(shapes.values())
+
+
+# seven rational laws, most with degrees of probability 0 (one a point
+# mass at 0), and one float law
+UNORDERED_LAWS = [
+    GEO,
+    OffspringDistribution.finite({0: Fraction(1, 2), 2: Fraction(1, 2)}),
+    OffspringDistribution.finite({i: Fraction(1, 4) for i in range(4)}),
+    OffspringDistribution.finite({0: Fraction(2, 5), 1: Fraction(1, 5), 3: Fraction(2, 5)}),
+    *random_distribution_corpus(4, seed=99)[1:],
+]
+FLOAT_LAW = OffspringDistribution.from_spec("poisson:1")
+
+
 class TestUnordered:
+    # an unordered shape is the toll with value 1 on each of its plane
+    # orderings; the oracles are the per-shape formulas it replaced
+
     def test_single_ordering(self):
-        assert unordered_tree_probability(GEO, CHERRY) == tree_probability(GEO, CHERRY)
+        toll = TollFunction.orderings(CHERRY)
+        assert toll == TollFunction.indicator(CHERRY)
+        assert additive_mean_density(GEO, toll) == tree_probability(GEO, CHERRY)
 
     def test_two_orderings(self):
         rep = PlaneTree((2, 0, 1, 0))
-        assert unordered_tree_probability(GEO, rep) == Fraction(1, 64)
+        assert TollFunction.orderings(rep).support() == (rep, PlaneTree((2, 1, 0, 0)))
+        assert additive_mean_density(GEO, TollFunction.orderings(rep)) == Fraction(1, 64)
 
     def test_accepts_keys(self):
         key = canonical_unordered(PlaneTree((2, 1, 0, 0)))
-        assert unordered_tree_probability(GEO, key) == Fraction(1, 64)
+        assert TollFunction.orderings(key) == TollFunction.orderings(PlaneTree((2, 0, 1, 0)))
+        assert additive_mean_density(GEO, TollFunction.orderings(key)) == Fraction(1, 64)
+
+    def test_rejects_other_inputs(self):
+        with pytest.raises(TypeError, match="UnorderedKey"):
+            TollFunction.orderings((2, 0, 0))
+
+    def test_ordering_cap(self):
+        # the cap of enumerate_orderings, which the per-shape formulas had too
+        with pytest.raises(CapExceeded):
+            TollFunction.orderings(PlaneTree((12,) + (0,) * 12))
+        with pytest.raises(CapExceeded):
+            unordered_tree_probability(GEO, canonical_unordered(PlaneTree((12,) + (0,) * 12)))
 
     def test_count_fringe_unordered(self):
         # the host contains the mirror image of the pattern: invisible to
@@ -225,17 +265,21 @@ class TestUnordered:
         host = PlaneTree((1, 2, 1, 0, 0))
         pattern = PlaneTree((2, 0, 1, 0))
         assert count_fringe(host, pattern) == 0
+        assert additive_functional(host, TollFunction.orderings(pattern)) == 1
         assert count_fringe_unordered(host, pattern) == 1
+
+    def test_counts_equal_the_oracle(self):
+        tolls = [(shape, TollFunction.orderings(shape)) for shape in unordered_shapes(5)]
+        for host in all_trees_up_to(7):
+            for shape, toll in tolls:
+                assert additive_functional(host, toll) == count_fringe_unordered(host, shape)
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4])
     def test_pair_sum_identities(self, size):
         # the unordered covariance equals the sum of plane covariances over
         # all ordering pairs, for every pair of unordered shapes
-        shapes = {}
-        for t in all_trees(size):
-            shapes.setdefault(canonical_unordered(t), t)
+        reps = [t for t in unordered_shapes(size) if t.size == size]
         for p in random_distribution_corpus(4, seed=99):
-            reps = list(shapes.values())
             for t1 in reps:
                 for t2 in reps:
                     lhs = sum(
@@ -243,7 +287,27 @@ class TestUnordered:
                         for a in enumerate_orderings(canonical_unordered(t1))
                         for b in enumerate_orderings(canonical_unordered(t2))
                     )
-                    assert lhs == unordered_covariance_density(p, t1, t2)
+                    f, g = TollFunction.orderings(t1), TollFunction.orderings(t2)
+                    assert lhs == additive_covariance_density(p, f, g)
+
+    @pytest.mark.parametrize("p", UNORDERED_LAWS + [FLOAT_LAW], ids=lambda p: p.label())
+    def test_densities_equal_the_oracle(self, p):
+        # every ordered pair of the 17 shapes up to 5 vertices; exact laws
+        # agree exactly, the float law up to rounding
+        shapes = unordered_shapes(5)
+        assert len(shapes) == 17
+
+        def agree(got, expected):
+            if p.is_exact:
+                return isinstance(got, Fraction) and got == expected
+            return got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+        tolls = [TollFunction.orderings(t) for t in shapes]
+        for t1, f in zip(shapes, tolls):
+            assert agree(additive_mean_density(p, f), unordered_tree_probability(p, t1))
+            for t2, g in zip(shapes, tolls):
+                got = additive_covariance_density(p, f, g)
+                assert agree(got, unordered_covariance_density(p, t1, t2)), (t1, t2)
 
 
 class TestEquivalentOffspring:
@@ -413,6 +477,59 @@ class TestAdditive:
                 assert got == expected, (p.label(), toll)
                 zero_probability += any(tree_probability(p, t) == 0 for t in toll.support())
         assert zero_probability >= 20
+
+    @staticmethod
+    def random_toll(rng, trees):
+        values = {t: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for t in trees}
+        return TollFunction.from_dict({t: v for t, v in values.items() if rng.random() < 0.6})
+
+    def test_covariance_density_is_symmetric_and_bilinear(self):
+        rng = random.Random(5150)
+        trees = all_trees_up_to(4)
+        for p in random_distribution_corpus(6, seed=17):
+            for _ in range(4):
+                f1, f2, g = (self.random_toll(rng, trees) for _ in range(3))
+                a, b = Fraction(rng.randint(-5, 5), 3), Fraction(rng.randint(-5, 5), 2)
+                combined = TollFunction.from_dict(
+                    {t: a * f1.value(t) + b * f2.value(t) for t in f1.support() + f2.support()}
+                )
+                assert additive_covariance_density(p, f1, g) == additive_covariance_density(
+                    p, g, f1
+                )
+                assert additive_covariance_density(p, combined, g) == (
+                    a * additive_covariance_density(p, f1, g)
+                    + b * additive_covariance_density(p, f2, g)
+                )
+
+    def test_covariance_density_on_indicators(self):
+        trees = all_trees_up_to(4)
+        floats = [OffspringDistribution.from_spec("poisson:1")]
+        for p in [GEO, *random_distribution_corpus(3, seed=23), *floats]:
+            for t1 in trees:
+                for t2 in trees:
+                    f, g = TollFunction.indicator(t1), TollFunction.indicator(t2)
+                    got = additive_covariance_density(p, f, g)
+                    assert got == fringe_covariance_density(p, t1, t2), (p.label(), t1, t2)
+
+    def test_covariance_density_equals_both_forms_on_the_diagonal(self):
+        rng = random.Random(777)
+        trees = all_trees_up_to(4)
+        floats = [OffspringDistribution.from_spec("poisson:1")]
+        for p in random_distribution_corpus(6, seed=41) + floats:
+            for _ in range(4):
+                toll = self.random_toll(rng, trees)
+                direct, quadratic = additive_variance_forms(p, toll)
+                got = additive_covariance_density(p, toll, toll)
+                assert got == quadratic
+                if p.is_exact:
+                    assert got == direct
+                else:
+                    assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
+
+    def test_empty_tolls(self):
+        empty = TollFunction.from_dict({})
+        assert additive_mean_density(GEO, empty) == 0
+        assert additive_covariance_density(GEO, empty, TollFunction.indicator(CHERRY)) == 0
 
     def test_disagreeing_forms_raise(self, monkeypatch):
         monkeypatch.setattr(

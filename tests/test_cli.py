@@ -224,6 +224,14 @@ class TestErrorPaths:
         )
         assert code == 1 and "--exact" in err
 
+    @pytest.mark.parametrize("command", ["count", "enumerate"])
+    @pytest.mark.parametrize("stat", ['{"0": 3.9, "2": 2}', '{"0": 3, "2": "2"}', '{"0": 3.0, "2": 2}'])
+    def test_non_integer_count_rejected(self, capsys, command, stat):
+        # read, not truncated: 3.9 would otherwise count the trees of {0: 3, 2: 2}
+        code, out, err = run_cli(capsys, command, "--stat", stat)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "is not an integer" in err
+
     def test_invalid_weight_parameter_named(self, capsys):
         code, _, err = run_cli(
             capsys, "asymptotics", "--w", "poisson:-1", "--patterns", "2,0,0"

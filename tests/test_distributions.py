@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -51,6 +52,34 @@ class TestOffspringDistribution:
         assert OffspringDistribution.from_spec("poisson:1.0").kind == "poisson"
         with pytest.raises(ValueError, match="unknown distribution spec"):
             OffspringDistribution.from_spec("cauchy:1")
+
+    @pytest.mark.parametrize(
+        "law",
+        [
+            OffspringDistribution.power_law(0, 2.5),
+            OffspringDistribution.power_law(0.1, 400),
+            OffspringDistribution.poisson(0.9),
+        ],
+        ids=lambda law: law.label(),
+    )
+    def test_support_lists_positive_probabilities_only(self, law):
+        # power_law(0.1, 400) underflows to 0.0 from degree 6 on
+        support = law.support()
+        assert all(law.p(i) > 0 for i in support)
+        assert sum(law.probabilities().values()) == pytest.approx(1, abs=1e-12)
+
+    def test_zero_coefficient_power_law_is_a_point_mass(self):
+        assert OffspringDistribution.power_law(0, 2.5).support() == (0,)
+
+    @pytest.mark.parametrize("degree", [1.5, Fraction(1), 2.0])
+    def test_non_integer_finite_degree_raises(self, degree):
+        with pytest.raises(TypeError, match=re.escape(repr(degree))):
+            OffspringDistribution.finite({0: Fraction(1, 2), degree: Fraction(1, 2)})
+
+    def test_numpy_integer_degrees_pass(self):
+        law = OffspringDistribution.finite({np.int64(0): Fraction(1, 2), np.int32(2): Fraction(1, 2)})
+        assert law == OffspringDistribution.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
+        assert all(type(d) is int for d in law.support())
 
     def test_negative_power_law_coefficient_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):

@@ -226,6 +226,15 @@ class TestConditionedGW:
         expected = {(2, 0, 2, 0, 0): Fraction(1, 2), (2, 2, 0, 0, 0): Fraction(1, 2)}
         assert chisquare_pvalue(shapes, expected, 4_000) > 1e-3
 
+    def test_zero_coefficient_power_law(self):
+        # every degree above 0 has probability 0, so only the single vertex
+        # is feasible
+        w = OffspringDistribution.power_law(0, 2.5)
+        assert sample_conditioned_gw(w, 1, Seed(0)) == PlaneTree((0,))
+        for n in range(2, 8):
+            with pytest.raises(InfeasibleSize):
+                sample_conditioned_gw(w, n, Seed(0), max_attempts=4, batch=2)
+
     def test_infeasible_even_size(self):
         with pytest.raises(InfeasibleSize):
             sample_conditioned_gw(FULL_BINARY, 4, Seed(0))

@@ -1,6 +1,8 @@
 import math
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -125,6 +127,19 @@ class TestDegreeStatistic:
     def test_zero_counts_dropped(self):
         stat = DegreeStatistic.from_counts({0: 3, 1: 0, 2: 2})
         assert stat.as_dict() == {0: 3, 2: 2}
+
+    @pytest.mark.parametrize(
+        "counts, bad",
+        [({0: 3.9, 2: 2}, 3.9), ({0: 3, 2.0: 2}, 2.0), ({0: Fraction(3), 2: 2}, Fraction(3))],
+    )
+    def test_non_integer_entries_raise(self, counts, bad):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            DegreeStatistic.from_counts(counts)
+
+    def test_numpy_integers_pass(self):
+        stat = DegreeStatistic.from_counts({np.int64(0): np.int32(3), np.uint8(2): np.int64(2)})
+        assert stat == DegreeStatistic.from_counts({0: 3, 2: 2})
+        assert all(type(x) is int for item in stat.items for x in item)
 
     def test_degree_multiset(self):
         stat = DegreeStatistic.from_counts({0: 3, 2: 2})

@@ -280,7 +280,7 @@ def _tilted_mean(log_weights: dict, s: float) -> float:
     return sum(i * v for i, v in pmf.items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def equivalent_offspring(w: WeightSequence) -> EquivalentOffspring:
     """Solve for the tilting parameter and return the equivalent offspring
     law with its mean and variance (inf for heavy power-law tails)."""

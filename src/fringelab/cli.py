@@ -68,6 +68,8 @@ def _read_arg(text: str) -> str:
 
 def parse_stat(text: str) -> DegreeStatistic:
     raw = json.loads(_read_arg(text))
+    if not isinstance(raw, dict):
+        raise ValueError(f"--stat is a JSON object of degree counts, not {raw!r}")
     return DegreeStatistic.from_counts({int(k): v for k, v in raw.items()})
 
 
@@ -96,13 +98,22 @@ def _write(text: str, out_path) -> None:
         print(text)
 
 
-def _emit(payload: dict, out_path) -> None:
-    _write(json.dumps(payload, indent=2, sort_keys=True), out_path)
+def _csv(config: dict, rows) -> str:
+    return "\n".join(["# " + json.dumps(config, sort_keys=True), *rows])
 
 
-def _emit_csv(lines, config: dict, out_path) -> None:
-    header = "# " + json.dumps(config, sort_keys=True)
-    _write("\n".join([header] + lines), out_path)
+def _respond(args, config: dict, result, rows=None) -> int:
+    """Write the envelope of a run: ``config`` with its subcommand and
+    schema added, and ``result``, both encoded, as JSON; or, when the
+    command takes --format and it is csv, ``rows`` under a ``#`` config
+    line."""
+    config = encode({**config, "subcommand": args.subcommand, "schema": SCHEMA_VERSION})
+    if rows is not None and args.format == "csv":
+        _write(_csv(config, rows), args.out)
+    else:
+        payload = {"config": config, "result": encode(result)}
+        _write(json.dumps(payload, indent=2, sort_keys=True), args.out)
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -111,31 +122,14 @@ def _emit_csv(lines, config: dict, out_path) -> None:
 
 def _cmd_count(args) -> int:
     stat = parse_stat(args.stat)
-    config = {"subcommand": "count", "stat": stat.as_dict(), "schema": SCHEMA_VERSION}
-    if args.format == "csv":
-        _emit_csv([str(count_trees(stat))], encode(config), args.out)
-    else:
-        _emit(
-            {"config": encode(config), "result": str(count_trees(stat))},
-            args.out,
-        )
-    return 0
+    count = str(count_trees(stat))
+    return _respond(args, {"stat": stat.as_dict()}, count, [count])
 
 
 def _cmd_enumerate(args) -> int:
     stat = parse_stat(args.stat)
-    config = {
-        "subcommand": "enumerate",
-        "stat": stat.as_dict(),
-        "cap": args.cap,
-        "schema": SCHEMA_VERSION,
-    }
     trees = [t.to_text() for t in enumerate_trees(stat, cap=args.cap)]
-    if args.format == "csv":
-        _emit_csv(trees, encode(config), args.out)
-    else:
-        _emit({"config": encode(config), "result": trees}, args.out)
-    return 0
+    return _respond(args, {"stat": stat.as_dict(), "cap": args.cap}, trees, trees)
 
 
 def _cmd_sample(args) -> int:
@@ -143,11 +137,9 @@ def _cmd_sample(args) -> int:
         raise ValueError("pass exactly one of --stat or --dseq")
     seed = Seed(args.seed, args.stream)
     config = {
-        "subcommand": "sample",
         "reps": args.reps,
         "seed": {"value": seed.value, "stream_id": seed.stream_id},
         "format": args.format,
-        "schema": SCHEMA_VERSION,
     }
     if args.stat:
         stat = parse_stat(args.stat)
@@ -162,11 +154,7 @@ def _cmd_sample(args) -> int:
             tree, labels = sample_labelled_tree(dseq, seed.generator(r))
             rows.append(f"{tree.to_text()};{','.join(map(str, labels))}")
             records.append({"tree": tree.to_text(), "labels": list(labels)})
-    if args.format == "csv":
-        _emit_csv(rows, encode(config), args.out)
-    else:
-        _emit({"config": encode(config), "result": records}, args.out)
-    return 0
+    return _respond(args, config, records, rows)
 
 
 def _cmd_moments(args) -> int:
@@ -175,17 +163,9 @@ def _cmd_moments(args) -> int:
     orders = [int(x) for x in args.q.split(",")] if args.q else [1] * len(patterns)
     if len(orders) != len(patterns):
         raise ValueError("--q must list one order per pattern")
-    config = {
-        "subcommand": "moments",
-        "stat": stat.as_dict(),
-        "patterns": [p.to_text() for p in patterns],
-        "q": orders,
-        "schema": SCHEMA_VERSION,
-    }
+    config = {"stat": stat.as_dict(), "patterns": [t.to_text() for t in patterns], "q": orders}
     value = joint_factorial_moment(stat, patterns, orders)
-    result = {"value": encode(value), "float": float(value)}
-    _emit({"config": encode(config), "result": result}, args.out)
-    return 0
+    return _respond(args, config, {"value": value, "float": float(value)})
 
 
 def _cmd_asymptotics(args) -> int:
@@ -194,116 +174,86 @@ def _cmd_asymptotics(args) -> int:
     if args.p:
         p = parse_law(OffspringDistribution, args.p)
         patterns = parse_patterns(args.patterns) if args.patterns else []
-        config = {
-            "subcommand": "asymptotics",
-            "p": p.label(),
-            "patterns": [t.to_text() for t in patterns],
-            "schema": SCHEMA_VERSION,
-        }
-        result = {"patterns": []}
-        for t in patterns:
-            result["patterns"].append(
+        config = {"p": p.label(), "patterns": [t.to_text() for t in patterns]}
+        result = {
+            "patterns": [
                 {
                     "pattern": t.to_text(),
-                    "probability": encode(tree_probability(p, t)),
-                    "variance_density": encode(fringe_covariance_density(p, t, t)),
-                    "normalized_variance": encode(
-                        normalized_covariance_density(p, t, t)
-                    ),
+                    "probability": tree_probability(p, t),
+                    "variance_density": fringe_covariance_density(p, t, t),
+                    "normalized_variance": normalized_covariance_density(p, t, t),
                     "exceptional_case": classify_exceptional(t, p),
                 }
-            )
+                for t in patterns
+            ]
+        }
         if len(patterns) > 1:
             result["covariance_matrix"] = [
-                [encode(fringe_covariance_density(p, a, b)) for b in patterns]
-                for a in patterns
+                [fringe_covariance_density(p, a, b) for b in patterns] for a in patterns
             ]
-        _emit({"config": encode(config), "result": result}, args.out)
-        return 0
+        return _respond(args, config, result)
     w = parse_law(WeightSequence, args.w)
     eq = equivalent_offspring(w)
-    config = {
-        "subcommand": "asymptotics",
-        "w": w.label(),
-        "schema": SCHEMA_VERSION,
-    }
+    config = {"w": w.label()}
     result = {
-        "tau": encode(eq.tau),
-        "nu": encode(eq.nu),
-        "sigma2": encode(eq.sigma2),
-        "varsigma2": encode(eq.sigma2),
+        "tau": eq.tau,
+        "nu": eq.nu,
+        "sigma2": eq.sigma2,
+        "varsigma2": eq.sigma2,
         "theta": {
-            str(i): encode(eq.theta.p(i))
-            for i in eq.theta.support()
-            if float(eq.theta.p(i)) > 1e-15
+            i: eq.theta.p(i) for i in eq.theta.support() if float(eq.theta.p(i)) > 1e-15
         },
     }
     if args.patterns:
         patterns = parse_patterns(args.patterns)
         config["patterns"] = [t.to_text() for t in patterns]
         cov = sg_fringe_covariance(w, patterns, regime=args.regime)
-        result["fringe_covariance"] = [[encode(x) for x in row] for row in cov.entries]
+        result["fringe_covariance"] = cov.entries
     if args.degree_cov is not None:
         cov = sg_degree_covariance(w, args.degree_cov, regime=args.regime)
-        result["degree_covariance"] = [[encode(x) for x in row] for row in cov.entries]
-    _emit({"config": encode(config), "result": result}, args.out)
-    return 0
+        result["degree_covariance"] = cov.entries
+    return _respond(args, config, result)
 
 
-def _load_experiment_config(args) -> ExperimentConfig:
+def _overlay(raw, flags: dict):
+    """``raw`` with the flags that were given laid over it, nested objects
+    merged; a value that is not an object is left for
+    ExperimentConfig.from_dict to reject."""
+    if not isinstance(raw, dict):
+        return raw
+    out = dict(raw)
+    for key, value in flags.items():
+        if isinstance(value, dict):
+            value = _overlay(raw.get(key, {}), value)
+        if value is not None:
+            out[key] = value
+    return out
+
+
+def _cmd_experiment(args) -> int:
     raw = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-    family_name = args.family or raw.get("family", "full_binary")
-    family_params = tuple(raw.get("family_params", ()))
-    family = StatFamily(family_name, family_params)
-    patterns = (
-        parse_patterns(args.patterns)
-        if args.patterns
-        else [PlaneTree.from_text(t) for t in raw.get("patterns", ["2,0,0"])]
-    )
-    sizes = (
-        [int(s) for s in args.sizes.split(",")]
-        if args.sizes
-        else [int(s) for s in raw.get("sizes", [10001])]
-    )
-    reps = args.reps or int(raw.get("replicates", 2000))
-    seed_raw = raw.get("seed", {})
-    seed = Seed(
-        args.seed if args.seed is not None else int(seed_raw.get("value", 0)),
-        args.stream if args.stream is not None else int(seed_raw.get("stream_id", 0)),
-    )
-    return ExperimentConfig(
-        family=family,
-        patterns=tuple(patterns),
-        sizes=tuple(sizes),
-        replicates=reps,
-        seed=seed,
-        tests=tuple(raw.get("tests", ("moments", "normality"))),
-        standardize_with=raw.get("standardize_with", "exact_mean"),
-        ks_threshold=float(raw.get("ks_threshold", 0.05)),
-        var_rel_tol=float(raw.get("var_rel_tol", 0.10)),
-        keep_samples=bool(args.samples_csv),
-    )
-
-
-def _cmd_experiment(args) -> int:
-    cfg = _load_experiment_config(args)
-    report = run_experiment(cfg)
-    payload = report.to_dict()
-    payload["schema"] = SCHEMA_VERSION
+    flags = {
+        "family": args.family,
+        "replicates": args.reps,
+        "seed": {"value": args.seed, "stream_id": args.stream},
+    }
+    if args.patterns:
+        flags["patterns"] = [t.to_text() for t in parse_patterns(args.patterns)]
+    if args.sizes:
+        flags["sizes"] = [int(s) for s in args.sizes.split(",")]
+    report = run_experiment(ExperimentConfig.from_dict(_overlay(raw, flags)))
     if args.samples_csv:
-        lines = ["size,pattern,replicate,standardized"]
-        for entry in report.per_size:
-            for pattern, samples in entry.get("standardized_samples", {}).items():
-                lines.extend(
-                    f"{entry['size']},{pattern},{r},{val!r}"
-                    for r, val in enumerate(samples)
-                )
-            entry.pop("standardized_samples", None)
-        _emit_csv(lines, payload["config"], args.samples_csv)
-    _emit(encode(payload), args.out)
+        rows = ["size,pattern,replicate,standardized"] + [
+            f"{n},{pattern},{r},{val!r}"
+            for n, pattern, z in report.samples
+            for r, val in enumerate(z.tolist())
+        ]
+        _write(_csv(report.config, rows), args.samples_csv)
+    payload = {**report.to_dict(), "schema": SCHEMA_VERSION}
+    _write(json.dumps(encode(payload), indent=2, sort_keys=True), args.out)
     return 0
 
 
@@ -311,41 +261,30 @@ def _cmd_check_gw(args) -> int:
     family = StatFamily(args.family)
     pattern = PlaneTree.from_text(args.pattern)
     sizes = [int(s) for s in args.sizes.split(",")]
-    config = {
-        "subcommand": "check-gw",
-        "family": family.label(),
-        "pattern": pattern.to_text(),
-        "sizes": sizes,
-        "c": args.c,
-        "schema": SCHEMA_VERSION,
-    }
+    config = {"family": family.label(), "pattern": pattern.to_text(), "sizes": sizes}
+    config["c"] = args.c
     rows = moment_condition_scan(family, pattern, sizes, c=args.c)
     decreasing = all(
         rows[i]["max_deviation"] > rows[i + 1]["max_deviation"]
         for i in range(len(rows) - 1)
     )
     result = {
-        "per_size": encode(rows),
+        "per_size": rows,
         "strictly_decreasing": decreasing,
         "final_deviation": rows[-1]["max_deviation"] if rows else None,
     }
-    _emit({"config": encode(config), "result": encode(result)}, args.out)
-    return 0
+    return _respond(args, config, result)
 
 
 def _cmd_crosscheck(args) -> int:
     seed = Seed(args.seed, args.stream)
     config = {
-        "subcommand": "crosscheck",
         "n0": args.n0,
         "n1": args.n1,
         "reps": args.reps,
         "seed": {"value": seed.value, "stream_id": seed.stream_id},
-        "schema": SCHEMA_VERSION,
     }
-    result = composition_crosscheck(args.n0, args.n1, args.reps, seed)
-    _emit({"config": encode(config), "result": encode(result)}, args.out)
-    return 0
+    return _respond(args, config, composition_crosscheck(args.n0, args.n1, args.reps, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -216,7 +216,7 @@ class OffspringDistribution(_Law):
         return sum(i * p for i, p in self.probabilities().items())
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _family_pmf(dist: OffspringDistribution) -> dict:
     """Truncated, renormalized float pmf for the non-exact families."""
     k = dist.truncation
@@ -232,7 +232,7 @@ def _family_pmf(dist: OffspringDistribution) -> dict:
     raise ValueError(f"no family pmf for kind {dist.kind!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _cdf_table(dist: OffspringDistribution):
     """(support array, cumulative float probabilities) for inverse sampling."""
     support = np.array(dist.support(), dtype=np.int64)
@@ -242,7 +242,7 @@ def _cdf_table(dist: OffspringDistribution):
     return support, cdf
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _mass_table(dist: OffspringDistribution):
     """(degrees, masses) of the steps of the inverse-CDF table that carry
     positive float mass: the cell masses of every multinomial row drawn in

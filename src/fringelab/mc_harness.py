@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -28,17 +28,21 @@ from scipy import stats as scistats
 
 from .asymptotics import fringe_covariance_density, plugin_mean
 from .distributions import OffspringDistribution
-from .errors import SizeTooSmall, TooFewSamples
+from .errors import SizeTooSmall, TooFewSamples, as_integer
 from .exact_moments import factorial_moment, joint_factorial_moment, mean_count
 from .sampling import Seed, excursion_degrees, sample_hub_tree, sample_uniform_trees
 from .tree_core import DegreeStatistic, PlaneTree, count_fringe, count_trees, enumerate_trees
 
 DEFAULT_KS_THRESHOLD = 0.05
 DEFAULT_VAR_REL_TOL = 0.10
+TESTS = ("moments", "normality")
 
 
 # ---------------------------------------------------------------------------
 # Built-in statistic families
+
+# family name -> number of parameters
+_FAMILIES = {"full_binary": 0, "geometric_profile": 0, "one_hub": 1}
 
 
 @dataclass(frozen=True)
@@ -48,6 +52,15 @@ class StatFamily:
 
     name: str
     params: tuple = ()
+
+    def __post_init__(self):
+        arity = _FAMILIES.get(self.name)
+        if arity is None:
+            raise ValueError(f"unknown family {self.name!r}; known: {', '.join(_FAMILIES)}")
+        if len(self.params) != arity:
+            raise ValueError(f"{self.name} takes {arity} parameter(s), not {list(self.params)}")
+        if self.name == "one_hub" and not self.params[0] >= 0:
+            raise ValueError(f"the one_hub ratio is a number >= 0, not {self.params[0]!r}")
 
     @classmethod
     def full_binary(cls) -> "StatFamily":
@@ -70,12 +83,10 @@ class StatFamily:
             return DegreeStatistic.from_counts({0: m + 1, 2: m})
         if self.name == "geometric_profile":
             return _geometric_profile(size)
-        if self.name == "one_hub":
-            (ratio,) = self.params
-            n0 = max(2, round(size / (1 + ratio)) - 1)
-            n1 = size - n0 - 1
-            return DegreeStatistic.from_counts({0: n0, 1: n1, n0: 1})
-        raise ValueError(f"unknown family {self.name!r}")
+        (ratio,) = self.params  # one_hub
+        n0 = max(2, round(size / (1 + ratio)) - 1)
+        n1 = size - n0 - 1
+        return DegreeStatistic.from_counts({0: n0, 1: n1, n0: 1})
 
     def target(self) -> OffspringDistribution:
         if self.name == "full_binary":
@@ -84,13 +95,9 @@ class StatFamily:
             )
         if self.name == "geometric_profile":
             return OffspringDistribution.geometric(Fraction(1, 2))
-        if self.name == "one_hub":
-            (ratio,) = self.params
-            r = Fraction(ratio).limit_denominator(10**6)
-            return OffspringDistribution.finite(
-                {0: 1 / (1 + r), 1: r / (1 + r)}
-            )
-        raise ValueError(f"unknown family {self.name!r}")
+        (ratio,) = self.params  # one_hub
+        r = Fraction(ratio).limit_denominator(10**6)
+        return OffspringDistribution.finite({0: 1 / (1 + r), 1: r / (1 + r)})
 
     def label(self) -> str:
         if self.params:
@@ -127,11 +134,55 @@ class ExperimentConfig:
     sizes: tuple
     replicates: int
     seed: Seed
-    tests: tuple = ("moments", "normality")
-    standardize_with: str = "exact_mean"  # or "plugin"
+    tests: tuple = TESTS
+    standardize_with: str = "exact_mean"
     ks_threshold: float = DEFAULT_KS_THRESHOLD
     var_rel_tol: float = DEFAULT_VAR_REL_TOL
-    keep_samples: bool = False
+
+    def __post_init__(self):
+        if not set(self.tests) <= set(TESTS):
+            raise ValueError(f"unknown tests in {list(self.tests)}; known: {', '.join(TESTS)}")
+        if self.standardize_with not in ("exact_mean", "plugin"):
+            raise ValueError(f"standardize_with is exact_mean or plugin, not {self.standardize_with!r}")
+        if len(set(self.patterns)) < len(self.patterns):
+            raise ValueError("patterns must be distinct")
+        for size in self.sizes:
+            as_integer(size)
+        if as_integer(self.replicates) < 2:
+            raise ValueError("an experiment needs at least 2 replicates")
+
+    @classmethod
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """The config of an experiment JSON object, the form ``to_dict``
+        echoes.  Absent keys default to full_binary, the cherry 2,0,0, the
+        one size 10001, 2000 replicates and seed 0 on stream 0, and the
+        others to the field defaults.  A value that is not an object, an
+        unknown key or an unknown value raises ValueError; a count or seed
+        that is not an integer raises TypeError."""
+        if not isinstance(raw, dict):
+            raise ValueError(f"an experiment config is a JSON object, not {raw!r}")
+        unknown = set(raw) - {f.name for f in fields(cls)} - {"family_params"}
+        if unknown:
+            raise ValueError(f"unknown experiment config keys {sorted(unknown)}")
+        seed = raw.get("seed", {})
+        if not isinstance(seed, dict) or not seed.keys() <= {"value", "stream_id"}:
+            raise ValueError(f'"seed" is an object of "value" and "stream_id", not {seed!r}')
+        patterns = raw.get("patterns", ["2,0,0"])
+        if not all(isinstance(text, str) for text in patterns):
+            raise ValueError(f'"patterns" lists texts such as "2,0,0", not {patterns!r}')
+        readers = {
+            "tests": tuple, "standardize_with": str, "ks_threshold": float, "var_rel_tol": float
+        }
+        return cls(
+            family=StatFamily(
+                raw.get("family", "full_binary"), tuple(raw.get("family_params", ()))
+            ),
+            patterns=tuple(PlaneTree.from_text(text) for text in patterns),
+            sizes=tuple(raw.get("sizes", [10001])),
+            replicates=raw.get("replicates", 2000),
+            seed=Seed(as_integer(seed.get("value", 0)), as_integer(seed.get("stream_id", 0))),
+            **{key: read(raw[key]) for key, read in readers.items() if key in raw},
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -149,9 +200,15 @@ class ExperimentConfig:
 
 @dataclass
 class ExperimentReport:
+    """The echoed config, one entry per size and the verdicts, as
+    ``to_dict`` writes them.  ``samples`` holds (size, pattern text,
+    standardized counts) per size and pattern in run order; it is not
+    part of the report."""
+
     config: dict
     per_size: list = field(default_factory=list)
     verdicts: list = field(default_factory=list)
+    samples: list = field(default_factory=list)
 
     @property
     def all_passed(self) -> bool:
@@ -333,57 +390,49 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         entry["asymptotic_var"] = [float(n * gamma[j][j]) for j in range(m)]
 
         if "moments" in cfg.tests:
-            _moment_verdicts(report, cfg, entry, emp, exact_means, exact_vars, gamma, n, stat, patterns)
+            _moment_verdicts(
+                report, cfg, entry, emp, exact_means, exact_vars, gamma, n, patterns
+            )
         if "normality" in cfg.tests:
             _normality_verdicts(report, cfg, entry, counts, exact_means, stat, patterns, n)
         report.per_size.append(entry)
     return report
 
 
-def _moment_verdicts(report, cfg, entry, emp, exact_means, exact_vars, gamma, n, stat, patterns):
+def _verdict(check, n, pattern, observed, tolerance, passed=None) -> dict:
+    """One verdict record; it passes when ``observed <= tolerance`` unless
+    ``passed`` says otherwise."""
+    passed = observed <= tolerance if passed is None else passed
+    return dict(
+        check=check, size=n, pattern=pattern, observed=observed, tolerance=tolerance, passed=passed
+    )
+
+
+def _moment_verdicts(report, cfg, entry, emp, exact_means, exact_vars, gamma, n, patterns):
     m = len(patterns)
     for j, pattern in enumerate(patterns):
-        gap = abs(float(emp["mean"][j] - exact_means[j]))
-        tol = 4 * emp["se_mean"][j] + 1e-12
-        report.verdicts.append(
-            {
-                "check": "empirical mean within 4 SE of exact mean",
-                "size": n,
-                "pattern": pattern.to_text(),
-                "observed": gap,
-                "tolerance": tol,
-                "passed": gap <= tol,
-            }
-        )
-        vgap = abs(float(emp["var"][j] - exact_vars[j]))
-        vtol = max(4 * emp["se_var"][j], cfg.var_rel_tol * float(exact_vars[j]))
-        report.verdicts.append(
-            {
-                "check": "empirical variance within max(4 SE, rel tol) of exact",
-                "size": n,
-                "pattern": pattern.to_text(),
-                "observed": vgap,
-                "tolerance": vtol,
-                "passed": vgap <= vtol,
-            }
-        )
-        agap = abs(float(emp["var"][j]) / n - float(gamma[j][j]))
-        # looser of relative tolerance and 4 MC standard errors: the density
-        # can be tiny, and short runs carry real sampling noise
-        atol = max(
-            cfg.var_rel_tol * max(float(gamma[j][j]), 1e-12),
-            4 * emp["se_var"][j] / n,
-        )
-        report.verdicts.append(
-            {
-                "check": "empirical variance per vertex near covariance density",
-                "size": n,
-                "pattern": pattern.to_text(),
-                "observed": agap,
-                "tolerance": atol,
-                "passed": agap <= atol,
-            }
-        )
+        se_var, density = emp["se_var"][j], float(gamma[j][j])
+        # the density check takes the looser of the relative tolerance and 4
+        # MC standard errors: the density can be tiny, and short runs carry
+        # real sampling noise
+        for check, observed, tolerance in (
+            (
+                "empirical mean within 4 SE of exact mean",
+                abs(float(emp["mean"][j] - exact_means[j])),
+                4 * emp["se_mean"][j] + 1e-12,
+            ),
+            (
+                "empirical variance within max(4 SE, rel tol) of exact",
+                abs(float(emp["var"][j] - exact_vars[j])),
+                max(4 * se_var, cfg.var_rel_tol * float(exact_vars[j])),
+            ),
+            (
+                "empirical variance per vertex near covariance density",
+                abs(float(emp["var"][j]) / n - density),
+                max(cfg.var_rel_tol * max(density, 1e-12), 4 * se_var / n),
+            ),
+        ):
+            report.verdicts.append(_verdict(check, n, pattern.to_text(), observed, tolerance))
     for j in range(m):
         for k in range(j + 1, m):
             denom = float(gamma[j][j] * gamma[k][k])
@@ -393,52 +442,30 @@ def _moment_verdicts(report, cfg, entry, emp, exact_means, exact_vars, gamma, n,
                 float(emp["cov"][j][k]) / math.sqrt(emp_denom) if emp_denom > 0 else 0.0
             )
             se = (1 - rho_pred**2) / math.sqrt(cfg.replicates) + 1e-12
+            pair = [patterns[j].to_text(), patterns[k].to_text()]
             entry.setdefault("correlation", []).append(
-                {
-                    "pair": [patterns[j].to_text(), patterns[k].to_text()],
-                    "empirical": rho_emp,
-                    "predicted": rho_pred,
-                }
+                {"pair": pair, "empirical": rho_emp, "predicted": rho_pred}
             )
+            check = "empirical correlation within 3 SE of prediction"
             report.verdicts.append(
-                {
-                    "check": "empirical correlation within 3 SE of prediction",
-                    "size": n,
-                    "pattern": f"{patterns[j].to_text()} vs {patterns[k].to_text()}",
-                    "observed": abs(rho_emp - rho_pred),
-                    "tolerance": 3 * se,
-                    "passed": abs(rho_emp - rho_pred) <= 3 * se,
-                }
+                _verdict(check, n, " vs ".join(pair), abs(rho_emp - rho_pred), 3 * se)
             )
 
 
 def _normality_verdicts(report, cfg, entry, counts, exact_means, stat, patterns, n):
     entry["ks"] = []
     for j, pattern in enumerate(patterns):
-        if cfg.standardize_with == "plugin":
-            center = float(plugin_mean(stat, pattern))
-        else:
-            center = float(exact_means[j])
-        z = (counts[:, j].astype(float) - center) / math.sqrt(n)
-        if cfg.keep_samples:
-            entry.setdefault("standardized_samples", {})[
-                pattern.to_text()
-            ] = z.tolist()
+        center = plugin_mean(stat, pattern) if cfg.standardize_with == "plugin" else exact_means[j]
+        z = (counts[:, j].astype(float) - float(center)) / math.sqrt(n)
+        report.samples.append((n, pattern.to_text(), z))
         if z.std(ddof=1) == 0:
             entry["ks"].append(None)
             continue
         distance, ok = normality_test(z, cfg.ks_threshold)
         entry["ks"].append(distance)
-        report.verdicts.append(
-            {
-                "check": f"KS distance of standardized count below {cfg.ks_threshold}",
-                "size": n,
-                "pattern": pattern.to_text(),
-                "observed": distance,
-                "tolerance": cfg.ks_threshold,
-                "passed": ok,
-            }
-        )
+        check = f"KS distance of standardized count below {cfg.ks_threshold}"
+        # strict: normality_test passes distance < threshold
+        report.verdicts.append(_verdict(check, n, pattern.to_text(), distance, cfg.ks_threshold, ok))
 
 
 # ---------------------------------------------------------------------------

@@ -270,8 +270,10 @@ class _LeafPair:
         return _binomial_pmf(size, k, self.rho) / _binomial_pmf(self.low, self.mode, self.rho)
 
     def statistic(self, row: np.ndarray, size: int, k: int) -> DegreeStatistic:
-        """The degree counts of ``row`` with the pair split as forced."""
-        counts = dict(zip(self.degrees.tolist(), row.tolist()))
+        """The degree counts of ``row`` with the pair split as forced; only
+        its nonzero cells are read."""
+        cells = np.flatnonzero(row)
+        counts = dict(zip(self.degrees[cells].tolist(), row[cells].tolist()))
         counts[0] = size - k
         counts[self.a] = k
         return DegreeStatistic.from_counts(counts)
@@ -333,7 +335,7 @@ def _check_feasible(w: OffspringDistribution, n: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _least_sums(w: OffspringDistribution) -> tuple:
     """least[r] = least sum of positive degrees that is r mod a, with a
     the smallest positive degree (infinity if there is none).

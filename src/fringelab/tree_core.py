@@ -158,28 +158,6 @@ def degree_statistic(tree: PlaneTree) -> DegreeStatistic:
 # Fringe subtrees
 
 
-def fringe_lengths(tree: PlaneTree) -> list:
-    """lengths[i] = size of the fringe subtree rooted at preorder vertex i."""
-    degrees = tree.degrees
-    lengths = [0] * len(degrees)
-    stack = []
-    for i in range(len(degrees) - 1, -1, -1):
-        d = degrees[i]
-        size = 1
-        for _ in range(d):
-            size += stack.pop()
-        lengths[i] = size
-        stack.append(size)
-    return lengths
-
-
-def fringe_subtrees(tree: PlaneTree):
-    """Yield the fringe subtree at each vertex, in preorder."""
-    degrees = tree.degrees
-    for i, size in enumerate(fringe_lengths(tree)):
-        yield PlaneTree(degrees[i : i + size])
-
-
 def count_fringe(tree: PlaneTree, pattern: PlaneTree) -> int:
     """Number of fringe subtrees of ``tree`` equal to ``pattern``.
 

@@ -29,8 +29,9 @@ raised exception into its type for comparisons.
 
 The enumeration helpers (``all_trees``, ``all_degree_statistics``) list
 every plane tree and every feasible degree profile of a size;
+``fringe_subtrees`` extracts the fringe subtree at each vertex, and
 ``count_fringe_by_extraction`` and ``fringe_distribution`` recount fringe
-subtrees by extracting each one; ``covariance_matrix_probe`` gives the
+subtrees with it; ``covariance_matrix_probe`` gives the
 spectrum of a fringe limit covariance matrix.  No library code needs them.
 ``rotation_images`` passes fixed degree words through the sampler's own
 rotation, with a stand-in generator whose shuffle changes nothing.
@@ -71,7 +72,6 @@ from fringelab.tree_core import (
     degree_statistic,
     enumerate_orderings,
     enumerate_trees,
-    fringe_subtrees,
 )
 
 
@@ -86,6 +86,28 @@ def falling_factorial(x, q: int):
         if out == 0:
             return out
     return out
+
+
+def fringe_lengths(tree: PlaneTree) -> list:
+    """lengths[i] = size of the fringe subtree rooted at preorder vertex i."""
+    degrees = tree.degrees
+    lengths = [0] * len(degrees)
+    stack = []
+    for i in range(len(degrees) - 1, -1, -1):
+        d = degrees[i]
+        size = 1
+        for _ in range(d):
+            size += stack.pop()
+        lengths[i] = size
+        stack.append(size)
+    return lengths
+
+
+def fringe_subtrees(tree: PlaneTree):
+    """Yield the fringe subtree at each vertex, in preorder."""
+    degrees = tree.degrees
+    for i, size in enumerate(fringe_lengths(tree)):
+        yield PlaneTree(degrees[i : i + size])
 
 
 def count_fringe_by_extraction(tree: PlaneTree, pattern: PlaneTree) -> int:

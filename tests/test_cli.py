@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import jsonschema
@@ -153,6 +154,76 @@ class TestExperimentCommand:
         assert lines[1] == "size,pattern,replicate,standardized"
         assert len(lines) == 2 + 150
 
+    @pytest.mark.parametrize(
+        "sizes, digest",
+        [
+            ([501], "29dc99a8de57a99f1e5ac4a3bcfbc31e56829b26d5d53edb645f50e26239e51f"),
+            # two sizes that give the same n keep one block each, in run order
+            ([1000, 1001], "aa848c2310320d6433bdf91b10626c43309367702e1c64b9ebb81572ddd233fd"),
+        ],
+    )
+    def test_samples_csv_bytes(self, tmp_path, capsys, sizes, digest):
+        cfg = {
+            "family": "full_binary",
+            "patterns": ["2,0,0"],
+            "sizes": sizes,
+            "replicates": 150,
+            "seed": {"value": 5, "stream_id": 0},
+            "tests": ["moments", "normality"],
+            "ks_threshold": 0.2,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        csv_path = tmp_path / "samples.csv"
+        code, _, _ = run_cli(
+            capsys, "experiment", "--config", str(cfg_path), "--samples-csv", str(csv_path)
+        )
+        assert code == 0
+        data = csv_path.read_bytes()
+        assert data.count(b"\n") == 2 + 150 * len(sizes)
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    BASE = {"sizes": [301], "replicates": 120}
+
+    # How each config fared before the config was checked on reading: most
+    # ran with the bad value dropped, read as something else or truncated;
+    # the others stopped with an internal error (exit 2).
+    @pytest.mark.parametrize(
+        "raw, flags, message",
+        [
+            ([1, 2], [], "JSON object"),  # exit 2: AttributeError
+            ({**BASE, "replicate": 100}, [], "unknown experiment config keys"),  # ran
+            ({**BASE, "tests": ["moment"]}, [], "unknown tests"),  # ran, no moment verdicts
+            ({**BASE, "standardize_with": "plugn"}, [], "exact_mean or plugin"),  # ran
+            ({**BASE, "family": "binary"}, [], "unknown family"),  # exit 1 already
+            ({**BASE, "family_params": [7]}, [], "takes 0 parameter"),  # ran
+            ({**BASE, "family": "one_hub"}, [], "takes 1 parameter"),  # exit 1, unpack error
+            ({**BASE, "family": "one_hub", "family_params": [-1]}, [], "ratio"),  # exit 2
+            ({**BASE, "sizes": [301.7]}, [], "is not an integer"),  # ran at 301
+            ({**BASE, "replicates": 120.5}, [], "is not an integer"),  # ran 120
+            ({**BASE, "replicates": "120"}, [], "is not an integer"),  # ran 120
+            ({**BASE, "replicates": 1}, [], "at least 2 replicates"),  # exit 2
+            ({**BASE, "seed": 5}, [], '"seed"'),  # exit 2: AttributeError
+            ({**BASE, "seed": 5}, ["--seed", "1"], '"seed"'),  # exit 2: AttributeError
+            ({**BASE, "seed": {"value": 1.5}}, [], "is not an integer"),  # ran with seed 1
+            ({**BASE, "seed": {"stream": 2}}, [], '"seed"'),  # ran on stream 0
+            ({**BASE, "patterns": [5]}, [], '"patterns"'),  # exit 2: AttributeError
+            ({**BASE, "patterns": ["2,0,0", "2,0,0"]}, [], "distinct"),  # ran
+        ],
+        ids=[
+            "list", "unknown-key", "unknown-test", "unknown-standardizer", "unknown-family",
+            "extra-param", "missing-param", "negative-ratio", "float-size", "float-replicates",
+            "string-replicates", "one-replicate", "seed-int", "seed-int-with-flag", "seed-float",
+            "seed-unknown-key", "pattern-int", "repeated-pattern",
+        ],
+    )
+    def test_invalid_config_rejected(self, tmp_path, capsys, raw, flags, message):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        code, out, err = run_cli(capsys, "experiment", "--config", str(cfg_path), *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_flag_overrides(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -209,6 +280,12 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "count", "--stat", '{"0":2,"2":2}')
         assert code == 1
         assert "error" in err
+
+    def test_stat_not_an_object(self, capsys):
+        # an internal AttributeError (exit 2) before --stat was checked
+        code, out, err = run_cli(capsys, "count", "--stat", "[1,2]")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "JSON object" in err
 
     def test_bad_json(self, capsys):
         code, _, _ = run_cli(capsys, "count", "--stat", "not json")

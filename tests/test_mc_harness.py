@@ -11,6 +11,7 @@ from oracle_utils import (
 )
 
 from fringelab.errors import TooFewSamples
+from fringelab.exact_moments import mean_count
 from fringelab.mc_harness import (
     ExperimentConfig,
     StatFamily,
@@ -68,6 +69,91 @@ class TestFamilies:
                     gaps.append(abs(float(emp - Fraction(target.p(degree)))))
                 assert gaps[-1] <= gaps[0] + 1e-9
                 assert gaps[-1] < 0.01
+
+
+class TestConfig:
+    def test_defaults_echo(self):
+        assert ExperimentConfig.from_dict({}).to_dict() == {
+            "family": "full_binary",
+            "patterns": ["2,0,0"],
+            "sizes": [10001],
+            "replicates": 2000,
+            "seed": {"value": 0, "stream_id": 0},
+            "tests": ["moments", "normality"],
+            "standardize_with": "exact_mean",
+            "ks_threshold": 0.05,
+            "var_rel_tol": 0.1,
+        }
+
+    def test_every_key_echoes_as_read(self):
+        raw = {
+            "family": "one_hub",
+            "family_params": [1],
+            "patterns": ["1,0", "0"],
+            "sizes": [301, 401],
+            "replicates": 120,
+            "seed": {"stream_id": 2},
+            "tests": ["normality"],
+            "standardize_with": "plugin",
+            "ks_threshold": 1,
+            "var_rel_tol": 0,
+        }
+        cfg = ExperimentConfig.from_dict(raw)
+        assert cfg.family == StatFamily("one_hub", (1,))
+        # the label carries the parameters, and the thresholds echo as floats
+        assert cfg.to_dict() == {
+            **{key: value for key, value in raw.items() if key != "family_params"},
+            "family": "one_hub(1)",
+            "seed": {"value": 0, "stream_id": 2},
+            "ks_threshold": 1.0,
+            "var_rel_tol": 0.0,
+        }
+
+    def test_echo_reads_back(self):
+        echo = ExperimentConfig.from_dict({"patterns": ["2,0,0", "1,0"], "sizes": [501]}).to_dict()
+        assert ExperimentConfig.from_dict(echo).to_dict() == echo
+
+    @pytest.mark.parametrize(
+        "make, error",
+        [
+            (lambda: StatFamily("binary"), ValueError),
+            (lambda: StatFamily("full_binary", (7,)), ValueError),
+            (lambda: StatFamily("one_hub"), ValueError),
+            (lambda: StatFamily("one_hub", (-0.5,)), ValueError),
+            (lambda: StatFamily.one_hub(float("nan")), ValueError),
+            (lambda: _config(tests=("moment",)), ValueError),
+            (lambda: _config(standardize_with="plugn"), ValueError),
+            (lambda: _config(patterns=(CHERRY, CHERRY)), ValueError),
+            (lambda: _config(sizes=(301.7,)), TypeError),
+            (lambda: _config(replicates=120.0), TypeError),
+            (lambda: _config(replicates=1), ValueError),
+            (lambda: ExperimentConfig.from_dict([]), ValueError),
+            (lambda: ExperimentConfig.from_dict({"replicate": 5}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"seed": 5}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"seed": {"value": "5"}}), TypeError),
+            (lambda: ExperimentConfig.from_dict({"patterns": [[2, 0, 0]]}), ValueError),
+        ],
+        ids=[
+            "unknown-family", "extra-param", "missing-param", "negative-ratio", "nan-ratio",
+            "unknown-test", "unknown-standardizer", "repeated-pattern", "float-size",
+            "float-replicates", "one-replicate", "not-an-object", "unknown-key", "seed-not-object",
+            "string-seed", "pattern-not-text",
+        ],
+    )
+    def test_rejected(self, make, error):
+        with pytest.raises(error):
+            make()
+
+
+def _config(**changes) -> ExperimentConfig:
+    fields = dict(
+        family=StatFamily.full_binary(),
+        patterns=(CHERRY,),
+        sizes=(301,),
+        replicates=120,
+        seed=Seed(1),
+    )
+    return ExperimentConfig(**{**fields, **changes})
 
 
 class TestCountCollection:
@@ -240,6 +326,29 @@ class TestRunExperiment:
             seed=Seed(77),
         )
         assert run_experiment(cfg).to_dict() == run_experiment(cfg).to_dict()
+
+    def test_samples_kept_in_run_order_outside_the_report(self):
+        # full_binary 1000 and 1001 both give n = 1001, on different streams
+        report = run_experiment(_config(patterns=(CHERRY, PATH3), sizes=(1000, 1001)))
+        assert [(n, text) for n, text, _ in report.samples] == [
+            (1001, "2,0,0"),
+            (1001, "1,1,0"),
+            (1001, "2,0,0"),
+            (1001, "1,1,0"),
+        ]
+        assert not np.array_equal(report.samples[0][2], report.samples[2][2])
+        assert "samples" not in report.to_dict()
+        # each block is the size's counts less the exact mean, over sqrt(n)
+        stat = StatFamily.full_binary().statistic(1001)
+        counts = collect_counts(stat, [CHERRY], 120, Seed(1), size_index=1)
+        expected = (counts[:, 0] - float(mean_count(stat, CHERRY))) / math.sqrt(1001)
+        assert np.array_equal(report.samples[2][2], expected)
+
+    def test_ks_verdict_is_strict(self):
+        distance = run_experiment(_config(tests=("normality",))).per_size[0]["ks"][0]
+        for threshold, passed in ((distance, False), (math.nextafter(distance, 1), True)):
+            (verdict,) = run_experiment(_config(tests=("normality",), ks_threshold=threshold)).verdicts
+            assert verdict["observed"] == distance and verdict["passed"] is passed
 
     def test_standardization_modes_agree_at_scale(self):
         reports = {}

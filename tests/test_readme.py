@@ -1,12 +1,16 @@
 """The Python examples of README.md run, and the values their comments
-give as ``# Fraction(...)`` are the values they compute."""
+give as ``# Fraction(...)`` are the values they compute; its experiment
+config section lists the keys the config reader takes."""
 
 import ast
+import json
 import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+
+from fringelab.mc_harness import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 BLOCKS = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
@@ -34,3 +38,17 @@ def test_example_runs_and_commented_values_hold(block):
         checked += 1
     # every commented value sits on an expression line, so none goes unchecked
     assert checked == len(COMMENTED.findall(block))
+
+
+def test_experiment_config_section_matches_the_reader():
+    # the key table lists exactly the keys ExperimentConfig.from_dict reads,
+    # and the example config is one it accepts
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("An experiment config file") : text.index("Built-in profile families")]
+    keys = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    raw = json.loads(example)
+    assert sorted(keys) == sorted(raw)
+    ExperimentConfig.from_dict(raw)
+    with pytest.raises(ValueError, match="unknown experiment config keys"):
+        ExperimentConfig.from_dict({**raw, "unlisted": 1})

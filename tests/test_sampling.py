@@ -9,7 +9,14 @@ import pytest
 from oracle_utils import dp_feasible, rolled_excursion_degrees
 from scipy import stats as scistats
 
-from fringelab.distributions import OffspringDistribution, _mass_table
+from fringelab.asymptotics import equivalent_offspring
+from fringelab.distributions import (
+    OffspringDistribution,
+    WeightSequence,
+    _cdf_table,
+    _family_pmf,
+    _mass_table,
+)
 from fringelab.errors import (
     AttemptsExhausted,
     InfeasibleSize,
@@ -22,6 +29,7 @@ from fringelab.sampling import (
     _check_feasible,
     _leaf_pair,
     _LeafPair,
+    _least_sums,
     excursion_degrees,
     sample_conditioned_gw,
     sample_hub_tree,
@@ -489,6 +497,20 @@ class TestLeafPairAcceptance:
         assert pair.accepts(2.0**-60, pair.low, pair.mode)
         assert not pair.accepts(0.75, n, 0)
         assert len(exact_calls) == before
+
+
+class TestLawCaches:
+    def test_caches_keyed_by_a_law_stay_bounded(self):
+        # every fresh law adds an entry to each cache; unbounded, 300 laws
+        # would leave 300 entries each for the life of the process
+        caches = (_family_pmf, _cdf_table, _mass_table, _least_sums, _leaf_pair)
+        for k in range(300):
+            law = OffspringDistribution.poisson(0.5 + k / 1000)
+            sample_conditioned_gw(law, 5, Seed(k))
+            equivalent_offspring(WeightSequence.finite({0: 1, 2: Fraction(k + 1, 1000)}))
+        for cache in caches + (equivalent_offspring,):
+            info = cache.cache_info()
+            assert info.misses >= 300 and info.currsize <= 256, (cache.__name__, info)
 
 
 class TestHubSampler:

@@ -53,3 +53,21 @@ def test_lgamma_only_in_distributions():
         or (isinstance(node, ast.alias) and node.name == "lgamma")
     ]
     assert found == []
+
+
+def test_every_lru_cache_is_bounded():
+    # an unbounded cache keyed by a law grows with every fresh law for the
+    # life of the process, so each cache states an integer maxsize
+    found = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(_tree(path.name)):
+            for decorator in getattr(node, "decorator_list", []):
+                call = decorator if isinstance(decorator, ast.Call) else None
+                func = call.func if call else decorator
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name not in {"lru_cache", "cache"}:
+                    continue
+                sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args if call else []
+                if not (sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
+                    found.append(f"{path.name}:{node.lineno}:{node.name}")
+    assert found == []

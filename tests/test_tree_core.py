@@ -12,6 +12,7 @@ from oracle_utils import (
     all_trees_up_to,
     count_fringe_by_extraction,
     fringe_distribution,
+    fringe_subtrees,
     rotate_word,
     rotation_images,
 )
@@ -27,7 +28,6 @@ from fringelab.tree_core import (
     degree_statistic,
     enumerate_orderings,
     enumerate_trees,
-    fringe_subtrees,
 )
 
 LEAF = PlaneTree((0,))

@@ -43,7 +43,13 @@ from .distributions import (
     _mass_table,
     sample_offspring,
 )
-from .errors import AttemptsExhausted, InfeasibleSize, InvalidDegreeSequence, InvalidPath
+from .errors import (
+    AttemptsExhausted,
+    InfeasibleSize,
+    InvalidDegreeSequence,
+    InvalidPath,
+    as_integer,
+)
 from .tree_core import DegreeStatistic, PlaneTree, _unchecked_tree
 
 
@@ -55,13 +61,13 @@ class Seed:
     stream_id: int = 0
 
     def __post_init__(self):
-        if self.value < 0 or self.stream_id < 0:
+        if as_integer(self.value) < 0 or as_integer(self.stream_id) < 0:
             raise ValueError("seed components must be nonnegative")
 
     def generator(self, *extra: int) -> np.random.Generator:
         """Generator for this stream; extra indices derive disjoint
         sub-streams (e.g. one per replicate) via the spawn key."""
-        key = (self.stream_id,) + tuple(int(x) for x in extra)
+        key = (self.stream_id,) + tuple(map(as_integer, extra))
         return np.random.Generator(
             np.random.PCG64(np.random.SeedSequence(entropy=self.value, spawn_key=key))
         )
@@ -201,11 +207,17 @@ def sample_conditioned_gw(
     fractions of the float masses and of u when the two logs are close.
 
     Attempts are drawn in blocks of 32 count vectors, doubling up to
-    ``batch``, at most ``max_attempts`` in all.
+    ``batch``, at most ``max_attempts`` in all; both must be at least 1.
+    The vectors of a block are tested one by one in row order, and the
+    first accepted one, its split written in, is the multiset that is
+    shuffled.  Feasibility of (w, n) is checked once per cached (w, n),
+    by ``_leaf_pair``.
     """
+    n, max_attempts, batch = as_integer(n), as_integer(max_attempts), as_integer(batch)
+    if max_attempts < 1 or batch < 1:
+        raise ValueError("max_attempts and batch must be at least 1")
     if n < 1:
         raise InfeasibleSize("n must be at least 1")
-    _check_feasible(w, n)
     pair = _leaf_pair(w, n)
     rng = _as_generator(seed)
     attempts, block = 0, _FIRST_BLOCK
@@ -213,14 +225,16 @@ def sample_conditioned_gw(
         rows = min(block, batch, max_attempts - attempts)
         # rows of n offspring draws, each kept only as its tally
         _, counts = sample_offspring(w, rng, rows * n, tally=n)
-        for row, size, k in zip(*pair.splits(counts)):
-            if pair.accepts(rng.random(), size, k):
-                return _sample_tree(pair.statistic(counts[row], size, k), rng)
+        hit = pair.first_accepted((counts @ pair.others).tolist(), rng.random)
+        if hit is not None:
+            row, size, k = hit
+            multiset = pair.multiset(counts[row], size, k)
+            return _unchecked_tree(tuple(excursion_degrees(multiset, rng).tolist()))
         attempts += rows
         block *= 2
     raise AttemptsExhausted(
         f"no size-{n} tree accepted in {attempts} attempts",
-        acceptance_rate=1.0 / max(attempts, 1),
+        acceptance_rate=1.0 / attempts,
     )
 
 
@@ -228,17 +242,21 @@ def sample_conditioned_gw(
 class _LeafPair:
     """Per-(law, n) constants of the leaf-pair acceptance test.
 
-    ``degrees`` are the degrees of the drawn count vectors; the two
-    columns of ``others`` hold 1 and the degree at each degree outside
-    {0, a} and 0 at 0 and a, so a vector's product with them is (m, W).
-    ``low`` is L, ``mode`` the mode of Bin(L, rho), ``log_top`` log M and
-    ``slack`` the width of the band around the log threshold that is
-    decided exactly (infinite when rho is 0 or 1).
+    ``degrees`` are the degrees of the drawn count vectors and
+    ``split_columns`` the columns of 0 and a among them, empty when either
+    has none: then rho is 0 or 1, and a drawn vector already holds the
+    only split that can be accepted.  The two columns of ``others`` hold
+    1 and the degree at each degree outside {0, a} and 0 at 0 and a, so a
+    vector's product with them is (m, W).  ``low`` is L, ``mode`` the mode
+    of Bin(L, rho), ``log_top`` log M and ``slack`` the width of the band
+    around the log threshold that is decided exactly (infinite when rho is
+    0 or 1).
     """
 
     n: int
     a: int
     degrees: np.ndarray
+    split_columns: tuple
     others: np.ndarray
     rho: Fraction
     low: int
@@ -248,14 +266,17 @@ class _LeafPair:
     log_top: float
     slack: float
 
-    def splits(self, counts: np.ndarray):
-        """(rows, N, c_a) of the count vectors whose forced c_a is an
-        integer in [0, N], as lists in row order."""
-        m, weight = (counts @ self.others).T
-        sizes = self.n - m
-        k, rest = np.divmod(self.n - 1 - weight, self.a)
-        hits = np.flatnonzero((rest == 0) & (k >= 0) & (k <= sizes))
-        return hits.tolist(), sizes[hits].tolist(), k[hits].tolist()
+    def first_accepted(self, sums: list, draw):
+        """(row, N, c_a) of the first accepted count vector, in row order,
+        given the (m, W) of each, or None when none is.  ``draw()`` gives
+        u, one call per vector whose forced c_a is an integer in [0, N]."""
+        n, a = self.n, self.a
+        for row, (m, weight) in enumerate(sums):
+            size = n - m
+            k, rest = divmod(n - 1 - weight, a)
+            if rest == 0 and 0 <= k <= size and self.accepts(draw(), size, k):
+                return row, size, k
+        return None
 
     def accepts(self, u: float, size: int, k: int) -> bool:
         """u < Bin(size, rho)(k) / M, in floats unless the logs are close."""
@@ -269,14 +290,12 @@ class _LeafPair:
         """Bin(size, rho)(k) / M as an exact fraction."""
         return _binomial_pmf(size, k, self.rho) / _binomial_pmf(self.low, self.mode, self.rho)
 
-    def statistic(self, row: np.ndarray, size: int, k: int) -> DegreeStatistic:
-        """The degree counts of ``row`` with the pair split as forced; only
-        its nonzero cells are read."""
-        cells = np.flatnonzero(row)
-        counts = dict(zip(self.degrees[cells].tolist(), row[cells].tolist()))
-        counts[0] = size - k
-        counts[self.a] = k
-        return DegreeStatistic.from_counts(counts)
+    def multiset(self, row: np.ndarray, size: int, k: int) -> np.ndarray:
+        """The sorted degree multiset of the count vector ``row`` with the
+        pair split as forced; the split is written into ``row``."""
+        for column, count in zip(self.split_columns, (size - k, k)):
+            row[column] = count
+        return np.repeat(self.degrees, row)
 
 
 def _binomial_pmf(n: int, k: int, rho: Fraction) -> Fraction:
@@ -289,9 +308,15 @@ def _leaf_pair(w: OffspringDistribution, n: int) -> _LeafPair:
     """The acceptance constants of (w, n), from the same float masses the
     count vectors are drawn with (exact dyadic rationals).  Without a
     positive degree of positive mass, a = 1 with mass 0, so rho = 0 and
-    only n = 1 is ever accepted."""
+    only n = 1 is ever accepted.
+
+    Feasibility of (w, n) is checked first, so once per cached (w, n); an
+    infeasible pair raises InfeasibleSize on every call, since the cache
+    keeps no exception."""
+    _check_feasible(w, n)
     degrees, masses = _mass_table(w)
-    mass = dict(zip(degrees.tolist(), masses.tolist()))
+    order = degrees.tolist()
+    mass = dict(zip(order, masses.tolist()))
     a = next((d for d in mass if d > 0), 1)
     leaf, pair = Fraction(mass.get(0, 0.0)), Fraction(mass.get(a, 0.0))
     rho = pair / (leaf + pair)
@@ -306,6 +331,7 @@ def _leaf_pair(w: OffspringDistribution, n: int) -> _LeafPair:
         n=n,
         a=a,
         degrees=degrees,
+        split_columns=(order.index(0), order.index(a)) if leaf and pair else (),
         others=np.stack((other, other * degrees), axis=1),
         rho=rho,
         low=low,

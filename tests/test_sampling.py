@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import Counter
@@ -81,6 +82,26 @@ class TestSeed:
         a = Seed(1, 0).generator().integers(0, 2**63, 500_000)
         b = Seed(1, 1).generator().integers(0, 2**63, 500_000)
         assert len(np.intersect1d(a, b)) == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Seed("3"),  # the parent failed comparing str with int
+            lambda: Seed(3.0),
+            lambda: Seed(3, 1.5),
+            lambda: Seed(3).generator(1.7),  # the parent used generator(1)
+            lambda: Seed(3).generator(0, "1"),
+        ],
+        ids=["str-value", "float-value", "float-stream", "float-index", "str-index"],
+    )
+    def test_non_integer_components_raise(self, make):
+        with pytest.raises(TypeError, match="is not an integer"):
+            make()
+
+    def test_numpy_integers_keep_the_stream(self):
+        seed = Seed(np.int64(3), np.uint8(1))
+        first = seed.generator(np.int32(2), 5).integers(0, 2**63, 4)
+        assert first.tolist() == Seed(3, 1).generator(2, 5).integers(0, 2**63, 4).tolist()
 
 
 class TestUniformTree:
@@ -365,6 +386,66 @@ class TestConditionedGW:
         assert sample_conditioned_gw(w, 500, Seed(9, 2)) == first
         assert sample_conditioned_gw(w, 500, Seed(9, 3)) != first
 
+    @pytest.mark.parametrize(
+        "w, n, digest",
+        [
+            (
+                OffspringDistribution.geometric(Fraction(1, 2)),
+                1_000,
+                "3c6b226efae1c1ccd0865617ec3e1ba4ba424b6ed876159cc7fc4b9a801bb718",
+            ),
+            (  # a = 2
+                OffspringDistribution.finite(
+                    {0: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
+                ),
+                301,
+                "c1da171ac95f2478bf8b96cd93f124041ff09a0dd74aeab4a8d0a76a19c929a8",
+            ),
+            (  # the point mass at 0: no column for a
+                OffspringDistribution.finite({0: 1}),
+                1,
+                "baae9a8f4235c830264d6c85525fe0bf8a062bee2bfc05ba0bac47d231100ea3",
+            ),
+        ],
+        ids=["geometric", "0-2-3", "point-mass"],
+    )
+    def test_tree_bytes(self, w, n, digest):
+        # pins the trees, and so the order of the random draws, of 20 seeds
+        text = "\n".join(
+            sample_conditioned_gw(w, n, Seed(s, 7)).to_text() for s in range(20)
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize(
+        "kwargs, error",
+        [
+            ({"batch": 0}, ValueError),  # the parent looped forever
+            ({"batch": -3}, ValueError),  # the parent raised numpy's negative dimensions
+            ({"max_attempts": 0}, ValueError),  # the parent gave up after 0 attempts
+            ({"n": 50.5}, TypeError),  # the parent indexed a tuple with a float
+            ({"max_attempts": 2.5}, TypeError),
+            ({"batch": "8"}, TypeError),
+        ],
+        ids=["batch-0", "batch-negative", "max-attempts-0", "float-n",
+             "float-max-attempts", "str-batch"],
+    )
+    def test_invalid_arguments_raise(self, kwargs, error):
+        args = {"n": 51, "max_attempts": 100, "batch": 8} | kwargs
+        message = "is not an integer" if error is TypeError else "must be at least 1"
+        with pytest.raises(error, match=message):
+            sample_conditioned_gw(FULL_BINARY, seed=Seed(0), **args)
+
+    def test_infeasible_raises_on_every_call(self):
+        # the feasibility check runs inside the cached _leaf_pair, whose
+        # cache keeps no exception, so a repeated call raises again
+        w = OffspringDistribution.finite({0: Fraction(2, 3), 3: Fraction(1, 3)})
+        misses = _leaf_pair.cache_info().misses
+        for _ in range(2):
+            with pytest.raises(InfeasibleSize):
+                sample_conditioned_gw(w, 6, Seed(0))
+        assert _leaf_pair.cache_info().misses == misses + 2
+        assert sample_conditioned_gw(w, 7, Seed(0)).size == 7
+
 
 def multinomial_mass(n, counts, masses):
     """Mult(n, masses)(counts) as an exact fraction."""
@@ -414,21 +495,47 @@ class TestLeafPairAcceptance:
             pair = _leaf_pair(w, n)
             rows = np.array(list(compositions(n, len(degrees))))
             accepted = Counter()
-            for row, size, k in zip(*pair.splits(rows)):
-                ratio = pair.exact_ratio(size, k)
-                assert 0 <= ratio <= 1, (n, rows[row].tolist())
+            for row, sums in zip(rows.tolist(), (rows @ pair.others).tolist()):
+                # u = 0 passes exactly the vectors of positive acceptance ratio
+                hit = pair.first_accepted([sums], lambda: 0.0)
+                if hit is None:
+                    continue
+                split = hit[1:]
+                ratio = pair.exact_ratio(*split)
+                assert 0 <= ratio <= 1, (n, row)
                 largest = max(largest, ratio)
-                key = pair.statistic(rows[row], size, k).items
-                accepted[key] += multinomial_mass(n, rows[row].tolist(), masses) * ratio
+                key = tuple(pair.multiset(np.array(row), *split).tolist())
+                accepted[key] += multinomial_mass(n, row, masses) * ratio
             target = {
-                DegreeStatistic.from_counts(zip(degrees, row)).items:
-                    multinomial_mass(n, row, masses)
+                tuple(np.repeat(degrees, row).tolist()): multinomial_mass(n, row, masses)
                 for row in rows.tolist()
                 if sum(d * c for d, c in zip(degrees, row)) == n - 1
             }
             assert set(accepted) == set(target), n
             assert len({accepted[key] / target[key] for key in target}) == 1, n
         assert largest == 1  # the bound M is attained, so L is tight
+
+    def test_rows_tested_in_order_up_to_the_first_accepted(self):
+        # u is drawn only for vectors whose forced split is possible, and
+        # the vectors after the first accepted one are not read
+        n = 15
+        pair = _leaf_pair(OffspringDistribution.finite(LEAF_PAIR_LAWS[0]), n)
+        mode_sums = (n - pair.low, n - 1 - pair.a * pair.mode)
+        # c_a = -6; c_a = 0 with ratio 2^-15 / M; the mode of Bin(L, rho)
+        sums = [(0, n + 5), (0, n - 1), mode_sums, mode_sums]
+        draws = iter([0.999, 2.0**-60])
+        assert pair.first_accepted(sums, draws.__next__) == (2, pair.low, pair.mode)
+        assert next(draws, None) is None
+
+    def test_multiset_writes_the_forced_split(self):
+        w = OffspringDistribution.finite(LEAF_PAIR_LAWS[3])  # degrees 0, 2, 4
+        pair = _leaf_pair(w, 7)
+        row = np.array([6, 0, 1])  # (m, W) = (1, 4) forces N = 6 and c_2 = 1
+        assert pair.multiset(row, 6, 1).tolist() == [0, 0, 0, 0, 0, 2, 4]
+        assert row.tolist() == [5, 1, 1]
+        point = _leaf_pair(OffspringDistribution.finite({0: 1}), 1)
+        assert point.split_columns == ()
+        assert point.multiset(np.array([1]), 1, 0).tolist() == [0]
 
     def test_law_without_degree_one(self):
         # a = 2, so the forced c_2 = (15 - 3 c_3) / 2 also rejects every
@@ -483,19 +590,24 @@ class TestLeafPairAcceptance:
                 if ratio < Fraction(1, 10**6):
                     continue  # the grid is too coarse to come this close
                 step = min(math.floor(ratio * grid), grid - 1)
+                # the (m, W) of a vector whose forced split is (size, k)
+                m, weight = n - size, n - 1 - pair.a * k
                 for u in (Fraction(step, grid), Fraction(step + 1, grid)):
                     if not 0 < u < 1:
                         continue
                     before = len(exact_calls)
-                    assert pair.accepts(float(u), size, k) == (u < ratio), (size, k, u)
+                    hit = pair.first_accepted([(m, weight)], lambda: float(u))
+                    assert hit == ((0, size, k) if u < ratio else None), (size, k, u)
                     assert len(exact_calls) == before + 1
                     checked += 1
         assert checked > 20
         # far from the threshold the float branch decides on its own
         before = len(exact_calls)
         assert pmf(n, 0) / top < Fraction(1, 2)
-        assert pair.accepts(2.0**-60, pair.low, pair.mode)
-        assert not pair.accepts(0.75, n, 0)
+        low_weight = n - 1 - pair.a * pair.mode
+        hit = pair.first_accepted([(n - pair.low, low_weight)], lambda: 2.0**-60)
+        assert hit == (0, pair.low, pair.mode)
+        assert pair.first_accepted([(0, n - 1)], lambda: 0.75) is None
         assert len(exact_calls) == before
 
 

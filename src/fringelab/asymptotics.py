@@ -12,7 +12,8 @@ Conventions used throughout (hard-coded at the formula sites):
 
 Exact inputs (rational probabilities) produce exact rational outputs
 everywhere except where a genuine square root enters (the normalized
-cross-covariances of distinct trees); those fall back to floats.
+cross-covariances of distinct trees); those fall back to floats.  That
+normalized density is one sum of root monomials c * prod_i p_i^(e_i/2).
 
 Pattern counts, unordered shape counts and additive functionals are all
 linear statistics sum_T f(T) N_T, given by a TollFunction (``indicator``,
@@ -121,108 +122,50 @@ def _pair_density(weight_of, row1: _Row, row2: _Row, inner1: int, inner2: int):
     return cross + eta * pi1 * pi2
 
 
-class _RootSum:
-    """Accumulates terms c * prod_j p_j^(e_j/2); stays exact while every
-    half-power cancels, otherwise degrades to float."""
-
-    def __init__(self):
-        self.exact_total = Fraction(0)
-        self.float_total = 0.0
-        self.exact = True
-
-    def add(self, coefficient, factors):
-        """factors: iterable of (probability, doubled_exponent)."""
-        if coefficient == 0:
-            return
-        rational = Fraction(coefficient)
-        radicand = Fraction(1)
-        is_float = False
-        float_part = 1.0
-        for prob, twice_e in factors:
-            if twice_e == 0:
-                continue
-            if prob == 0:
-                if twice_e > 0:
-                    return  # whole term vanishes
-                raise ZeroDivisionError("negative power of a zero probability")
-            if isinstance(prob, Fraction) and not is_float:
-                half, rem = divmod(twice_e, 2)
-                rational *= prob**half
-                if rem:
-                    radicand *= prob
-            else:
-                is_float = True
-                float_part *= float(prob) ** (twice_e / 2)
-        if not is_float and radicand == 1:
-            self.exact_total += rational
-            self.float_total += float(rational)
-            return
-        self.exact = False
-        if is_float:
-            self.float_total += float(rational) * float_part
-        else:
-            self.float_total += float(rational) * math.sqrt(float(radicand))
-
-    def value(self):
-        return self.exact_total if self.exact else self.float_total
-
-
-def normalized_interaction(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
-    """The interaction term scaled by sqrt(pi * pi'), extended by continuity
-    to vanishing probabilities; a polynomial in the sqrt(p_i), hence always
-    finite."""
-    prof1 = degree_statistic(t1).as_dict()
-    prof2 = degree_statistic(t2).as_dict()
-    degrees = sorted(set(prof1) | set(prof2))
-    acc = _RootSum()
-    acc.add(
-        (t1.size - 1) * (t2.size - 1),
-        [(p.p(j), prof1.get(j, 0) + prof2.get(j, 0)) for j in degrees],
-    )
-    for i in degrees:
-        ni = prof1.get(i, 0) * prof2.get(i, 0)
-        if ni == 0:
-            continue
-        acc.add(
-            -ni,
-            [
-                (p.p(j), prof1.get(j, 0) + prof2.get(j, 0) - 2 * (i == j))
-                for j in degrees
-            ],
-        )
-    return acc.value()
-
-
-def normalized_covariance_density(
-    p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree
-):
-    """Covariance density scaled by sqrt(pi * pi'), extended by continuity.
-
-    Equals fringe_covariance_density / sqrt(pi * pi') whenever both tree
-    probabilities are positive; on the diagonal it is 1 + the normalized
-    interaction."""
+def normalized_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
+    """Covariance density scaled by sqrt(pi * pi'), extended by continuity:
+    with a, b the degree profiles of t1, t2, the root monomials (c, doubled
+    e) summed in this order: (|T|-1)(|T'|-1) on a + b; -a_i b_i on
+    a + b - 2e_i per shared degree i; then 1 on the diagonal, or off it the
+    copies of t2 in t1 on a - b and of t1 in t2 on b - a (a copy implies
+    b <= a).  Equals fringe_covariance_density / sqrt(pi * pi') whenever
+    both probabilities are positive, and is always finite."""
+    a, b = degree_statistic(t1).as_dict(), degree_statistic(t2).as_dict()
+    both = {i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()}
+    terms = [((t1.size - 1) * (t2.size - 1), both)]
+    terms += [(-a[i] * b[i], {**both, i: both[i] - 2}) for i in sorted(a.keys() & b.keys())]
     if t1 == t2:
-        return 1 + normalized_interaction(p, t1, t1)
-    prof1 = degree_statistic(t1).as_dict()
-    prof2 = degree_statistic(t2).as_dict()
-    acc = _RootSum()
-    n21 = count_fringe(t1, t2)  # copies of t2 inside t1
-    if n21:
-        acc.add(
-            n21,
-            [(p.p(j), prof1.get(j, 0) - prof2.get(j, 0)) for j in sorted(prof1)],
-        )
-    n12 = count_fringe(t2, t1)
-    if n12:
-        acc.add(
-            n12,
-            [(p.p(j), prof2.get(j, 0) - prof1.get(j, 0)) for j in sorted(prof2)],
-        )
-    eta = normalized_interaction(p, t1, t2)
-    value = acc.value()
-    if isinstance(value, Fraction) and isinstance(eta, Fraction):
-        return value + eta
-    return float(value) + float(eta)
+        terms.append((1, {}))
+    else:
+        terms.append((count_fringe(t1, t2), {i: a[i] - b.get(i, 0) for i in a}))
+        terms.append((count_fringe(t2, t1), {i: b[i] - a.get(i, 0) for i in b}))
+    return sum((_root_monomial(p, c, doubled) for c, doubled in terms), Fraction(0))
+
+
+def _root_monomial(p: OffspringDistribution, coefficient: int, doubled: dict):
+    """coefficient * prod_i p_i^(doubled[i]/2): exact p_i go into a rational
+    part and, at odd exponents, one radicand rooted once; float p_i into a
+    float part.  A Fraction unless a root or a float is left; an exact 0
+    when the coefficient or a p_i at a positive exponent vanishes."""
+    if coefficient == 0:
+        return Fraction(0)
+    rational, radicand, floating, exact = Fraction(coefficient), Fraction(1), 1.0, True
+    for degree, twice in sorted(doubled.items()):
+        if twice == 0:
+            continue
+        prob = p.p(degree)
+        if prob == 0:
+            return Fraction(0)
+        if isinstance(prob, Fraction):
+            half, odd = divmod(twice, 2)
+            rational *= prob**half
+            radicand *= prob**odd
+        else:
+            floating *= float(prob) ** (twice / 2)
+            exact = False
+    if exact and radicand == 1:
+        return rational
+    return float(rational) * math.sqrt(float(radicand)) * floating
 
 
 def classify_exceptional(tree: PlaneTree, p: OffspringDistribution) -> str:

@@ -247,7 +247,7 @@ def _cmd_experiment(args) -> int:
     report = run_experiment(ExperimentConfig.from_dict(_overlay(raw, flags)))
     if args.samples_csv:
         rows = ["size,pattern,replicate,standardized"] + [
-            f"{n},{pattern},{r},{val!r}"
+            f'{n},"{pattern}",{r},{val!r}'
             for n, pattern, z in report.samples
             for r, val in enumerate(z.tolist())
         ]
@@ -258,7 +258,7 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_check_gw(args) -> int:
-    family = StatFamily(args.family)
+    family = StatFamily.from_label(args.family)
     pattern = PlaneTree.from_text(args.pattern)
     sizes = [int(s) for s in args.sizes.split(",")]
     config = {"family": family.label(), "pattern": pattern.to_text(), "sizes": sizes}
@@ -351,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="Monte Carlo limit-law verification")
     p.add_argument("--config", help="JSON config file; flags override")
-    p.add_argument("--family", help="full_binary | geometric_profile | one_hub")
+    p.add_argument("--family", help="full_binary | geometric_profile | one_hub(r)")
     p.add_argument("--patterns")
     p.add_argument("--sizes")
     p.add_argument("--reps", type=int)
@@ -362,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_experiment)
 
     p = sub.add_parser("check-gw", help="factorial-moment growth-condition scan")
-    p.add_argument("--family", default="full_binary")
+    p.add_argument("--family", default="full_binary", help="as in experiment")
     p.add_argument("--pattern", default="2,0,0")
     p.add_argument("--sizes", default="1000,10000,100000")
     p.add_argument("--c", type=float, default=1.0)

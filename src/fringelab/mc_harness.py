@@ -17,6 +17,7 @@ uses the derived stream seed.generator(size_index, r).
 
 from __future__ import annotations
 
+import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -59,8 +60,21 @@ class StatFamily:
             raise ValueError(f"unknown family {self.name!r}; known: {', '.join(_FAMILIES)}")
         if len(self.params) != arity:
             raise ValueError(f"{self.name} takes {arity} parameter(s), not {list(self.params)}")
-        if self.name == "one_hub" and not self.params[0] >= 0:
-            raise ValueError(f"the one_hub ratio is a number >= 0, not {self.params[0]!r}")
+        if self.name == "one_hub" and not 0 <= self.params[0] < math.inf:
+            raise ValueError(f"the one_hub ratio is a finite number >= 0, not {self.params[0]!r}")
+
+    @classmethod
+    def from_label(cls, text: str, params=()) -> "StatFamily":
+        """``name(p, ...)`` as ``label`` writes it, each p a JSON number, or
+        ``name`` with ``params``.  ValueError if malformed or given both."""
+        name, paren, body = text.partition("(")
+        if paren and params:
+            raise ValueError(f"family {text!r} also given parameters {list(params)}")
+        try:
+            params = json.loads(f"[{body[:-1]}]" if body.endswith(")") else "") if paren else params
+        except ValueError:
+            raise ValueError(f"malformed family label {text!r}") from None
+        return cls(name, tuple(params))
 
     @classmethod
     def full_binary(cls) -> "StatFamily":
@@ -174,7 +188,7 @@ class ExperimentConfig:
             "tests": tuple, "standardize_with": str, "ks_threshold": float, "var_rel_tol": float
         }
         return cls(
-            family=StatFamily(
+            family=StatFamily.from_label(
                 raw.get("family", "full_binary"), tuple(raw.get("family_params", ()))
             ),
             patterns=tuple(PlaneTree.from_text(text) for text in patterns),

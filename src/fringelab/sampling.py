@@ -96,27 +96,22 @@ class DegreeSequence:
     def size(self) -> int:
         return len(self.degrees)
 
-    def statistic(self) -> DegreeStatistic:
-        counts = {}
-        for d in self.degrees:
-            counts[d] = counts.get(d, 0) + 1
-        return DegreeStatistic.from_counts(counts)
-
 
 def sample_uniform_tree(stat: DegreeStatistic, seed) -> PlaneTree:
     """One exact-uniform tree with the given degree counts."""
-    return _sample_tree(stat, _as_generator(seed))
+    return sample_uniform_trees(stat, 1, seed)[0]
 
 
 def sample_uniform_trees(stat: DegreeStatistic, reps: int, seed) -> list:
     """A reproducible batch drawn from one stream."""
     rng = _as_generator(seed)
-    return [_sample_tree(stat, rng) for _ in range(reps)]
-
-
-def _sample_tree(stat: DegreeStatistic, rng: np.random.Generator) -> PlaneTree:
     degrees, counts = zip(*stat.items)
     multiset = np.repeat(np.array(degrees, dtype=np.int64), counts)
+    return [_sample_tree(multiset, rng) for _ in range(reps)]
+
+
+def _sample_tree(multiset: np.ndarray, rng: np.random.Generator) -> PlaneTree:
+    """The tree of one shuffle of the sorted int64 degree multiset."""
     return _unchecked_tree(tuple(excursion_degrees(multiset, rng).tolist()))
 
 
@@ -150,7 +145,7 @@ def sample_labelled_tree(dseq: DegreeSequence, seed):
     gives the uniform labelled law.
     """
     rng = _as_generator(seed)
-    tree = _sample_tree(dseq.statistic(), rng)
+    tree = _sample_tree(np.sort(np.array(dseq.degrees, dtype=np.int64)), rng)
     labels = [0] * tree.size
     by_degree = {}
     for label, degree in enumerate(dseq.degrees, start=1):
@@ -228,8 +223,7 @@ def sample_conditioned_gw(
         hit = pair.first_accepted((counts @ pair.others).tolist(), rng.random)
         if hit is not None:
             row, size, k = hit
-            multiset = pair.multiset(counts[row], size, k)
-            return _unchecked_tree(tuple(excursion_degrees(multiset, rng).tolist()))
+            return _sample_tree(pair.multiset(counts[row], size, k), rng)
         attempts += rows
         block *= 2
     raise AttemptsExhausted(

@@ -26,6 +26,11 @@ shape as the toll with value 1 on each of its orderings.  ``point_mass``
 reads one P(S_m = k) from the library's series prefix,
 ``falling_factorial`` is the plain product, and ``outcome`` turns a
 raised exception into its type for comparisons.
+``RootSum``, ``normalized_interaction`` and
+``root_sum_normalized_covariance_density`` are the first form of the
+normalized covariance density: an accumulator class that sums the
+interaction's root monomials, then adds the diagonal's 1 or the
+containment terms; the library lists all the monomials and sums them once.
 
 The enumeration helpers (``all_trees``, ``all_degree_statistics``) list
 every plane tree and every feasible degree profile of a size;
@@ -513,3 +518,103 @@ def unordered_covariance_density(p, t1, t2):
     if pi1 == 0 or pi2 == 0:
         return cross
     return cross + eta * pi1 * pi2
+
+
+class RootSum:
+    """Accumulates terms c * prod_j p_j^(e_j/2); stays exact while every
+    half-power cancels, otherwise degrades to float."""
+
+    def __init__(self):
+        self.exact_total = Fraction(0)
+        self.float_total = 0.0
+        self.exact = True
+
+    def add(self, coefficient, factors):
+        """factors: iterable of (probability, doubled_exponent)."""
+        if coefficient == 0:
+            return
+        rational = Fraction(coefficient)
+        radicand = Fraction(1)
+        is_float = False
+        float_part = 1.0
+        for prob, twice_e in factors:
+            if twice_e == 0:
+                continue
+            if prob == 0:
+                if twice_e > 0:
+                    return  # whole term vanishes
+                raise ZeroDivisionError("negative power of a zero probability")
+            if isinstance(prob, Fraction) and not is_float:
+                half, rem = divmod(twice_e, 2)
+                rational *= prob**half
+                if rem:
+                    radicand *= prob
+            else:
+                is_float = True
+                float_part *= float(prob) ** (twice_e / 2)
+        if not is_float and radicand == 1:
+            self.exact_total += rational
+            self.float_total += float(rational)
+            return
+        self.exact = False
+        if is_float:
+            self.float_total += float(rational) * float_part
+        else:
+            self.float_total += float(rational) * math.sqrt(float(radicand))
+
+    def value(self):
+        return self.exact_total if self.exact else self.float_total
+
+
+def normalized_interaction(p, t1, t2):
+    """The interaction term scaled by sqrt(pi * pi'), extended by continuity
+    to vanishing probabilities; a polynomial in the sqrt(p_i), hence always
+    finite."""
+    prof1 = degree_statistic(t1).as_dict()
+    prof2 = degree_statistic(t2).as_dict()
+    degrees = sorted(set(prof1) | set(prof2))
+    acc = RootSum()
+    acc.add(
+        (t1.size - 1) * (t2.size - 1),
+        [(p.p(j), prof1.get(j, 0) + prof2.get(j, 0)) for j in degrees],
+    )
+    for i in degrees:
+        ni = prof1.get(i, 0) * prof2.get(i, 0)
+        if ni == 0:
+            continue
+        acc.add(
+            -ni,
+            [
+                (p.p(j), prof1.get(j, 0) + prof2.get(j, 0) - 2 * (i == j))
+                for j in degrees
+            ],
+        )
+    return acc.value()
+
+
+def root_sum_normalized_covariance_density(p, t1, t2):
+    """The covariance density scaled by sqrt(pi * pi'), accumulated in a
+    RootSum: on the diagonal 1 + the normalized interaction, off it the
+    two containment terms plus the normalized interaction."""
+    if t1 == t2:
+        return 1 + normalized_interaction(p, t1, t1)
+    prof1 = degree_statistic(t1).as_dict()
+    prof2 = degree_statistic(t2).as_dict()
+    acc = RootSum()
+    n21 = count_fringe(t1, t2)  # copies of t2 inside t1
+    if n21:
+        acc.add(
+            n21,
+            [(p.p(j), prof1.get(j, 0) - prof2.get(j, 0)) for j in sorted(prof1)],
+        )
+    n12 = count_fringe(t2, t1)
+    if n12:
+        acc.add(
+            n12,
+            [(p.p(j), prof2.get(j, 0) - prof1.get(j, 0)) for j in sorted(prof2)],
+        )
+    eta = normalized_interaction(p, t1, t2)
+    value = acc.value()
+    if isinstance(value, Fraction) and isinstance(eta, Fraction):
+        return value + eta
+    return float(value) + float(eta)

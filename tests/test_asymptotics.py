@@ -11,6 +11,7 @@ from oracle_utils import (
     covariance_matrix_probe,
     outcome,
     pairwise_additive_variance_forms,
+    root_sum_normalized_covariance_density,
     unordered_covariance_density,
     unordered_tree_probability,
 )
@@ -167,6 +168,39 @@ class TestNormalizedDensity:
                     assert value > 0
                 else:
                     assert value == 0
+
+
+    def test_equals_the_root_sum_oracle(self):
+        # same type and value as the accumulator form, floats bit for bit
+        boundary = [
+            OffspringDistribution.finite({0: 1}),
+            OffspringDistribution.finite({1: 1}),
+            OffspringDistribution.finite({0: Fraction(1, 2), 1: Fraction(1, 2)}),
+            GEO,
+        ]
+        floats = [
+            OffspringDistribution.from_spec("poisson:1"),
+            OffspringDistribution.from_spec("poisson:0.5"),
+            OffspringDistribution.from_spec("power_law:0.3,2.5"),
+            OffspringDistribution.finite({0: 0.5, 1: 0.25, 2: 0.25}),
+        ]
+        trees = all_trees_up_to(5)
+        for p in random_distribution_corpus(25) + boundary + floats:
+            for t1 in trees:
+                for t2 in trees:
+                    got = normalized_covariance_density(p, t1, t2)
+                    want = root_sum_normalized_covariance_density(p, t1, t2)
+                    assert type(got) is type(want) and got == want, (p, t1, t2)
+
+    def test_mixed_exact_and_float_law_keeps_every_root(self):
+        # an exact p_i at an odd exponent before the first float p_j still
+        # contributes its square root
+        p = OffspringDistribution.finite({0: Fraction(1, 2), 1: 0.25, 2: Fraction(1, 4)})
+        edge = PlaneTree((1, 0))
+        gamma = fringe_covariance_density(p, edge, CHERRY)
+        scale = math.sqrt(float(tree_probability(p, edge) * tree_probability(p, CHERRY)))
+        got = normalized_covariance_density(p, edge, CHERRY)
+        assert got == pytest.approx(float(gamma) / scale, rel=1e-12)
 
 
 class TestClassification:

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 
@@ -5,6 +6,7 @@ import jsonschema
 import pytest
 
 from fringelab.cli import main
+from fringelab.mc_harness import ExperimentConfig, run_experiment
 from fringelab.schemas import EXPERIMENT_REPORT, RESULT_ENVELOPE
 
 RESULT_SCHEMA = RESULT_ENVELOPE
@@ -111,6 +113,14 @@ class TestBasicCommands:
         result = json.loads(out)["result"]
         assert result["strictly_decreasing"] is True
 
+    def test_check_gw_one_hub_label(self, capsys):
+        # the ratio rides in the family label, as the reports echo it
+        code, out, _ = run_cli(
+            capsys, "check-gw", "--family", "one_hub(0.5)", "--pattern", "1,0", "--sizes", "301"
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["family"] == "one_hub(0.5)"
+
     def test_crosscheck(self, capsys):
         code, out, _ = run_cli(
             capsys, "crosscheck", "--n0", "2", "--n1", "0", "--reps", "50"
@@ -157,10 +167,11 @@ class TestExperimentCommand:
     @pytest.mark.parametrize(
         "sizes, digest",
         [
-            ([501], "29dc99a8de57a99f1e5ac4a3bcfbc31e56829b26d5d53edb645f50e26239e51f"),
+            ([501], "0b06c965a8e54b43f681832550e4d9ba5aae8c380b15d73e593c583ce4b554ce"),
             # two sizes that give the same n keep one block each, in run order
-            ([1000, 1001], "aa848c2310320d6433bdf91b10626c43309367702e1c64b9ebb81572ddd233fd"),
+            ([1000, 1001], "01a2a9463efdd300e79d57886c89ff9388832036f9f254a6955283a83ffeff8c"),
         ],
+        ids=["one-size", "two-sizes-one-n"],
     )
     def test_samples_csv_bytes(self, tmp_path, capsys, sizes, digest):
         cfg = {
@@ -182,6 +193,35 @@ class TestExperimentCommand:
         data = csv_path.read_bytes()
         assert data.count(b"\n") == 2 + 150 * len(sizes)
         assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_samples_csv_rows_read_back(self, tmp_path, capsys):
+        # every row has the header's four fields, the pattern quoted
+        cfg = {
+            "patterns": ["2,0,0", "2,2,0,0,0"],
+            "sizes": [301],
+            "replicates": 100,
+            "seed": {"value": 3},
+            "tests": ["normality"],
+            "ks_threshold": 1,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        csv_path = tmp_path / "samples.csv"
+        code, _, _ = run_cli(
+            capsys, "experiment", "--config", str(cfg_path), "--samples-csv", str(csv_path)
+        )
+        assert code == 0
+        lines = csv_path.read_text().splitlines()
+        assert lines[0].startswith("# ")
+        header, *rows = csv.reader(lines[1:])
+        assert header == ["size", "pattern", "replicate", "standardized"]
+        report = run_experiment(ExperimentConfig.from_dict(cfg))
+        assert len(rows) == 2 * 100
+        assert [(int(n), text, int(r), float(z)) for n, text, r, z in rows] == [
+            (n, text, r, z)
+            for n, text, values in report.samples
+            for r, z in enumerate(values.tolist())
+        ]
 
     BASE = {"sizes": [301], "replicates": 120}
 
@@ -272,6 +312,15 @@ class TestDeterminism:
 
 
 class TestErrorPaths:
+    @pytest.mark.parametrize("command", ["check-gw", "experiment"])
+    @pytest.mark.parametrize(
+        "label", ["one_hub(0.5", "one_hub(x)", "one_hub()", "one_hub", "full_binary(1)", "hub(1)"]
+    )
+    def test_malformed_family_label(self, capsys, command, label):
+        code, out, err = run_cli(capsys, command, "--family", label, "--sizes", "301")
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "count")
         assert code == 1

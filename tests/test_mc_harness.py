@@ -113,6 +113,29 @@ class TestConfig:
         echo = ExperimentConfig.from_dict({"patterns": ["2,0,0", "1,0"], "sizes": [501]}).to_dict()
         assert ExperimentConfig.from_dict(echo).to_dict() == echo
 
+    def test_one_hub_echo_reads_back(self):
+        cfg = ExperimentConfig.from_dict({"family": "one_hub", "family_params": [0.5]})
+        echo = cfg.to_dict()
+        assert echo["family"] == "one_hub(0.5)"
+        assert ExperimentConfig.from_dict(echo) == cfg
+
+    @pytest.mark.parametrize(
+        "family",
+        [StatFamily.full_binary(), StatFamily.geometric_profile(), StatFamily.one_hub(0.25),
+         StatFamily.one_hub(2), StatFamily("one_hub", (3,)), StatFamily.one_hub(1e-7)],
+    )
+    def test_family_label_reads_back(self, family):
+        assert StatFamily.from_label(family.label()) == family
+
+    @pytest.mark.parametrize(
+        "text, params",
+        [("one_hub(0.5", ()), ("one_hub(0.5)x", ()), ("one_hub(a)", ()), ("one_hub()", ()),
+         ("one_hub(0.5)", (0.5,)), ("one_hub", ()), ("one_hub(0.5,1)", ())],
+    )
+    def test_bad_family_label(self, text, params):
+        with pytest.raises(ValueError):
+            StatFamily.from_label(text, params)
+
     @pytest.mark.parametrize(
         "make, error",
         [
@@ -121,6 +144,7 @@ class TestConfig:
             (lambda: StatFamily("one_hub"), ValueError),
             (lambda: StatFamily("one_hub", (-0.5,)), ValueError),
             (lambda: StatFamily.one_hub(float("nan")), ValueError),
+            (lambda: StatFamily.one_hub(float("inf")), ValueError),
             (lambda: _config(tests=("moment",)), ValueError),
             (lambda: _config(standardize_with="plugn"), ValueError),
             (lambda: _config(patterns=(CHERRY, CHERRY)), ValueError),
@@ -135,7 +159,7 @@ class TestConfig:
         ],
         ids=[
             "unknown-family", "extra-param", "missing-param", "negative-ratio", "nan-ratio",
-            "unknown-test", "unknown-standardizer", "repeated-pattern", "float-size",
+            "infinite-ratio", "unknown-test", "unknown-standardizer", "repeated-pattern", "float-size",
             "float-replicates", "one-replicate", "not-an-object", "unknown-key", "seed-not-object",
             "string-seed", "pattern-not-text",
         ],

@@ -78,7 +78,7 @@ def _interaction(weight_of, row1: _Row, row2: _Row):
     """covariance_interaction of two rows, with weight_of(i) = p_i."""
     prof1, prof2 = row1.profile, row2.profile
     value = Fraction((row1.tree.size - 1) * (row2.tree.size - 1))
-    for degree in set(prof1) & set(prof2):
+    for degree in sorted(prof1.keys() & prof2.keys()):
         weight = weight_of(degree)
         if weight == 0:
             return -INF
@@ -111,7 +111,8 @@ def _pair_density(weight_of, row1: _Row, row2: _Row, inner1: int, inner2: int):
     pi + eta * pi^2.  Off-diagonal: the two cross-containment terms
     inner1 * pi + inner2 * pi', where inner1 counts copies of the second
     tree inside the first and inner2 the reverse (unread on the diagonal),
-    plus eta * pi * pi'.  Always finite (inf * 0 := 0)."""
+    plus eta * (pi * pi').  Always finite (inf * 0 := 0).  Every float step
+    is symmetric in the two rows, so mirrored pairs give equal bits."""
     (t1, pi1, _), (t2, pi2, _) = row1, row2
     eta = _interaction(weight_of, row1, row2)
     if t1 == t2:
@@ -119,7 +120,7 @@ def _pair_density(weight_of, row1: _Row, row2: _Row, inner1: int, inner2: int):
     cross = inner1 * pi1 + inner2 * pi2
     if pi1 == 0 or pi2 == 0:
         return cross
-    return cross + eta * pi1 * pi2
+    return cross + eta * (pi1 * pi2)
 
 
 def normalized_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):

@@ -23,6 +23,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from numbers import Real
 
 import numpy as np
 from scipy import stats as scistats
@@ -60,8 +61,10 @@ class StatFamily:
             raise ValueError(f"unknown family {self.name!r}; known: {', '.join(_FAMILIES)}")
         if len(self.params) != arity:
             raise ValueError(f"{self.name} takes {arity} parameter(s), not {list(self.params)}")
-        if self.name == "one_hub" and not 0 <= self.params[0] < math.inf:
-            raise ValueError(f"the one_hub ratio is a finite number >= 0, not {self.params[0]!r}")
+        if self.name == "one_hub":
+            ratio = self.params[0]  # JSON true is a bool, and a bool is an int
+            if isinstance(ratio, bool) or not (isinstance(ratio, Real) and 0 <= ratio < math.inf):
+                raise ValueError(f"the one_hub ratio is a finite number >= 0, not {ratio!r}")
 
     @classmethod
     def from_label(cls, text: str, params=()) -> "StatFamily":

@@ -1,7 +1,9 @@
 """Exact-uniform samplers for trees with prescribed degrees.
 
-The core construction: shuffle the degree multiset uniformly (Fisher-Yates
-inside numpy's permutation), read the shuffled degrees as a lattice bridge
+The core construction: shuffle the degree multiset uniformly (numpy's
+permutation up to 10 000 entries; above, the non-zero degrees are written
+at positions drawn by numpy's choice, a partial Fisher-Yates there, and
+the leaves fill the rest), read the shuffled degrees as a lattice bridge
 with increments degree - 1, rotate the bridge at its first minimum to get
 an excursion, and decode the excursion as a tree.  The rotation is an
 |n|-to-1 map from bridges onto excursions with the same increment counts,
@@ -115,9 +117,36 @@ def _sample_tree(multiset: np.ndarray, rng: np.random.Generator) -> PlaneTree:
     return _unchecked_tree(tuple(excursion_degrees(multiset, rng).tolist()))
 
 
+# numpy's Generator.choice(n, k, replace=False) runs a partial Fisher-Yates
+# only when n is above 10 000 (and k above n // 50); at or below it, it uses
+# Floyd's hash-set method, which is slower than permuting the whole word
+_POSITIONS_ABOVE = 10_000
+
+
+def _shuffled(multiset: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """A uniform arrangement of the int64 degree multiset.
+
+    Up to ``_POSITIONS_ABOVE`` entries it is ``rng.permutation``.  Above,
+    the k non-zero entries, in their given order, are written at the k
+    positions of ``rng.choice(n, k, replace=False)`` into a word of zeros.
+    choice orders its sample uniformly (shuffle=True), so every ordered
+    k-sample of positions is equally likely, and each arrangement arises
+    from exactly prod_{d != 0} c_d! of them.
+    """
+    if multiset.size <= _POSITIONS_ABOVE:
+        return rng.permutation(multiset)
+    inner = multiset[multiset != 0]
+    word = np.zeros_like(multiset)
+    word[rng.choice(multiset.size, inner.size, replace=False)] = inner
+    return word
+
+
 def excursion_degrees(multiset: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Shuffle a degree multiset and rotate the induced bridge at its first
     minimum; the result is the preorder degree word of a uniform tree.
+
+    Above 10 000 entries only the non-leaves are placed, at uniformly drawn
+    positions (``_shuffled``); both shuffles are exactly uniform.
 
     By the cycle lemma the rotated word is an excursion (partial sums of
     degree - 1 stay >= 0 and end at -1) exactly when the walk ends at -1:
@@ -127,7 +156,7 @@ def excursion_degrees(multiset: np.ndarray, rng: np.random.Generator) -> np.ndar
     replaces a second walk over the rotated word; InvalidPath is raised
     when it is not -1.
     """
-    shuffled = rng.permutation(multiset)
+    shuffled = _shuffled(multiset, rng)
     walk = np.cumsum(shuffled - 1)
     if walk[-1] != -1:
         raise InvalidPath("degree word does not sum to its length - 1")

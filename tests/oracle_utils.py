@@ -39,7 +39,9 @@ every plane tree and every feasible degree profile of a size;
 subtrees with it; ``covariance_matrix_probe`` gives the
 spectrum of a fringe limit covariance matrix.  No library code needs them.
 ``rotation_images`` passes fixed degree words through the sampler's own
-rotation, with a stand-in generator whose shuffle changes nothing.
+rotation, with a stand-in generator whose shuffle changes nothing, and
+``sampled_position_images`` passes every ordered sample of positions
+through the sampled-positions shuffle, with a stand-in ``choice``.
 """
 
 import itertools
@@ -404,6 +406,31 @@ def rotation_images(stat) -> Counter:
     degree multiset that the sampler's rotation sends to it."""
     arrangements = set(itertools.permutations(stat.degree_multiset()))
     return Counter(rotate_word(word) for word in arrangements)
+
+
+class OrderedSampleRng:
+    """Stand-in generator: its ``choice(n, k, replace=False)`` calls return
+    the ordered k-samples of range(n), each once, in
+    ``itertools.permutations`` order.  It has no ``permutation``, so only
+    the sampled-positions shuffle can run on it."""
+
+    def __init__(self, n: int, k: int):
+        self._samples = itertools.permutations(range(n), k)
+
+    def choice(self, n, k, replace=True):
+        if replace:
+            raise ValueError("the stand-in draws without replacement only")
+        return np.array(next(self._samples), dtype=np.int64)
+
+
+def sampled_position_images(stat, shuffle) -> Counter:
+    """Word -> number of ordered k-samples of positions (k the profile's
+    non-leaves) that ``shuffle(multiset, rng)`` sends to it, over all of
+    them, with ``OrderedSampleRng`` as the rng."""
+    multiset = np.array(stat.degree_multiset(), dtype=np.int64)
+    n, k = multiset.size, int(np.count_nonzero(multiset))
+    rng = OrderedSampleRng(n, k)
+    return Counter(tuple(shuffle(multiset, rng).tolist()) for _ in range(math.perm(n, k)))
 
 
 def outcome(f, *args):

@@ -113,6 +113,23 @@ class TestCovarianceDensity:
                     value = fringe_covariance_density(p, t1, t2)
                     assert value == value and abs(float(value)) < math.inf
 
+    @pytest.mark.parametrize(
+        "p",
+        [
+            OffspringDistribution.from_spec("poisson:1"),
+            OffspringDistribution.from_spec("power_law:0.3,2.5"),
+            OffspringDistribution.finite({0: 0.45, 1: 0.2, 2: 0.35}),
+        ],
+        ids=lambda p: p.label(),
+    )
+    def test_mirrored_pairs_are_bit_equal(self, p):
+        # the limit covariance matrix of a float law is symmetric to the bit
+        trees = all_trees_up_to(5)
+        for t1 in trees:
+            for t2 in trees:
+                value = fringe_covariance_density(p, t1, t2)
+                assert value == fringe_covariance_density(p, t2, t1), (t1, t2)
+
     def test_positivity(self):
         # strictly positive diagonal whenever the tree has >= 2 vertices
         # and positive probability

@@ -239,6 +239,7 @@ class TestExperimentCommand:
             ({**BASE, "family_params": [7]}, [], "takes 0 parameter"),  # ran
             ({**BASE, "family": "one_hub"}, [], "takes 1 parameter"),  # exit 1, unpack error
             ({**BASE, "family": "one_hub", "family_params": [-1]}, [], "ratio"),  # exit 2
+            ({**BASE, "family": "one_hub", "family_params": [True]}, [], "ratio"),  # ran at ratio 1
             ({**BASE, "sizes": [301.7]}, [], "is not an integer"),  # ran at 301
             ({**BASE, "replicates": 120.5}, [], "is not an integer"),  # ran 120
             ({**BASE, "replicates": "120"}, [], "is not an integer"),  # ran 120
@@ -252,7 +253,7 @@ class TestExperimentCommand:
         ],
         ids=[
             "list", "unknown-key", "unknown-test", "unknown-standardizer", "unknown-family",
-            "extra-param", "missing-param", "negative-ratio", "float-size", "float-replicates",
+            "extra-param", "missing-param", "negative-ratio", "bool-ratio", "float-size", "float-replicates",
             "string-replicates", "one-replicate", "seed-int", "seed-int-with-flag", "seed-float",
             "seed-unknown-key", "pattern-int", "repeated-pattern",
         ],

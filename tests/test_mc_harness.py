@@ -145,6 +145,8 @@ class TestConfig:
             (lambda: StatFamily("one_hub", (-0.5,)), ValueError),
             (lambda: StatFamily.one_hub(float("nan")), ValueError),
             (lambda: StatFamily.one_hub(float("inf")), ValueError),
+            (lambda: StatFamily.from_label("one_hub(true)"), ValueError),
+            (lambda: StatFamily("one_hub", ("0.5",)), ValueError),
             (lambda: _config(tests=("moment",)), ValueError),
             (lambda: _config(standardize_with="plugn"), ValueError),
             (lambda: _config(patterns=(CHERRY, CHERRY)), ValueError),
@@ -159,7 +161,7 @@ class TestConfig:
         ],
         ids=[
             "unknown-family", "extra-param", "missing-param", "negative-ratio", "nan-ratio",
-            "infinite-ratio", "unknown-test", "unknown-standardizer", "repeated-pattern", "float-size",
+            "infinite-ratio", "bool-ratio-label", "string-ratio", "unknown-test", "unknown-standardizer", "repeated-pattern", "float-size",
             "float-replicates", "one-replicate", "not-an-object", "unknown-key", "seed-not-object",
             "string-seed", "pattern-not-text",
         ],

@@ -3,13 +3,20 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
-from oracle_utils import dp_feasible, rolled_excursion_degrees
+from oracle_utils import (
+    all_degree_statistics,
+    dp_feasible,
+    rolled_excursion_degrees,
+    sampled_position_images,
+)
 from scipy import stats as scistats
 
+from fringelab import sampling
 from fringelab.asymptotics import equivalent_offspring
 from fringelab.distributions import (
     OffspringDistribution,
@@ -180,6 +187,63 @@ class TestUniformTree:
         tree = sample_uniform_tree(stat, Seed(0))
         assert tree.size == 2 * m + 1
         assert degree_statistic(tree) == stat
+
+
+def _binary_multiset(size: int) -> np.ndarray:
+    """The sorted multiset of (size - 1) // 2 binary vertices, one unary
+    vertex when size is even, and the leaves."""
+    counts = {0: (size + 1) // 2, 1: 1 - size % 2, 2: (size - 1) // 2}
+    return np.repeat(np.array(list(counts), dtype=np.int64), list(counts.values()))
+
+
+class TestSampledPositions:
+    # above _POSITIONS_ABOVE entries the shuffle writes the non-leaves at
+    # positions drawn by rng.choice instead of permuting the whole word
+
+    @pytest.mark.parametrize("size", range(1, 8))
+    def test_exhaustive_over_ordered_samples(self, size, monkeypatch):
+        # with the constant at 0 every profile takes the positions path: over
+        # all ordered samples of positions each arrangement appears
+        # prod_{d != 0} c_d! times, and each tree size times as many
+        monkeypatch.setattr(sampling, "_POSITIONS_ABOVE", 0)
+        for stat in all_degree_statistics(size):
+            ties = math.prod(math.factorial(c) for d, c in stat.items if d)
+            arrangements = sampled_position_images(stat, sampling._shuffled)
+            assert set(arrangements) == set(permutations(stat.degree_multiset()))
+            assert set(arrangements.values()) == {ties}
+            trees = sampled_position_images(stat, excursion_degrees)
+            assert set(trees) == {t.degrees for t in enumerate_trees(stat)}
+            assert set(trees.values()) == {size * ties}
+
+    @pytest.mark.parametrize(
+        "size, digest",
+        [
+            (9_999, "f77aa942892056b3d29a981b5cd6884f1878aed208deaeba482ca68a377ef05f"),
+            (10_000, "22f05ecfe64b3d8be1767df49c993c257529c4649d723526bdeebd34c27f6b02"),
+        ],
+    )
+    def test_words_up_to_the_constant_keep_their_bytes(self, size, digest):
+        # sha256 of 20 words from one stream, computed when every word was a
+        # permutation of the whole multiset
+        rng = Seed(2026).generator()
+        words = (excursion_degrees(_binary_multiset(size), rng) for _ in range(20))
+        text = "\n".join(",".join(map(str, word.tolist())) for word in words)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("size, method", [(10_000, "permutation"), (10_001, "choice")])
+    def test_path_switches_above_the_constant(self, size, method):
+        rng = Mock(wraps=Seed(1).generator())
+        excursion_degrees(_binary_multiset(size), rng)
+        assert [name for name, _, _ in rng.method_calls] == [method]
+
+    def test_words_above_the_constant_are_excursions(self):
+        multiset = _binary_multiset(10_001)
+        stat = DegreeStatistic.from_counts({0: 5_001, 2: 5_000})
+        rng = Seed(2026).generator()
+        words = {tuple(excursion_degrees(multiset, rng).tolist()) for _ in range(20)}
+        assert len(words) == 20
+        for word in words:
+            assert degree_statistic(PlaneTree(word)) == stat
 
 
 class TestLabelledTree:

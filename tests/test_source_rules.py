@@ -23,6 +23,10 @@ def _tree(name):
     return ast.parse((SOURCE / name).read_text(encoding="utf-8"))
 
 
+def _name(func) -> str:
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+
+
 def test_law_kind_and_params_read_only_in_distributions():
     # distributions.py is the one module that knows the per-kind params
     # layout; mc_harness's StatFamily.params is not a law, so that name
@@ -64,10 +68,32 @@ def test_every_lru_cache_is_bounded():
             for decorator in getattr(node, "decorator_list", []):
                 call = decorator if isinstance(decorator, ast.Call) else None
                 func = call.func if call else decorator
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                if name not in {"lru_cache", "cache"}:
+                if _name(func) not in {"lru_cache", "cache"}:
                     continue
                 sizes = [k.value for k in call.keywords if k.arg == "maxsize"] + call.args if call else []
                 if not (sizes and isinstance(sizes[0], ast.Constant) and type(sizes[0].value) is int):
                     found.append(f"{path.name}:{node.lineno}:{node.name}")
+    assert found == []
+
+
+def _may_turn_off_shuffle(call: ast.Call) -> bool:
+    """shuffle given as anything but the literal True: by keyword, as the
+    sixth positional argument, or possibly inside **kwargs."""
+    return len(call.args) >= 6 or any(
+        k.arg is None
+        or (k.arg == "shuffle" and not (isinstance(k.value, ast.Constant) and k.value.value is True))
+        for k in call.keywords
+    )
+
+
+def test_no_choice_call_turns_off_its_shuffle():
+    # the sampled-positions shuffle is uniform only because choice orders
+    # its sample uniformly; with shuffle=False the order of Floyd's sample
+    # is not uniform, so no call may turn it off
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in ast.walk(_tree(path.name))
+        if isinstance(node, ast.Call) and _name(node.func) == "choice" and _may_turn_off_shuffle(node)
+    ]
     assert found == []

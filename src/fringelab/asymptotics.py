@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import OffspringDistribution, WeightSequence, normalize_log_weights
-from .errors import DuplicatePatterns, NotConverged, UnsupportedRegime
+from .errors import DuplicatePatterns, NotConverged, UnsupportedRegime, as_integer
 from .tree_core import (
     DegreeStatistic,
     PlaneTree,
@@ -186,15 +186,11 @@ def classify_exceptional(tree: PlaneTree, p: OffspringDistribution) -> str:
 
 
 def plugin_mean(stat: DegreeStatistic, tree: PlaneTree) -> Fraction:
-    """|n| * prod_i (n(i)/|n|)^{n_T(i)}: the plug-in approximation of the
-    expected fringe count, exact in rational arithmetic."""
-    n = stat.size
-    value = Fraction(n)
-    for degree, count in degree_statistic(tree).items:
-        value *= Fraction(stat.count(degree), n) ** count
-        if value == 0:
-            return value
-    return value
+    """|n| * prod_i (n(i)/|n|)^{n_T(i)}, the tree probability under the
+    profile's empirical law p_n: the plug-in approximation of the expected
+    fringe count, exact in rational arithmetic."""
+    p_n = OffspringDistribution.finite(stat.empirical_distribution())
+    return stat.size * tree_probability(p_n, tree)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +295,9 @@ def _inverse_variance(w: WeightSequence, regime: str):
 
 @dataclass(frozen=True)
 class CovMatrix:
-    """Symmetric positive-semidefinite limit covariance with row labels."""
+    """Symmetric positive-semidefinite limit covariance."""
 
     entries: tuple
-    labels: tuple
 
     def __post_init__(self):
         m = len(self.entries)
@@ -317,17 +312,14 @@ class CovMatrix:
             raise ValueError("covariance matrix is not PSD within tolerance")
 
     @classmethod
-    def build(cls, entries, labels) -> "CovMatrix":
-        return cls(tuple(tuple(row) for row in entries), tuple(labels))
+    def build(cls, entries) -> "CovMatrix":
+        return cls(tuple(tuple(row) for row in entries))
 
     def to_numpy(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.entries])
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.to_numpy()).min())
-
-    def entry(self, i: int, j: int):
-        return self.entries[i][j]
 
 
 def sg_fringe_covariance(
@@ -358,12 +350,14 @@ def sg_fringe_covariance(
                 - (patterns[i].size + patterns[j].size - 1 + inv) * pis[i] * pis[j]
             )
             entries[i][j] = entries[j][i] = value
-    return CovMatrix.build(entries, [t.to_text() for t in patterns])
+    return CovMatrix.build(entries)
 
 
 def sg_degree_covariance(w: WeightSequence, k: int, regime: str = "auto") -> CovMatrix:
     """Limit covariance of the vertex counts per degree 0..k in
-    size-conditioned weighted trees."""
+    size-conditioned weighted trees; k must be at least 0."""
+    if as_integer(k) < 0:
+        raise ValueError(f"degree bound k = {k} must be at least 0")
     eq, inv = _inverse_variance(w, regime)
     theta = [eq.theta.p(i) for i in range(k + 1)]
     entries = [[None] * (k + 1) for _ in range(k + 1)]
@@ -372,7 +366,7 @@ def sg_degree_covariance(w: WeightSequence, k: int, regime: str = "auto") -> Cov
         for j in range(i + 1, k + 1):
             value = -theta[i] * theta[j] * (1 + (i - 1) * (j - 1) * inv)
             entries[i][j] = entries[j][i] = value
-    return CovMatrix.build(entries, [f"degree {i}" for i in range(k + 1)])
+    return CovMatrix.build(entries)
 
 
 # ---------------------------------------------------------------------------

@@ -233,21 +233,14 @@ def _family_pmf(dist: OffspringDistribution) -> dict:
 
 
 @lru_cache(maxsize=256)
-def _cdf_table(dist: OffspringDistribution):
-    """(support array, cumulative float probabilities) for inverse sampling."""
-    support = np.array(dist.support(), dtype=np.int64)
-    probs = np.array([float(dist.p(int(i))) for i in support], dtype=float)
-    cdf = np.cumsum(probs)
-    cdf[-1] = 1.0
-    return support, cdf
-
-
-@lru_cache(maxsize=256)
 def _mass_table(dist: OffspringDistribution):
-    """(degrees, masses) of the steps of the inverse-CDF table that carry
-    positive float mass: the cell masses of every multinomial row drawn in
-    tally mode.  The arrays are read-only, since callers share them."""
-    support, cdf = _cdf_table(dist)
+    """(degrees, masses) of the float masses the count rows are drawn with:
+    the steps of the cumulative float probabilities over the (truncated)
+    support, its last entry set to 1, that carry positive mass.  The arrays
+    are read-only, since callers share them."""
+    support = np.array(dist.support(), dtype=np.int64)
+    cdf = np.cumsum([float(dist.p(int(i))) for i in support])
+    cdf[-1] = 1.0
     masses = np.diff(np.minimum(cdf, 1.0), prepend=0.0)
     keep = masses > 0
     degrees, masses = support[keep], masses[keep]
@@ -255,25 +248,19 @@ def _mass_table(dist: OffspringDistribution):
     return degrees, masses
 
 
-def sample_offspring(dist: OffspringDistribution, rng, size: int, *, tally=None):
-    """Draw iid child counts via inverse CDF over the (truncated) support.
-
-    With ``tally=n`` the ``size`` draws form size // n rows of n, and each
-    row is returned only as its degree counts: a pair (degrees, counts)
-    where counts[r, j] is how many draws of row r equal degrees[j].  A row
-    is one multinomial(n, p) vector over the same masses the inverse CDF
-    uses, drawn at O(support) cost; degrees of float mass 0 are left out.
-    The degrees array is cached and read-only.
+def sample_offspring(dist: OffspringDistribution, rng, size: int, *, tally: int):
+    """``size`` iid child counts, drawn as size // tally rows of ``tally``
+    and returned only as their degree counts: a pair (degrees, counts) where
+    counts[r, j] is how many draws of row r equal degrees[j].  A row is one
+    multinomial(tally, p) vector over the masses of ``_mass_table``, drawn
+    at O(support) cost; degrees of float mass 0 are left out.  The degrees
+    array is cached and read-only.
     """
-    if tally is not None:
-        rows, rest = divmod(size, tally)
-        if rest:
-            raise ValueError(f"size {size} is not a multiple of tally {tally}")
-        degrees, masses = _mass_table(dist)
-        return degrees, rng.multinomial(tally, masses, size=rows)
-    support, cdf = _cdf_table(dist)
-    u = rng.random(size)
-    return support[np.searchsorted(cdf, u, side="left")]
+    rows, rest = divmod(size, tally)
+    if rest:
+        raise ValueError(f"size {size} is not a multiple of tally {tally}")
+    degrees, masses = _mass_table(dist)
+    return degrees, rng.multinomial(tally, masses, size=rows)
 
 
 @dataclass(frozen=True)
@@ -321,11 +308,16 @@ class WeightSequence(_Law):
 
     def log_weights(self) -> dict:
         """log w_i for every positive w_i up to the truncated degree.  Poisson
-        logs come from the closed form, so weights that underflow as floats
+        and geometric logs come from their closed forms, i log(num / den) for
+        a ratio num / den, so weights that overflow or underflow as floats
         keep their logarithm."""
         if self.kind == "poisson":
             (rate,) = self.params
             return {i: _poisson_log_weight(rate, i) for i in range(self.truncation + 1)}
+        if self.kind == "geometric":
+            r = Fraction(self.params[0])
+            log_r = math.log(r.numerator) - math.log(r.denominator)
+            return {i: i * log_r for i in range(self.truncation + 1)}
         return {i: math.log(float(v)) for i, v in enumerate(self._weights()) if v > 0}
 
     def radius_of_convergence(self):

@@ -42,7 +42,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, product
 from operator import mul, sub, truediv
-from typing import NamedTuple
 
 from .distributions import OffspringDistribution
 from .errors import (
@@ -155,32 +154,22 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
     return Fraction(total, trailing[-1])
 
 
-class PartialSumDistribution(NamedTuple):
-    """Distribution of a sum of iid child counts; ``exact`` reports whether
-    the values are Fractions (rational weights) or floats (fallback)."""
-
-    pmf: dict
-    exact: bool
-
-
-def partial_sum_pmf(
-    w: OffspringDistribution, m: int, cap: int = PARTIAL_SUM_CAP
-) -> PartialSumDistribution:
-    """Distribution of S_m, the sum of m iid draws from w, over its
-    support; floats only for float laws, converted from the exact values."""
-    offset, scale, _, coefficients = _partial_sum(w, m, cap, math.inf)
+def partial_sum_pmf(w: OffspringDistribution, m: int) -> dict:
+    """P(S_m = k) for every k in the support of S_m, the sum of m iid draws
+    from w: Fractions for exact laws, floats converted from the exact
+    values for float laws.  m above ``PARTIAL_SUM_CAP`` raises CapExceeded."""
+    offset, scale, _, coefficients = _partial_sum(w, m, math.inf)
     convert = Fraction if w.is_exact else truediv
-    pmf = {offset + k: convert(c, scale) for k, c in enumerate(coefficients) if c}
-    return PartialSumDistribution(pmf, w.is_exact)
+    return {offset + k: convert(c, scale) for k, c in enumerate(coefficients) if c}
 
 
-def _partial_sum(w: OffspringDistribution, m: int, cap: int, k) -> tuple:
+def _partial_sum(w: OffspringDistribution, m: int, k) -> tuple:
     """_partial_sum_cached(w, m) = (offset, D^m, a, c) with c grown through
     index k - offset, or through the last one if that comes first."""
     if m < 0:
         raise ValueError("m must be nonnegative")
-    if m > cap:
-        raise CapExceeded(f"m = {m} exceeds partial-sum cap {cap}")
+    if m > PARTIAL_SUM_CAP:
+        raise CapExceeded(f"m = {m} exceeds partial-sum cap {PARTIAL_SUM_CAP}")
     offset, scale, a, c = _partial_sum_cached(w, m)
     last = min(k - offset, m * (len(a) - 1))
     if len(c) <= last:
@@ -221,9 +210,7 @@ def _partial_sum_cached(w: OffspringDistribution, m: int) -> tuple:
     return low * m, scale**m, a, [a[0] ** m]
 
 
-def degree_factorial_moment(
-    w: OffspringDistribution, n: int, q, cap: int = PARTIAL_SUM_CAP
-) -> Fraction:
+def degree_factorial_moment(w: OffspringDistribution, n: int, q) -> Fraction:
     """Exact joint factorial moment of the per-degree vertex counts of a
     size-n tree drawn proportionally to its offspring weights:
 
@@ -239,7 +226,7 @@ def degree_factorial_moment(
     The denominator is the dot product sum_j [x^j] f^Q [x^{n-1-j}] f^{n-Q}
     of the short series for m = Q, which every call with the same Q shares,
     and the one series for m = n - Q that the numerator also reads; f^n is
-    never built.  n above ``cap`` raises CapExceeded.
+    never built.  n above ``PARTIAL_SUM_CAP`` raises CapExceeded.
     """
     if not w.is_exact:
         raise IrrationalWeights("exact mode needs finite rational weights")
@@ -249,14 +236,14 @@ def degree_factorial_moment(
     q = {i: v for i, v in q.items() if v}
     if any(v < 0 for v in q.values()):
         raise ValueError("q entries must be nonnegative")
-    if n > cap:
-        raise CapExceeded(f"n = {n} exceeds partial-sum cap {cap}")
+    if n > PARTIAL_SUM_CAP:
+        raise CapExceeded(f"n = {n} exceeds partial-sum cap {PARTIAL_SUM_CAP}")
     q_total = sum(q.values())
     split = min(q_total, n)  # Q > n splits f^n as f^n * f^0; the value is 0
     low = w.support()[0]  # the series hold g^m = f^m / x^(low m)
     top = n - 1 - low * n  # [x^{n-1}] f^n = [x^top] g^n
-    _, _, a, head = _partial_sum(w, split, cap, top + low * split)
-    _, _, _, tail = _partial_sum(w, n - split, cap, top + low * (n - split))
+    _, _, a, head = _partial_sum(w, split, top + low * split)
+    _, _, _, tail = _partial_sum(w, n - split, top + low * (n - split))
     first = max(0, top - len(tail) + 1)
     last = min(len(head), top + 1)
     denominator = sum(head[j] * tail[top - j] for j in range(first, last))

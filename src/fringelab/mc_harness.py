@@ -510,7 +510,10 @@ def moment_condition_scan(
     For q up to c * mu / sqrt(n), the exact E[(N)_q] should track
     mu^q * exp(((gamma n - mu) / (2 mu^2)) q^2); the report records the
     worst |log LHS - log RHS| per size, which should shrink as sizes grow.
+    c must be finite and at least 0.
     """
+    if not (math.isfinite(c) and c >= 0):
+        raise ValueError(f"c = {c} must be finite and at least 0")
     results = []
     for size in sizes:
         stat = family.statistic(size)

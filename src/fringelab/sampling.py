@@ -83,13 +83,15 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
 
 @dataclass(frozen=True)
 class DegreeSequence:
-    """Per-label child counts (d_1, ..., d_n) with sum d_i = n - 1."""
+    """Per-label child counts (d_1, ..., d_n) with sum d_i = n - 1; a count
+    that is not an integer raises TypeError."""
 
     degrees: tuple
 
     def __post_init__(self):
-        n = len(self.degrees)
-        if n == 0 or sum(self.degrees) != n - 1 or min(self.degrees) < 0:
+        degrees = list(map(as_integer, self.degrees))
+        n = len(degrees)
+        if n == 0 or sum(degrees) != n - 1 or min(degrees) < 0:
             raise InvalidDegreeSequence(
                 f"degrees must be nonnegative and sum to {n - 1}"
             )
@@ -189,7 +191,7 @@ def sample_labelled_tree(dseq: DegreeSequence, seed):
     return tree, tuple(labels)
 
 
-_FIRST_BLOCK = 32
+_FIRST_BLOCK, _LAST_BLOCK = 32, 256  # count vectors per block of attempts
 
 # float decisions closer than this (plus a share of the summed log terms)
 # to the threshold are redone in exact arithmetic
@@ -201,7 +203,6 @@ def sample_conditioned_gw(
     n: int,
     seed,
     max_attempts: int = 1_000_000,
-    batch: int = 256,
 ) -> PlaneTree:
     """Size-conditioned branching-process tree, exact by rejection on the
     degree counts (Devroye, "Simulating size-constrained Galton-Watson
@@ -230,23 +231,23 @@ def sample_conditioned_gw(
     finishes the job.  The test runs in log space and is decided with exact
     fractions of the float masses and of u when the two logs are close.
 
-    Attempts are drawn in blocks of 32 count vectors, doubling up to
-    ``batch``, at most ``max_attempts`` in all; both must be at least 1.
+    Attempts are drawn in blocks of 32 count vectors, doubling up to 256,
+    at most ``max_attempts`` in all, which must be at least 1.
     The vectors of a block are tested one by one in row order, and the
     first accepted one, its split written in, is the multiset that is
     shuffled.  Feasibility of (w, n) is checked once per cached (w, n),
     by ``_leaf_pair``.
     """
-    n, max_attempts, batch = as_integer(n), as_integer(max_attempts), as_integer(batch)
-    if max_attempts < 1 or batch < 1:
-        raise ValueError("max_attempts and batch must be at least 1")
+    n, max_attempts = as_integer(n), as_integer(max_attempts)
+    if max_attempts < 1:
+        raise ValueError("max_attempts must be at least 1")
     if n < 1:
         raise InfeasibleSize("n must be at least 1")
     pair = _leaf_pair(w, n)
     rng = _as_generator(seed)
     attempts, block = 0, _FIRST_BLOCK
     while attempts < max_attempts:
-        rows = min(block, batch, max_attempts - attempts)
+        rows = min(block, _LAST_BLOCK, max_attempts - attempts)
         # rows of n offspring draws, each kept only as its tally
         _, counts = sample_offspring(w, rng, rows * n, tally=n)
         hit = pair.first_accepted((counts @ pair.others).tolist(), rng.random)

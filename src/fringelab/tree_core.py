@@ -56,9 +56,6 @@ class PlaneTree:
     def size(self) -> int:
         return len(self.degrees)
 
-    def __len__(self) -> int:
-        return len(self.degrees)
-
     def __repr__(self) -> str:
         return f"PlaneTree({','.join(map(str, self.degrees))})"
 

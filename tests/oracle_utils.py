@@ -67,7 +67,7 @@ from fringelab.errors import (
     InvalidPath,
     IrrationalWeights,
 )
-from fringelab.exact_moments import PARTIAL_SUM_CAP, _partial_sum, containment_matrix
+from fringelab.exact_moments import _partial_sum, containment_matrix
 from fringelab.sampling import excursion_degrees
 from fringelab.tree_core import (
     DegreeStatistic,
@@ -208,7 +208,7 @@ def covariance_matrix_probe(p: OffspringDistribution, patterns):
         [fringe_covariance_density(p, t1, t2) for t2 in patterns]
         for t1 in patterns
     ]
-    matrix = CovMatrix.build(entries, [t.to_text() for t in patterns])
+    matrix = CovMatrix.build(entries)
     return matrix, matrix.min_eigenvalue(), float(np.linalg.det(matrix.to_numpy()))
 
 
@@ -441,14 +441,14 @@ def outcome(f, *args):
         return type(exc)
 
 
-def point_mass(w, m: int, k: int, cap: int) -> Fraction:
+def point_mass(w, m: int, k: int) -> Fraction:
     """P(S_m = k) as one Fraction, from the series prefix through k."""
-    offset, scale, _, coefficients = _partial_sum(w, m, cap, k)
+    offset, scale, _, coefficients = _partial_sum(w, m, k)
     inside = 0 <= k - offset < len(coefficients)
     return Fraction(coefficients[k - offset] if inside else 0, scale)
 
 
-def two_series_degree_factorial_moment(w, n, q, cap=PARTIAL_SUM_CAP) -> Fraction:
+def two_series_degree_factorial_moment(w, n, q) -> Fraction:
     """E[prod_i (n(i))_{q_i}] as a product of Fractions, reading P(S_n = n - 1)
     from its own series:
 
@@ -462,7 +462,7 @@ def two_series_degree_factorial_moment(w, n, q, cap=PARTIAL_SUM_CAP) -> Fraction
     q = {int(i): int(v) for i, v in dict(q).items() if v}
     if any(v < 0 for v in q.values()):
         raise ValueError("q entries must be nonnegative")
-    denominator = point_mass(w, n, n - 1, cap)
+    denominator = point_mass(w, n, n - 1)
     if denominator == 0:
         raise InfeasibleSize(f"no size-{n} tree has positive weight")
     q_total = sum(q.values())
@@ -474,7 +474,7 @@ def two_series_degree_factorial_moment(w, n, q, cap=PARTIAL_SUM_CAP) -> Fraction
         value *= w.p(i) ** v
         if value == 0:
             return Fraction(0)
-    numerator = point_mass(w, n - q_total, n - 1 - weighted, cap)
+    numerator = point_mass(w, n - q_total, n - 1 - weighted)
     return value * numerator / denominator
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from oracle_utils import (
+    all_degree_statistics,
     all_trees,
     all_trees_up_to,
     count_fringe_unordered,
@@ -43,6 +44,7 @@ from fringelab.tree_core import (
     PlaneTree,
     canonical_unordered,
     count_fringe,
+    degree_statistic,
     enumerate_orderings,
 )
 
@@ -259,6 +261,16 @@ class TestPluginMean:
         stat = DegreeStatistic.from_counts({0: 3, 2: 2})
         assert plugin_mean(stat, PATH3) == 0
 
+    def test_equals_the_plug_in_product(self):
+        # |n| * prod_i (n(i)/|n|)^{n_T(i)}, factor by factor
+        for size in range(1, 10):
+            for stat in all_degree_statistics(size):
+                for tree in all_trees_up_to(5):
+                    expected = Fraction(size)
+                    for degree, count in degree_statistic(tree).items:
+                        expected *= Fraction(stat.count(degree), size) ** count
+                    assert plugin_mean(stat, tree) == expected, (stat, tree)
+
 
 def unordered_shapes(max_size):
     """One plane representative per unordered shape, by size."""
@@ -390,6 +402,16 @@ class TestEquivalentOffspring:
         for i in range(5):
             assert float(eq.theta.p(i)) == pytest.approx(2.0 ** -(i + 1), abs=1e-10)
 
+    @pytest.mark.parametrize("ratio", ["1/1000", "1/5", "1", "4", "1000"])
+    def test_geometric_weights_at_any_ratio(self, ratio):
+        # w_i = r^i tilts to geometric(1/2) at tau = 1/(2r); far from r = 1
+        # the floats of r^i overflow or underflow, their logs do not
+        r = Fraction(ratio)
+        eq = equivalent_offspring(WeightSequence.geometric(r))
+        assert eq.tau == pytest.approx(float(1 / (2 * r)), rel=1e-14)
+        assert eq.sigma2 == pytest.approx(2, abs=1e-14)
+        assert float(eq.theta.p(0)) == pytest.approx(0.5, abs=1e-14)
+
     def test_equivalence_invariance(self):
         w = WeightSequence.finite({0: 2, 1: 1, 3: 5})
         base = equivalent_offspring(w)
@@ -411,19 +433,19 @@ class TestEquivalentOffspring:
 class TestSimplyGeneratedCovariances:
     def test_binary_cherry_matches_hand_value(self):
         cov = sg_fringe_covariance(WeightSequence.finite({0: 1, 2: 1}), [CHERRY])
-        assert float(cov.entry(0, 0)) == pytest.approx(1 / 32, abs=1e-10)
+        assert float(cov.entries[0][0]) == pytest.approx(1 / 32, abs=1e-10)
 
     def test_exact_when_weights_critical(self):
         w = WeightSequence.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
         cov = sg_fringe_covariance(w, [CHERRY])
-        assert cov.entry(0, 0) == Fraction(1, 32)
+        assert cov.entries[0][0] == Fraction(1, 32)
 
     def test_infinite_variance_drops_term(self):
         w = WeightSequence.power_law(0.1, 2.5, truncation=2000)
         cov = sg_fringe_covariance(w, [CHERRY], regime="infinite_variance")
         theta = equivalent_offspring(w).theta
         pi = float(tree_probability(theta, CHERRY))
-        assert float(cov.entry(0, 0)) == pytest.approx(pi - 5 * pi * pi, rel=1e-9)
+        assert float(cov.entries[0][0]) == pytest.approx(pi - 5 * pi * pi, rel=1e-9)
 
     def test_auto_regime_rejects_subcritical(self):
         w = WeightSequence.power_law(0.1, 2.5, truncation=2000)
@@ -432,8 +454,13 @@ class TestSimplyGeneratedCovariances:
 
     def test_degree_cov_forced_zero(self):
         cov = sg_degree_covariance(WeightSequence.finite({0: 1, 2: 1}), 2)
-        assert float(cov.entry(0, 0)) == pytest.approx(0, abs=1e-10)
-        assert float(cov.entry(0, 2)) == pytest.approx(0, abs=1e-10)
+        assert float(cov.entries[0][0]) == pytest.approx(0, abs=1e-10)
+        assert float(cov.entries[0][2]) == pytest.approx(0, abs=1e-10)
+
+    def test_degree_cov_negative_bound_rejected(self):
+        # the parent returned an empty matrix
+        with pytest.raises(ValueError, match="must be at least 0"):
+            sg_degree_covariance(WeightSequence.finite({0: 1, 2: 1}), -2)
 
     def test_degree_cov_psd_geometric(self):
         cov = sg_degree_covariance(WeightSequence.geometric(Fraction(1, 3)), 6)
@@ -447,11 +474,11 @@ class TestSimplyGeneratedCovariances:
 class TestCovMatrix:
     def test_symmetry_enforced(self):
         with pytest.raises(ValueError):
-            CovMatrix.build([[1, 2], [3, 1]], ["a", "b"])
+            CovMatrix.build([[1, 2], [3, 1]])
 
     def test_psd_enforced(self):
         with pytest.raises(ValueError):
-            CovMatrix.build([[1, 2], [2, 1]], ["a", "b"])
+            CovMatrix.build([[1, 2], [2, 1]])
 
     def test_probe_emits_psd(self):
         for p in random_distribution_corpus(6, seed=5):

@@ -100,6 +100,15 @@ class TestBasicCommands:
             1 / 32, abs=1e-9
         )
 
+    @pytest.mark.parametrize("ratio", ["1/5", "4"])
+    def test_asymptotics_geometric_weights_far_from_one(self, capsys, ratio):
+        # r^i as a float underflowed to log(0) at 1/5 and overflowed at 4
+        code, out, _ = run_cli(
+            capsys, "asymptotics", "--w", f"geometric:{ratio}", "--patterns", "2,0,0"
+        )
+        assert code == 0
+        assert float(json.loads(out)["result"]["sigma2"]) == pytest.approx(2, abs=1e-14)
+
     def test_check_gw_small(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -385,6 +394,22 @@ class TestErrorPaths:
         )
         assert code == 1 and out == ""
         assert "non-finite parameter" in err
+
+    @pytest.mark.parametrize("c", ["inf", "-1", "nan"])
+    def test_check_gw_c_out_of_range(self, capsys, c):
+        code, out, err = run_cli(
+            capsys, "check-gw", "--sizes", "301", "--pattern", "2,0,0", "--c", c
+        )
+        assert code == 1 and out == ""
+        assert "must be finite and at least 0" in err
+
+    def test_negative_degree_cov(self, capsys):
+        code, out, err = run_cli(
+            capsys, "asymptotics", "--w", '{"0": 1, "2": 1}', "--patterns", "2,0,0",
+            "--degree-cov", "-2",
+        )
+        assert code == 1 and out == ""
+        assert "must be at least 0" in err
 
     def test_infeasible_moment(self, capsys):
         # no longer an error: a tree too small for any copy has moment 0

@@ -399,6 +399,11 @@ class TestMomentConditionScan:
         )
         assert rows[0]["deviations"] == [0.0]
 
+    @pytest.mark.parametrize("c", [math.inf, -1.0, math.nan])
+    def test_c_must_be_finite_and_nonnegative(self, c):
+        with pytest.raises(ValueError, match="must be finite and at least 0"):
+            moment_condition_scan(StatFamily.full_binary(), CHERRY, [301], c=c)
+
     def test_deviations_shrink(self):
         rows = moment_condition_scan(
             StatFamily.full_binary(), CHERRY, [1001, 10001], c=1.0

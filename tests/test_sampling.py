@@ -21,7 +21,6 @@ from fringelab.asymptotics import equivalent_offspring
 from fringelab.distributions import (
     OffspringDistribution,
     WeightSequence,
-    _cdf_table,
     _family_pmf,
     _mass_table,
 )
@@ -303,6 +302,12 @@ class TestLabelledTree:
         with pytest.raises(InvalidDegreeSequence):
             DegreeSequence((2, 2, 0))
 
+    @pytest.mark.parametrize("degrees", [(0.5, 0.5), (2.0, 0, 0), (Fraction(1), 0)])
+    def test_non_integer_degrees_rejected(self, degrees):
+        # read, not summed as floats: (0.5, 0.5) sums to 1 = n - 1
+        with pytest.raises(TypeError, match="is not an integer"):
+            DegreeSequence(degrees)
+
 
 class TestConditionedGW:
     def test_singleton(self):
@@ -326,7 +331,7 @@ class TestConditionedGW:
         assert sample_conditioned_gw(w, 1, Seed(0)) == PlaneTree((0,))
         for n in range(2, 8):
             with pytest.raises(InfeasibleSize):
-                sample_conditioned_gw(w, n, Seed(0), max_attempts=4, batch=2)
+                sample_conditioned_gw(w, n, Seed(0), max_attempts=4)
 
     def test_infeasible_even_size(self):
         with pytest.raises(InfeasibleSize):
@@ -339,10 +344,10 @@ class TestConditionedGW:
 
     def test_infeasible_at_any_size(self):
         with pytest.raises(InfeasibleSize):
-            sample_conditioned_gw(FULL_BINARY, 100_002, Seed(0), max_attempts=4, batch=2)
+            sample_conditioned_gw(FULL_BINARY, 100_002, Seed(0), max_attempts=4)
         w = OffspringDistribution.finite({1: Fraction(1, 2), 2: Fraction(1, 2)})
         with pytest.raises(InfeasibleSize):
-            sample_conditioned_gw(w, 100_003, Seed(0), max_attempts=4, batch=2)
+            sample_conditioned_gw(w, 100_003, Seed(0), max_attempts=4)
 
     def test_feasible_large_size(self):
         # mean-1 law on {0, 3, 5}; 200 000 = 3a + 5b is reachable
@@ -374,7 +379,7 @@ class TestConditionedGW:
             {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
         )
         with pytest.raises(AttemptsExhausted) as err:
-            sample_conditioned_gw(w, 100_001, Seed(0), max_attempts=3, batch=2)
+            sample_conditioned_gw(w, 100_001, Seed(0), max_attempts=3)
         assert err.value.acceptance_rate <= 1 / 3
 
     def test_geometric_matches_weighted_law(self):
@@ -483,18 +488,14 @@ class TestConditionedGW:
     @pytest.mark.parametrize(
         "kwargs, error",
         [
-            ({"batch": 0}, ValueError),  # the parent looped forever
-            ({"batch": -3}, ValueError),  # the parent raised numpy's negative dimensions
             ({"max_attempts": 0}, ValueError),  # the parent gave up after 0 attempts
             ({"n": 50.5}, TypeError),  # the parent indexed a tuple with a float
             ({"max_attempts": 2.5}, TypeError),
-            ({"batch": "8"}, TypeError),
         ],
-        ids=["batch-0", "batch-negative", "max-attempts-0", "float-n",
-             "float-max-attempts", "str-batch"],
+        ids=["max-attempts-0", "float-n", "float-max-attempts"],
     )
     def test_invalid_arguments_raise(self, kwargs, error):
-        args = {"n": 51, "max_attempts": 100, "batch": 8} | kwargs
+        args = {"n": 51, "max_attempts": 100} | kwargs
         message = "is not an integer" if error is TypeError else "must be at least 1"
         with pytest.raises(error, match=message):
             sample_conditioned_gw(FULL_BINARY, seed=Seed(0), **args)
@@ -679,7 +680,7 @@ class TestLawCaches:
     def test_caches_keyed_by_a_law_stay_bounded(self):
         # every fresh law adds an entry to each cache; unbounded, 300 laws
         # would leave 300 entries each for the life of the process
-        caches = (_family_pmf, _cdf_table, _mass_table, _least_sums, _leaf_pair)
+        caches = (_family_pmf, _mass_table, _least_sums, _leaf_pair)
         for k in range(300):
             law = OffspringDistribution.poisson(0.5 + k / 1000)
             sample_conditioned_gw(law, 5, Seed(k))

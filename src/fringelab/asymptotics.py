@@ -188,9 +188,10 @@ def classify_exceptional(tree: PlaneTree, p: OffspringDistribution) -> str:
 def plugin_mean(stat: DegreeStatistic, tree: PlaneTree) -> Fraction:
     """|n| * prod_i (n(i)/|n|)^{n_T(i)}, the tree probability under the
     profile's empirical law p_n: the plug-in approximation of the expected
-    fringe count, exact in rational arithmetic."""
-    p_n = OffspringDistribution.finite(stat.empirical_distribution())
-    return stat.size * tree_probability(p_n, tree)
+    fringe count, exact in rational arithmetic.  Since sum_i n_T(i) = |T|,
+    it is prod_i n(i)^{n_T(i)} / |n|^{|T|-1}, one integer fraction."""
+    numerator = math.prod(stat.count(d) ** c for d, c in degree_statistic(tree).items)
+    return Fraction(numerator, stat.size ** (tree.size - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ and rotation then build the tree.  An attempt does not wait for its total
 to hit n - 1: the leaves and the smallest positive degree a form a pair
 whose split is forced by the other counts, and the attempt is accepted
 with the exact binomial probability of that split over its largest value,
-so for critical laws the acceptance rate does not fall with n.
+so for critical laws the acceptance rate does not fall with n.  Count
+vectors are drawn in blocks of 8, doubling up to 256: a geometric(1/2)
+tree is accepted at its fourth vector on average, so most trees need only
+the first block.
 
 Randomness is PCG64 with explicit SeedSequence stream derivation: a Seed
 is (value, stream_id), and replicate r of a batch uses the spawn key
@@ -191,7 +194,7 @@ def sample_labelled_tree(dseq: DegreeSequence, seed):
     return tree, tuple(labels)
 
 
-_FIRST_BLOCK, _LAST_BLOCK = 32, 256  # count vectors per block of attempts
+_FIRST_BLOCK, _LAST_BLOCK = 8, 256  # count vectors per block of attempts
 
 # float decisions closer than this (plus a share of the summed log terms)
 # to the threshold are redone in exact arithmetic
@@ -231,7 +234,7 @@ def sample_conditioned_gw(
     finishes the job.  The test runs in log space and is decided with exact
     fractions of the float masses and of u when the two logs are close.
 
-    Attempts are drawn in blocks of 32 count vectors, doubling up to 256,
+    Attempts are drawn in blocks of 8 count vectors, doubling up to 256,
     at most ``max_attempts`` in all, which must be at least 1.
     The vectors of a block are tested one by one in row order, and the
     first accepted one, its split written in, is the multiset that is

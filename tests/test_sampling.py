@@ -382,6 +382,27 @@ class TestConditionedGW:
             sample_conditioned_gw(w, 100_001, Seed(0), max_attempts=3)
         assert err.value.acceptance_rate <= 1 / 3
 
+    @pytest.mark.parametrize(
+        "max_attempts, blocks", [(100, [8, 16, 32, 44]), (3, [3])], ids=["100", "3"]
+    )
+    def test_block_schedule(self, max_attempts, blocks, monkeypatch):
+        # a subcritical law that accepts no row within the budget: blocks of
+        # 8 rows double until the budget cuts the last one short
+        w = OffspringDistribution.finite(
+            {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
+        )
+        rows, draw = [], sampling.sample_offspring
+
+        def spy(dist, rng, size, *, tally):
+            rows.append(size // tally)
+            return draw(dist, rng, size, tally=tally)
+
+        monkeypatch.setattr(sampling, "sample_offspring", spy)
+        with pytest.raises(AttemptsExhausted) as err:
+            sample_conditioned_gw(w, 1_001, Seed(0), max_attempts=max_attempts)
+        assert rows == blocks
+        assert err.value.acceptance_rate == 1 / max_attempts
+
     def test_geometric_matches_weighted_law(self):
         w = OffspringDistribution.geometric(Fraction(1, 2))
         n, reps = 4, 10_000
@@ -461,14 +482,14 @@ class TestConditionedGW:
             (
                 OffspringDistribution.geometric(Fraction(1, 2)),
                 1_000,
-                "3c6b226efae1c1ccd0865617ec3e1ba4ba424b6ed876159cc7fc4b9a801bb718",
+                "6b819f46a000863f40257c6c58ac550d3273f48a4b57d52f232127e5d885158c",
             ),
             (  # a = 2
                 OffspringDistribution.finite(
                     {0: Fraction(1, 2), 2: Fraction(1, 4), 3: Fraction(1, 4)}
                 ),
                 301,
-                "c1da171ac95f2478bf8b96cd93f124041ff09a0dd74aeab4a8d0a76a19c929a8",
+                "4e81dc394d33862c4c535a8663c2043fbce43983d94f410c4d6685c2ede33e4c",
             ),
             (  # the point mass at 0: no column for a
                 OffspringDistribution.finite({0: 1}),

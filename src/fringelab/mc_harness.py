@@ -8,7 +8,9 @@ Standardized counts are tested for normality by Kolmogorov-Smirnov
 distance.  Two purely exact scans probe the finite-size error of the
 moment approximations: one tracks the gap between exact mean/variance and
 their limit forms across sizes, the other checks the quadratic-exponent
-shape of high factorial moments that underlies the normality proofs.
+shape of high factorial moments that underlies the normality proofs.  The
+crosscheck tests the bridge-rotation sampler against an independent
+hub-tree sampler and the exact hypergeometric law of their path counts.
 
 Aggregation is exact (integer count sums), so reports are byte-identical
 for a given (config, seed) regardless of worker count; replicate r always
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -33,7 +36,7 @@ from .distributions import OffspringDistribution
 from .errors import SizeTooSmall, TooFewSamples, as_integer
 from .exact_moments import factorial_moment, joint_factorial_moment, mean_count
 from .sampling import Seed, excursion_degrees, sample_hub_tree, sample_uniform_trees
-from .tree_core import DegreeStatistic, PlaneTree, count_fringe, count_trees, enumerate_trees
+from .tree_core import DegreeStatistic, PlaneTree, count_fringe
 
 DEFAULT_KS_THRESHOLD = 0.05
 DEFAULT_VAR_REL_TOL = 0.10
@@ -579,56 +582,57 @@ def moment_gap_scan(family: StatFamily, pattern: PlaneTree, sizes) -> dict:
 # Hub-tree crosscheck
 
 
+def _hub_law(n0: int, n1: int) -> list:
+    """Entry k counts the trees with profile {0: n0, 1: n1, n0: 1} and k
+    copies of ``1,0``, C(n0, k) C(n1, k): a tree is a weak composition of n1
+    into the trunk and the n0 legs of the hub, and a copy is a nonempty leg."""
+    law = [1]
+    for k in range(min(n0, n1)):
+        law.append(law[-1] * (n0 - k) * (n1 - k) // (k + 1) ** 2)
+    return law
+
+
 def composition_crosscheck(n0: int, n1: int, reps: int, seed: Seed) -> dict:
-    """Compare the fringe-count law of the 2-vertex path under the two
-    independent hub-tree samplers, and against exhaustive enumeration when
-    the class is small."""
+    """Tally N_{1,0} in ``reps`` trees with profile {0: n0, 1: n1, n0: 1}
+    from each of two independent samplers, ``sample_hub_tree`` (stars and
+    bars) and the bridge rotation.  ``two_sample_p`` compares the tallies;
+    ``exact_p_hub`` and ``exact_p_uniform`` test each against the exact
+    hypergeometric law of ``_hub_law`` at every size, by a chi-square whose
+    lowest cell merges into the next while it expects fewer than 5 draws,
+    then likewise at the top.  With one cell left, p is 1.0 if every draw
+    lies in the support, else 0.0.  ``passed`` when all three exceed 1e-3."""
+    for name, value, low in (("n0", n0, 2), ("n1", n1, 0), ("reps", reps, 1)):
+        if as_integer(value) < low:
+            raise ValueError(f"{name} = {value} must be at least {low}")
     pattern = PlaneTree((1, 0))
     stat = DegreeStatistic.from_counts({0: n0, 1: n1, n0: 1})
     gen_hub = seed.generator(0)
-    gen_uni = seed.generator(1)
-    tally_hub = {}
-    for _ in range(reps):
-        k = count_fringe(sample_hub_tree(n0, n1, gen_hub), pattern)
-        tally_hub[k] = tally_hub.get(k, 0) + 1
-    tally_uni = {}
-    for tree in sample_uniform_trees(stat, reps, gen_uni):
-        k = count_fringe(tree, pattern)
-        tally_uni[k] = tally_uni.get(k, 0) + 1
+    tally_hub = Counter(count_fringe(sample_hub_tree(n0, n1, gen_hub), pattern) for _ in range(reps))
+    uniform = sample_uniform_trees(stat, reps, seed.generator(1))
+    tally_uni = Counter(count_fringe(tree, pattern) for tree in uniform)
 
     keys = sorted(set(tally_hub) | set(tally_uni))
-    result = {"n0": n0, "n1": n1, "reps": reps, "support": keys}
-    if len(keys) == 1:
-        result["two_sample_p"] = 1.0
-        result["degenerate"] = True
-    else:
-        table = np.array(
-            [
-                [tally_hub.get(k, 0) for k in keys],
-                [tally_uni.get(k, 0) for k in keys],
-            ]
-        )
-        result["two_sample_p"] = float(scistats.chi2_contingency(table).pvalue)
-        result["degenerate"] = False
+    table = [[tally_hub[k] for k in keys], [tally_uni[k] for k in keys]]
+    result = {"n0": n0, "n1": n1, "reps": reps, "support": keys, "degenerate": len(keys) == 1}
+    result["two_sample_p"] = (
+        1.0 if result["degenerate"] else float(scistats.chi2_contingency(table).pvalue)
+    )
 
-    if count_trees(stat) <= 10_000:
-        law = {}
-        total = 0
-        for tree in enumerate_trees(stat, cap=stat.size):
-            k = count_fringe(tree, pattern)
-            law[k] = law.get(k, 0) + 1
-            total += 1
-        expected = {k: v / total for k, v in law.items()}
-        result["exact_support"] = sorted(expected)
-        for label, tally in (("hub", tally_hub), ("uniform", tally_uni)):
-            if len(expected) == 1:
-                result[f"exact_p_{label}"] = 1.0 if tally.keys() <= expected.keys() else 0.0
-                continue
-            obs = [tally.get(k, 0) for k in sorted(expected)]
-            exp = [expected[k] * reps for k in sorted(expected)]
+    total = math.comb(n0 + n1, n0)
+    law = [v / total for v in _hub_law(n0, n1)]
+    result["exact_support"] = list(range(len(law)))
+    for label, tally in (("hub", tally_hub), ("uniform", tally_uni)):
+        cells = [[tally[k], p * reps] for k, p in enumerate(law)]
+        for end in (0, -1):
+            while len(cells) > 1 and cells[end][1] < 5:
+                obs, exp = cells.pop(end)
+                cells[end] = [cells[end][0] + obs, cells[end][1] + exp]
+        obs, exp = zip(*cells)
+        if len(cells) == 1 or sum(obs) < reps:
+            result[f"exact_p_{label}"] = float(sum(obs) == reps)
+        else:
             result[f"exact_p_{label}"] = float(scistats.chisquare(obs, exp).pvalue)
-    threshold = 1e-3
-    result["passed"] = result["two_sample_p"] > threshold and all(
-        result.get(f"exact_p_{label}", 1.0) > threshold for label in ("hub", "uniform")
+    result["passed"] = all(
+        result[key] > 1e-3 for key in ("two_sample_p", "exact_p_hub", "exact_p_uniform")
     )
     return result

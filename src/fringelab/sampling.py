@@ -446,10 +446,4 @@ def _uniform_composition(total: int, parts: int, rng) -> list:
     if total == 0:
         return [0] * parts
     bars = np.sort(rng.choice(total + parts - 1, size=parts - 1, replace=False))
-    out = []
-    prev = -1
-    for b in bars:
-        out.append(int(b) - prev - 1)
-        prev = int(b)
-    out.append(total + parts - 2 - prev)
-    return out
+    return (np.diff([-1, *bars, total + parts - 1]) - 1).tolist()

@@ -411,6 +411,20 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert "must be at least 0" in err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--n0", "1", "--n1", "2"], "n0 = 1 must be at least 2"),  # merged keys of the profile
+            (["--n0", "3", "--n1", "-1"], "n1 = -1 must be at least 0"),  # "bad entry degree=1"
+            (["--n0", "3", "--n1", "2", "--reps", "0"], "reps = 0 must be at least 1"),  # scipy's "No data"
+        ],
+        ids=["n0", "n1", "reps"],
+    )
+    def test_crosscheck_argument_out_of_range(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "crosscheck", *flags)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
+
     def test_infeasible_moment(self, capsys):
         # no longer an error: a tree too small for any copy has moment 0
         code, out, _ = run_cli(

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from oracle_utils import (
     rolled_excursion_degrees,
 )
 
+from fringelab import mc_harness
 from fringelab.errors import TooFewSamples
 from fringelab.exact_moments import mean_count
 from fringelab.mc_harness import (
@@ -17,6 +19,7 @@ from fringelab.mc_harness import (
     StatFamily,
     _count_occurrences,
     _empirical_moments,
+    _hub_law,
     collect_counts,
     composition_crosscheck,
     exact_covariance,
@@ -440,3 +443,51 @@ class TestCompositionCrosscheck:
         assert result["exact_p_hub"] > 1e-3
         assert result["exact_p_uniform"] > 1e-3
         assert result["passed"]
+
+    def test_hub_law_matches_enumeration(self):
+        # enumeration is the oracle: every hub profile with n0, n1 <= 12 and
+        # at most 2 000 trees
+        path2 = PlaneTree((1, 0))
+        checked = 0
+        for n0 in range(2, 13):
+            for n1 in range(13):
+                total = math.comb(n0 + n1, n0)
+                if total > 2_000:
+                    continue
+                stat = DegreeStatistic.from_counts({0: n0, 1: n1, n0: 1})
+                law = _hub_law(n0, n1)
+                trees = list(enumerate_trees(stat, cap=stat.size))
+                assert len(trees) == total == sum(law)
+                enumerated = Counter(count_fringe(tree, path2) for tree in trees)
+                assert {k: Fraction(v, total) for k, v in enumerated.items()} == {
+                    k: Fraction(v, total) for k, v in enumerate(law)
+                }
+                checked += 1
+        assert checked == 89
+        # the recurrence, past enumeration, against the binomials themselves
+        assert _hub_law(300, 200) == [math.comb(300, k) * math.comb(200, k) for k in range(201)]
+
+    def test_tail_cells_are_pooled(self):
+        # unpooled, 2 draws in the cell k = 0, which expects 0.17, gave p = 6.3e-5
+        result = composition_crosscheck(6, 7, 300, Seed(204))
+        assert result["exact_p_hub"] > 1e-3 and result["passed"]
+        # one draw pools every cell into one, which holds it
+        result = composition_crosscheck(2, 3, 1, Seed(0))
+        assert result["exact_p_hub"] == result["exact_p_uniform"] == 1.0
+
+    def test_exact_law_above_ten_thousand_trees(self):
+        # C(120, 60) trees: once too many to enumerate, so no exact test ran
+        result = composition_crosscheck(60, 60, 2_000, Seed(0))
+        assert result["exact_support"] == list(range(61))
+        for label in ("hub", "uniform"):
+            assert math.isfinite(result[f"exact_p_{label}"])
+            assert result[f"exact_p_{label}"] > 1e-3
+        assert result["passed"]
+
+    def test_draw_outside_the_support_fails(self, monkeypatch):
+        # a hub sampler that returns the tree 1,0 gives N = 1 where the law
+        # of {0: 2, 2: 1} is the point mass at 0
+        monkeypatch.setattr(mc_harness, "sample_hub_tree", lambda n0, n1, rng: PlaneTree((1, 0)))
+        result = composition_crosscheck(2, 0, 50, Seed(0))
+        assert result["exact_p_hub"] == 0.0 and result["exact_p_uniform"] == 1.0
+        assert not result["passed"]

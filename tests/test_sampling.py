@@ -725,6 +725,17 @@ class TestHubSampler:
         expected = {k: Fraction(1, 3) for k in tally}
         assert chisquare_pvalue(tally, expected, reps) > 1e-3
 
+    def test_trees_per_seed_keep_their_bytes(self):
+        # sha256 of 90 trees, computed when the composition was read off its
+        # bars in a Python loop
+        h = hashlib.sha256()
+        for value in range(5):
+            gen = Seed(value).generator(0)
+            for n0, n1 in [(2, 0), (2, 3), (3, 2), (6, 7), (60, 60), (1000, 1000)]:
+                for _ in range(3):
+                    h.update(sample_hub_tree(n0, n1, gen).to_text().encode() + b";")
+        assert h.hexdigest() == "132ce870d03d37f76da4d941da2191397f3747818ba220abbedd740965450dae"
+
     def test_profile(self):
         tree = sample_hub_tree(3, 2, Seed(5))
         assert degree_statistic(tree).as_dict() == {0: 3, 1: 2, 3: 1}

@@ -264,13 +264,10 @@ def _count_occurrences(hay: np.ndarray, needle: np.ndarray) -> int:
 
 
 def _counts_chunk(args) -> list:
-    multiset_list, pattern_lists, seed, size_index, start, stop = args
-    multiset = np.array(multiset_list, dtype=np.int64)
-    needles = [np.array(p, dtype=np.int64) for p in pattern_lists]
+    multiset, needles, seed, size_index, start, stop = args
     rows = []
     for r in range(start, stop):
-        rng = seed.generator(size_index, r)
-        word = excursion_degrees(multiset, rng)
+        word = excursion_degrees(multiset, seed.generator(size_index, r))
         rows.append([_count_occurrences(word, needle) for needle in needles])
     return rows
 
@@ -285,24 +282,22 @@ def collect_counts(
     """(replicates x len(patterns)) matrix of fringe counts; replicate r is a
     pure function of (seed, size_index, r), so any worker split agrees."""
     workers = max(1, int(os.environ.get("FRINGELAB_THREADS", "1")))
-    multiset_list = stat.degree_multiset()
-    pattern_lists = [p.degrees for p in patterns]
-    if workers == 1 or replicates < 4 * workers:
-        rows = _counts_chunk(
-            (multiset_list, pattern_lists, seed, size_index, 0, replicates)
-        )
+    if replicates < 4 * workers:
+        workers = 1
+    multiset = np.array(stat.degree_multiset(), dtype=np.int64)
+    needles = [np.array(p.degrees, dtype=np.int64) for p in patterns]
+    bounds = np.linspace(0, replicates, workers + 1, dtype=int)
+    jobs = [
+        (multiset, needles, seed, size_index, int(a), int(b))
+        for a, b in zip(bounds[:-1], bounds[1:])
+        if a < b
+    ]
+    if workers == 1:
+        chunks = map(_counts_chunk, jobs)
     else:
-        bounds = np.linspace(0, replicates, workers + 1, dtype=int)
-        jobs = [
-            (multiset_list, pattern_lists, seed, size_index, int(a), int(b))
-            for a, b in zip(bounds[:-1], bounds[1:])
-            if a < b
-        ]
-        rows = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_counts_chunk, jobs):
-                rows.extend(chunk)
-    return np.array(rows, dtype=np.int64)
+            chunks = list(pool.map(_counts_chunk, jobs))
+    return np.array([row for chunk in chunks for row in chunk], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -312,36 +307,33 @@ def collect_counts(
 def _empirical_moments(counts: np.ndarray) -> dict:
     """Exact sample mean/variance/covariance from the integer power sums
     s_k = sum x^k of each column (and s12 = sum x*y of each pair); the
-    fourth central moment behind se_var is exact too, as
+    variances are the diagonal of the covariance matrix, and the fourth
+    central moment behind se_var is exact too, as
     R^4 m4 = R^3 s4 - 4 R^2 s1 s3 + 6 R s1^2 s2 - 3 s1^4."""
     reps, m = counts.shape
     cols = [[int(x) for x in counts[:, j]] for j in range(m)]
-    out = {"mean": [], "var": [], "se_mean": [], "se_var": [], "cov": None}
-    means = []
+    sums = []  # (s1, s2, s3, s4) of each column
+    for col in cols:
+        squares = [x * x for x in col]
+        s3 = sum(x * q for x, q in zip(col, squares))
+        sums.append((sum(col), sum(squares), s3, sum(q * q for q in squares)))
+    cov = [[None] * m for _ in range(m)]
     for j in range(m):
-        squares = [x * x for x in cols[j]]
-        s1, s2 = sum(cols[j]), sum(squares)
-        s3 = sum(x * q for x, q in zip(cols[j], squares))
-        s4 = sum(q * q for q in squares)
-        mean = Fraction(s1, reps)
-        var = (Fraction(s2) - Fraction(s1 * s1, reps)) / (reps - 1)
-        means.append(mean)
-        out["mean"].append(mean)
+        for k in range(j, m):
+            s12 = sums[j][1] if j == k else sum(a * b for a, b in zip(cols[j], cols[k]))
+            c = Fraction(reps * s12 - sums[j][0] * sums[k][0], reps * (reps - 1))
+            cov[j][k] = cov[k][j] = c
+    out = {"mean": [], "var": [], "se_mean": [], "se_var": [], "cov": cov}
+    for j, (s1, s2, s3, s4) in enumerate(sums):
+        var = cov[j][j]
+        out["mean"].append(Fraction(s1, reps))
         out["var"].append(var)
         out["se_mean"].append(math.sqrt(float(var) / reps))
         m4 = Fraction(
             reps**3 * s4 - 4 * reps**2 * s1 * s3 + 6 * reps * s1 * s1 * s2 - 3 * s1**4,
             reps**4,
         )
-        se_var = math.sqrt(max(float(m4 - var * var), 0.0) / reps)
-        out["se_var"].append(se_var)
-    cov = [[None] * m for _ in range(m)]
-    for j in range(m):
-        for k in range(j, m):
-            s12 = sum(a * b for a, b in zip(cols[j], cols[k]))
-            c = (Fraction(s12) - reps * means[j] * means[k]) / (reps - 1)
-            cov[j][k] = cov[k][j] = c
-    out["cov"] = cov
+        out["se_var"].append(math.sqrt(max(float(m4 - var * var), 0.0) / reps))
     return out
 
 
@@ -379,42 +371,56 @@ def normality_test(samples, threshold: float = DEFAULT_KS_THRESHOLD):
 # The main experiment
 
 
+@dataclass(frozen=True)
+class _References:
+    """The exact references of ``patterns`` at one profile of size ``n``:
+    exact means and variances, plug-in means, and the covariance densities
+    ``gamma[j][k]`` under the profile's empirical law p_n."""
+
+    n: int
+    patterns: list
+    means: list
+    variances: list
+    plugin: list
+    gamma: list
+
+
+def _references(stat: DegreeStatistic, patterns) -> _References:
+    pn = OffspringDistribution.finite(stat.empirical_distribution())
+    return _References(
+        n=stat.size,
+        patterns=list(patterns),
+        means=[mean_count(stat, p) for p in patterns],
+        variances=[exact_variance(stat, p) for p in patterns],
+        plugin=[plugin_mean(stat, p) for p in patterns],
+        gamma=[[fringe_covariance_density(pn, t1, t2) for t2 in patterns] for t1 in patterns],
+    )
+
+
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     report = ExperimentReport(config=cfg.to_dict())
-    patterns = list(cfg.patterns)
-    m = len(patterns)
     for size_index, size in enumerate(cfg.sizes):
         stat = cfg.family.statistic(size)
-        n = stat.size
-        counts = collect_counts(stat, patterns, cfg.replicates, cfg.seed, size_index)
+        ref = _references(stat, cfg.patterns)
+        counts = collect_counts(stat, ref.patterns, cfg.replicates, cfg.seed, size_index)
         emp = _empirical_moments(counts)
-        pn = OffspringDistribution.finite(stat.empirical_distribution())
-        gamma = [
-            [fringe_covariance_density(pn, t1, t2) for t2 in patterns]
-            for t1 in patterns
-        ]
         entry = {
-            "size": n,
+            "size": ref.n,
             "replicates": cfg.replicates,
-            "patterns": [p.to_text() for p in patterns],
+            "patterns": [p.to_text() for p in ref.patterns],
             "empirical_mean": [float(x) for x in emp["mean"]],
             "empirical_var": [float(x) for x in emp["var"]],
             "se_mean": emp["se_mean"],
             "se_var": emp["se_var"],
+            "exact_mean": [float(x) for x in ref.means],
+            "exact_var": [float(x) for x in ref.variances],
+            "plugin_mean": [float(x) for x in ref.plugin],
+            "asymptotic_var": [float(ref.n * row[j]) for j, row in enumerate(ref.gamma)],
         }
-        exact_means = [mean_count(stat, p) for p in patterns]
-        exact_vars = [exact_variance(stat, p) for p in patterns]
-        entry["exact_mean"] = [float(x) for x in exact_means]
-        entry["exact_var"] = [float(x) for x in exact_vars]
-        entry["plugin_mean"] = [float(plugin_mean(stat, p)) for p in patterns]
-        entry["asymptotic_var"] = [float(n * gamma[j][j]) for j in range(m)]
-
         if "moments" in cfg.tests:
-            _moment_verdicts(
-                report, cfg, entry, emp, exact_means, exact_vars, gamma, n, patterns
-            )
+            _moment_verdicts(report, cfg, entry, emp, ref)
         if "normality" in cfg.tests:
-            _normality_verdicts(report, cfg, entry, counts, exact_means, stat, patterns, n)
+            _normality_verdicts(report, cfg, entry, counts, ref)
         report.per_size.append(entry)
     return report
 
@@ -428,23 +434,30 @@ def _verdict(check, n, pattern, observed, tolerance, passed=None) -> dict:
     )
 
 
-def _moment_verdicts(report, cfg, entry, emp, exact_means, exact_vars, gamma, n, patterns):
-    m = len(patterns)
+def _correlation(cov, j, k) -> float:
+    """cov[j][k] / sqrt(cov[j][j] cov[k][k]) as a float, 0.0 where either
+    variance is 0."""
+    denom = float(cov[j][j] * cov[k][k])
+    return float(cov[j][k]) / math.sqrt(denom) if denom > 0 else 0.0
+
+
+def _moment_verdicts(report, cfg, entry, emp, ref: _References):
+    n, patterns = ref.n, ref.patterns
     for j, pattern in enumerate(patterns):
-        se_var, density = emp["se_var"][j], float(gamma[j][j])
+        se_var, density = emp["se_var"][j], float(ref.gamma[j][j])
         # the density check takes the looser of the relative tolerance and 4
         # MC standard errors: the density can be tiny, and short runs carry
         # real sampling noise
         for check, observed, tolerance in (
             (
                 "empirical mean within 4 SE of exact mean",
-                abs(float(emp["mean"][j] - exact_means[j])),
+                abs(float(emp["mean"][j] - ref.means[j])),
                 4 * emp["se_mean"][j] + 1e-12,
             ),
             (
                 "empirical variance within max(4 SE, rel tol) of exact",
-                abs(float(emp["var"][j] - exact_vars[j])),
-                max(4 * se_var, cfg.var_rel_tol * float(exact_vars[j])),
+                abs(float(emp["var"][j] - ref.variances[j])),
+                max(4 * se_var, cfg.var_rel_tol * float(ref.variances[j])),
             ),
             (
                 "empirical variance per vertex near covariance density",
@@ -453,14 +466,9 @@ def _moment_verdicts(report, cfg, entry, emp, exact_means, exact_vars, gamma, n,
             ),
         ):
             report.verdicts.append(_verdict(check, n, pattern.to_text(), observed, tolerance))
-    for j in range(m):
-        for k in range(j + 1, m):
-            denom = float(gamma[j][j] * gamma[k][k])
-            rho_pred = float(gamma[j][k]) / math.sqrt(denom) if denom > 0 else 0.0
-            emp_denom = float(emp["var"][j] * emp["var"][k])
-            rho_emp = (
-                float(emp["cov"][j][k]) / math.sqrt(emp_denom) if emp_denom > 0 else 0.0
-            )
+    for j in range(len(patterns)):
+        for k in range(j + 1, len(patterns)):
+            rho_pred, rho_emp = _correlation(ref.gamma, j, k), _correlation(emp["cov"], j, k)
             se = (1 - rho_pred**2) / math.sqrt(cfg.replicates) + 1e-12
             pair = [patterns[j].to_text(), patterns[k].to_text()]
             entry.setdefault("correlation", []).append(
@@ -472,11 +480,12 @@ def _moment_verdicts(report, cfg, entry, emp, exact_means, exact_vars, gamma, n,
             )
 
 
-def _normality_verdicts(report, cfg, entry, counts, exact_means, stat, patterns, n):
+def _normality_verdicts(report, cfg, entry, counts, ref: _References):
+    n = ref.n
+    centers = ref.plugin if cfg.standardize_with == "plugin" else ref.means
     entry["ks"] = []
-    for j, pattern in enumerate(patterns):
-        center = plugin_mean(stat, pattern) if cfg.standardize_with == "plugin" else exact_means[j]
-        z = (counts[:, j].astype(float) - float(center)) / math.sqrt(n)
+    for j, pattern in enumerate(ref.patterns):
+        z = (counts[:, j].astype(float) - float(centers[j])) / math.sqrt(n)
         report.samples.append((n, pattern.to_text(), z))
         if z.std(ddof=1) == 0:
             entry["ks"].append(None)
@@ -520,12 +529,10 @@ def moment_condition_scan(
     results = []
     for size in sizes:
         stat = family.statistic(size)
-        n = stat.size
-        mu = plugin_mean(stat, pattern)
+        ref = _references(stat, [pattern])
+        n, mu, gamma = ref.n, ref.plugin[0], ref.gamma[0][0]
         if mu <= 0:
             raise SizeTooSmall(f"pattern has zero plug-in mean at size {n}")
-        pn = OffspringDistribution.finite(stat.empirical_distribution())
-        gamma = fringe_covariance_density(pn, pattern, pattern)
         coeff = float((gamma * n - mu) / (2 * mu * mu))
         log_mu = _log_fraction(mu)
         q_max = int(c * float(mu) / math.sqrt(n))
@@ -554,21 +561,10 @@ def moment_gap_scan(family: StatFamily, pattern: PlaneTree, sizes) -> dict:
     across a size sweep; both stay bounded."""
     rows = []
     for size in sizes:
-        stat = family.statistic(size)
-        n = stat.size
-        pn = OffspringDistribution.finite(stat.empirical_distribution())
-        mean_gap = abs(mean_count(stat, pattern) - plugin_mean(stat, pattern))
-        var_gap = abs(
-            exact_variance(stat, pattern)
-            - n * fringe_covariance_density(pn, pattern, pattern)
-        )
-        rows.append(
-            {
-                "size": n,
-                "mean_gap": float(mean_gap),
-                "var_gap": float(var_gap),
-            }
-        )
+        ref = _references(family.statistic(size), [pattern])
+        mean_gap = abs(ref.means[0] - ref.plugin[0])
+        var_gap = abs(ref.variances[0] - ref.n * ref.gamma[0][0])
+        rows.append({"size": ref.n, "mean_gap": float(mean_gap), "var_gap": float(var_gap)})
     return {
         "pattern": pattern.to_text(),
         "family": family.label(),

@@ -27,9 +27,11 @@ tree is accepted at its fourth vector on average, so most trees need only
 the first block.
 
 Randomness is PCG64 with explicit SeedSequence stream derivation: a Seed
-is (value, stream_id), and replicate r of a batch uses the spawn key
-(stream_id, r).  Identical seeds reproduce identical output on any worker
-layout.
+is (value, stream_id), and Seed.generator(*extra) uses the spawn key
+(stream_id, *extra).  sample_uniform_trees draws a whole batch from one
+stream; ``sample --dseq`` keys replicate r as (stream_id, r), and the
+harness as (stream_id, size_index, r).  Identical seeds reproduce
+identical output on any worker layout.
 """
 
 from __future__ import annotations
@@ -98,10 +100,6 @@ class DegreeSequence:
             raise InvalidDegreeSequence(
                 f"degrees must be nonnegative and sum to {n - 1}"
             )
-
-    @property
-    def size(self) -> int:
-        return len(self.degrees)
 
 
 def sample_uniform_tree(stat: DegreeStatistic, seed) -> PlaneTree:

@@ -271,11 +271,11 @@ def _code_size(node) -> int:
     return 1 + sum(_code_size(c) for c in node)
 
 
-def enumerate_orderings(key: UnorderedKey, cap: int = ENUMERATION_CAP) -> set:
+def enumerate_orderings(key: UnorderedKey) -> set:
     """All distinct plane trees whose canonical key equals ``key``."""
     root = _parse_code(key.code)
-    if _code_size(root) > cap:
-        raise CapExceeded(f"tree size exceeds ordering cap {cap}")
+    if _code_size(root) > ENUMERATION_CAP:
+        raise CapExceeded(f"tree size exceeds ordering cap {ENUMERATION_CAP}")
 
     def orderings(node):
         if not node:

@@ -422,6 +422,17 @@ class TestEquivalentOffspring:
                     float(base.theta.p(i)), abs=1e-12
                 )
 
+    @pytest.mark.parametrize("rate", [0.5, 1, 3])
+    def test_poisson_weights_tilt_to_poisson_one(self, rate):
+        # w_i = rate^i / i! tilts to Poisson(1) at tau = 1 / rate
+        eq = equivalent_offspring(WeightSequence.poisson(rate))
+        assert eq.tau == pytest.approx(1 / rate, abs=1e-12)
+        assert eq.sigma2 == pytest.approx(1, abs=1e-12)
+        assert eq.nu == math.inf
+        for i in eq.theta.support():
+            poisson_one = math.exp(-1 - math.lgamma(i + 1))
+            assert float(eq.theta.p(i)) == pytest.approx(poisson_one, abs=1e-12)
+
     def test_subcritical_power_law(self):
         w = WeightSequence.power_law(0.1, 2.5, truncation=4000)
         eq = equivalent_offspring(w)

@@ -321,6 +321,24 @@ class TestDeterminism:
         assert serial == threaded
 
 
+class TestFileArguments:
+    def test_at_file_prints_the_inline_bytes(self, tmp_path, capsys):
+        stat, patterns = '{"0":4,"2":3}', "2,0,0;0"
+        (tmp_path / "stat.json").write_text(stat + "\n")
+        (tmp_path / "patterns.txt").write_text("2,0,0\n0\n")
+        inline = run_cli(capsys, "moments", "--stat", stat, "--patterns", patterns)
+        from_files = run_cli(
+            capsys, "moments", "--stat", f"@{tmp_path / 'stat.json'}",
+            "--patterns", f"@{tmp_path / 'patterns.txt'}",
+        )
+        assert inline[0] == 0 and from_files == inline
+
+    def test_missing_at_file(self, tmp_path, capsys):
+        code, out, err = run_cli(capsys, "count", "--stat", f"@{tmp_path / 'absent.json'}")
+        assert code == 1 and out == ""
+        assert err.startswith("error:")
+
+
 class TestErrorPaths:
     @pytest.mark.parametrize("command", ["check-gw", "experiment"])
     @pytest.mark.parametrize(
@@ -424,6 +442,18 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, "crosscheck", *flags)
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
+
+    def test_moments_order_count_mismatch(self, capsys):
+        code, out, err = run_cli(
+            capsys, "moments", "--stat", '{"0":4,"2":3}', "--patterns", "2,0,0;0", "--q", "1"
+        )
+        assert code == 1 and out == ""
+        assert "--q must list one order per pattern" in err
+
+    def test_asymptotics_needs_a_law(self, capsys):
+        code, out, err = run_cli(capsys, "asymptotics", "--patterns", "2,0,0")
+        assert code == 1 and out == ""
+        assert "need --p (offspring law) or --w (weight sequence)" in err
 
     def test_infeasible_moment(self, capsys):
         # no longer an error: a tree too small for any copy has moment 0

@@ -315,6 +315,11 @@ class TestExactHelpers:
         cov = sum((c[0] - mx) * (c[1] - my) for c in counts) / n
         assert exact_covariance(stat, CHERRY, LEAF) == cov
 
+    def test_covariance_of_a_pattern_with_itself_is_its_variance(self):
+        stat = DegreeStatistic.from_counts({0: 4, 2: 3})
+        for pattern in (CHERRY, LEAF):
+            assert exact_covariance(stat, pattern, pattern) == exact_variance(stat, pattern)
+
 
 class TestRunExperiment:
     def test_leaf_pattern_degenerate(self):

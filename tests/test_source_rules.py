@@ -97,3 +97,42 @@ def test_no_choice_call_turns_off_its_shuffle():
         if isinstance(node, ast.Call) and _name(node.func) == "choice" and _may_turn_off_shuffle(node)
     ]
     assert found == []
+
+
+def _environment_reads(tree) -> list:
+    """The variable name (None when it is not a literal) of every use of
+    os.environ and os.getenv, and of both names imported from os."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [None for alias in node.names if alias.name in {"environ", "getenv", "*"}]
+        if not (
+            isinstance(node, ast.Attribute)
+            and node.attr in {"environ", "getenv"}
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "os"
+        ):
+            continue
+        use = parents[node]
+        if node.attr == "environ" and isinstance(use, ast.Attribute) and use.attr == "get":
+            node, use = use, parents[use]  # os.environ.get(name, ...)
+        if isinstance(use, ast.Call) and use.func is node and use.args:
+            key = use.args[0]
+        elif isinstance(use, ast.Subscript) and use.value is node and node.attr == "environ":
+            key = use.slice  # os.environ[name]
+        else:
+            key = None
+        reads.append(key.value if isinstance(key, ast.Constant) else None)
+    return reads
+
+
+def test_only_environment_variable_is_fringelab_threads():
+    # the worker count is the one setting the library takes from the
+    # environment; any other would change results outside the config
+    found = {
+        name
+        for path in sorted(SOURCE.glob("*.py"))
+        for name in _environment_reads(_tree(path.name))
+    }
+    assert found == {"FRINGELAB_THREADS"}

@@ -75,14 +75,17 @@ def covariance_interaction(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTre
 
 
 def _interaction(weight_of, row1: _Row, row2: _Row):
-    """covariance_interaction of two rows, with weight_of(i) = p_i."""
+    """covariance_interaction of two rows, with weight_of(i) = p_i.  It
+    starts from an int and divides int products by the weights, which gives
+    the values and float bits of a Fraction start; every two trees share
+    degree 0, so the result is a Fraction or a float, never an int."""
     prof1, prof2 = row1.profile, row2.profile
-    value = Fraction((row1.tree.size - 1) * (row2.tree.size - 1))
+    value = (row1.tree.size - 1) * (row2.tree.size - 1)
     for degree in sorted(prof1.keys() & prof2.keys()):
         weight = weight_of(degree)
         if weight == 0:
             return -INF
-        value = value - Fraction(prof1[degree] * prof2[degree]) / weight
+        value = value - prof1[degree] * prof2[degree] / weight
     return value
 
 
@@ -452,11 +455,18 @@ def _toll_rows(p: OffspringDistribution, trees):
 
 def _bilinear_density(weight_of, rows, inside, left, right):
     """sum over j, k of left[j] * right[k] * the covariance density of rows
-    j and k, summed in row-major order."""
+    j and k, summed in row-major order.  Each unordered pair's density is
+    evaluated once: _pair_density is symmetric to the bit, so the pair
+    (k, j) reuses the value of (j, k)."""
+    density = [[None] * len(rows) for _ in rows]
+    for j, row1 in enumerate(rows):
+        for k in range(j, len(rows)):
+            value = _pair_density(weight_of, row1, rows[k], inside[j][k], inside[k][j])
+            density[j][k] = density[k][j] = value
     total = Fraction(0)
-    for j, (row1, v1) in enumerate(zip(rows, left)):
-        for k, (row2, v2) in enumerate(zip(rows, right)):
-            total += v1 * v2 * _pair_density(weight_of, row1, row2, inside[j][k], inside[k][j])
+    for v1, densities in zip(left, density):
+        for v2, value in zip(right, densities):
+            total += v1 * v2 * value
     return total
 
 

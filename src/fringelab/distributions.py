@@ -71,7 +71,12 @@ class _Law:
     constraints in __post_init__, after the base rejects NaN and infinite
     parameters, so every way of building a law is validated.  Laws of
     different classes never compare equal, so caches keyed by laws keep
-    them apart."""
+    them apart.
+
+    The hash of the fields is kept, since every cache lookup keyed by a law
+    hashes it and Fraction hashes are slow; the subclasses inherit it by
+    eq=False.  A pickled law is rebuilt from its fields, so it hashes
+    afresh in a process whose str hashes differ."""
 
     kind: str
     params: tuple
@@ -83,6 +88,13 @@ class _Law:
             raise ValueError(f"non-finite parameter in {self.kind} law")
         if self.kind == "poisson" and not self.params[0] > 0:
             raise ValueError("poisson rate must be positive")
+        object.__setattr__(self, "_hash", hash((self.kind, self.params, self.truncation)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.params, self.truncation)
 
     @classmethod
     def finite(cls, values):
@@ -148,7 +160,7 @@ class _Law:
         return f"{self.kind}:{args}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OffspringDistribution(_Law):
     """Probability weights p_i on child counts {0, 1, 2, ...}.
 
@@ -263,7 +275,7 @@ def sample_offspring(dist: OffspringDistribution, rng, size: int, *, tally: int)
     return degrees, rng.multinomial(tally, masses, size=rows)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightSequence(_Law):
     """Nonnegative weights w_i with w_0 > 0 and some w_i > 0 for i >= 2.
 

@@ -115,23 +115,20 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
     (n(i))_p from a prefix table of falling factorials; one Fraction is
     built at the end.
     """
-    patterns = list(patterns)
+    patterns = tuple(patterns)
     q = [as_integer(x) for x in q]
     if len(patterns) != len(q):
         raise ValueError("patterns and q must have equal length")
     if any(x < 0 for x in q):
         raise ValueError("q entries must be nonnegative")
     n = stat.size
-    edges = [p.size - 1 for p in patterns]
+    edges, tau, profile = _pattern_constants(patterns)
     top = 1 + sum(map(mul, q, edges))
     cut = max(0, top - n)  # terms with sum_j b_j(|T_j|-1) < cut have d > |n|
-    tau = containment_matrix(patterns)
     reach = [min(qj, sum(map(mul, q, row))) for qj, row in zip(q, tau)]
-    profiles = [degree_statistic(p).as_dict() for p in patterns]
     trailing = list(accumulate(range(n - top + cut + 1, n), mul, initial=1))
     pulls = []
-    for degree in set().union(*profiles):
-        uses = [profile.get(degree, 0) for profile in profiles]
+    for degree, uses in profile:
         count = stat.count(degree)
         steps = range(count, count - sum(map(mul, q, uses)), -1)
         pulls.append((uses, list(accumulate(steps, mul, initial=1))))
@@ -152,6 +149,22 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
                 value *= falling[sum(map(mul, free, uses))]
             total += value
     return Fraction(total, trailing[-1])
+
+
+@lru_cache(maxsize=256)
+def _pattern_constants(patterns: tuple) -> tuple:
+    """(edges, tau, profile) of a pattern tuple: |T_j| - 1 per pattern, the
+    containment matrix, and per degree any pattern has, the pair (degree,
+    n_{T_j}(degree) per pattern).  The 256 most recently used tuples are
+    kept; duplicate patterns raise DuplicatePatterns on every call, since
+    the cache keeps no exception."""
+    tau = tuple(map(tuple, containment_matrix(patterns)))
+    profiles = [degree_statistic(p).as_dict() for p in patterns]
+    profile = tuple(
+        (degree, tuple(counts.get(degree, 0) for counts in profiles))
+        for degree in sorted(set().union(*profiles))
+    )
+    return tuple(p.size - 1 for p in patterns), tau, profile
 
 
 def partial_sum_pmf(w: OffspringDistribution, m: int) -> dict:
@@ -190,24 +203,36 @@ def _partial_sum(w: OffspringDistribution, m: int, k) -> tuple:
 def _partial_sum_cached(w: OffspringDistribution, m: int) -> tuple:
     """(offset, D^m, a, c) with P(S_m = offset + k) = c[k] / D^m.
 
-    The law is scaled to integers a_i = D p_i and shifted so that a_0 > 0;
-    the coefficients c of (sum_i a_i x^i)^m then follow from Miller's
-    recurrence  k a_0 c_k = sum_{j>=1} ((m+1) j - k) a_j c_{k-j},  in which
-    every division is exact.  c starts as the prefix [a_0^m]; _partial_sum
-    extends it in place up to the highest index requested so far, so a
-    later request reuses it and a shorter one costs nothing.  Exact and
-    float laws that compare equal give the same integers, so they may share
-    a cache slot.  The 256 most recently used (w, m) prefixes are kept, so a
-    run over many laws holds bounded memory; an evicted prefix starts again
-    from [a_0^m] and gives the same coefficients.
+    The law's integer form (low, D, a) comes from ``_integer_law``, built
+    once per law; the coefficients c of (sum_i a_i x^i)^m then follow from
+    Miller's recurrence  k a_0 c_k = sum_{j>=1} ((m+1) j - k) a_j c_{k-j},
+    in which every division is exact.  c starts as the prefix [a_0^m];
+    _partial_sum extends it in place up to the highest index requested so
+    far, so a later request reuses it and a shorter one costs nothing.
+    Exact and float laws that compare equal hash alike and give the same
+    integers, so they share a cache slot.  The 256 most recently used
+    (w, m) prefixes are kept, so a run over many laws holds bounded memory;
+    an evicted prefix starts again from [a_0^m] and gives the same
+    coefficients.
     """
+    low, scale, a = _integer_law(w)
+    return low * m, scale**m, a, [a[0] ** m]
+
+
+@lru_cache(maxsize=256)
+def _integer_law(w: OffspringDistribution) -> tuple:
+    """(low, D, a): the law scaled to integers a_i = D p_{low+i}, with D the
+    least common denominator of its probabilities and low its least degree
+    of positive probability, so that a_0 > 0.  Float probabilities are read
+    as the exact fractions they are.  The 256 most recently used laws are
+    kept."""
     probs = [(i, Fraction(p)) for i, p in sorted(w.probabilities().items()) if p]
     scale = math.lcm(*(p.denominator for _, p in probs))
     low = probs[0][0]
     a = [0] * (probs[-1][0] - low + 1)
     for i, p in probs:
         a[i - low] = p.numerator * (scale // p.denominator)
-    return low * m, scale**m, a, [a[0] ** m]
+    return low, scale, tuple(a)
 
 
 def degree_factorial_moment(w: OffspringDistribution, n: int, q) -> Fraction:
@@ -240,9 +265,9 @@ def degree_factorial_moment(w: OffspringDistribution, n: int, q) -> Fraction:
         raise CapExceeded(f"n = {n} exceeds partial-sum cap {PARTIAL_SUM_CAP}")
     q_total = sum(q.values())
     split = min(q_total, n)  # Q > n splits f^n as f^n * f^0; the value is 0
-    low = w.support()[0]  # the series hold g^m = f^m / x^(low m)
+    low, _, a = _integer_law(w)  # the series hold g^m = f^m / x^(low m)
     top = n - 1 - low * n  # [x^{n-1}] f^n = [x^top] g^n
-    _, _, a, head = _partial_sum(w, split, top + low * split)
+    _, _, _, head = _partial_sum(w, split, top + low * split)
     _, _, _, tail = _partial_sum(w, n - split, top + low * (n - split))
     first = max(0, top - len(tail) + 1)
     last = min(len(head), top + 1)

@@ -193,6 +193,7 @@ def sample_labelled_tree(dseq: DegreeSequence, seed):
 
 
 _FIRST_BLOCK, _LAST_BLOCK = 8, 256  # count vectors per block of attempts
+_SCREEN_ROWS = 64  # blocks this long are screened in numpy before the row tests
 
 # float decisions closer than this (plus a share of the summed log terms)
 # to the threshold are redone in exact arithmetic
@@ -251,7 +252,7 @@ def sample_conditioned_gw(
         rows = min(block, _LAST_BLOCK, max_attempts - attempts)
         # rows of n offspring draws, each kept only as its tally
         _, counts = sample_offspring(w, rng, rows * n, tally=n)
-        hit = pair.first_accepted((counts @ pair.others).tolist(), rng.random)
+        hit = pair.first_accepted(counts @ pair.others, rng.random)
         if hit is not None:
             row, size, k = hit
             return _sample_tree(pair.multiset(counts[row], size, k), rng)
@@ -291,12 +292,24 @@ class _LeafPair:
     log_top: float
     slack: float
 
-    def first_accepted(self, sums: list, draw):
+    def first_accepted(self, sums: np.ndarray, draw):
         """(row, N, c_a) of the first accepted count vector, in row order,
-        given the (m, W) of each, or None when none is.  ``draw()`` gives
-        u, one call per vector whose forced c_a is an integer in [0, N]."""
+        given the (m, W) of each as the rows of ``sums``, or None when none
+        is.  ``draw()`` gives u, one call per vector whose forced c_a is an
+        integer in [0, N].  A block of at least ``_SCREEN_ROWS`` vectors is
+        screened for those in numpy first, since a row loop that rarely
+        stops early costs more there; either way they are tested in row
+        order, so the draws, and the trees, are the same."""
         n, a = self.n, self.a
-        for row, (m, weight) in enumerate(sums):
+        if len(sums) >= _SCREEN_ROWS:
+            sizes = n - sums[:, 0]
+            splits, rest = np.divmod(n - 1 - sums[:, 1], a)
+            rows = np.flatnonzero((rest == 0) & (splits >= 0) & (splits <= sizes))
+            for row, size, k in zip(rows.tolist(), sizes[rows].tolist(), splits[rows].tolist()):
+                if self.accepts(draw(), size, k):
+                    return row, size, k
+            return None
+        for row, (m, weight) in enumerate(sums.tolist()):
             size = n - m
             k, rest = divmod(n - 1 - weight, a)
             if rest == 0 and 0 <= k <= size and self.accepts(draw(), size, k):

@@ -18,7 +18,10 @@ of the whole word per needle position.
 moment, a product of Fractions whose normalizer P(S_n = n - 1) reads its
 own series, and ``pairwise_additive_variance_forms`` the first form of the
 additive variance forms, one ``fringe_covariance_density`` call per
-ordered pair of toll trees.  ``count_fringe_unordered``,
+ordered pair of toll trees, and ``double_loop_bilinear_density`` the
+first form of the bilinear density, one ``_pair_density`` call per
+ordered pair of rows; the library evaluates each unordered pair once.
+``count_fringe_unordered``,
 ``unordered_tree_probability`` and ``unordered_covariance_density`` are
 the first forms of unordered shape counts and their limit densities,
 written per shape with one plane representative; the library reads a
@@ -55,6 +58,7 @@ import numpy as np
 
 from fringelab.asymptotics import (
     CovMatrix,
+    _pair_density,
     additive_functional,
     covariance_interaction,
     fringe_covariance_density,
@@ -506,6 +510,16 @@ def pairwise_additive_variance_forms(p, toll):
         for t2, v2 in items:
             quadratic += v1 * v2 * fringe_covariance_density(p, t1, t2)
     return direct, quadratic
+
+
+def double_loop_bilinear_density(weight_of, rows, inside, left, right):
+    """sum over j, k of left[j] * right[k] * the covariance density of rows
+    j and k, one density per ordered pair, summed in row-major order."""
+    total = Fraction(0)
+    for j, (row1, v1) in enumerate(zip(rows, left)):
+        for k, (row2, v2) in enumerate(zip(rows, right)):
+            total += v1 * v2 * _pair_density(weight_of, row1, row2, inside[j][k], inside[k][j])
+    return total
 
 
 def _as_plane_representative(tree_or_key) -> PlaneTree:

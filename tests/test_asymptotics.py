@@ -10,6 +10,7 @@ from oracle_utils import (
     all_trees_up_to,
     count_fringe_unordered,
     covariance_matrix_probe,
+    double_loop_bilinear_density,
     outcome,
     pairwise_additive_variance_forms,
     root_sum_normalized_covariance_density,
@@ -22,6 +23,8 @@ from fringelab import asymptotics
 from fringelab.asymptotics import (
     CovMatrix,
     TollFunction,
+    _bilinear_density,
+    _toll_rows,
     additive_covariance_density,
     additive_functional,
     additive_mean_density,
@@ -49,6 +52,8 @@ from fringelab.tree_core import (
 )
 
 GEO = OffspringDistribution.geometric(Fraction(1, 2))
+# degree 2 has probability 0: zero tree probabilities and eta = -inf
+SPARSE_EXACT = OffspringDistribution.finite({0: Fraction(1, 3), 1: Fraction(1, 6), 3: Fraction(1, 2)})
 LEAF = PlaneTree((0,))
 CHERRY = PlaneTree((2, 0, 0))
 PATH3 = PlaneTree((1, 1, 0))
@@ -121,16 +126,19 @@ class TestCovarianceDensity:
             OffspringDistribution.from_spec("poisson:1"),
             OffspringDistribution.from_spec("power_law:0.3,2.5"),
             OffspringDistribution.finite({0: 0.45, 1: 0.2, 2: 0.35}),
+            GEO,
+            SPARSE_EXACT,
         ],
         ids=lambda p: p.label(),
     )
     def test_mirrored_pairs_are_bit_equal(self, p):
-        # the limit covariance matrix of a float law is symmetric to the bit
+        # the limit covariance matrix of a float law is symmetric to the
+        # bit, and _bilinear_density evaluates each unordered pair once
         trees = all_trees_up_to(5)
         for t1 in trees:
             for t2 in trees:
-                value = fringe_covariance_density(p, t1, t2)
-                assert value == fringe_covariance_density(p, t2, t1), (t1, t2)
+                value, mirror = fringe_covariance_density(p, t1, t2), fringe_covariance_density(p, t2, t1)
+                assert value == mirror and type(value) is type(mirror), (t1, t2)
 
     def test_positivity(self):
         # strictly positive diagonal whenever the tree has >= 2 vertices
@@ -589,6 +597,22 @@ class TestAdditive:
                     a * additive_covariance_density(p, f1, g)
                     + b * additive_covariance_density(p, f2, g)
                 )
+
+    @pytest.mark.parametrize(
+        "p", [OffspringDistribution.from_spec("poisson:1"), GEO, SPARSE_EXACT], ids=lambda p: p.label()
+    )
+    def test_bilinear_density_equals_the_double_loop(self, p):
+        # one density per unordered pair gives the bits and types of one
+        # per ordered pair, summed in the same order
+        trees = all_trees_up_to(4)
+        rng = random.Random(2020)
+        rows, inside, weights = _toll_rows(p, trees)
+        for _ in range(20):
+            left = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in trees]
+            right = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in trees]
+            got = _bilinear_density(weights.get, rows, inside, left, right)
+            expected = double_loop_bilinear_density(weights.get, rows, inside, left, right)
+            assert got == expected and type(got) is type(expected)
 
     def test_covariance_density_on_indicators(self):
         trees = all_trees_up_to(4)

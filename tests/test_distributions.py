@@ -1,14 +1,19 @@
+import os
+import pickle
 import re
+import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 from oracle_utils import bound_copy_term, point_mass
 
+import fringelab
 from fringelab.distributions import (
     OffspringDistribution,
     WeightSequence,
@@ -192,6 +197,66 @@ class TestWeightSequence:
         assert p.params == w.params and p != w
         assert p.label() == w.label() == "finite{0:1/2,2:1/2}"
         assert w.critical_law() == p
+
+
+FULL_BINARY_LAW = OffspringDistribution.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
+GEOMETRIC_HALF = OffspringDistribution.geometric(Fraction(1, 2))
+
+# Pickles a law with one string hash seed, then unpickles it with another
+# and looks it up by a freshly built equal law.
+_PICKLE_LAW = (
+    "import pickle, sys; from fractions import Fraction; "
+    "from fringelab.distributions import OffspringDistribution as O; "
+    "sys.stdout.buffer.write(pickle.dumps(O.finite({0: Fraction(1, 3), 2: Fraction(2, 3)})))"
+)
+_LOOK_UP_LAW = (
+    "import pickle, sys; from fractions import Fraction; "
+    "from fringelab.distributions import OffspringDistribution as O; "
+    "law = pickle.loads(sys.stdin.buffer.read()); "
+    "fresh = O.finite({0: Fraction(1, 3), 2: Fraction(2, 3)}); "
+    "print(law == fresh, hash(law) == hash(fresh), {fresh: 1}.get(law))"
+)
+
+
+class TestLawHash:
+    """A law's hash is computed once and kept; equality is by class and
+    fields."""
+
+    @staticmethod
+    def run(code, hash_seed, data=None):
+        env = {**os.environ, "PYTHONHASHSEED": str(hash_seed)}
+        env["PYTHONPATH"] = str(Path(fringelab.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", code], input=data, env=env, capture_output=True, check=True
+        )
+        return done.stdout
+
+    def test_pickled_law_is_found_in_a_process_with_other_str_hashes(self):
+        data = self.run(_PICKLE_LAW, 1)
+        assert self.run(_LOOK_UP_LAW, 2, data).decode().split() == ["True", "True", "1"]
+
+    def test_pickle_round_trip_in_process(self):
+        for law in (FULL_BINARY_LAW, WeightSequence.power_law(0.5, 2.5, 2), GEOMETRIC_HALF):
+            again = pickle.loads(pickle.dumps(law))
+            assert again == law and hash(again) == hash(law) and type(again) is type(law)
+
+    def test_equal_float_and_exact_laws_share_a_partial_sum_slot(self):
+        exact = FULL_BINARY_LAW
+        floating = OffspringDistribution.finite({0: 0.5, 2: 0.5})
+        assert floating == exact and hash(floating) == hash(exact)
+        _partial_sum_cached.cache_clear()
+        partial_sum_pmf(exact, 9)
+        partial_sum_pmf(floating, 9)
+        info = _partial_sum_cached.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+        _partial_sum_cached.cache_clear()
+
+    def test_offspring_law_never_equals_weight_sequence(self):
+        for spec in ("geometric:1/2", "poisson:0.9"):
+            p, w = OffspringDistribution.from_spec(spec), WeightSequence.from_spec(spec)
+            assert p.params == w.params and p.truncation == w.truncation
+            assert p != w and w != p
+            assert len({p: 0, w: 1}) == 2
 
 
 class TestBoundTermInvariants:

@@ -218,6 +218,15 @@ class TestJointFactorialMoment:
         with pytest.raises(DuplicatePatterns):
             joint_factorial_moment(STAT_7, [CHERRY, CHERRY], [1, 1])
 
+    def test_duplicate_patterns_rejected_after_the_set_is_cached(self):
+        # the pattern constants are cached per tuple; a duplicate must still
+        # raise on every call, also once the distinct patterns are cached
+        for _ in range(2):
+            assert joint_factorial_moment(STAT_7, [CHERRY, T5], [1, 1]) == Fraction(2, 5)
+            for patterns in ([CHERRY, CHERRY], [CHERRY, T5, CHERRY], [T5, CHERRY, T5]):
+                with pytest.raises(DuplicatePatterns):
+                    joint_factorial_moment(STAT_7, patterns, [1] * len(patterns))
+
     def test_triple_vs_oracle(self):
         stat = DegreeStatistic.from_counts({0: 4, 1: 1, 2: 3})
         patterns = [LEAF, PlaneTree((1, 0)), CHERRY]

@@ -31,6 +31,7 @@ from fringelab.errors import (
     InvalidPath,
 )
 from fringelab.sampling import (
+    _SCREEN_ROWS,
     DegreeSequence,
     Seed,
     _check_feasible,
@@ -583,7 +584,7 @@ class TestLeafPairAcceptance:
             accepted = Counter()
             for row, sums in zip(rows.tolist(), (rows @ pair.others).tolist()):
                 # u = 0 passes exactly the vectors of positive acceptance ratio
-                hit = pair.first_accepted([sums], lambda: 0.0)
+                hit = pair.first_accepted(np.array([sums]), lambda: 0.0)
                 if hit is None:
                     continue
                 split = hit[1:]
@@ -610,8 +611,36 @@ class TestLeafPairAcceptance:
         # c_a = -6; c_a = 0 with ratio 2^-15 / M; the mode of Bin(L, rho)
         sums = [(0, n + 5), (0, n - 1), mode_sums, mode_sums]
         draws = iter([0.999, 2.0**-60])
-        assert pair.first_accepted(sums, draws.__next__) == (2, pair.low, pair.mode)
+        assert pair.first_accepted(np.array(sums), draws.__next__) == (2, pair.low, pair.mode)
         assert next(draws, None) is None
+
+    @pytest.mark.parametrize("law", range(len(LEAF_PAIR_LAWS)))
+    def test_long_block_screen_matches_row_by_row(self, law):
+        # a block of _SCREEN_ROWS or more is screened in numpy; it must draw
+        # u for the same rows, in the same order, and accept the same row
+        n = 21 if law == 5 else 15  # {0, 10} has trees only at n = 1 mod 10
+        pair = _leaf_pair(OffspringDistribution.finite(LEAF_PAIR_LAWS[law]), n)
+        sums = np.array(list(compositions(n, len(pair.degrees)))) @ pair.others
+        # every fifth row forces c_a > N, c_a < 0, or (a > 1) a fractional c_a
+        marks = range(0, len(sums), 4)
+        odd = np.resize([(n - 1, 0), (0, n + 5), (1, n - 1 - pair.a // 2)], (len(marks), 2))
+        sums = np.insert(sums, marks, odd, axis=0)
+        sums = np.tile(sums, (-(-2 * _SCREEN_ROWS // len(sums)), 1))
+        for start in range(0, len(sums) - _SCREEN_ROWS + 1, 7):
+            block = sums[start:]
+            u = np.random.default_rng(start).random(len(block)).tolist()
+            screened, row_by_row = [], []
+            hit = pair.first_accepted(block, lambda: screened.append(u[len(screened)]) or screened[-1])
+            expected = None
+            for row in range(len(block)):
+                one = pair.first_accepted(
+                    block[row : row + 1], lambda: row_by_row.append(u[len(row_by_row)]) or row_by_row[-1]
+                )
+                if one is not None:
+                    expected = (row,) + one[1:]
+                    break
+            assert screened == row_by_row
+            assert hit == expected
 
     def test_multiset_writes_the_forced_split(self):
         w = OffspringDistribution.finite(LEAF_PAIR_LAWS[3])  # degrees 0, 2, 4
@@ -682,7 +711,7 @@ class TestLeafPairAcceptance:
                     if not 0 < u < 1:
                         continue
                     before = len(exact_calls)
-                    hit = pair.first_accepted([(m, weight)], lambda: float(u))
+                    hit = pair.first_accepted(np.array([(m, weight)]), lambda: float(u))
                     assert hit == ((0, size, k) if u < ratio else None), (size, k, u)
                     assert len(exact_calls) == before + 1
                     checked += 1
@@ -691,9 +720,9 @@ class TestLeafPairAcceptance:
         before = len(exact_calls)
         assert pmf(n, 0) / top < Fraction(1, 2)
         low_weight = n - 1 - pair.a * pair.mode
-        hit = pair.first_accepted([(n - pair.low, low_weight)], lambda: 2.0**-60)
+        hit = pair.first_accepted(np.array([(n - pair.low, low_weight)]), lambda: 2.0**-60)
         assert hit == (0, pair.low, pair.mode)
-        assert pair.first_accepted([(0, n - 1)], lambda: 0.75) is None
+        assert pair.first_accepted(np.array([(0, n - 1)]), lambda: 0.75) is None
         assert len(exact_calls) == before
 
 

@@ -14,6 +14,12 @@ Exact inputs (rational probabilities) produce exact rational outputs
 everywhere except where a genuine square root enters (the normalized
 cross-covariances of distinct trees); those fall back to floats.  That
 normalized density is one sum of root monomials c * prod_i p_i^(e_i/2).
+Under an exact law with rational tolls the covariance densities are
+evaluated in integers: with the weights scaled to a_i = D p_i, every tree
+probability is an integer over a power of D, so each density is one
+integer numerator over D^{2S} and the toll denominators, and one Fraction
+is built per result.  Float laws keep the law-arithmetic path, which is
+also the reference the integer path is tested against.
 
 Pattern counts, unordered shape counts and additive functionals are all
 linear statistics sum_T f(T) N_T, given by a TollFunction (``indicator``,
@@ -26,13 +32,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
+from operator import add, mul, sub, truediv
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import OffspringDistribution, WeightSequence, normalize_log_weights
+from .distributions import OffspringDistribution, WeightSequence
 from .errors import DuplicatePatterns, NotConverged, UnsupportedRegime, as_integer
+from .exact_moments import _pattern_constants
 from .tree_core import (
     DegreeStatistic,
     PlaneTree,
@@ -104,7 +113,12 @@ def _row(p: OffspringDistribution, tree: PlaneTree) -> _Row:
 def fringe_covariance_density(
     p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree
 ):
-    """Asymptotic covariance per vertex of the two fringe counts."""
+    """Asymptotic covariance per vertex of the two fringe counts: under an
+    exact law the bilinear density of the two indicator tolls, in
+    integers."""
+    if p.is_exact:
+        f, g = TollFunction.indicator(t1), TollFunction.indicator(t2)
+        return additive_covariance_density(p, f, g)
     inner1, inner2 = count_fringe(t1, t2), count_fringe(t2, t1)
     return _pair_density(p.p, _row(p, t1), _row(p, t2), inner1, inner2)
 
@@ -212,16 +226,20 @@ class EquivalentOffspring:
     sigma2: object
 
 
-def _tilted_pmf(log_weights: dict, s: float) -> dict:
-    return normalize_log_weights(
-        {i: lw + i * math.log(s) if s > 0 else (lw if i == 0 else -INF)
-         for i, lw in log_weights.items()}
-    )
+def _tilted_pmf(degrees: list, logs: list, s: float):
+    """The law proportional to exp(logs[j]) * s**degrees[j] over the
+    parallel lists of degrees and log weights, as an iterator: the float
+    steps of normalize_log_weights, in the same order."""
+    if s > 0:
+        tilted = list(map(add, logs, map(mul, degrees, repeat(math.log(s)))))
+    else:
+        tilted = [lw if i == 0 else -INF for i, lw in zip(degrees, logs)]
+    raw = list(map(math.exp, map(sub, tilted, repeat(max(tilted)))))
+    return map(truediv, raw, repeat(sum(raw)))
 
 
-def _tilted_mean(log_weights: dict, s: float) -> float:
-    pmf = _tilted_pmf(log_weights, s)
-    return sum(i * v for i, v in pmf.items())
+def _tilted_mean(degrees: list, logs: list, s: float) -> float:
+    return sum(map(mul, degrees, _tilted_pmf(degrees, logs, s)))
 
 
 @lru_cache(maxsize=256)
@@ -234,31 +252,30 @@ def equivalent_offspring(w: WeightSequence) -> EquivalentOffspring:
         return EquivalentOffspring(Fraction(1), theta, w.nu(), sigma2)
 
     log_weights = w.log_weights()
+    degrees, logs = list(log_weights), list(log_weights.values())
     rho = w.radius_of_convergence()
     nu = w.nu()
     if nu < 1:
         tau = float(rho)
     else:
-        tau = _solve_unit_mean(log_weights, rho)
+        tau = _solve_unit_mean(degrees, logs, rho)
 
-    pmf = _tilted_pmf(log_weights, tau)
-    theta = OffspringDistribution.finite(
-        {i: v for i, v in pmf.items() if v > 0}
-    )
-    mean = sum(i * v for i, v in pmf.items())
-    sigma2 = sum(i * i * v for i, v in pmf.items()) - mean * mean
+    pmf = list(zip(degrees, _tilted_pmf(degrees, logs, tau)))
+    theta = OffspringDistribution.finite({i: v for i, v in pmf if v > 0})
+    mean = sum(i * v for i, v in pmf)
+    sigma2 = sum(i * i * v for i, v in pmf) - mean * mean
     if w.heavy_tailed and tau >= float(rho) - 1e-15:
         sigma2 = INF
     return EquivalentOffspring(tau, theta, nu, sigma2)
 
 
-def _solve_unit_mean(log_weights: dict, rho) -> float:
+def _solve_unit_mean(degrees: list, logs: list, rho) -> float:
     """Bisection for the tilt s with tilted mean 1; the mean is
     nondecreasing in s on [0, rho)."""
     if math.isinf(rho):
         hi = 1.0
         for _ in range(ROOT_MAX_ITER):
-            if _tilted_mean(log_weights, hi) >= 1:
+            if _tilted_mean(degrees, logs, hi) >= 1:
                 break
             hi *= 2
         else:
@@ -267,13 +284,13 @@ def _solve_unit_mean(log_weights: dict, rho) -> float:
         rho = float(rho)
         hi = rho
         probe = rho * (1 - 2.0**-50)
-        if _tilted_mean(log_weights, probe) < 1:
+        if _tilted_mean(degrees, logs, probe) < 1:
             # mean reaches 1 only at the boundary
             return rho
     lo = 0.0
     for _ in range(ROOT_MAX_ITER):
         mid = (lo + hi) / 2
-        if _tilted_mean(log_weights, mid) >= 1:
+        if _tilted_mean(degrees, logs, mid) >= 1:
             hi = mid
         else:
             lo = mid
@@ -437,33 +454,111 @@ def additive_mean_density(p: OffspringDistribution, toll: TollFunction):
 def additive_covariance_density(p: OffspringDistribution, f: TollFunction, g: TollFunction):
     """Limit covariance per vertex of the additive functionals of f and g:
     the sum over T, T' of f(T) g(T') times the fringe covariance density of
-    (T, T'), read from one row per tree of either support."""
-    trees = sorted(set(f.support()) | set(g.support()), key=lambda t: t.degrees)
-    rows, inside, weights = _toll_rows(p, trees)
+    (T, T'), over the trees of either support.  Under an exact law with
+    rational tolls it is one integer over D^{2S} L_f L_g (see
+    _IntegerTrees; L_f and L_g the common denominators of the tolls),
+    otherwise _bilinear_density in the law's arithmetic."""
+    trees = tuple(sorted(set(f.support()) | set(g.support()), key=lambda t: t.degrees))
     left, right = [f.value(t) for t in trees], [g.value(t) for t in trees]
+    if _is_rational(p, left + right):
+        it = _integer_trees(p, trees)
+        (left, left_scale), (right, right_scale) = _over_common(left), _over_common(right)
+        total = _bilinear(partial(_integer_pair, it), left, right, 0)
+        return Fraction(total, it.power**2 * left_scale * right_scale)
+    rows, inside, weights = _toll_rows(p, trees)
     return _bilinear_density(weights.get, rows, inside, left, right)
+
+
+def _is_rational(p: OffspringDistribution, values) -> bool:
+    """True when the law is exact and every toll value an int or Fraction:
+    then the densities are evaluated in integers."""
+    return p.is_exact and all(isinstance(v, (int, Fraction)) for v in values)
+
+
+def _over_common(values) -> tuple:
+    """(numerators, L): values[j] = numerators[j] / L, L the least common
+    denominator."""
+    common = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (common // v.denominator) for v in values], common
+
+
+class _IntegerTrees(NamedTuple):
+    """Distinct trees under an exact law, in integers.  With D the least
+    common denominator of the weights p_i of the degrees the trees use,
+    a_i = D p_i and S the largest tree size, pi_j = prod_i a_i^{n_j(i)} /
+    D^{|T_j|}, so mass[j] = D^S pi_j is an integer, and so is
+    share[j][i] = n_j(i) mass[j] / a_i, since a_i divides the product
+    whenever n_j(i) >= 1 (share is 0 where the mass is 0)."""
+
+    scale: int  # D
+    power: int  # D^S
+    edges: tuple  # |T_j| - 1
+    tau: tuple  # tau[j][k]: proper fringe copies of tree j inside tree k
+    counts: list  # counts[j][i] = n_j(i), over the degrees the trees use
+    mass: list
+    share: list
+
+
+def _integer_trees(p: OffspringDistribution, trees: tuple) -> _IntegerTrees:
+    """The integer form of the trees under the exact law p; sizes, degree
+    profiles and containment counts come from the pattern-tuple cache."""
+    edges, tau, profile = _pattern_constants(trees)
+    weights = [p.p(degree) for degree, _ in profile]
+    scale = math.lcm(*(w.denominator for w in weights))
+    a = [w.numerator * (scale // w.denominator) for w in weights]
+    top = max(edges, default=0)
+    counts = list(zip(*(uses for _, uses in profile)))
+    mass, share = [], []
+    for e, row in zip(edges, counts):
+        m = scale ** (top - e) * math.prod(map(pow, a, row))
+        mass.append(m)
+        share.append([n * (m // ai) if n and m else 0 for n, ai in zip(row, a)])
+    return _IntegerTrees(scale, scale ** (top + 1), edges, tau, counts, mass, share)
+
+
+def _integer_pair(it: _IntegerTrees, j: int, k: int) -> int:
+    """D^{2S} times the fringe covariance density of trees j and k: the
+    cross terms inner1 * pi_j + inner2 * pi_k (pi_j alone on the diagonal)
+    and eta * pi_j * pi_k, in which each n_j(i) n_k(i) / p_i becomes
+    n_k(i) * D * share[j][i] / mass[j].  A zero mass leaves the cross terms
+    only, which is the inf * 0 := 0 of _pair_density."""
+    mj, mk = it.mass[j], it.mass[k]
+    cross = mj if j == k else it.tau[k][j] * mj + it.tau[j][k] * mk
+    shared = sum(map(mul, it.counts[k], it.share[j]))
+    eta = it.edges[j] * it.edges[k] * mj - it.scale * shared
+    return cross * it.power + eta * mk
 
 
 def _toll_rows(p: OffspringDistribution, trees):
     """One row per tree, inside[j][k] = fringe copies of tree k in tree j,
     and the law's weight of each degree the rows use."""
     rows = [_row(p, tree) for tree in trees]
-    inside = [[count_fringe(r.tree, s.tree) for s in rows] for r in rows]
+    _, tau, _ = _pattern_constants(tuple(trees))
+    inside = [
+        [1 if j == k else hosts[k] for k in range(len(rows))] for j, hosts in enumerate(zip(*tau))
+    ]
     weights = {degree: p.p(degree) for row in rows for degree in row.profile}
     return rows, inside, weights
 
 
 def _bilinear_density(weight_of, rows, inside, left, right):
     """sum over j, k of left[j] * right[k] * the covariance density of rows
-    j and k, summed in row-major order.  Each unordered pair's density is
-    evaluated once: _pair_density is symmetric to the bit, so the pair
-    (k, j) reuses the value of (j, k)."""
-    density = [[None] * len(rows) for _ in rows]
-    for j, row1 in enumerate(rows):
-        for k in range(j, len(rows)):
-            value = _pair_density(weight_of, row1, rows[k], inside[j][k], inside[k][j])
-            density[j][k] = density[k][j] = value
-    total = Fraction(0)
+    j and k, in the law's arithmetic."""
+    def pair(j, k):
+        return _pair_density(weight_of, rows[j], rows[k], inside[j][k], inside[k][j])
+
+    return _bilinear(pair, left, right, Fraction(0))
+
+
+def _bilinear(pair, left, right, total):
+    """total plus the sum over j, k of left[j] * right[k] * pair(j, k),
+    summed in row-major order.  Each unordered pair is evaluated once:
+    pair is symmetric (_pair_density to the bit), so (k, j) reuses the
+    value of (j, k)."""
+    density = [[None] * len(left) for _ in left]
+    for j in range(len(left)):
+        for k in range(j, len(left)):
+            density[j][k] = density[k][j] = pair(j, k)
     for v1, densities in zip(left, density):
         for v2, value in zip(right, densities):
             total += v1 * v2 * value
@@ -474,11 +569,37 @@ def additive_variance_forms(p: OffspringDistribution, toll: TollFunction):
     """The limit variance density of the additive functional, via both
     closed forms: the four-expectation formula and the quadratic form in
     fringe covariance densities.  They agree identically; both are returned
-    so callers can assert it.  Both read one row per toll tree, the law's
-    weight of each degree and the fringe count of each ordered pair of toll
-    trees, each computed once."""
-    values = [value for _, value in toll.items]
-    rows, inside, weights = _toll_rows(p, toll.support())
+    so callers can assert it.  Under an exact law with rational tolls each
+    form is one integer over D^{2S} L^2 (see _IntegerTrees; L the common
+    denominator of the toll), the quadratic one summed pair by pair;
+    otherwise _variance_forms evaluates them in the law's arithmetic."""
+    trees, values = toll.support(), [value for _, value in toll.items]
+    if not _is_rational(p, values):
+        return _variance_forms(p, trees, values)
+    it = _integer_trees(p, trees)
+    values, common = _over_common(values)
+    denominator = (it.power * common) ** 2
+    # with F the toll summed over the fringe subtrees: hosted, size,
+    # moments[i] and quotients[i] are 2 E[f F] - E[f^2], E[f (|T| - 1)],
+    # E[f n_T(i)] and E[f n_T(i)] / a_i, times L^2 D^S for hosted and
+    # L D^S for the others
+    hosted = sum(
+        v * m * (v + 2 * sum(map(mul, values, column)))
+        for v, m, column in zip(values, it.mass, zip(*it.tau))
+    )
+    size = sum(map(mul, values, map(mul, it.edges, it.mass)))
+    moments = [sum(map(mul, values, map(mul, it.mass, uses))) for uses in zip(*it.counts)]
+    quotients = [sum(map(mul, values, shares)) for shares in zip(*it.share)]
+    direct = hosted * it.power + size * size - it.scale * sum(map(mul, moments, quotients))
+    quadratic = _bilinear(partial(_integer_pair, it), values, values, 0)
+    return Fraction(direct, denominator), Fraction(quadratic, denominator)
+
+
+def _variance_forms(p: OffspringDistribution, trees, values):
+    """Both forms of additive_variance_forms in the law's arithmetic (floats
+    for a float law), from one row per toll tree, the law's weight of each
+    degree and the fringe count of each ordered pair of toll trees."""
+    rows, inside, weights = _toll_rows(p, trees)
     e_ff = Fraction(0)
     e_f2 = Fraction(0)
     e_f_size = Fraction(0)

@@ -135,6 +135,8 @@ def _cmd_enumerate(args) -> int:
 def _cmd_sample(args) -> int:
     if bool(args.stat) == bool(args.dseq):
         raise ValueError("pass exactly one of --stat or --dseq")
+    if args.reps < 0:
+        raise ValueError(f"reps = {args.reps} must be at least 0")
     seed = Seed(args.seed, args.stream)
     config = {
         "reps": args.reps,

@@ -108,7 +108,10 @@ def sample_uniform_tree(stat: DegreeStatistic, seed) -> PlaneTree:
 
 
 def sample_uniform_trees(stat: DegreeStatistic, reps: int, seed) -> list:
-    """A reproducible batch drawn from one stream."""
+    """A reproducible batch of ``reps`` trees drawn from one stream; a
+    negative count raises ValueError."""
+    if as_integer(reps) < 0:
+        raise ValueError(f"reps = {reps} must be at least 0")
     rng = _as_generator(seed)
     degrees, counts = zip(*stat.items)
     multiset = np.repeat(np.array(degrees, dtype=np.int64), counts)

@@ -29,6 +29,11 @@ shape as the toll with value 1 on each of its orderings.  ``point_mass``
 reads one P(S_m = k) from the library's series prefix,
 ``falling_factorial`` is the plain product, and ``outcome`` turns a
 raised exception into its type for comparisons.
+``dict_tilted_pmf``, ``dict_tilted_mean`` and ``dict_solve_unit_mean``
+are the first form of the tilt bisection of ``equivalent_offspring``,
+which builds one dict per step and takes ``math.log(s)`` once per degree;
+the library runs the same float operations in the same order over
+parallel lists of degrees and log weights.
 ``RootSum``, ``normalized_interaction`` and
 ``root_sum_normalized_covariance_density`` are the first form of the
 normalized covariance density: an accumulator class that sums the
@@ -57,6 +62,9 @@ from functools import lru_cache
 import numpy as np
 
 from fringelab.asymptotics import (
+    INF,
+    ROOT_MAX_ITER,
+    ROOT_TOLERANCE,
     CovMatrix,
     _pair_density,
     additive_functional,
@@ -64,12 +72,13 @@ from fringelab.asymptotics import (
     fringe_covariance_density,
     tree_probability,
 )
-from fringelab.distributions import OffspringDistribution
+from fringelab.distributions import OffspringDistribution, normalize_log_weights
 from fringelab.errors import (
     DuplicatePatterns,
     InfeasibleSize,
     InvalidPath,
     IrrationalWeights,
+    NotConverged,
 )
 from fringelab.exact_moments import _partial_sum, containment_matrix
 from fringelab.sampling import excursion_degrees
@@ -659,3 +668,43 @@ def root_sum_normalized_covariance_density(p, t1, t2):
     if isinstance(value, Fraction) and isinstance(eta, Fraction):
         return value + eta
     return float(value) + float(eta)
+
+
+def dict_tilted_pmf(log_weights: dict, s: float) -> dict:
+    return normalize_log_weights(
+        {i: lw + i * math.log(s) if s > 0 else (lw if i == 0 else -INF)
+         for i, lw in log_weights.items()}
+    )
+
+
+def dict_tilted_mean(log_weights: dict, s: float) -> float:
+    pmf = dict_tilted_pmf(log_weights, s)
+    return sum(i * v for i, v in pmf.items())
+
+
+def dict_solve_unit_mean(log_weights: dict, rho) -> float:
+    """Bisection for the tilt s with tilted mean 1, one dict per step."""
+    if math.isinf(rho):
+        hi = 1.0
+        for _ in range(ROOT_MAX_ITER):
+            if dict_tilted_mean(log_weights, hi) >= 1:
+                break
+            hi *= 2
+        else:
+            raise NotConverged("no bracket for the tilting parameter")
+    else:
+        rho = float(rho)
+        hi = rho
+        probe = rho * (1 - 2.0**-50)
+        if dict_tilted_mean(log_weights, probe) < 1:
+            return rho
+    lo = 0.0
+    for _ in range(ROOT_MAX_ITER):
+        mid = (lo + hi) / 2
+        if dict_tilted_mean(log_weights, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+        if hi - lo <= ROOT_TOLERANCE * max(hi, 1e-300):
+            return (lo + hi) / 2
+    raise NotConverged(f"tilt bisection stalled at [{lo}, {hi}]")

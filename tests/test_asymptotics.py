@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_utils import (
     all_degree_statistics,
     all_trees,
     all_trees_up_to,
     count_fringe_unordered,
     covariance_matrix_probe,
+    dict_solve_unit_mean,
+    dict_tilted_pmf,
     double_loop_bilinear_density,
     outcome,
     pairwise_additive_variance_forms,
@@ -24,7 +28,10 @@ from fringelab.asymptotics import (
     CovMatrix,
     TollFunction,
     _bilinear_density,
+    _pair_density,
+    _row,
     _toll_rows,
+    _variance_forms,
     additive_covariance_density,
     additive_functional,
     additive_mean_density,
@@ -61,6 +68,15 @@ PATH3 = PlaneTree((1, 1, 0))
 
 def random_distribution_corpus(count=40, seed=20240801, max_degree=5):
     return _shared_corpus(count, seed, max_degree)
+
+
+def seeded_finite_weights(count, seed):
+    """Finite weights on 0..3 in sixty-fourths, w_0 and w_3 positive."""
+    rng = random.Random(seed)
+    return [
+        WeightSequence.finite({d: Fraction(rng.randint(d in (0, 3), 63), 64) for d in range(4)})
+        for _ in range(count)
+    ]
 
 
 class TestTreeProbability:
@@ -449,6 +465,33 @@ class TestEquivalentOffspring:
         assert math.isinf(eq.sigma2)
 
 
+    @pytest.mark.parametrize(
+        "w",
+        [
+            *seeded_finite_weights(8, seed=404),
+            WeightSequence.finite({0: 3, 1: 5, 2: 7, 3: 49}),
+            WeightSequence.geometric(Fraction(1, 3)),
+            WeightSequence.geometric(4),
+            WeightSequence.poisson(0.5),
+            WeightSequence.poisson(3),
+            WeightSequence.power_law(1, 2.5),
+            WeightSequence.power_law(2, 3.5, 1),
+        ],
+        ids=lambda w: w.label(),
+    )
+    def test_tilt_equals_the_dict_bisection_to_the_bit(self, w):
+        eq = equivalent_offspring(w)
+        log_weights = w.log_weights()
+        rho = w.radius_of_convergence()
+        if eq.nu < 1:
+            assert eq.tau == float(rho)
+        else:
+            assert eq.tau.hex() == dict_solve_unit_mean(log_weights, rho).hex()
+        pmf = {i: v for i, v in dict_tilted_pmf(log_weights, eq.tau).items() if v > 0}
+        assert eq.theta.probabilities() == pmf
+        assert all(type(v) is float for v in eq.theta.probabilities().values())
+
+
 class TestSimplyGeneratedCovariances:
     def test_binary_cherry_matches_hand_value(self):
         cov = sg_fringe_covariance(WeightSequence.finite({0: 1, 2: 1}), [CHERRY])
@@ -650,3 +693,145 @@ class TestAdditive:
         )
         with pytest.raises(ArithmeticError):
             additive_variance_density(GEO, TollFunction.indicator(CHERRY))
+
+
+# float-law bits of the densities before the integer path was added:
+# (direct, quadratic) of F_TOLL, the covariance of F_TOLL and G_TOLL, and
+# the densities of (cherry, T5) and (T5, T5)
+T5 = PlaneTree((2, 2, 0, 0, 0))
+F_TOLL = TollFunction.from_dict(
+    {LEAF: Fraction(-3, 2), CHERRY: 2, PlaneTree((2, 1, 0, 0)): 1, T5: Fraction(1, 3)}
+)
+G_TOLL = TollFunction.from_dict({PlaneTree((1, 0)): 5, CHERRY: -1, T5: Fraction(2, 7)})
+FLOAT_BITS = {
+    "poisson:1": [
+        "0x1.1b541ea5ff223p-4", "0x1.1b541ea5ff22cp-4", "-0x1.154a795c6c583p-3",
+        "0x1.cd6c9bef4e6d2p-11", "0x1.a31b384c96029p-10",
+    ],
+    "power_law:0.3,2.5": [
+        "0x1.5522cd715f563p-5", "0x1.5522cd715f562p-5", "-0x1.cee12dbc21ba6p-5",
+        "0x1.37180c2ae36a2p-13", "0x1.2c962d3f1787fp-11",
+    ],
+}
+
+
+def generic_pair_density(p, t1, t2):
+    """The law-arithmetic pair density, fed the law's own weights."""
+    return _pair_density(p.p, _row(p, t1), _row(p, t2), count_fringe(t1, t2), count_fringe(t2, t1))
+
+
+def generic_covariance_density(p, f, g):
+    trees = sorted(set(f.support()) | set(g.support()), key=lambda t: t.degrees)
+    rows, inside, weights = _toll_rows(p, trees)
+    left, right = [f.value(t) for t in trees], [g.value(t) for t in trees]
+    return _bilinear_density(weights.get, rows, inside, left, right)
+
+
+def generic_variance_forms(p, toll):
+    return _variance_forms(p, toll.support(), [value for _, value in toll.items])
+
+
+class TestIntegerDensities:
+    """Under an exact law the densities are integer numerators over one
+    denominator; the law-arithmetic path fed the same Fraction weights is
+    the reference, and float laws keep that path to the bit."""
+
+    @staticmethod
+    def assert_exact_equal(got, expected):
+        assert got == expected
+        assert type(got) is Fraction and type(expected) is Fraction
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            GEO,
+            SPARSE_EXACT,
+            # the harness's gamma reads the empirical law of full_binary
+            OffspringDistribution.finite(
+                DegreeStatistic.from_counts({0: 5001, 2: 5000}).empirical_distribution()
+            ),
+            *random_distribution_corpus(4, seed=2024),
+        ],
+        ids=lambda p: p.label(),
+    )
+    def test_pair_densities_equal_the_generic_path(self, p):
+        nested = 0
+        trees = all_trees_up_to(5)
+        for t1 in trees:
+            for t2 in trees:
+                self.assert_exact_equal(
+                    fringe_covariance_density(p, t1, t2), generic_pair_density(p, t1, t2)
+                )
+                nested += t1 != t2 and count_fringe(t1, t2) > 0
+        assert nested >= 48
+
+    def test_zero_probability_degree_inside_a_toll_tree(self):
+        # degree 2 has probability 0 under SPARSE_EXACT: eta = -inf, and
+        # every tree with a degree-2 vertex has pi = 0
+        assert covariance_interaction(SPARSE_EXACT, CHERRY, T5) == -math.inf
+        toll = TollFunction.from_dict({LEAF: 2, CHERRY: Fraction(-1, 3), T5: 4, PATH3: -5})
+        got = additive_variance_forms(SPARSE_EXACT, toll)
+        expected = generic_variance_forms(SPARSE_EXACT, toll)
+        for a, b in zip(got, expected):
+            self.assert_exact_equal(a, b)
+        assert fringe_covariance_density(SPARSE_EXACT, T5, CHERRY) == 0
+        assert fringe_covariance_density(SPARSE_EXACT, CHERRY, LEAF) == generic_pair_density(
+            SPARSE_EXACT, CHERRY, LEAF
+        )
+
+    def test_forms_equal_the_generic_path_on_seeded_tolls(self):
+        rng = random.Random(2222)
+        trees = all_trees_up_to(4)
+        zero_probability = 0
+        for p in [GEO, SPARSE_EXACT, *random_distribution_corpus(15, seed=5)]:
+            for size in (0, 1, 2, 5, len(trees)):
+                chosen = rng.sample(trees, size)
+                toll = TollFunction.from_dict(
+                    {t: Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for t in chosen}
+                )
+                got, expected = additive_variance_forms(p, toll), generic_variance_forms(p, toll)
+                for a, b in zip(got, expected):
+                    self.assert_exact_equal(a, b)
+                zero_probability += any(tree_probability(p, t) == 0 for t in toll.support())
+        assert zero_probability >= 10
+
+    def test_covariance_density_with_different_supports(self):
+        rng = random.Random(3131)
+        trees = all_trees_up_to(4)
+        for p in [GEO, SPARSE_EXACT, *random_distribution_corpus(8, seed=17)]:
+            for _ in range(4):
+                f = TollFunction.from_dict({t: rng.randint(-4, 4) for t in rng.sample(trees, 4)})
+                g = TollFunction.from_dict(
+                    {t: Fraction(rng.randint(-4, 4), 3) for t in rng.sample(trees, 3)}
+                )
+                self.assert_exact_equal(
+                    additive_covariance_density(p, f, g), generic_covariance_density(p, f, g)
+                )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 7), min_size=1, max_size=4),
+        values=st.lists(
+            st.fractions(min_value=-5, max_value=5, max_denominator=6), min_size=9, max_size=9
+        ),
+    )
+    def test_forms_equal_the_generic_path(self, weights, values):
+        total = 1 + sum(weights)
+        counts = {i: w for i, w in enumerate(weights)}
+        counts[0] += 1
+        p = OffspringDistribution.finite({i: Fraction(w, total) for i, w in counts.items()})
+        toll = TollFunction.from_dict(dict(zip(all_trees_up_to(4), values)))
+        got, expected = additive_variance_forms(p, toll), generic_variance_forms(p, toll)
+        for a, b in zip(got, expected):
+            self.assert_exact_equal(a, b)
+
+    @pytest.mark.parametrize("spec", sorted(FLOAT_BITS))
+    def test_float_laws_keep_their_bits(self, spec):
+        p = OffspringDistribution.from_spec(spec)
+        values = [
+            *additive_variance_forms(p, F_TOLL),
+            additive_covariance_density(p, F_TOLL, G_TOLL),
+            fringe_covariance_density(p, CHERRY, T5),
+            fringe_covariance_density(p, T5, T5),
+        ]
+        assert [v.hex() for v in values] == FLOAT_BITS[spec]

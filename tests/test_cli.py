@@ -443,6 +443,14 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize(
+        "source", [["--stat", '{"0":2,"2":1}'], ["--dseq", "2,0,0"]], ids=["stat", "dseq"]
+    )
+    def test_sample_negative_reps(self, capsys, source):
+        code, out, err = run_cli(capsys, "sample", *source, "--reps", "-2")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "reps = -2 must be at least 0" in err
+
     def test_moments_order_count_mismatch(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--stat", '{"0":4,"2":3}', "--patterns", "2,0,0;0", "--q", "1"

@@ -77,6 +77,12 @@ class TestSeed:
         b = sample_uniform_trees(stat, 8, Seed(123, 1))
         assert a != b
 
+    def test_negative_count_rejected(self):
+        stat = DegreeStatistic.from_counts({0: 2, 2: 1})
+        assert sample_uniform_trees(stat, 0, Seed(1)) == []
+        with pytest.raises(ValueError, match="reps = -2 must be at least 0"):
+            sample_uniform_trees(stat, -2, Seed(1))
+
     def test_derived_streams_do_not_overlap(self):
         # indexed sub-streams of one seed are pairwise distinct generators
         seed = Seed(99)

@@ -15,11 +15,12 @@ counts times a combinatorial factor counting the placements of the bound
 copies.  Means, single-pattern factorial moments and product moments are
 the special cases q = (1), q = (q) and q = (1, 1) of that one sum.  Its
 terms are integer numerators over the one denominator (|n|)_t / |n|,
-t = min(|n|, 1 + sum_j q_j (|T_j| - 1)), read from prefix and suffix tables
-of falling factorials and divided once.  The sum visits only the b that can
-contribute: b_j is at most the number of possible hosts of T_j, and terms
-that place more vertices than |n| are skipped, so every |n| >= 1 has a
-value.
+t = min(|n|, 1 + sum_j q_j (|T_j| - 1)), divided once.  The sum visits
+only the b that can contribute: b_j is at most the number of possible
+hosts of T_j, and terms that place more vertices than |n| are zero, so
+every |n| >= 1 has a value.  It walks the box in rows along one axis,
+where consecutive terms differ by a ratio of small integers: each term
+is the previous one times a small integer, divided exactly by another.
 
 Degree-count factorial moments of size-conditioned weighted trees need the
 law of S_m, a sum of m iid child counts.  With the law scaled to integer
@@ -28,10 +29,11 @@ numerators a_i = D p_i, P(S_m = k) is the coefficient of x^k in
 recurrence for powers of a power series in integers only, so every m up to
 ``PARTIAL_SUM_CAP`` is reachable.  The recurrence runs only as far as the
 highest coefficient requested so far for each m: a point mass P(S_m = k)
-costs the prefix up to k, not the whole series.  A degree moment of order
-Q at size n grows one size-dependent series, the one for m = n - Q; the
-normalizer P(S_n = n - 1) is its dot product with the short series for
-m = Q, and the moment is one integer ratio.
+costs the prefix up to k, not the whole series.  The degree moments of
+every order Q <= 4 at size n read one size-dependent series, the one for
+m = n - 4; the numerator and the normalizer P(S_n = n - 1) are its dot
+products with the short series for m = 4 - Q and m = 4, and the moment
+is one integer ratio.  A higher order reads its own series m = n - Q.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ import math
 import threading
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, product
-from operator import mul, sub, truediv
+from itertools import product
+from operator import le, mul, sub, truediv
 
 from .distributions import OffspringDistribution
 from .errors import (
@@ -54,6 +56,12 @@ from .errors import (
 from .tree_core import DegreeStatistic, PlaneTree, count_fringe, degree_statistic
 
 PARTIAL_SUM_CAP = 5000
+
+# Degree moments of every order Q <= 4 at one size n read one series
+# f^(n-4) against the short heads f^(4-Q) and f^4, so the mixed and
+# single moments of up to the fourth order share it; a lone call grows a
+# series as long as the f^(n-Q) it would otherwise read.
+_SHARED_ORDER = 4
 
 _EXTENDING = threading.Lock()
 
@@ -109,11 +117,20 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
     The sum is evaluated in integers over the terms with d <= |n|.  With
     t = min(|n|, top), top = 1 + sum_j q_j(|T_j|-1),
     |n| / (|n|)_d = (|n|-d)_{t-d} / (|n|-1)_{t-1}, so every term is an
-    integer over the one denominator (|n|-1)_{t-1} = (|n|)_t / |n|.  The
-    numerators read (|n|-d)_{t-d} from a table of the trailing factors of
-    (|n|)_t, indexed by t - d = sum_j b_j(|T_j|-1) - (top - t), and each
-    (n(i))_p from a prefix table of falling factorials; one Fraction is
-    built at the end.
+    integer over the one denominator (|n|-1)_{t-1} = (|n|)_t / |n|, and
+    one Fraction is built at the end.
+
+    The box is walked in rows along the axis a of largest reach.  A step
+    b_a -> b_a + 1 turns a term into the next by small integers only:
+    (|n|-d)_{t-d} gains |T_a| - 1 rising factors, each degree's pull drops
+    by n_{T_a}(i) and its falling factorial loses that many factors,
+    C(q_a, b_a) (h_a)_{b_a} gains (q_a - b_a)(h_a - b_a) / (b_a + 1) (tau
+    has a zero diagonal, so the hosts h_a stay fixed along the row), and
+    each pattern T_j inside T_a loses tau_{ja} hosts, a factor
+    (h_j - b_j)_{tau_ja} / (h_j)_{tau_ja}.  So each term is the previous
+    one times one small integer, divided exactly by another.  A row's
+    first term, and any term after a zero term, is evaluated directly from
+    ``math.perm`` and ``math.comb``; a zero host factor ends the row.
     """
     patterns = tuple(patterns)
     q = [as_integer(x) for x in q]
@@ -123,32 +140,52 @@ def joint_factorial_moment(stat: DegreeStatistic, patterns, q) -> Fraction:
         raise ValueError("q entries must be nonnegative")
     n = stat.size
     edges, tau, profile = _pattern_constants(patterns)
+    if not q:
+        return Fraction(1)
     top = 1 + sum(map(mul, q, edges))
     cut = max(0, top - n)  # terms with sum_j b_j(|T_j|-1) < cut have d > |n|
+    base = n - top + cut  # (|n|-d)_{t-d} = (base + k)_k with k = t - d
     reach = [min(qj, sum(map(mul, q, row))) for qj, row in zip(q, tau)]
-    trailing = list(accumulate(range(n - top + cut + 1, n), mul, initial=1))
-    pulls = []
-    for degree, uses in profile:
-        count = stat.count(degree)
-        steps = range(count, count - sum(map(mul, q, uses)), -1)
-        pulls.append((uses, list(accumulate(steps, mul, initial=1))))
+    axis = reach.index(max(reach))
+    qa, step = q[axis], edges[axis]
+    inside = [(j, row[axis]) for j, row in enumerate(tau) if row[axis]]  # T_j in T_a
+    counts = [stat.count(degree) for degree, _ in profile]
+    drops = [(i, uses[axis]) for i, (_, uses) in enumerate(profile) if uses[axis]]
+    rows = [range(r + 1) for r in reach]
+    rows[axis] = (0,)
     total = 0
-    for b in product(*(range(r + 1) for r in reach)):
-        bound = sum(map(mul, b, edges))
-        if bound < cut:
-            continue
+    for row in product(*rows):
+        b = list(row)
         free = list(map(sub, q, b))
-        value = 1
-        for j, bj in enumerate(b):
-            if bj:
-                hosts = sum(map(mul, free, tau[j]))
-                value *= math.comb(q[j], bj) * math.perm(hosts, bj)
-        if value:
-            value *= trailing[bound - cut]
-            for uses, falling in pulls:
-                value *= falling[sum(map(mul, free, uses))]
+        hosts = [sum(map(mul, free, t)) for t in tau]
+        pulls = [sum(map(mul, free, uses)) for _, uses in profile]
+        k = sum(map(mul, b, edges)) - cut
+        value, last = 0, min(qa, hosts[axis])
+        for ba in range(last + 1):
+            b[axis] = ba
+            if not value and k >= 0 and all(map(le, pulls, counts)):
+                value = math.prod(map(math.comb, q, b)) * math.prod(map(math.perm, hosts, b))
+                if not value:
+                    break  # some T_j has fewer hosts than bound copies from here on
+                value *= math.perm(base + k, k) * math.prod(map(math.perm, counts, pulls))
             total += value
-    return Fraction(total, trailing[-1])
+            if value and ba < last:
+                up = math.perm(base + k + step, step) * (qa - ba) * (hosts[axis] - ba)
+                down = ba + 1
+                for i, u in drops:
+                    down *= math.perm(counts[i] - pulls[i] + u, u)
+                for j, t in inside:
+                    up *= math.perm(hosts[j] - b[j], t)
+                    down *= math.perm(hosts[j], t)
+                if not up:
+                    break  # every later term of the row is 0
+                value = value * up // down
+            k += step
+            for i, u in drops:
+                pulls[i] -= u
+            for j, t in inside:
+                hosts[j] -= t
+    return Fraction(total, math.perm(n - 1, top - cut - 1))
 
 
 @lru_cache(maxsize=256)
@@ -170,7 +207,8 @@ def _pattern_constants(patterns: tuple) -> tuple:
 def partial_sum_pmf(w: OffspringDistribution, m: int) -> dict:
     """P(S_m = k) for every k in the support of S_m, the sum of m iid draws
     from w: Fractions for exact laws, floats converted from the exact
-    values for float laws.  m above ``PARTIAL_SUM_CAP`` raises CapExceeded."""
+    values for float laws.  A non-integer m raises TypeError, a negative
+    one ValueError, and m above ``PARTIAL_SUM_CAP`` CapExceeded."""
     offset, scale, _, coefficients = _partial_sum(w, m, math.inf)
     convert = Fraction if w.is_exact else truediv
     return {offset + k: convert(c, scale) for k, c in enumerate(coefficients) if c}
@@ -178,7 +216,10 @@ def partial_sum_pmf(w: OffspringDistribution, m: int) -> dict:
 
 def _partial_sum(w: OffspringDistribution, m: int, k) -> tuple:
     """_partial_sum_cached(w, m) = (offset, D^m, a, c) with c grown through
-    index k - offset, or through the last one if that comes first."""
+    index k - offset, or through the last one if that comes first.  m goes
+    through ``as_integer`` before it keys the cache, so no float-valued
+    series is ever stored."""
+    m = as_integer(m)
     if m < 0:
         raise ValueError("m must be nonnegative")
     if m > PARTIAL_SUM_CAP:
@@ -248,15 +289,22 @@ def degree_factorial_moment(w: OffspringDistribution, n: int, q) -> Fraction:
 
         (n)_Q * prod_i a_i^{q_i} * [x^{n-1-W}] f^{n-Q}  /  [x^{n-1}] f^n.
 
-    The denominator is the dot product sum_j [x^j] f^Q [x^{n-1-j}] f^{n-Q}
-    of the short series for m = Q, which every call with the same Q shares,
-    and the one series for m = n - Q that the numerator also reads; f^n is
-    never built.  n above ``PARTIAL_SUM_CAP`` raises CapExceeded.
+    Both coefficients are read from one long series f^{n-B}, with
+    B = min(n, max(Q, ``_SHARED_ORDER``)): the numerator is its dot product
+    with the short head f^{B-Q} and the denominator its dot product with
+    f^B.  The heads have at most B d + 1 coefficients for a law of span d,
+    and every size shares them.  So every order Q <= 4 at a size n >= 4
+    reads the same series f^{n-4}; a higher order grows its own f^{n-Q},
+    and f^n is never built.  A negative n raises ValueError; n above
+    ``PARTIAL_SUM_CAP`` raises CapExceeded.
     """
     if not w.is_exact:
         raise IrrationalWeights("exact mode needs finite rational weights")
     if not w.is_finite:
         raise IrrationalWeights("exact mode needs finite support")
+    n = as_integer(n)
+    if n < 0:
+        raise ValueError(f"n = {n} must be nonnegative")
     q = {as_integer(i): as_integer(v) for i, v in dict(q).items()}
     q = {i: v for i, v in q.items() if v}
     if any(v < 0 for v in q.values()):
@@ -264,18 +312,26 @@ def degree_factorial_moment(w: OffspringDistribution, n: int, q) -> Fraction:
     if n > PARTIAL_SUM_CAP:
         raise CapExceeded(f"n = {n} exceeds partial-sum cap {PARTIAL_SUM_CAP}")
     q_total = sum(q.values())
-    split = min(q_total, n)  # Q > n splits f^n as f^n * f^0; the value is 0
+    base = min(n, max(q_total, _SHARED_ORDER))
     low, _, a = _integer_law(w)  # the series hold g^m = f^m / x^(low m)
     top = n - 1 - low * n  # [x^{n-1}] f^n = [x^top] g^n
-    _, _, _, head = _partial_sum(w, split, top + low * split)
-    _, _, _, tail = _partial_sum(w, n - split, top + low * (n - split))
-    first = max(0, top - len(tail) + 1)
-    last = min(len(head), top + 1)
-    denominator = sum(head[j] * tail[top - j] for j in range(first, last))
+    tail = _partial_sum(w, n - base, top + low * (n - base))[3]
+    denominator = _head_dot(w, low, base, tail, top)
     if denominator == 0:
         raise InfeasibleSize(f"no size-{n} tree has positive weight")
-    at = top + low * q_total - sum(i * v for i, v in q.items())
-    value = math.perm(n, q_total) * tail[at] if 0 <= at < len(tail) else 0
+    value = math.perm(n, q_total)  # Q > n gives 0
     for i, v in q.items():
         value *= a[i - low] ** v if 0 <= i - low < len(a) else 0
+    if value:  # so Q <= n and every i >= low, and the index is at most top
+        at = top + low * q_total - sum(i * v for i, v in q.items())
+        value *= _head_dot(w, low, base - q_total, tail, at)
     return Fraction(value, denominator)
+
+
+def _head_dot(w: OffspringDistribution, low: int, m: int, tail: list, k: int) -> int:
+    """[x^k] g^m * tail = sum_j [x^j] g^m tail[k - j], for the head g^m of
+    the law's shifted series (least degree low) and a tail grown through
+    index k."""
+    head = _partial_sum(w, m, k + low * m)[3]
+    first = max(0, k - len(tail) + 1)
+    return sum(head[j] * tail[k - j] for j in range(first, min(len(head), k + 1)))

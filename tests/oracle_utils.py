@@ -8,6 +8,11 @@ three from its bound-copy sum, so comparing the two checks the reductions at
 sizes that enumeration cannot reach.  ``bound_copy_sum`` is the bound-copy
 sum term by term in ``Fraction``s, each falling factorial recomputed; the
 library sums the same terms as integers over one denominator.
+``table_joint_factorial_moment`` is the first integer form of that sum:
+it visits the whole bound-copy box and builds each term as a product of
+big integers read from prefix tables of falling factorials, where the
+library walks the box in rows and gets each term from the previous one
+by a ratio of small integers.
 ``dp_feasible`` is the plain reachability table that the sampler's
 residue-class feasibility test replaces.  ``rolled_excursion_degrees`` and
 ``offsetwise_count_occurrences`` are the first forms of the sampler's
@@ -58,6 +63,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul, sub
 
 import numpy as np
 
@@ -79,8 +85,9 @@ from fringelab.errors import (
     InvalidPath,
     IrrationalWeights,
     NotConverged,
+    as_integer,
 )
-from fringelab.exact_moments import _partial_sum, containment_matrix
+from fringelab.exact_moments import _partial_sum, _pattern_constants, containment_matrix
 from fringelab.sampling import excursion_degrees
 from fringelab.tree_core import (
     DegreeStatistic,
@@ -359,6 +366,46 @@ def bound_copy_sum(stat, patterns, q):
         (bound_copy_term(stat, patterns, profiles, q, b, tau) for b in box),
         Fraction(0),
     )
+
+
+def table_joint_factorial_moment(stat, patterns, q) -> Fraction:
+    """E[prod_j (N_{T_j})_{q_j}] as integer numerators over (|n|-1)_{t-1},
+    each term read from a table of the trailing factors of (|n|)_t and from
+    a prefix table of falling factorials per degree."""
+    patterns = tuple(patterns)
+    q = [as_integer(x) for x in q]
+    if len(patterns) != len(q):
+        raise ValueError("patterns and q must have equal length")
+    if any(x < 0 for x in q):
+        raise ValueError("q entries must be nonnegative")
+    n = stat.size
+    edges, tau, profile = _pattern_constants(patterns)
+    top = 1 + sum(map(mul, q, edges))
+    cut = max(0, top - n)  # terms with sum_j b_j(|T_j|-1) < cut have d > |n|
+    reach = [min(qj, sum(map(mul, q, row))) for qj, row in zip(q, tau)]
+    trailing = list(itertools.accumulate(range(n - top + cut + 1, n), mul, initial=1))
+    pulls = []
+    for degree, uses in profile:
+        count = stat.count(degree)
+        steps = range(count, count - sum(map(mul, q, uses)), -1)
+        pulls.append((uses, list(itertools.accumulate(steps, mul, initial=1))))
+    total = 0
+    for b in itertools.product(*(range(r + 1) for r in reach)):
+        bound = sum(map(mul, b, edges))
+        if bound < cut:
+            continue
+        free = list(map(sub, q, b))
+        value = 1
+        for j, bj in enumerate(b):
+            if bj:
+                hosts = sum(map(mul, free, tau[j]))
+                value *= math.comb(q[j], bj) * math.perm(hosts, bj)
+        if value:
+            value *= trailing[bound - cut]
+            for uses, falling in pulls:
+                value *= falling[sum(map(mul, free, uses))]
+            total += value
+    return Fraction(total, trailing[-1])
 
 
 def dp_feasible(w, n):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import re
@@ -5,10 +6,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracle_utils import (
     all_degree_statistics,
     all_trees_up_to,
     bound_copy_sum,
+    bound_copy_term,
     brute_degree_factorial,
     brute_joint_factorial,
     brute_mean,
@@ -18,6 +22,7 @@ from oracle_utils import (
     falling_factorial,
     outcome,
     point_mass,
+    table_joint_factorial_moment,
     two_series_degree_factorial_moment,
 )
 
@@ -28,6 +33,7 @@ from fringelab.errors import (
     InfeasibleSize,
     IrrationalWeights,
 )
+from fringelab import exact_moments
 from fringelab.exact_moments import (
     PARTIAL_SUM_CAP,
     _partial_sum_cached,
@@ -43,12 +49,14 @@ from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
     count_fringe,
+    degree_statistic,
 )
 
 LEAF = PlaneTree((0,))
 CHERRY = PlaneTree((2, 0, 0))
 PATH3 = PlaneTree((1, 1, 0))
 T5 = PlaneTree((2, 0, 2, 0, 0))
+LEFT_T5 = PlaneTree((2, 2, 0, 0, 0))  # the benchmark's T5
 
 STAT_5 = DegreeStatistic.from_counts({0: 3, 2: 2})
 STAT_7 = DegreeStatistic.from_counts({0: 4, 2: 3})
@@ -283,15 +291,25 @@ def _random_statistic(rng, size):
     return DegreeStatistic.from_counts(counts)
 
 
+def _walk_equals_oracles(stat, patterns, q) -> Fraction:
+    """The walked sum, checked against the table sum and the per-term
+    Fraction sum by value and by type."""
+    value = joint_factorial_moment(stat, patterns, q)
+    table = table_joint_factorial_moment(stat, patterns, q)
+    terms = bound_copy_sum(stat, patterns, q)
+    assert type(value) is type(table) is type(terms) is Fraction
+    assert value == table == terms, (stat, patterns, q)
+    return value
+
+
 class TestBoundCopySumOracle:
-    """The integer kernel against the per-term Fraction sum."""
+    """The integer kernel against the per-term Fraction sum and the table
+    sum."""
 
     def test_ladder_at_10001(self):
-        for q in range(10, 61, 10):
-            orders = [q, q // 2]
-            assert joint_factorial_moment(
-                STAT_10001, [CHERRY, T5], orders
-            ) == bound_copy_sum(STAT_10001, [CHERRY, T5], orders)
+        for t5 in (T5, LEFT_T5):
+            for q in range(10, 61, 10):
+                assert _walk_equals_oracles(STAT_10001, [CHERRY, t5], [q, q // 2]) > 0
 
     def test_seeded_random_cases(self):
         rng = random.Random(5150)
@@ -303,17 +321,14 @@ class TestBoundCopySumOracle:
             top = 1 + sum(qj * (t.size - 1) for qj, t in zip(q, chosen))
             size = top if case % 4 == 0 else top + rng.randint(1, 12)
             stat = _random_statistic(rng, size)
-            value = joint_factorial_moment(stat, chosen, q)
-            assert isinstance(value, Fraction)
-            assert value == bound_copy_sum(stat, chosen, q), (stat, chosen, q)
+            _walk_equals_oracles(stat, chosen, q)
             seen["q0"] += 0 in q
             seen["three"] += len(chosen) == 3
             seen["nested"] += any(map(any, containment_matrix(chosen)))
             seen["tight"] += size == top
             if top >= 2:
                 small = _random_statistic(rng, top - 1)
-                value = joint_factorial_moment(small, chosen, q)
-                assert value == bound_copy_sum(small, chosen, q), (small, chosen, q)
+                value = _walk_equals_oracles(small, chosen, q)
                 if small.size <= 9:
                     assert value == brute_joint_factorial(small, chosen, q)
                     seen["too_small"] += 1
@@ -327,9 +342,77 @@ class TestBoundCopySumOracle:
         assert containment_matrix(patterns) == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
         stat = DegreeStatistic.from_counts({0: 120, 1: 9, 2: 119})
         for q in ([40, 3, 4], [2, 6, 0], [5, 5, 8], [0, 9, 9]):
-            value = joint_factorial_moment(stat, patterns, q)
-            assert value > 0
-            assert value == bound_copy_sum(stat, patterns, q), q
+            assert _walk_equals_oracles(stat, patterns, q) > 0, q
+
+
+def _top(patterns, q) -> int:
+    return 1 + sum(qj * (t.size - 1) for qj, t in zip(q, patterns))
+
+
+# nested pattern triples, each with the number of its nonzero moments below
+# top in test_every_size_below_top
+NESTED_TRIPLES = [
+    ((LEAF, CHERRY, LEFT_T5), 24),
+    ((LEAF, PlaneTree((1, 0)), PATH3), 2),
+]
+TREES_UP_TO_5 = all_trees_up_to(5)
+
+
+class TestRatioWalkOracles:
+    """The row walk against the table sum it replaces and the per-term
+    Fraction sum, value for value and type for type."""
+
+    @pytest.mark.parametrize("patterns, least", NESTED_TRIPLES, ids=("leaf-cherry-T5", "paths"))
+    def test_every_size_below_top(self, patterns, least):
+        # every profile of degrees at most 2 below top, where any nonzero
+        # moment needs bound copies
+        nonzero = 0
+        for q in itertools.product(range(4), repeat=3):
+            for size in range(1, _top(patterns, q)):  # cut > 0
+                for stat in all_degree_statistics(size):
+                    if max(stat.as_dict()) <= 2:
+                        nonzero += _walk_equals_oracles(stat, patterns, list(q)) > 0
+        assert nonzero >= least
+
+    def test_rows_that_start_with_zero_terms(self):
+        # (stat, q) with the cherry walked and no T5 bound: its first terms
+        # vanish, below top (d > |n|) or for want of leaves, a later one not
+        cases = [
+            (STAT_5, [1, 1]),
+            (DegreeStatistic.from_counts({0: 10, 2: 9}), [4, 2]),
+            (DegreeStatistic.from_counts({0: 16, 1: 3, 2: 15}), [6, 3]),
+        ]
+        patterns = [CHERRY, LEFT_T5]
+        profiles = [degree_statistic(p).as_dict() for p in patterns]
+        tau = containment_matrix(patterns)
+        for stat, q in cases:
+            row = [bound_copy_term(stat, patterns, profiles, q, (b, 0), tau) for b in range(q[1] + 1)]
+            assert row[0] == 0 and any(row), (stat, q, row)
+            assert _walk_equals_oracles(stat, patterns, q) > 0
+
+    def test_bound_copies_inside_the_walked_pattern(self):
+        # the cherry has the largest reach and is walked; bound leaves sit
+        # inside it, so each step also takes two hosts from the leaves
+        patterns = [LEAF, CHERRY, LEFT_T5]
+        for counts in ({0: 14, 2: 13}, {0: 9, 1: 2, 2: 8}, {0: 11, 1: 1, 2: 8, 3: 1}):
+            stat = DegreeStatistic.from_counts(counts)
+            for q in ([1, 4, 2], [3, 4, 2], [2, 3, 3], [5, 5, 2]):
+                _walk_equals_oracles(stat, patterns, q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        degrees=st.lists(st.integers(1, 4), max_size=10),
+        chosen=st.lists(
+            st.integers(0, len(TREES_UP_TO_5) - 1), min_size=1, max_size=3, unique=True
+        ),
+        orders=st.lists(st.integers(0, 5), min_size=3, max_size=3),
+    )
+    def test_small_profiles(self, degrees, chosen, orders):
+        counts = {0: 1 + sum(d - 1 for d in degrees)}
+        for d in degrees:
+            counts[d] = counts.get(d, 0) + 1
+        patterns = [TREES_UP_TO_5[i] for i in chosen]
+        _walk_equals_oracles(DegreeStatistic.from_counts(counts), patterns, orders[: len(chosen)])
 
 
 class TestPartialSumPmf:
@@ -360,6 +443,21 @@ class TestPartialSumPmf:
     def test_cap(self):
         with pytest.raises(CapExceeded):
             partial_sum_pmf(FULL_BINARY, PARTIAL_SUM_CAP + 1)
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, Fraction(2)])
+    def test_non_integer_m_raises_before_caching(self, m):
+        # also through the series prefix that the oracles read, so a float
+        # key equal to 2 never holds a float-valued series
+        _partial_sum_cached.cache_clear()
+        with pytest.raises(TypeError, match=re.escape(repr(m))):
+            partial_sum_pmf(FULL_BINARY, m)
+        with pytest.raises(TypeError, match=re.escape(repr(m))):
+            point_mass(FULL_BINARY, m, 1)
+        assert _partial_sum_cached.cache_info().currsize == 0
+        assert partial_sum_pmf(FULL_BINARY, 2) == {0: Fraction(1, 4), 2: Fraction(1, 2), 4: Fraction(1, 4)}
+
+    def test_numpy_integer_m_passes(self):
+        assert partial_sum_pmf(FULL_BINARY, np.int64(4)) == partial_sum_pmf(FULL_BINARY, 4)
 
     def test_cold_total_mass_at_600(self):
         _partial_sum_cached.cache_clear()
@@ -500,6 +598,23 @@ class TestDegreeFactorialMoment:
 
     def test_numpy_integers_pass(self):
         assert degree_factorial_moment(FULL_BINARY, 5, {np.int64(0): np.int32(1)}) == 3
+        assert degree_factorial_moment(FULL_BINARY, np.int64(5), {0: 1}) == 3
+
+    @pytest.mark.parametrize("n", [2.0, 5.0, 2.5, Fraction(5)])
+    def test_non_integer_size_raises(self, n):
+        with pytest.raises(TypeError, match=re.escape(repr(n))):
+            degree_factorial_moment(FULL_BINARY, n, {0: 1})
+
+    @pytest.mark.parametrize("n", [-1, -3])
+    def test_negative_size_raises_naming_n(self, n):
+        for q in ({}, {0: 1}, {0: 2, 2: 1}):
+            with pytest.raises(ValueError, match=f"n = {n} "):
+                degree_factorial_moment(FULL_BINARY, n, q)
+
+    def test_size_zero_is_infeasible(self):
+        for q in ({}, {0: 1}, {0: 7}):
+            with pytest.raises(InfeasibleSize):
+                degree_factorial_moment(FULL_BINARY, 0, q)
 
 
 def _ladder_laws(count, seed):
@@ -516,9 +631,31 @@ def _ladder_laws(count, seed):
     return laws
 
 
+ORACLE_SIZES = [*range(1, 7), *range(25, 201, 25)]
+SHARED_SERIES_LAWS = SERIES_LAWS + [
+    OffspringDistribution.finite({0: Fraction(1, 2), 1: Fraction(1, 4), 3: Fraction(1, 4)}),
+    *_ladder_laws(2, 4243),
+]
+LADDER_ORDERS = ({0: 1}, {1: 1}, {2: 1}, {3: 1}, {0: 2, 2: 1})
+
+
+def _orders_of_total(rng, w, total):
+    """Orders of total Q: all on degree 0, all on one degree past
+    the support, and a seeded spread over both and the degrees between."""
+    top = w.support()[-1] + 1
+    yield {0: total}
+    yield {top: total}
+    q = {}
+    for _ in range(total):
+        i = rng.randint(0, top)
+        q[i] = q.get(i, 0) + 1
+    yield q
+
+
 class TestTwoSeriesOracle:
     """The one-series integer ratio against the two-series Fraction product
-    it replaces, value for value and exception for exception."""
+    it replaces, value for value and exception for exception.  Orders up
+    to 4 read the one series f^(n-4), higher ones their own f^(n-Q)."""
 
     def _orders(self, rng, w, n):
         top = w.support()[-1] + 1  # one degree past the support
@@ -563,6 +700,63 @@ class TestTwoSeriesOracle:
             assert infeasible == set(range(2, 81, 2)) and nonzero >= 150
         else:
             assert not infeasible and nonzero >= 500
+
+    @pytest.mark.parametrize("w", SHARED_SERIES_LAWS, ids=lambda w: w.label())
+    def test_orders_0_to_6(self, w):
+        rng = random.Random(w.label())
+        _partial_sum_cached.cache_clear()
+        kinds = set()
+        for n in ORACLE_SIZES:
+            for total in range(7):
+                for q in _orders_of_total(rng, w, total):
+                    got = outcome(degree_factorial_moment, w, n, q)
+                    assert got == outcome(two_series_degree_factorial_moment, w, n, q), (n, q)
+                    kinds.add(got if isinstance(got, type) else type(got))
+        assert Fraction in kinds or w.p(0) == 0
+
+    def test_orders_0_to_6_at_the_cap(self):
+        _partial_sum_cached.cache_clear()
+        w = OffspringDistribution.finite({0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)})
+        n = PARTIAL_SUM_CAP
+        for q in ({}, {0: 1}, {1: 2}, {0: 2, 2: 1}, {0: 1, 1: 2, 2: 1}, {0: 3, 2: 2}, {1: 6}):
+            got = degree_factorial_moment(w, n, q)
+            assert got == two_series_degree_factorial_moment(w, n, q), q
+            assert isinstance(got, Fraction) and got > 0
+        _partial_sum_cached.cache_clear()  # release the large integer tables
+
+    @pytest.mark.parametrize("w", SHARED_SERIES_LAWS, ids=lambda w: w.label())
+    def test_high_order_first_and_cold(self, w):
+        expected = {
+            (n, i): outcome(two_series_degree_factorial_moment, w, n, q)
+            for n in ORACLE_SIZES
+            for i, q in enumerate(LADDER_ORDERS)
+        }
+        for first in (4, 0):  # Q = 3 before Q = 1, then Q = 1 first
+            _partial_sum_cached.cache_clear()
+            got = {}
+            for n in ORACLE_SIZES:
+                for i in (first, *(j for j in range(5) if j != first)):
+                    got[n, i] = outcome(degree_factorial_moment, w, n, LADDER_ORDERS[i])
+            assert got == expected
+
+    def test_ladder_calls_at_one_size_grow_one_long_series(self, monkeypatch):
+        w = _ladder_laws(1, 2024)[0]
+        cached = exact_moments._partial_sum_cached
+        requested = []
+
+        def recording(law, m):
+            requested.append(m)
+            return cached(law, m)
+
+        monkeypatch.setattr(exact_moments, "_partial_sum_cached", recording)
+        cached.cache_clear()
+        n = 200
+        values = [degree_factorial_moment(w, n, q) for q in LADDER_ORDERS]
+        assert sum(values[:4]) == n
+        assert {m for m in requested if m > 4} == {n - 4}
+        # the long series and the heads f^4, f^3 (Q = 1) and f^1 (Q = 3)
+        assert cached.cache_info().currsize == 4
+        cached.cache_clear()
 
 
 class TestFallingFactorialEstimate:

@@ -76,6 +76,58 @@ def test_every_lru_cache_is_bounded():
     assert found == []
 
 
+# The public API that may have no caller inside the library: the names the
+# package exports, the console-script entry point, and the functions that
+# only tests call today.  Functions the CLI calls have their caller in
+# cli.py.  A new public function needs a caller in the library or a line
+# here.
+PUBLIC_API = frozenset(fringelab.__all__) | {
+    "main",  # fringelab.cli:main, the console script
+    # exact moments without a library caller yet
+    "degree_factorial_moment",
+    "partial_sum_pmf",
+    "product_moment",
+    "exact_covariance",
+    "moment_gap_scan",
+    # samplers reached from tests only
+    "sample_conditioned_gw",
+    "sample_uniform_tree",
+    # linear statistics without a library caller yet
+    "additive_functional",
+    "additive_mean_density",
+    "additive_variance_density",
+    "covariance_interaction",
+}
+
+
+def _public_definitions() -> dict:
+    """name -> file of every module-level public function and class."""
+    return {
+        node.name: path.name
+        for path in sorted(SOURCE.glob("*.py"))
+        for node in _tree(path.name).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+
+
+def test_every_public_function_has_a_library_caller_or_is_public_api():
+    # a name read anywhere in the library outside its own definition
+    # counts as a use; importing it does not
+    used = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in _tree(path.name).body:
+            owner = getattr(top, "name", None)
+            used |= {
+                _name(node)
+                for node in ast.walk(top)
+                if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) != owner
+            }
+    defined = _public_definitions()
+    unused = sorted(f"{file}:{name}" for name, file in defined.items() if name not in used | PUBLIC_API)
+    assert unused == []
+    assert sorted(PUBLIC_API - defined.keys()) == []
+
+
 def _may_turn_off_shuffle(call: ast.Call) -> bool:
     """shuffle given as anything but the literal True: by keyword, as the
     sixth positional argument, or possibly inside **kwargs."""

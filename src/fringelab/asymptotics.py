@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import OffspringDistribution, WeightSequence
-from .errors import DuplicatePatterns, NotConverged, UnsupportedRegime, as_integer
+from .errors import NotConverged, UnsupportedRegime, as_integer
 from .exact_moments import _pattern_constants
 from .tree_core import (
     DegreeStatistic,
@@ -110,17 +110,11 @@ def _row(p: OffspringDistribution, tree: PlaneTree) -> _Row:
     return _Row(tree, tree_probability(p, tree), degree_statistic(tree).as_dict())
 
 
-def fringe_covariance_density(
-    p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree
-):
-    """Asymptotic covariance per vertex of the two fringe counts: under an
-    exact law the bilinear density of the two indicator tolls, in
-    integers."""
-    if p.is_exact:
-        f, g = TollFunction.indicator(t1), TollFunction.indicator(t2)
-        return additive_covariance_density(p, f, g)
-    inner1, inner2 = count_fringe(t1, t2), count_fringe(t2, t1)
-    return _pair_density(p.p, _row(p, t1), _row(p, t2), inner1, inner2)
+def fringe_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
+    """Asymptotic covariance per vertex of the two fringe counts: the
+    bilinear density of the two indicator tolls, in integers under an exact
+    law and in the law's arithmetic otherwise (the bits of _pair_density)."""
+    return additive_covariance_density(p, TollFunction.indicator(t1), TollFunction.indicator(t2))
 
 
 def _pair_density(weight_of, row1: _Row, row2: _Row, inner1: int, inner2: int):
@@ -155,8 +149,9 @@ def normalized_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: P
     if t1 == t2:
         terms.append((1, {}))
     else:
-        terms.append((count_fringe(t1, t2), {i: a[i] - b.get(i, 0) for i in a}))
-        terms.append((count_fringe(t2, t1), {i: b[i] - a.get(i, 0) for i in b}))
+        (_, t1_in_t2), (t2_in_t1, _) = _pattern_constants((t1, t2))[1]
+        terms.append((t2_in_t1, {i: a[i] - b.get(i, 0) for i in a}))
+        terms.append((t1_in_t2, {i: b[i] - a.get(i, 0) for i in b}))
     return sum((_root_monomial(p, c, doubled) for c, doubled in terms), Fraction(0))
 
 
@@ -343,20 +338,18 @@ class CovMatrix:
         return float(np.linalg.eigvalsh(self.to_numpy()).min())
 
 
-def sg_fringe_covariance(
-    w: WeightSequence, patterns, regime: str = "auto"
-) -> CovMatrix:
+def sg_fringe_covariance(w: WeightSequence, patterns, regime: str = "auto") -> CovMatrix:
     """Limit covariance matrix of fringe counts in size-conditioned weighted
     trees, centered at size * theta-probability.
 
     Diagonal: pi - (2|T| - 1 + 1/vs^2) pi^2; off-diagonal: the containment
     terms minus (|T| + |T'| - 1 + 1/vs^2) pi pi', where vs^2 is the
     offspring variance in the finite-variance case and inf otherwise
-    (1/inf := 0).
+    (1/inf := 0).  The containment counts come from the pattern-tuple
+    cache, which raises DuplicatePatterns on repeated patterns.
     """
-    patterns = list(patterns)
-    if len(set(patterns)) != len(patterns):
-        raise DuplicatePatterns("patterns must be pairwise distinct")
+    patterns = tuple(patterns)
+    _, tau, _ = _pattern_constants(patterns)
     eq, inv = _inverse_variance(w, regime)
     theta = eq.theta
     pis = [tree_probability(theta, t) for t in patterns]
@@ -365,11 +358,8 @@ def sg_fringe_covariance(
     for i in range(m):
         entries[i][i] = pis[i] - (2 * patterns[i].size - 1 + inv) * pis[i] ** 2
         for j in range(i + 1, m):
-            value = (
-                count_fringe(patterns[i], patterns[j]) * pis[i]
-                + count_fringe(patterns[j], patterns[i]) * pis[j]
-                - (patterns[i].size + patterns[j].size - 1 + inv) * pis[i] * pis[j]
-            )
+            cross = tau[j][i] * pis[i] + tau[i][j] * pis[j]  # tau[j][i]: copies of j in i
+            value = cross - (patterns[i].size + patterns[j].size - 1 + inv) * pis[i] * pis[j]
             entries[i][j] = entries[j][i] = value
     return CovMatrix.build(entries)
 

@@ -28,7 +28,7 @@ from .asymptotics import (
 )
 from .distributions import OffspringDistribution, WeightSequence
 from .errors import FringelabError
-from .exact_moments import joint_factorial_moment
+from .exact_moments import containment_matrix, joint_factorial_moment
 from .mc_harness import (
     ExperimentConfig,
     StatFamily,
@@ -176,6 +176,7 @@ def _cmd_asymptotics(args) -> int:
     if args.p:
         p = parse_law(OffspringDistribution, args.p)
         patterns = parse_patterns(args.patterns) if args.patterns else []
+        containment_matrix(patterns)  # raises DuplicatePatterns, as --w and moments do
         config = {"p": p.label(), "patterns": [t.to_text() for t in patterns]}
         result = {
             "patterns": [

@@ -102,11 +102,6 @@ class DegreeSequence:
             )
 
 
-def sample_uniform_tree(stat: DegreeStatistic, seed) -> PlaneTree:
-    """One exact-uniform tree with the given degree counts."""
-    return sample_uniform_trees(stat, 1, seed)[0]
-
-
 def sample_uniform_trees(stat: DegreeStatistic, reps: int, seed) -> list:
     """A reproducible batch of ``reps`` trees drawn from one stream; a
     negative count raises ValueError."""

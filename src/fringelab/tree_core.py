@@ -16,7 +16,6 @@ profile, and canonicalization of unordered trees.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -272,53 +271,25 @@ def _code_size(node) -> int:
 
 
 def enumerate_orderings(key: UnorderedKey) -> set:
-    """All distinct plane trees whose canonical key equals ``key``."""
+    """All distinct plane trees whose canonical key equals ``key``.
+
+    A vertex's child sequences grow one child at a time: every ordering of
+    the child goes into every slot of every sequence so far, and the set
+    drops the repeats that children of equal shape give."""
     root = _parse_code(key.code)
     if _code_size(root) > ENUMERATION_CAP:
         raise CapExceeded(f"tree size exceeds ordering cap {ENUMERATION_CAP}")
 
-    def orderings(node):
-        if not node:
-            return [(0,)]
-        # children with equal canonical shape are interchangeable; the parse
-        # of a canonical code is itself canonical, so repr() is a shape key
-        by_shape = {}
+    def orderings(node) -> set:
+        sequences = {()}
         for child in node:
-            by_shape.setdefault(repr(child), [0, child])[0] += 1
-        shapes = {
-            shape: (count, orderings(child))
-            for shape, (count, child) in by_shape.items()
-        }
-        out = []
-        for arrangement in _multiset_permutations(
-            [(shape, count) for shape, (count, _) in shapes.items()]
-        ):
-            pools = [shapes[shape][1] for shape in arrangement]
-            for combo in itertools.product(*pools):
-                degrees = (len(node),) + tuple(d for seq in combo for d in seq)
-                out.append(degrees)
-        return out
+            subtrees = orderings(child)
+            sequences = {
+                seq[:slot] + (sub,) + seq[slot:]
+                for seq in sequences
+                for sub in subtrees
+                for slot in range(len(seq) + 1)
+            }
+        return {(len(node),) + sum(seq, ()) for seq in sequences}
 
     return {PlaneTree(seq) for seq in orderings(root)}
-
-
-def _multiset_permutations(item_counts):
-    """Distinct arrangements of a multiset given as (item, count) pairs."""
-    counts = dict(item_counts)
-    total = sum(counts.values())
-    prefix = []
-
-    def backtrack():
-        if len(prefix) == total:
-            yield tuple(prefix)
-            return
-        for item in counts:
-            if counts[item] == 0:
-                continue
-            counts[item] -= 1
-            prefix.append(item)
-            yield from backtrack()
-            prefix.pop()
-            counts[item] += 1
-
-    yield from backtrack()

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -529,8 +530,12 @@ class TestSimplyGeneratedCovariances:
         assert cov.min_eigenvalue() >= -1e-9
 
     def test_duplicate_patterns(self):
-        with pytest.raises(DuplicatePatterns):
+        with pytest.raises(DuplicatePatterns, match="patterns must be pairwise distinct"):
             sg_fringe_covariance(WeightSequence.finite({0: 1, 2: 1}), [CHERRY, CHERRY])
+        # checked before the regime, so the pattern error wins
+        w = WeightSequence.power_law(0.1, 2.5, truncation=2000)
+        with pytest.raises(DuplicatePatterns):
+            sg_fringe_covariance(w, [LEAF, CHERRY, LEAF])
 
 
 class TestCovMatrix:
@@ -714,6 +719,25 @@ FLOAT_BITS = {
     ],
 }
 
+# sha256 of float.hex of fringe_covariance_density, one line per ordered
+# pair of the 23 trees of up to 5 vertices, pinned on the law-arithmetic
+# pair density (_pair_density fed the law's weights); float.hex also pins
+# the type
+PAIR_DIGESTS = [
+    (
+        OffspringDistribution.from_spec("poisson:1"),
+        "2cf33e44695de36c4fc084c527d8f83ac020b4a1d969d57891aa1d2fbfc068f6",
+    ),
+    (
+        OffspringDistribution.from_spec("power_law:0.3,2.5"),
+        "bd7b9d9047982ce79a28d31f0aeadb777e5e3975f195f1887350d451fbbbc5e9",
+    ),
+    (  # degree 1 has probability 0: zero tree probabilities and eta = -inf
+        OffspringDistribution.finite({0: 0.45, 2: 0.35, 3: 0.2}),
+        "737c243d0911888a1703ed4bb54d3eabd2aca4bfbe1a7d0c2ff6c0fa6e3bb31a",
+    ),
+]
+
 
 def generic_pair_density(p, t1, t2):
     """The law-arithmetic pair density, fed the law's own weights."""
@@ -835,3 +859,11 @@ class TestIntegerDensities:
             fringe_covariance_density(p, T5, T5),
         ]
         assert [v.hex() for v in values] == FLOAT_BITS[spec]
+
+    @pytest.mark.parametrize("p, digest", PAIR_DIGESTS, ids=[p.label() for p, _ in PAIR_DIGESTS])
+    def test_float_densities_keep_their_bits_on_every_small_pair(self, p, digest):
+        trees = all_trees_up_to(5)
+        lines = "".join(
+            float.hex(fringe_covariance_density(p, t1, t2)) + "\n" for t1 in trees for t2 in trees
+        )
+        assert hashlib.sha256(lines.encode()).hexdigest() == digest

@@ -451,6 +451,21 @@ class TestErrorPaths:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "reps = -2 must be at least 0" in err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["asymptotics", "--p", '{"0":"1/2","2":"1/2"}'],
+            ["asymptotics", "--w", '{"0":1,"2":1}'],
+            ["moments", "--stat", '{"0":4,"2":3}'],
+        ],
+        ids=["p", "w", "moments"],
+    )
+    def test_repeated_patterns_rejected(self, capsys, command):
+        # --p printed a duplicated row and exited 0
+        code, out, err = run_cli(capsys, *command, "--patterns", "2,0,0;2,0,0")
+        assert code == 1 and out == ""
+        assert err == "error: patterns must be pairwise distinct\n"
+
     def test_moments_order_count_mismatch(self, capsys):
         code, out, err = run_cli(
             capsys, "moments", "--stat", '{"0":4,"2":3}', "--patterns", "2,0,0;0", "--q", "1"

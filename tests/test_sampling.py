@@ -42,7 +42,6 @@ from fringelab.sampling import (
     sample_conditioned_gw,
     sample_hub_tree,
     sample_labelled_tree,
-    sample_uniform_tree,
     sample_uniform_trees,
 )
 from fringelab.tree_core import (
@@ -155,12 +154,12 @@ class TestUniformTree:
 
     def test_singleton(self):
         stat = DegreeStatistic.from_counts({0: 1})
-        assert sample_uniform_tree(stat, Seed(1)) == PlaneTree((0,))
+        assert sample_uniform_trees(stat, 1, Seed(1))[0] == PlaneTree((0,))
 
     def test_forced_cherry(self):
         stat = DegreeStatistic.from_counts({0: 2, 2: 1})
         for i in range(10):
-            assert sample_uniform_tree(stat, Seed(i)) == PlaneTree((2, 0, 0))
+            assert sample_uniform_trees(stat, 1, Seed(i))[0] == PlaneTree((2, 0, 0))
 
     def test_profile_preserved(self):
         stat = DegreeStatistic.from_counts({0: 8, 1: 2, 2: 4, 3: 0, 4: 1})
@@ -190,7 +189,7 @@ class TestUniformTree:
     def test_large_instance_runs(self):
         m = 200_000
         stat = DegreeStatistic.from_counts({0: m + 1, 2: m})
-        tree = sample_uniform_tree(stat, Seed(0))
+        tree = sample_uniform_trees(stat, 1, Seed(0))[0]
         assert tree.size == 2 * m + 1
         assert degree_statistic(tree) == stat
 

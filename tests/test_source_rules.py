@@ -76,6 +76,38 @@ def test_every_lru_cache_is_bounded():
     assert found == []
 
 
+def _unread_imports(tree) -> list:
+    """(line, name) of every name a module imports but never loads; the
+    strings of ``__all__`` count as loads, since they re-export."""
+    imported = [
+        (node.lineno, (alias.asname or alias.name).partition(".")[0])
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+        for alias in node.names
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", "") == "__all__" for t in node.targets):
+            read |= set(ast.literal_eval(node.value))
+    return [(line, name) for line, name in imported if name not in read]
+
+
+def test_every_imported_name_is_read():
+    # no linter runs on the library, so an import that its module no longer
+    # reads would stay; judged from each module's syntax tree
+    found = [
+        f"{path.name}:{line}:{name}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line, name in _unread_imports(_tree(path.name))
+    ]
+    assert found == []
+
+
+def test_unread_import_rule_sees_each_import_form():
+    source = "import a\nimport b.c\nfrom d import e as f, g\nfrom h import i\n__all__ = ['i']\nb.x, g\n"
+    assert _unread_imports(ast.parse(source)) == [(1, "a"), (3, "f")]
+
+
 # The public API that may have no caller inside the library: the names the
 # package exports, the console-script entry point, and the functions that
 # only tests call today.  Functions the CLI calls have their caller in
@@ -91,7 +123,6 @@ PUBLIC_API = frozenset(fringelab.__all__) | {
     "moment_gap_scan",
     # samplers reached from tests only
     "sample_conditioned_gw",
-    "sample_uniform_tree",
     # linear statistics without a library caller yet
     "additive_functional",
     "additive_mean_density",

@@ -270,11 +270,16 @@ class TestUnordered:
             enumerate_orderings(UnorderedKey(code))
 
     def test_orderings_partition_plane_trees(self):
-        # plane trees of a given size split exactly into unordered classes
-        for size in range(1, 7):
-            trees = set(all_trees(size))
-            by_key = {}
-            for t in trees:
-                by_key.setdefault(canonical_unordered(t), set()).add(t)
-            for key, members in by_key.items():
-                assert enumerate_orderings(key) == members
+        # every shape of up to 10 vertices, and a 12-vertex shape with 120
+        # orderings, against the trees of its degree profile with its key
+        reps = {canonical_unordered(t): t for size in range(1, 11) for t in all_trees(size)}
+        wide = PlaneTree((6, 0, 1, 0, 2, 0, 0, 1, 1, 0, 0, 0))
+        reps[canonical_unordered(wide)] = wide
+        assert len(reps) == 1205 + 1
+        classes = {}
+        for stat in {degree_statistic(t) for t in reps.values()}:
+            for t in enumerate_trees(stat):
+                classes.setdefault(canonical_unordered(t), set()).add(t)
+        for key in reps:
+            assert enumerate_orderings(key) == classes[key]
+        assert len(classes[canonical_unordered(wide)]) == 120

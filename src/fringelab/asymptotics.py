@@ -14,12 +14,14 @@ Exact inputs (rational probabilities) produce exact rational outputs
 everywhere except where a genuine square root enters (the normalized
 cross-covariances of distinct trees); those fall back to floats.  That
 normalized density is one sum of root monomials c * prod_i p_i^(e_i/2).
-Under an exact law with rational tolls the covariance densities are
-evaluated in integers: with the weights scaled to a_i = D p_i, every tree
-probability is an integer over a power of D, so each density is one
-integer numerator over D^{2S} and the toll denominators, and one Fraction
-is built per result.  Float laws keep the law-arithmetic path, which is
-also the reference the integer path is tested against.
+The covariance densities and variance forms are evaluated in integers
+under every law: each weight and toll value is read exactly by
+as_integer_ratio() (a float is the dyadic rational it stores), and with
+the weights scaled to a_i = D p_i every tree probability is an integer
+over a power of D, so each density is one integer numerator over D^{2S}
+and the toll denominators.  That one Fraction is the result under an
+exact law with int or Fraction tolls, and is rounded once by float()
+otherwise.
 
 Pattern counts, unordered shape counts and additive functionals are all
 linear statistics sum_T f(T) N_T, given by a TollFunction (``indicator``,
@@ -76,62 +78,26 @@ def tree_probability(p: OffspringDistribution, tree: PlaneTree):
 
 
 def covariance_interaction(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
-    """(|T|-1)(|T'|-1) - sum_i n_T(i) n_T'(i) / p_i  with 0/0 := 0.
+    """(|T|-1)(|T'|-1) - sum_i n_T(i) n_T'(i) / p_i  with 0/0 := 0, in the
+    law's arithmetic.
 
     Returns -inf when a shared degree has zero probability.
     """
-    return _interaction(p.p, _row(p, t1), _row(p, t2))
-
-
-def _interaction(weight_of, row1: _Row, row2: _Row):
-    """covariance_interaction of two rows, with weight_of(i) = p_i.  It
-    starts from an int and divides int products by the weights, which gives
-    the values and float bits of a Fraction start; every two trees share
-    degree 0, so the result is a Fraction or a float, never an int."""
-    prof1, prof2 = row1.profile, row2.profile
-    value = (row1.tree.size - 1) * (row2.tree.size - 1)
+    prof1, prof2 = degree_statistic(t1).as_dict(), degree_statistic(t2).as_dict()
+    value = (t1.size - 1) * (t2.size - 1)
     for degree in sorted(prof1.keys() & prof2.keys()):
-        weight = weight_of(degree)
+        weight = p.p(degree)
         if weight == 0:
             return -INF
         value = value - prof1[degree] * prof2[degree] / weight
     return value
 
 
-class _Row(NamedTuple):
-    """What the covariance density reads of one tree besides the law."""
-
-    tree: PlaneTree
-    pi: object  # tree_probability
-    profile: dict  # degree -> count
-
-
-def _row(p: OffspringDistribution, tree: PlaneTree) -> _Row:
-    return _Row(tree, tree_probability(p, tree), degree_statistic(tree).as_dict())
-
-
 def fringe_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
     """Asymptotic covariance per vertex of the two fringe counts: the
-    bilinear density of the two indicator tolls, in integers under an exact
-    law and in the law's arithmetic otherwise (the bits of _pair_density)."""
+    bilinear density of the two indicator tolls (see
+    additive_covariance_density)."""
     return additive_covariance_density(p, TollFunction.indicator(t1), TollFunction.indicator(t2))
-
-
-def _pair_density(weight_of, row1: _Row, row2: _Row, inner1: int, inner2: int):
-    """fringe_covariance_density of two rows.  Diagonal (same tree):
-    pi + eta * pi^2.  Off-diagonal: the two cross-containment terms
-    inner1 * pi + inner2 * pi', where inner1 counts copies of the second
-    tree inside the first and inner2 the reverse (unread on the diagonal),
-    plus eta * (pi * pi').  Always finite (inf * 0 := 0).  Every float step
-    is symmetric in the two rows, so mirrored pairs give equal bits."""
-    (t1, pi1, _), (t2, pi2, _) = row1, row2
-    eta = _interaction(weight_of, row1, row2)
-    if t1 == t2:
-        return pi1 if pi1 == 0 else pi1 + eta * pi1 * pi1
-    cross = inner1 * pi1 + inner2 * pi2
-    if pi1 == 0 or pi2 == 0:
-        return cross
-    return cross + eta * (pi1 * pi2)
 
 
 def normalized_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
@@ -387,9 +353,15 @@ def sg_degree_covariance(w: WeightSequence, k: int, regime: str = "auto") -> Cov
 @dataclass(frozen=True)
 class TollFunction:
     """Finite-support functional on plane trees, items (tree, value): the
-    linear statistic F = sum_T f(T) N_T of fringe counts."""
+    linear statistic F = sum_T f(T) N_T of fringe counts.  A NaN or
+    infinite value raises ValueError naming its tree."""
 
     items: tuple
+
+    def __post_init__(self):
+        for tree, value in self.items:
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"toll value {value} at tree {tree.to_text()} is not finite")
 
     @classmethod
     def from_dict(cls, mapping) -> "TollFunction":
@@ -444,37 +416,38 @@ def additive_mean_density(p: OffspringDistribution, toll: TollFunction):
 def additive_covariance_density(p: OffspringDistribution, f: TollFunction, g: TollFunction):
     """Limit covariance per vertex of the additive functionals of f and g:
     the sum over T, T' of f(T) g(T') times the fringe covariance density of
-    (T, T'), over the trees of either support.  Under an exact law with
-    rational tolls it is one integer over D^{2S} L_f L_g (see
-    _IntegerTrees; L_f and L_g the common denominators of the tolls),
-    otherwise _bilinear_density in the law's arithmetic."""
+    (T, T'), over the trees of either support.  It is one integer over
+    D^{2S} L_f L_g (see _IntegerTrees; L_f and L_g the common denominators
+    of the tolls), rounded as _exact_or_float says."""
     trees = tuple(sorted(set(f.support()) | set(g.support()), key=lambda t: t.degrees))
     left, right = [f.value(t) for t in trees], [g.value(t) for t in trees]
-    if _is_rational(p, left + right):
-        it = _integer_trees(p, trees)
-        (left, left_scale), (right, right_scale) = _over_common(left), _over_common(right)
-        total = _bilinear(partial(_integer_pair, it), left, right, 0)
-        return Fraction(total, it.power**2 * left_scale * right_scale)
-    rows, inside, weights = _toll_rows(p, trees)
-    return _bilinear_density(weights.get, rows, inside, left, right)
+    it = _integer_trees(p, trees)
+    (lefts, left_scale), (rights, right_scale) = _over_common(left), _over_common(right)
+    total = _bilinear(partial(_integer_pair, it), lefts, rights)
+    return _exact_or_float(p, left + right, Fraction(total, it.power**2 * left_scale * right_scale))
 
 
-def _is_rational(p: OffspringDistribution, values) -> bool:
-    """True when the law is exact and every toll value an int or Fraction:
-    then the densities are evaluated in integers."""
-    return p.is_exact and all(isinstance(v, (int, Fraction)) for v in values)
+def _exact_or_float(p: OffspringDistribution, values, exact: Fraction):
+    """exact itself when the law is exact and every toll value an int or a
+    Fraction; otherwise float(exact), the one rounding of a float input."""
+    if p.is_exact and all(isinstance(v, (int, Fraction)) for v in values):
+        return exact
+    return float(exact)
 
 
 def _over_common(values) -> tuple:
     """(numerators, L): values[j] = numerators[j] / L, L the least common
-    denominator."""
-    common = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (common // v.denominator) for v in values], common
+    denominator.  Each value is read by as_integer_ratio(), so a float is
+    the dyadic rational it stores."""
+    ratios = [v.as_integer_ratio() for v in values]
+    common = math.lcm(*(d for _, d in ratios))
+    return [n * (common // d) for n, d in ratios], common
 
 
 class _IntegerTrees(NamedTuple):
-    """Distinct trees under an exact law, in integers.  With D the least
-    common denominator of the weights p_i of the degrees the trees use,
+    """Distinct trees under a law, in integers.  With the weights p_i of
+    the degrees the trees use read exactly by as_integer_ratio() (a float
+    is the dyadic rational it stores), D their least common denominator,
     a_i = D p_i and S the largest tree size, pi_j = prod_i a_i^{n_j(i)} /
     D^{|T_j|}, so mass[j] = D^S pi_j is an integer, and so is
     share[j][i] = n_j(i) mass[j] / a_i, since a_i divides the product
@@ -490,12 +463,10 @@ class _IntegerTrees(NamedTuple):
 
 
 def _integer_trees(p: OffspringDistribution, trees: tuple) -> _IntegerTrees:
-    """The integer form of the trees under the exact law p; sizes, degree
+    """The integer form of the trees under the law p; sizes, degree
     profiles and containment counts come from the pattern-tuple cache."""
     edges, tau, profile = _pattern_constants(trees)
-    weights = [p.p(degree) for degree, _ in profile]
-    scale = math.lcm(*(w.denominator for w in weights))
-    a = [w.numerator * (scale // w.denominator) for w in weights]
+    a, scale = _over_common([p.p(degree) for degree, _ in profile])
     top = max(edges, default=0)
     counts = list(zip(*(uses for _, uses in profile)))
     mass, share = [], []
@@ -508,10 +479,11 @@ def _integer_trees(p: OffspringDistribution, trees: tuple) -> _IntegerTrees:
 
 def _integer_pair(it: _IntegerTrees, j: int, k: int) -> int:
     """D^{2S} times the fringe covariance density of trees j and k: the
-    cross terms inner1 * pi_j + inner2 * pi_k (pi_j alone on the diagonal)
-    and eta * pi_j * pi_k, in which each n_j(i) n_k(i) / p_i becomes
-    n_k(i) * D * share[j][i] / mass[j].  A zero mass leaves the cross terms
-    only, which is the inf * 0 := 0 of _pair_density."""
+    cross terms inner1 * pi_j + inner2 * pi_k (pi_j alone on the diagonal),
+    inner1 the copies of tree k in tree j and inner2 the reverse, plus
+    eta * pi_j * pi_k with eta = covariance_interaction, in which each
+    n_j(i) n_k(i) / p_i becomes n_k(i) * D * share[j][i] / mass[j].  A zero
+    mass leaves the cross terms only (inf * 0 := 0 when eta = -inf)."""
     mj, mk = it.mass[j], it.mass[k]
     cross = mj if j == k else it.tau[k][j] * mj + it.tau[j][k] * mk
     shared = sum(map(mul, it.counts[k], it.share[j]))
@@ -519,107 +491,49 @@ def _integer_pair(it: _IntegerTrees, j: int, k: int) -> int:
     return cross * it.power + eta * mk
 
 
-def _toll_rows(p: OffspringDistribution, trees):
-    """One row per tree, inside[j][k] = fringe copies of tree k in tree j,
-    and the law's weight of each degree the rows use."""
-    rows = [_row(p, tree) for tree in trees]
-    _, tau, _ = _pattern_constants(tuple(trees))
-    inside = [
-        [1 if j == k else hosts[k] for k in range(len(rows))] for j, hosts in enumerate(zip(*tau))
-    ]
-    weights = {degree: p.p(degree) for row in rows for degree in row.profile}
-    return rows, inside, weights
-
-
-def _bilinear_density(weight_of, rows, inside, left, right):
-    """sum over j, k of left[j] * right[k] * the covariance density of rows
-    j and k, in the law's arithmetic."""
-    def pair(j, k):
-        return _pair_density(weight_of, rows[j], rows[k], inside[j][k], inside[k][j])
-
-    return _bilinear(pair, left, right, Fraction(0))
-
-
-def _bilinear(pair, left, right, total):
-    """total plus the sum over j, k of left[j] * right[k] * pair(j, k),
-    summed in row-major order.  Each unordered pair is evaluated once:
-    pair is symmetric (_pair_density to the bit), so (k, j) reuses the
-    value of (j, k)."""
+def _bilinear(pair, left, right) -> int:
+    """The sum over j, k of left[j] * right[k] * pair(j, k).  pair is
+    symmetric, so each unordered pair is evaluated once and (k, j) reuses
+    the value of (j, k)."""
     density = [[None] * len(left) for _ in left]
     for j in range(len(left)):
         for k in range(j, len(left)):
             density[j][k] = density[k][j] = pair(j, k)
-    for v1, densities in zip(left, density):
-        for v2, value in zip(right, densities):
-            total += v1 * v2 * value
-    return total
+    return sum(v1 * sum(map(mul, right, densities)) for v1, densities in zip(left, density))
 
 
 def additive_variance_forms(p: OffspringDistribution, toll: TollFunction):
     """The limit variance density of the additive functional, via both
     closed forms: the four-expectation formula and the quadratic form in
     fringe covariance densities.  They agree identically; both are returned
-    so callers can assert it.  Under an exact law with rational tolls each
-    form is one integer over D^{2S} L^2 (see _IntegerTrees; L the common
-    denominator of the toll), the quadratic one summed pair by pair;
-    otherwise _variance_forms evaluates them in the law's arithmetic."""
+    so callers can assert it.  Each form is one integer over D^{2S} L^2
+    (see _IntegerTrees; L the common denominator of the toll), the
+    quadratic one summed pair by pair, and each is rounded as
+    _exact_or_float says."""
     trees, values = toll.support(), [value for _, value in toll.items]
-    if not _is_rational(p, values):
-        return _variance_forms(p, trees, values)
     it = _integer_trees(p, trees)
-    values, common = _over_common(values)
+    numerators, common = _over_common(values)
     denominator = (it.power * common) ** 2
     # with F the toll summed over the fringe subtrees: hosted, size,
     # moments[i] and quotients[i] are 2 E[f F] - E[f^2], E[f (|T| - 1)],
     # E[f n_T(i)] and E[f n_T(i)] / a_i, times L^2 D^S for hosted and
     # L D^S for the others
     hosted = sum(
-        v * m * (v + 2 * sum(map(mul, values, column)))
-        for v, m, column in zip(values, it.mass, zip(*it.tau))
+        v * m * (v + 2 * sum(map(mul, numerators, column)))
+        for v, m, column in zip(numerators, it.mass, zip(*it.tau))
     )
-    size = sum(map(mul, values, map(mul, it.edges, it.mass)))
-    moments = [sum(map(mul, values, map(mul, it.mass, uses))) for uses in zip(*it.counts)]
-    quotients = [sum(map(mul, values, shares)) for shares in zip(*it.share)]
+    size = sum(map(mul, numerators, map(mul, it.edges, it.mass)))
+    moments = [sum(map(mul, numerators, map(mul, it.mass, uses))) for uses in zip(*it.counts)]
+    quotients = [sum(map(mul, numerators, shares)) for shares in zip(*it.share)]
     direct = hosted * it.power + size * size - it.scale * sum(map(mul, moments, quotients))
-    quadratic = _bilinear(partial(_integer_pair, it), values, values, 0)
-    return Fraction(direct, denominator), Fraction(quadratic, denominator)
-
-
-def _variance_forms(p: OffspringDistribution, trees, values):
-    """Both forms of additive_variance_forms in the law's arithmetic (floats
-    for a float law), from one row per toll tree, the law's weight of each
-    degree and the fringe count of each ordered pair of toll trees."""
-    rows, inside, weights = _toll_rows(p, trees)
-    e_ff = Fraction(0)
-    e_f2 = Fraction(0)
-    e_f_size = Fraction(0)
-    e_f_deg = {}
-    for row, value, counts in zip(rows, values, inside):
-        pi = row.pi
-        if pi == 0:
-            continue
-        e_ff += value * sum(v * c for v, c in zip(values, counts)) * pi
-        e_f2 += value * value * pi
-        e_f_size += value * (row.tree.size - 1) * pi
-        for degree, count in row.profile.items():
-            e_f_deg[degree] = e_f_deg.get(degree, Fraction(0)) + value * count * pi
-    direct = 2 * e_ff - e_f2 + e_f_size * e_f_size
-    for degree, moment in e_f_deg.items():
-        weight = weights[degree]
-        if weight > 0:
-            direct -= moment * moment / weight
-    quadratic = _bilinear_density(weights.get, rows, inside, values, values)
-    return direct, quadratic
+    quadratic = _bilinear(partial(_integer_pair, it), numerators, numerators)
+    return tuple(_exact_or_float(p, values, Fraction(form, denominator)) for form in (direct, quadratic))
 
 
 def additive_variance_density(p: OffspringDistribution, toll: TollFunction):
-    """Limit variance density of F; the two closed forms are cross-checked
-    before returning."""
+    """Limit variance density of F; the two closed forms, both rounded
+    from their exact values, are cross-checked before returning."""
     direct, quadratic = additive_variance_forms(p, toll)
-    if isinstance(direct, Fraction) and isinstance(quadratic, Fraction):
-        agree = direct == quadratic
-    else:
-        agree = math.isclose(float(direct), float(quadratic), rel_tol=1e-9, abs_tol=1e-12)
-    if not agree:
+    if direct != quadratic:
         raise ArithmeticError(f"additive variance forms disagree: {direct} != {quadratic}")
     return direct

@@ -178,22 +178,21 @@ def _cmd_asymptotics(args) -> int:
         patterns = parse_patterns(args.patterns) if args.patterns else []
         containment_matrix(patterns)  # raises DuplicatePatterns, as --w and moments do
         config = {"p": p.label(), "patterns": [t.to_text() for t in patterns]}
+        matrix = [[fringe_covariance_density(p, a, b) for b in patterns] for a in patterns]
         result = {
             "patterns": [
                 {
                     "pattern": t.to_text(),
                     "probability": tree_probability(p, t),
-                    "variance_density": fringe_covariance_density(p, t, t),
+                    "variance_density": matrix[j][j],
                     "normalized_variance": normalized_covariance_density(p, t, t),
                     "exceptional_case": classify_exceptional(t, p),
                 }
-                for t in patterns
+                for j, t in enumerate(patterns)
             ]
         }
         if len(patterns) > 1:
-            result["covariance_matrix"] = [
-                [fringe_covariance_density(p, a, b) for b in patterns] for a in patterns
-            ]
+            result["covariance_matrix"] = matrix
         return _respond(args, config, result)
     w = parse_law(WeightSequence, args.w)
     eq = equivalent_offspring(w)

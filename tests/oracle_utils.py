@@ -23,9 +23,13 @@ of the whole word per needle position.
 moment, a product of Fractions whose normalizer P(S_n = n - 1) reads its
 own series, and ``pairwise_additive_variance_forms`` the first form of the
 additive variance forms, one ``fringe_covariance_density`` call per
-ordered pair of toll trees, and ``double_loop_bilinear_density`` the
-first form of the bilinear density, one ``_pair_density`` call per
-ordered pair of rows; the library evaluates each unordered pair once.
+ordered pair of toll trees.  ``law_row``, ``law_pair_density``,
+``law_toll_rows``, ``double_loop_bilinear_density`` and
+``law_variance_forms`` are the law-arithmetic form of the covariance
+densities and variance forms: Fractions for an exact law, and for a float
+law wrapped in ``DyadicLaw`` too, since it reads each float weight as
+the dyadic rational it stores; the library sums integer numerators over
+one denominator and rounds a float law's result once.
 ``count_fringe_unordered``,
 ``unordered_tree_probability`` and ``unordered_covariance_density`` are
 the first forms of unordered shape counts and their limit densities,
@@ -64,6 +68,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul, sub
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +77,6 @@ from fringelab.asymptotics import (
     ROOT_MAX_ITER,
     ROOT_TOLERANCE,
     CovMatrix,
-    _pair_density,
     additive_functional,
     covariance_interaction,
     fringe_covariance_density,
@@ -568,14 +572,93 @@ def pairwise_additive_variance_forms(p, toll):
     return direct, quadratic
 
 
-def double_loop_bilinear_density(weight_of, rows, inside, left, right):
+class DyadicLaw(NamedTuple):
+    """A law whose p(i) is Fraction(law.p(i)): a float weight read as the
+    exact dyadic rational it stores, so the law-arithmetic oracles below run
+    in Fractions on the same input the library reads."""
+
+    law: OffspringDistribution
+
+    def p(self, i):
+        return Fraction(self.law.p(i))
+
+
+class LawRow(NamedTuple):
+    """What the law-arithmetic covariance density reads of one tree besides
+    the law."""
+
+    tree: PlaneTree
+    pi: object  # tree_probability
+    profile: dict  # degree -> count
+
+
+def law_row(p, tree: PlaneTree) -> LawRow:
+    return LawRow(tree, tree_probability(p, tree), degree_statistic(tree).as_dict())
+
+
+def law_pair_density(p, row1: LawRow, row2: LawRow, inner1: int, inner2: int):
+    """fringe_covariance_density of two rows.  Diagonal (same tree):
+    pi + eta * pi^2.  Off-diagonal: the two cross-containment terms
+    inner1 * pi + inner2 * pi', where inner1 counts copies of the second
+    tree inside the first and inner2 the reverse (unread on the diagonal),
+    plus eta * (pi * pi') with eta = covariance_interaction.  Always
+    finite (inf * 0 := 0)."""
+    (t1, pi1, _), (t2, pi2, _) = row1, row2
+    eta = covariance_interaction(p, t1, t2)
+    if t1 == t2:
+        return pi1 if pi1 == 0 else pi1 + eta * pi1 * pi1
+    cross = inner1 * pi1 + inner2 * pi2
+    if pi1 == 0 or pi2 == 0:
+        return cross
+    return cross + eta * (pi1 * pi2)
+
+
+def law_toll_rows(p, trees):
+    """One row per tree, and inside[j][k] = fringe copies of tree k in
+    tree j."""
+    rows = [law_row(p, tree) for tree in trees]
+    _, tau, _ = _pattern_constants(tuple(trees))
+    inside = [
+        [1 if j == k else hosts[k] for k in range(len(rows))] for j, hosts in enumerate(zip(*tau))
+    ]
+    return rows, inside
+
+
+def double_loop_bilinear_density(p, rows, inside, left, right):
     """sum over j, k of left[j] * right[k] * the covariance density of rows
     j and k, one density per ordered pair, summed in row-major order."""
     total = Fraction(0)
     for j, (row1, v1) in enumerate(zip(rows, left)):
         for k, (row2, v2) in enumerate(zip(rows, right)):
-            total += v1 * v2 * _pair_density(weight_of, row1, row2, inside[j][k], inside[k][j])
+            total += v1 * v2 * law_pair_density(p, row1, row2, inside[j][k], inside[k][j])
     return total
+
+
+def law_variance_forms(p, trees, values):
+    """Both forms of additive_variance_forms in the law's arithmetic, from
+    one row per toll tree and the fringe count of each ordered pair of toll
+    trees."""
+    rows, inside = law_toll_rows(p, trees)
+    e_ff = Fraction(0)
+    e_f2 = Fraction(0)
+    e_f_size = Fraction(0)
+    e_f_deg = {}
+    for row, value, counts in zip(rows, values, inside):
+        pi = row.pi
+        if pi == 0:
+            continue
+        e_ff += value * sum(v * c for v, c in zip(values, counts)) * pi
+        e_f2 += value * value * pi
+        e_f_size += value * (row.tree.size - 1) * pi
+        for degree, count in row.profile.items():
+            e_f_deg[degree] = e_f_deg.get(degree, Fraction(0)) + value * count * pi
+    direct = 2 * e_ff - e_f2 + e_f_size * e_f_size
+    for degree, moment in e_f_deg.items():
+        weight = p.p(degree)
+        if weight > 0:
+            direct -= moment * moment / weight
+    quadratic = double_loop_bilinear_density(p, rows, inside, values, values)
+    return direct, quadratic
 
 
 def _as_plane_representative(tree_or_key) -> PlaneTree:

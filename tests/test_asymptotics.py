@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_utils import (
+    DyadicLaw,
     all_degree_statistics,
     all_trees,
     all_trees_up_to,
@@ -16,6 +17,10 @@ from oracle_utils import (
     dict_solve_unit_mean,
     dict_tilted_pmf,
     double_loop_bilinear_density,
+    law_pair_density,
+    law_row,
+    law_toll_rows,
+    law_variance_forms,
     outcome,
     pairwise_additive_variance_forms,
     root_sum_normalized_covariance_density,
@@ -28,11 +33,6 @@ from fringelab import asymptotics
 from fringelab.asymptotics import (
     CovMatrix,
     TollFunction,
-    _bilinear_density,
-    _pair_density,
-    _row,
-    _toll_rows,
-    _variance_forms,
     additive_covariance_density,
     additive_functional,
     additive_mean_density,
@@ -150,7 +150,7 @@ class TestCovarianceDensity:
     )
     def test_mirrored_pairs_are_bit_equal(self, p):
         # the limit covariance matrix of a float law is symmetric to the
-        # bit, and _bilinear_density evaluates each unordered pair once
+        # bit: both orders round the same exact value
         trees = all_trees_up_to(5)
         for t1 in trees:
             for t2 in trees:
@@ -381,7 +381,9 @@ class TestUnordered:
     @pytest.mark.parametrize("p", UNORDERED_LAWS + [FLOAT_LAW], ids=lambda p: p.label())
     def test_densities_equal_the_oracle(self, p):
         # every ordered pair of the 17 shapes up to 5 vertices; exact laws
-        # agree exactly, the float law up to rounding
+        # agree exactly; under the float law the mean agrees up to rounding
+        # and the covariance is the oracle's value on the exact weights,
+        # rounded once
         shapes = unordered_shapes(5)
         assert len(shapes) == 17
 
@@ -390,12 +392,15 @@ class TestUnordered:
                 return isinstance(got, Fraction) and got == expected
             return got == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
+        exact = p if p.is_exact else DyadicLaw(p)
+        kind = Fraction if p.is_exact else float
         tolls = [TollFunction.orderings(t) for t in shapes]
         for t1, f in zip(shapes, tolls):
             assert agree(additive_mean_density(p, f), unordered_tree_probability(p, t1))
             for t2, g in zip(shapes, tolls):
                 got = additive_covariance_density(p, f, g)
-                assert agree(got, unordered_covariance_density(p, t1, t2)), (t1, t2)
+                assert type(got) is kind, (t1, t2)
+                assert got == kind(unordered_covariance_density(exact, t1, t2)), (t1, t2)
 
 
 class TestEquivalentOffspring:
@@ -587,6 +592,16 @@ class TestAdditive:
         for p in random_distribution_corpus(10, seed=7):
             assert additive_variance_density(p, TollFunction.indicator(LEAF)) == 0
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_toll_values_rejected(self, bad):
+        # a non-finite value has no exact ratio for the densities to read;
+        # every constructor goes through the check
+        with pytest.raises(ValueError, match="toll value .* at tree 2,0,0 is not finite"):
+            TollFunction.from_dict({LEAF: 1, CHERRY: bad})
+        with pytest.raises(ValueError, match="at tree 1,0 is not finite"):
+            TollFunction(((PlaneTree((1, 0)), bad),))
+        assert TollFunction.from_dict({CHERRY: 0.5}).value(CHERRY) == 0.5
+
     def test_two_forms_agree_on_random_tolls(self):
         rng = random.Random(424242)
         trees = all_trees_up_to(3)
@@ -618,7 +633,12 @@ class TestAdditive:
                     {t: Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for t in chosen}
                 )
                 got = outcome(additive_variance_forms, p, toll)
-                expected = outcome(pairwise_additive_variance_forms, p, toll)
+                if p.is_exact:
+                    expected = outcome(pairwise_additive_variance_forms, p, toll)
+                else:
+                    # a float law: the oracle on the exact weights, rounded once
+                    expected = tuple(map(float, generic_variance_forms(DyadicLaw(p), toll)))
+                    assert [type(v) for v in got] == [float, float] and got[0] == got[1]
                 assert got == expected, (p.label(), toll)
                 zero_probability += any(tree_probability(p, t) == 0 for t in toll.support())
         assert zero_probability >= 20
@@ -650,17 +670,21 @@ class TestAdditive:
         "p", [OffspringDistribution.from_spec("poisson:1"), GEO, SPARSE_EXACT], ids=lambda p: p.label()
     )
     def test_bilinear_density_equals_the_double_loop(self, p):
-        # one density per unordered pair gives the bits and types of one
-        # per ordered pair, summed in the same order
+        # one integer per unordered pair gives the value of one
+        # law-arithmetic density per ordered pair on the exact weights, as
+        # a Fraction under an exact law and rounded once under a float law
         trees = all_trees_up_to(4)
         rng = random.Random(2020)
-        rows, inside, weights = _toll_rows(p, trees)
+        exact = p if p.is_exact else DyadicLaw(p)
+        rows, inside = law_toll_rows(exact, trees)
+        kind = Fraction if p.is_exact else float
         for _ in range(20):
             left = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in trees]
             right = [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in trees]
-            got = _bilinear_density(weights.get, rows, inside, left, right)
-            expected = double_loop_bilinear_density(weights.get, rows, inside, left, right)
-            assert got == expected and type(got) is type(expected)
+            f, g = (TollFunction.from_dict(dict(zip(trees, values))) for values in (left, right))
+            got = additive_covariance_density(p, f, g)
+            expected = double_loop_bilinear_density(exact, rows, inside, left, right)
+            assert got == kind(expected) and type(got) is kind
 
     def test_covariance_density_on_indicators(self):
         trees = all_trees_up_to(4)
@@ -681,11 +705,7 @@ class TestAdditive:
                 toll = self.random_toll(rng, trees)
                 direct, quadratic = additive_variance_forms(p, toll)
                 got = additive_covariance_density(p, toll, toll)
-                assert got == quadratic
-                if p.is_exact:
-                    assert got == direct
-                else:
-                    assert got == pytest.approx(direct, rel=1e-9, abs=1e-12)
+                assert got == quadratic == direct
 
     def test_empty_tolls(self):
         empty = TollFunction.from_dict({})
@@ -700,9 +720,10 @@ class TestAdditive:
             additive_variance_density(GEO, TollFunction.indicator(CHERRY))
 
 
-# float-law bits of the densities before the integer path was added:
-# (direct, quadratic) of F_TOLL, the covariance of F_TOLL and G_TOLL, and
-# the densities of (cherry, T5) and (T5, T5)
+# float-law bits of (direct, quadratic) of F_TOLL, the covariance of F_TOLL
+# and G_TOLL, and the densities of (cherry, T5) and (T5, T5): each is the
+# exact value on the law's weights, read as the dyadic rationals they
+# store, rounded once
 T5 = PlaneTree((2, 2, 0, 0, 0))
 F_TOLL = TollFunction.from_dict(
     {LEAF: Fraction(-3, 2), CHERRY: 2, PlaneTree((2, 1, 0, 0)): 1, T5: Fraction(1, 3)}
@@ -710,55 +731,55 @@ F_TOLL = TollFunction.from_dict(
 G_TOLL = TollFunction.from_dict({PlaneTree((1, 0)): 5, CHERRY: -1, T5: Fraction(2, 7)})
 FLOAT_BITS = {
     "poisson:1": [
-        "0x1.1b541ea5ff223p-4", "0x1.1b541ea5ff22cp-4", "-0x1.154a795c6c583p-3",
-        "0x1.cd6c9bef4e6d2p-11", "0x1.a31b384c96029p-10",
+        "0x1.1b541ea5ff22dp-4", "0x1.1b541ea5ff22dp-4", "-0x1.154a795c6c584p-3",
+        "0x1.cd6c9bef4e6d3p-11", "0x1.a31b384c96029p-10",
     ],
     "power_law:0.3,2.5": [
-        "0x1.5522cd715f563p-5", "0x1.5522cd715f562p-5", "-0x1.cee12dbc21ba6p-5",
-        "0x1.37180c2ae36a2p-13", "0x1.2c962d3f1787fp-11",
+        "0x1.5522cd715f568p-5", "0x1.5522cd715f568p-5", "-0x1.cee12dbc21ba7p-5",
+        "0x1.37180c2ae36a5p-13", "0x1.2c962d3f1787fp-11",
     ],
 }
 
 # sha256 of float.hex of fringe_covariance_density, one line per ordered
-# pair of the 23 trees of up to 5 vertices, pinned on the law-arithmetic
-# pair density (_pair_density fed the law's weights); float.hex also pins
-# the type
+# pair of the 23 trees of up to 5 vertices; float.hex also pins the type
 PAIR_DIGESTS = [
     (
         OffspringDistribution.from_spec("poisson:1"),
-        "2cf33e44695de36c4fc084c527d8f83ac020b4a1d969d57891aa1d2fbfc068f6",
+        "c690845a3c1f3ba3ccc41a7a2a4992eb6710f29d0c2cfff697063e036e24c022",
     ),
     (
         OffspringDistribution.from_spec("power_law:0.3,2.5"),
-        "bd7b9d9047982ce79a28d31f0aeadb777e5e3975f195f1887350d451fbbbc5e9",
+        "0c92baef20ebc44310dcf92987bcd8b9debf6a41363e58323ff70df0abe6bbbe",
     ),
     (  # degree 1 has probability 0: zero tree probabilities and eta = -inf
         OffspringDistribution.finite({0: 0.45, 2: 0.35, 3: 0.2}),
-        "737c243d0911888a1703ed4bb54d3eabd2aca4bfbe1a7d0c2ff6c0fa6e3bb31a",
+        "70c2f1ce504dfe6807cf77a5aff20000a2a1d9061e4dd40c22991567450d286e",
     ),
 ]
 
 
 def generic_pair_density(p, t1, t2):
     """The law-arithmetic pair density, fed the law's own weights."""
-    return _pair_density(p.p, _row(p, t1), _row(p, t2), count_fringe(t1, t2), count_fringe(t2, t1))
+    return law_pair_density(p, law_row(p, t1), law_row(p, t2), count_fringe(t1, t2), count_fringe(t2, t1))
 
 
 def generic_covariance_density(p, f, g):
     trees = sorted(set(f.support()) | set(g.support()), key=lambda t: t.degrees)
-    rows, inside, weights = _toll_rows(p, trees)
+    rows, inside = law_toll_rows(p, trees)
     left, right = [f.value(t) for t in trees], [g.value(t) for t in trees]
-    return _bilinear_density(weights.get, rows, inside, left, right)
+    return double_loop_bilinear_density(p, rows, inside, left, right)
 
 
 def generic_variance_forms(p, toll):
-    return _variance_forms(p, toll.support(), [value for _, value in toll.items])
+    return law_variance_forms(p, toll.support(), [value for _, value in toll.items])
 
 
 class TestIntegerDensities:
-    """Under an exact law the densities are integer numerators over one
-    denominator; the law-arithmetic path fed the same Fraction weights is
-    the reference, and float laws keep that path to the bit."""
+    """The densities are integer numerators over one denominator under
+    every law; the law-arithmetic oracle fed the same Fraction weights is
+    the reference.  Under a float law the oracle reads each weight as the
+    dyadic rational it stores (DyadicLaw), and the library's float is the
+    oracle's value rounded once."""
 
     @staticmethod
     def assert_exact_equal(got, expected):
@@ -850,20 +871,50 @@ class TestIntegerDensities:
             self.assert_exact_equal(a, b)
 
     @pytest.mark.parametrize("spec", sorted(FLOAT_BITS))
-    def test_float_laws_keep_their_bits(self, spec):
+    def test_float_laws_round_the_exact_value_once(self, spec):
         p = OffspringDistribution.from_spec(spec)
+        exact = DyadicLaw(p)
         values = [
             *additive_variance_forms(p, F_TOLL),
             additive_covariance_density(p, F_TOLL, G_TOLL),
             fringe_covariance_density(p, CHERRY, T5),
             fringe_covariance_density(p, T5, T5),
         ]
+        expected = [
+            *generic_variance_forms(exact, F_TOLL),
+            generic_covariance_density(exact, F_TOLL, G_TOLL),
+            generic_pair_density(exact, CHERRY, T5),
+            generic_pair_density(exact, T5, T5),
+        ]
+        assert values == [float(v) for v in expected]
+        assert values[0] == values[1]  # direct == quadratic
         assert [v.hex() for v in values] == FLOAT_BITS[spec]
 
     @pytest.mark.parametrize("p, digest", PAIR_DIGESTS, ids=[p.label() for p, _ in PAIR_DIGESTS])
-    def test_float_densities_keep_their_bits_on_every_small_pair(self, p, digest):
+    def test_float_densities_on_every_small_pair(self, p, digest):
         trees = all_trees_up_to(5)
-        lines = "".join(
-            float.hex(fringe_covariance_density(p, t1, t2)) + "\n" for t1 in trees for t2 in trees
-        )
+        values = [fringe_covariance_density(p, t1, t2) for t1 in trees for t2 in trees]
+        expected = [float(generic_pair_density(DyadicLaw(p), t1, t2)) for t1 in trees for t2 in trees]
+        assert values == expected
+        lines = "".join(float.hex(v) + "\n" for v in values)
         assert hashlib.sha256(lines.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("p", [p for p, _ in PAIR_DIGESTS], ids=[p.label() for p, _ in PAIR_DIGESTS])
+    def test_leaf_rows_are_exact_zeros(self, p):
+        # the leaf count is fixed by the degree profile, so its covariance
+        # with every fringe count is exactly 0, and one rounding keeps it 0
+        for tree in all_trees_up_to(5):
+            for value in (fringe_covariance_density(p, LEAF, tree), fringe_covariance_density(p, tree, LEAF)):
+                assert value == 0.0 and type(value) is float, tree
+
+    def test_float_toll_values_round_once_under_an_exact_law(self):
+        values = {LEAF: 0.1, CHERRY: Fraction(2, 3), T5: -3}
+        f, g = TollFunction.from_dict(values), TollFunction.from_dict({CHERRY: 1, PATH3: 0.3})
+        exact_f = TollFunction.from_dict({t: Fraction(v) for t, v in values.items()})
+        exact_g = TollFunction.from_dict({CHERRY: 1, PATH3: Fraction(0.3)})
+        forms = additive_variance_forms(GEO, f)
+        assert forms == tuple(map(float, generic_variance_forms(GEO, exact_f)))
+        assert [type(v) for v in forms] == [float, float]
+        covariance = additive_covariance_density(GEO, f, g)
+        assert covariance == float(generic_covariance_density(GEO, exact_f, exact_g))
+        assert type(covariance) is float

@@ -89,6 +89,20 @@ class TestBasicCommands:
         assert info["variance_density"] == "5/256"
         assert info["normalized_variance"] == "5/8"
 
+    def test_asymptotics_leaf_row_is_exactly_zero(self, capsys):
+        # the leaf count is fixed by the degree profile, so its row of the
+        # limit covariance is exactly 0 under a float law too
+        code, out, _ = run_cli(
+            capsys, "asymptotics", "--p", "power_law:0.3,2.5", "--patterns", "0;2,0,0"
+        )
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["covariance_matrix"][0] == [0.0, 0.0]
+        assert result["covariance_matrix"][1][0] == 0.0
+        assert [row["variance_density"] for row in result["patterns"]] == [
+            result["covariance_matrix"][j][j] for j in range(2)
+        ]
+
     def test_asymptotics_weights(self, capsys):
         code, out, _ = run_cli(
             capsys, "asymptotics", "--w", '{"0": 1, "2": 1}', "--patterns", "2,0,0"

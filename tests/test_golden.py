@@ -50,6 +50,9 @@ CASES = {
     "asymptotics_p_float": [
         "asymptotics", "--p", "poisson:1", "--patterns", "2,0,0;1,1,1,0;2,2,0,0,0;1,0",
     ],
+    "asymptotics_p_leaf": [
+        "asymptotics", "--p", "power_law:0.3,2.5", "--patterns", "0;2,0,0",
+    ],
     "asymptotics_p_json": [
         "asymptotics", "--p", '{"0": "1/2", "1": "1/4", "3": "1/4"}', "--patterns",
         "3,0,0,0;1,0",

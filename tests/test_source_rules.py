@@ -141,22 +141,71 @@ def _public_definitions() -> dict:
     }
 
 
+def _read_outside_own_definition(tree) -> set:
+    """Every name a module reads, as a name or an attribute, outside the
+    top-level definition of that name; importing a name does not read it."""
+    used = set()
+    for top in tree.body:
+        owner = getattr(top, "name", None)
+        used |= {
+            _name(node)
+            for node in ast.walk(top)
+            if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) != owner
+        }
+    return used
+
+
+def _library_reads() -> set:
+    return set().union(*(_read_outside_own_definition(_tree(path.name)) for path in SOURCE.glob("*.py")))
+
+
 def test_every_public_function_has_a_library_caller_or_is_public_api():
     # a name read anywhere in the library outside its own definition
     # counts as a use; importing it does not
-    used = set()
-    for path in sorted(SOURCE.glob("*.py")):
-        for top in _tree(path.name).body:
-            owner = getattr(top, "name", None)
-            used |= {
-                _name(node)
-                for node in ast.walk(top)
-                if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) != owner
-            }
+    used = _library_reads()
     defined = _public_definitions()
     unused = sorted(f"{file}:{name}" for name, file in defined.items() if name not in used | PUBLIC_API)
     assert unused == []
     assert sorted(PUBLIC_API - defined.keys()) == []
+
+
+def _unread_private_definitions(trees: dict, used: set) -> list:
+    """file:name of each module-level private function or class (one
+    leading underscore) of the modules in ``trees`` whose name is not in
+    ``used``."""
+    return [
+        f"{file}:{node.name}"
+        for file, tree in sorted(trees.items())
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and node.name not in used
+    ]
+
+
+def test_every_private_definition_is_read_by_the_library():
+    # a private helper that only tests read is a test oracle: it belongs
+    # in tests/oracle_utils.py, not in the library
+    trees = {path.name: _tree(path.name) for path in SOURCE.glob("*.py")}
+    assert _unread_private_definitions(trees, _library_reads()) == []
+
+
+def test_unread_private_rule_sees_reads_outside_the_definition():
+    sources = {
+        "a.py": (
+            "def _called():\n    return 1\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "class _Shape:\n    pass\n"
+            "def _imported_only():\n    pass\n"
+            "def __getattr__(name):\n    pass\n"
+            "def public():\n    return _called()\n"
+        ),
+        "b.py": "import a\nfrom a import _imported_only, _Shape\nshape = a._Shape\n",
+    }
+    trees = {file: ast.parse(source) for file, source in sources.items()}
+    used = set().union(*map(_read_outside_own_definition, trees.values()))
+    assert _unread_private_definitions(trees, used) == ["a.py:_recursive", "a.py:_imported_only"]
 
 
 def _may_turn_off_shuffle(call: ast.Call) -> bool:

@@ -10,16 +10,13 @@ Conventions used throughout (hard-coded at the formula sites):
 * 1/inf := 0 for the infinite-variance regimes of the simply generated
   covariances.
 
-Exact inputs (rational probabilities) produce exact rational outputs
-everywhere except where a genuine square root enters (the normalized
-cross-covariances of distinct trees); those fall back to floats.  That
-normalized density is one sum of root monomials c * prod_i p_i^(e_i/2).
-The covariance densities and variance forms are evaluated in integers
-under every law: each weight and toll value is read exactly by
+Every limit scalar of an offspring law (tree probability, normalized
+variance, mean and covariance densities, variance forms) is evaluated in
+integers under every law: each weight and toll value is read exactly by
 as_integer_ratio() (a float is the dyadic rational it stores), and with
 the weights scaled to a_i = D p_i every tree probability is an integer
-over a power of D, so each density is one integer numerator over D^{2S}
-and the toll denominators.  That one Fraction is the result under an
+over a power of D, so each scalar is one integer numerator over a power
+of D and the toll denominators.  That one Fraction is the result under an
 exact law with int or Fraction tolls, and is rounded once by float()
 otherwise.
 
@@ -68,29 +65,11 @@ ROOT_MAX_ITER = 200
 
 def tree_probability(p: OffspringDistribution, tree: PlaneTree):
     """Probability that an unconditioned branching tree with offspring law p
-    equals ``tree``: prod over appearing degrees of p_i ** n_T(i)."""
-    value = Fraction(1)
-    for degree, count in degree_statistic(tree).items:
-        value = value * p.p(degree) ** count
-        if value == 0:
-            return value
-    return value
-
-
-def covariance_interaction(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
-    """(|T|-1)(|T'|-1) - sum_i n_T(i) n_T'(i) / p_i  with 0/0 := 0, in the
-    law's arithmetic.
-
-    Returns -inf when a shared degree has zero probability.
-    """
-    prof1, prof2 = degree_statistic(t1).as_dict(), degree_statistic(t2).as_dict()
-    value = (t1.size - 1) * (t2.size - 1)
-    for degree in sorted(prof1.keys() & prof2.keys()):
-        weight = p.p(degree)
-        if weight == 0:
-            return -INF
-        value = value - prof1[degree] * prof2[degree] / weight
-    return value
+    equals ``tree``: prod over appearing degrees of p_i ** n_T(i), one
+    integer prod_i a_i^{n_T(i)} over D^{|T|} (see _IntegerTrees), rounded
+    as _exact_or_float says."""
+    it = _integer_trees(p, (tree,))
+    return _exact_or_float(p, (), Fraction(it.mass[0], it.power))
 
 
 def fringe_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
@@ -100,51 +79,23 @@ def fringe_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: Plane
     return additive_covariance_density(p, TollFunction.indicator(t1), TollFunction.indicator(t2))
 
 
-def normalized_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
-    """Covariance density scaled by sqrt(pi * pi'), extended by continuity:
-    with a, b the degree profiles of t1, t2, the root monomials (c, doubled
-    e) summed in this order: (|T|-1)(|T'|-1) on a + b; -a_i b_i on
-    a + b - 2e_i per shared degree i; then 1 on the diagonal, or off it the
-    copies of t2 in t1 on a - b and of t1 in t2 on b - a (a copy implies
-    b <= a).  Equals fringe_covariance_density / sqrt(pi * pi') whenever
-    both probabilities are positive, and is always finite."""
-    a, b = degree_statistic(t1).as_dict(), degree_statistic(t2).as_dict()
-    both = {i: a.get(i, 0) + b.get(i, 0) for i in a.keys() | b.keys()}
-    terms = [((t1.size - 1) * (t2.size - 1), both)]
-    terms += [(-a[i] * b[i], {**both, i: both[i] - 2}) for i in sorted(a.keys() & b.keys())]
-    if t1 == t2:
-        terms.append((1, {}))
-    else:
-        (_, t1_in_t2), (t2_in_t1, _) = _pattern_constants((t1, t2))[1]
-        terms.append((t2_in_t1, {i: a[i] - b.get(i, 0) for i in a}))
-        terms.append((t1_in_t2, {i: b[i] - a.get(i, 0) for i in b}))
-    return sum((_root_monomial(p, c, doubled) for c, doubled in terms), Fraction(0))
-
-
-def _root_monomial(p: OffspringDistribution, coefficient: int, doubled: dict):
-    """coefficient * prod_i p_i^(doubled[i]/2): exact p_i go into a rational
-    part and, at odd exponents, one radicand rooted once; float p_i into a
-    float part.  A Fraction unless a root or a float is left; an exact 0
-    when the coefficient or a p_i at a positive exponent vanishes."""
-    if coefficient == 0:
-        return Fraction(0)
-    rational, radicand, floating, exact = Fraction(coefficient), Fraction(1), 1.0, True
-    for degree, twice in sorted(doubled.items()):
-        if twice == 0:
-            continue
-        prob = p.p(degree)
-        if prob == 0:
-            return Fraction(0)
-        if isinstance(prob, Fraction):
-            half, odd = divmod(twice, 2)
-            rational *= prob**half
-            radicand *= prob**odd
-        else:
-            floating *= float(prob) ** (twice / 2)
-            exact = False
-    if exact and radicand == 1:
-        return rational
-    return float(rational) * math.sqrt(float(radicand)) * floating
+def normalized_variance(p: OffspringDistribution, tree: PlaneTree):
+    """Variance density over tree probability, gamma_TT / pi_T, extended by
+    continuity to pi_T = 0: the polynomial 1 + (|T|-1)^2 pi_T - sum_i
+    n_T(i)^2 prod_j p_j^{n_T(j) - [i = j]} in the weights.  With a_i = D p_i
+    as in _IntegerTrees it is one integer over D^{|T|}, rounded as
+    _exact_or_float says.  Each product is taken from the weights, since
+    it stays nonzero where a_i = 0 and n_T(i) = 1 although pi_T = 0: under
+    {0: 1} the cherry gives exactly 1 - 1 = 0."""
+    degrees, counts = zip(*degree_statistic(tree).items)
+    a, scale = _over_common([p.p(degree) for degree in degrees])
+    lowered = sum(
+        n * n * math.prod(map(pow, a, [c - (j == i) for j, c in enumerate(counts)]))
+        for i, n in enumerate(counts)
+    )
+    power = scale**tree.size
+    numerator = power + (tree.size - 1) ** 2 * math.prod(map(pow, a, counts)) - scale * lowered
+    return _exact_or_float(p, (), Fraction(numerator, power))
 
 
 def classify_exceptional(tree: PlaneTree, p: OffspringDistribution) -> str:
@@ -409,8 +360,13 @@ def additive_functional(tree: PlaneTree, toll: TollFunction):
 def additive_mean_density(p: OffspringDistribution, toll: TollFunction):
     """Limit mean per vertex of the additive functional: sum_T f(T) pi_T.
     For an ``orderings`` toll this is the probability that the unordered
-    shape of the branching tree is the toll's shape."""
-    return sum((value * tree_probability(p, tree) for tree, value in toll.items), Fraction(0))
+    shape of the branching tree is the toll's shape.  It is one integer
+    over D^S L (see _IntegerTrees; L the common denominator of the toll),
+    rounded as _exact_or_float says."""
+    values = [value for _, value in toll.items]
+    it = _integer_trees(p, toll.support())
+    numerators, common = _over_common(values)
+    return _exact_or_float(p, values, Fraction(sum(map(mul, numerators, it.mass)), it.power * common))
 
 
 def additive_covariance_density(p: OffspringDistribution, f: TollFunction, g: TollFunction):
@@ -481,9 +437,10 @@ def _integer_pair(it: _IntegerTrees, j: int, k: int) -> int:
     """D^{2S} times the fringe covariance density of trees j and k: the
     cross terms inner1 * pi_j + inner2 * pi_k (pi_j alone on the diagonal),
     inner1 the copies of tree k in tree j and inner2 the reverse, plus
-    eta * pi_j * pi_k with eta = covariance_interaction, in which each
-    n_j(i) n_k(i) / p_i becomes n_k(i) * D * share[j][i] / mass[j].  A zero
-    mass leaves the cross terms only (inf * 0 := 0 when eta = -inf)."""
+    eta * pi_j * pi_k with eta = (|T_j|-1)(|T_k|-1) - sum_i n_j(i) n_k(i) /
+    p_i (0/0 := 0), in which each n_j(i) n_k(i) / p_i becomes
+    n_k(i) * D * share[j][i] / mass[j].  A zero mass leaves the cross terms
+    only (inf * 0 := 0 when eta = -inf)."""
     mj, mk = it.mass[j], it.mass[k]
     cross = mj if j == k else it.tau[k][j] * mj + it.tau[j][k] * mk
     shared = sum(map(mul, it.counts[k], it.share[j]))

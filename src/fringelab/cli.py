@@ -21,7 +21,7 @@ from .asymptotics import (
     classify_exceptional,
     equivalent_offspring,
     fringe_covariance_density,
-    normalized_covariance_density,
+    normalized_variance,
     sg_degree_covariance,
     sg_fringe_covariance,
     tree_probability,
@@ -185,7 +185,7 @@ def _cmd_asymptotics(args) -> int:
                     "pattern": t.to_text(),
                     "probability": tree_probability(p, t),
                     "variance_density": matrix[j][j],
-                    "normalized_variance": normalized_covariance_density(p, t, t),
+                    "normalized_variance": normalized_variance(p, t),
                     "exceptional_case": classify_exceptional(t, p),
                 }
                 for j, t in enumerate(patterns)

@@ -23,13 +23,15 @@ of the whole word per needle position.
 moment, a product of Fractions whose normalizer P(S_n = n - 1) reads its
 own series, and ``pairwise_additive_variance_forms`` the first form of the
 additive variance forms, one ``fringe_covariance_density`` call per
-ordered pair of toll trees.  ``law_row``, ``law_pair_density``,
+ordered pair of toll trees.  ``law_tree_probability``,
+``covariance_interaction``, ``law_row``, ``law_pair_density``,
 ``law_toll_rows``, ``double_loop_bilinear_density`` and
-``law_variance_forms`` are the law-arithmetic form of the covariance
-densities and variance forms: Fractions for an exact law, and for a float
-law wrapped in ``DyadicLaw`` too, since it reads each float weight as
-the dyadic rational it stores; the library sums integer numerators over
-one denominator and rounds a float law's result once.
+``law_variance_forms`` are the law-arithmetic form of the tree
+probability, the interaction term, the covariance densities and the
+variance forms: one step per degree or per tree in Fractions for an exact
+law, and for a float law wrapped in ``DyadicLaw`` too, since it reads each
+float weight as the dyadic rational it stores; the library sums integer
+numerators over one denominator and rounds a float law's result once.
 ``count_fringe_unordered``,
 ``unordered_tree_probability`` and ``unordered_covariance_density`` are
 the first forms of unordered shape counts and their limit densities,
@@ -44,10 +46,12 @@ which builds one dict per step and takes ``math.log(s)`` once per degree;
 the library runs the same float operations in the same order over
 parallel lists of degrees and log weights.
 ``RootSum``, ``normalized_interaction`` and
-``root_sum_normalized_covariance_density`` are the first form of the
-normalized covariance density: an accumulator class that sums the
-interaction's root monomials, then adds the diagonal's 1 or the
-containment terms; the library lists all the monomials and sums them once.
+``root_sum_normalized_covariance_density`` are the covariance density
+scaled by sqrt(pi * pi'), for every pair of trees: an accumulator class
+that sums the interaction's root monomials, then adds the diagonal's 1 or
+the containment terms.  Its diagonal is exact on exact weights, and the
+library's ``normalized_variance`` is that diagonal as one polynomial in
+the weights.
 
 The enumeration helpers (``all_trees``, ``all_degree_statistics``) list
 every plane tree and every feasible degree profile of a size;
@@ -78,7 +82,6 @@ from fringelab.asymptotics import (
     ROOT_TOLERANCE,
     CovMatrix,
     additive_functional,
-    covariance_interaction,
     fringe_covariance_density,
     tree_probability,
 )
@@ -583,17 +586,44 @@ class DyadicLaw(NamedTuple):
         return Fraction(self.law.p(i))
 
 
+def law_tree_probability(p, tree: PlaneTree):
+    """prod over appearing degrees of p_i ** n_T(i), one step per degree
+    in the law's arithmetic."""
+    value = Fraction(1)
+    for degree, count in degree_statistic(tree).items:
+        value = value * p.p(degree) ** count
+        if value == 0:
+            return value
+    return value
+
+
+def covariance_interaction(p, t1: PlaneTree, t2: PlaneTree):
+    """(|T|-1)(|T'|-1) - sum_i n_T(i) n_T'(i) / p_i  with 0/0 := 0, in the
+    law's arithmetic.
+
+    Returns -inf when a shared degree has zero probability.
+    """
+    prof1, prof2 = degree_statistic(t1).as_dict(), degree_statistic(t2).as_dict()
+    value = (t1.size - 1) * (t2.size - 1)
+    for degree in sorted(prof1.keys() & prof2.keys()):
+        weight = p.p(degree)
+        if weight == 0:
+            return -INF
+        value = value - prof1[degree] * prof2[degree] / weight
+    return value
+
+
 class LawRow(NamedTuple):
     """What the law-arithmetic covariance density reads of one tree besides
     the law."""
 
     tree: PlaneTree
-    pi: object  # tree_probability
+    pi: object  # law_tree_probability
     profile: dict  # degree -> count
 
 
 def law_row(p, tree: PlaneTree) -> LawRow:
-    return LawRow(tree, tree_probability(p, tree), degree_statistic(tree).as_dict())
+    return LawRow(tree, law_tree_probability(p, tree), degree_statistic(tree).as_dict())
 
 
 def law_pair_density(p, row1: LawRow, row2: LawRow, inner1: int, inner2: int):
@@ -682,7 +712,7 @@ def unordered_tree_probability(p, tree_or_key):
     given unordered tree: |Ord(T)| times the plane-tree probability."""
     rep = _as_plane_representative(tree_or_key)
     orderings = enumerate_orderings(canonical_unordered(rep))
-    return len(orderings) * tree_probability(p, rep)
+    return len(orderings) * law_tree_probability(p, rep)
 
 
 def unordered_covariance_density(p, t1, t2):
@@ -737,10 +767,7 @@ class RootSum:
             self.float_total += float(rational)
             return
         self.exact = False
-        if is_float:
-            self.float_total += float(rational) * float_part
-        else:
-            self.float_total += float(rational) * math.sqrt(float(radicand))
+        self.float_total += float(rational) * math.sqrt(float(radicand)) * float_part
 
     def value(self):
         return self.exact_total if self.exact else self.float_total

@@ -30,7 +30,7 @@ from fringelab.asymptotics import (
     classify_exceptional,
     equivalent_offspring,
     fringe_covariance_density,
-    normalized_covariance_density,
+    normalized_variance,
     tree_probability,
 )
 from fringelab.distributions import OffspringDistribution, WeightSequence
@@ -381,7 +381,7 @@ def test_criterion_09_positivity_taxonomy():
                     violations += 1
     for p in corpus + boundary:
         for tree in trees:
-            value = normalized_covariance_density(p, tree, tree)
+            value = normalized_variance(p, tree)
             exceptional = classify_exceptional(tree, p) != "none"
             if exceptional != (value == 0):
                 violations += 1

@@ -13,12 +13,14 @@ from oracle_utils import (
     all_trees,
     all_trees_up_to,
     count_fringe_unordered,
+    covariance_interaction,
     covariance_matrix_probe,
     dict_solve_unit_mean,
     dict_tilted_pmf,
     double_loop_bilinear_density,
     law_pair_density,
     law_row,
+    law_tree_probability,
     law_toll_rows,
     law_variance_forms,
     outcome,
@@ -39,10 +41,9 @@ from fringelab.asymptotics import (
     additive_variance_density,
     additive_variance_forms,
     classify_exceptional,
-    covariance_interaction,
     equivalent_offspring,
     fringe_covariance_density,
-    normalized_covariance_density,
+    normalized_variance,
     plugin_mean,
     sg_degree_covariance,
     sg_fringe_covariance,
@@ -169,20 +170,20 @@ class TestCovarianceDensity:
 
 class TestNormalizedDensity:
     def test_geometric_cherry(self):
-        assert normalized_covariance_density(GEO, CHERRY, CHERRY) == Fraction(5, 8)
+        assert normalized_variance(GEO, CHERRY) == Fraction(5, 8)
 
     def test_star_boundary(self):
         p0 = OffspringDistribution.finite({0: 1})
-        assert normalized_covariance_density(p0, CHERRY, CHERRY) == 0
+        assert normalized_variance(p0, CHERRY) == 0
 
     def test_path_boundary(self):
         p1 = OffspringDistribution.finite({1: 1})
-        assert normalized_covariance_density(p1, PATH3, PATH3) == 0
+        assert normalized_variance(p1, PATH3) == 0
 
     def test_repeated_vanishing_degree_gives_one(self):
         p = OffspringDistribution.finite({0: Fraction(1, 2), 1: Fraction(1, 2)})
         double = PlaneTree((2, 2, 0, 0, 0))  # two degree-2 vertices
-        assert normalized_covariance_density(p, double, double) == 1
+        assert normalized_variance(p, double) == 1
 
     def test_consistency_with_ratio(self):
         # wherever both probabilities are positive the normalized form is
@@ -195,7 +196,7 @@ class TestNormalizedDensity:
                     scale = math.sqrt(
                         float(tree_probability(p, t1) * tree_probability(p, t2))
                     )
-                    got = normalized_covariance_density(p, t1, t2)
+                    got = root_sum_normalized_covariance_density(p, t1, t2)
                     assert float(got) * scale == pytest.approx(
                         float(gamma), rel=1e-11, abs=1e-13
                     )
@@ -207,15 +208,16 @@ class TestNormalizedDensity:
         ]
         for p in random_distribution_corpus(25) + boundary:
             for tree in all_trees_up_to(5):
-                value = normalized_covariance_density(p, tree, tree)
+                value = normalized_variance(p, tree)
                 if classify_exceptional(tree, p) == "none":
                     assert value > 0
                 else:
                     assert value == 0
 
-
     def test_equals_the_root_sum_oracle(self):
-        # same type and value as the accumulator form, floats bit for bit
+        # the diagonal of the accumulator form: a Fraction equal to it under
+        # an exact law, and under a float law its value on the exact
+        # weights rounded once
         boundary = [
             OffspringDistribution.finite({0: 1}),
             OffspringDistribution.finite({1: 1}),
@@ -228,13 +230,16 @@ class TestNormalizedDensity:
             OffspringDistribution.from_spec("power_law:0.3,2.5"),
             OffspringDistribution.finite({0: 0.5, 1: 0.25, 2: 0.25}),
         ]
-        trees = all_trees_up_to(5)
         for p in random_distribution_corpus(25) + boundary + floats:
-            for t1 in trees:
-                for t2 in trees:
-                    got = normalized_covariance_density(p, t1, t2)
-                    want = root_sum_normalized_covariance_density(p, t1, t2)
-                    assert type(got) is type(want) and got == want, (p, t1, t2)
+            for tree in all_trees_up_to(5):
+                got = normalized_variance(p, tree)
+                if p.is_exact:
+                    want = root_sum_normalized_covariance_density(p, tree, tree)
+                    assert type(got) is Fraction and got == want, (p, tree)
+                else:
+                    want = root_sum_normalized_covariance_density(DyadicLaw(p), tree, tree)
+                    assert type(want) is Fraction, (p, tree)
+                    assert type(got) is float and got == float(want), (p, tree)
 
     def test_mixed_exact_and_float_law_keeps_every_root(self):
         # an exact p_i at an odd exponent before the first float p_j still
@@ -243,8 +248,32 @@ class TestNormalizedDensity:
         edge = PlaneTree((1, 0))
         gamma = fringe_covariance_density(p, edge, CHERRY)
         scale = math.sqrt(float(tree_probability(p, edge) * tree_probability(p, CHERRY)))
-        got = normalized_covariance_density(p, edge, CHERRY)
+        got = root_sum_normalized_covariance_density(p, edge, CHERRY)
         assert got == pytest.approx(float(gamma) / scale, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [OffspringDistribution.from_spec("poisson:1"), OffspringDistribution.from_spec("power_law:0.3,2.5")],
+    ids=lambda p: p.label(),
+)
+def test_float_law_scalars_are_rounded_once(p):
+    # over the 65 plane trees of up to 6 vertices, each scalar is a float:
+    # the exact value on the law's weights, read as the dyadic rationals
+    # they store, rounded once
+    exact = DyadicLaw(p)
+    trees = all_trees_up_to(6)
+    assert len(trees) == 65
+    for tree in trees:
+        pi = law_tree_probability(exact, tree)
+        scalars = [
+            (tree_probability(p, tree), pi),
+            (normalized_variance(p, tree), root_sum_normalized_covariance_density(exact, tree, tree)),
+            (additive_mean_density(p, TollFunction.indicator(tree)), pi),
+        ]
+        for got, want in scalars:
+            assert type(want) is Fraction, tree
+            assert type(got) is float and got == float(want), tree
 
 
 class TestClassification:
@@ -381,22 +410,17 @@ class TestUnordered:
     @pytest.mark.parametrize("p", UNORDERED_LAWS + [FLOAT_LAW], ids=lambda p: p.label())
     def test_densities_equal_the_oracle(self, p):
         # every ordered pair of the 17 shapes up to 5 vertices; exact laws
-        # agree exactly; under the float law the mean agrees up to rounding
-        # and the covariance is the oracle's value on the exact weights,
-        # rounded once
+        # agree exactly; under the float law the mean and the covariance
+        # are the oracle's values on the exact weights, rounded once
         shapes = unordered_shapes(5)
         assert len(shapes) == 17
-
-        def agree(got, expected):
-            if p.is_exact:
-                return isinstance(got, Fraction) and got == expected
-            return got == pytest.approx(expected, rel=1e-12, abs=1e-15)
-
         exact = p if p.is_exact else DyadicLaw(p)
         kind = Fraction if p.is_exact else float
         tolls = [TollFunction.orderings(t) for t in shapes]
         for t1, f in zip(shapes, tolls):
-            assert agree(additive_mean_density(p, f), unordered_tree_probability(p, t1))
+            mean = additive_mean_density(p, f)
+            assert type(mean) is kind, t1
+            assert mean == kind(unordered_tree_probability(exact, t1)), t1
             for t2, g in zip(shapes, tolls):
                 got = additive_covariance_density(p, f, g)
                 assert type(got) is kind, (t1, t2)

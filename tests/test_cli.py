@@ -103,6 +103,18 @@ class TestBasicCommands:
             result["covariance_matrix"][j][j] for j in range(2)
         ]
 
+    @pytest.mark.parametrize("spec", ["poisson:1", "power_law:0.3,2.5"])
+    def test_asymptotics_float_law_fields_are_numbers(self, capsys, spec):
+        # every scalar of a float law is rounded to a float, so no field
+        # prints as an "n/d" string (the leaf's normalized variance did)
+        code, out, _ = run_cli(
+            capsys, "asymptotics", "--p", spec, "--patterns", "0;1,0;2,0,0;2,2,0,0,0"
+        )
+        assert code == 0
+        for row in json.loads(out)["result"]["patterns"]:
+            for field in ("probability", "variance_density", "normalized_variance"):
+                assert type(row[field]) is float, (row["pattern"], field)
+
     def test_asymptotics_weights(self, capsys):
         code, out, _ = run_cli(
             capsys, "asymptotics", "--w", '{"0": 1, "2": 1}', "--patterns", "2,0,0"

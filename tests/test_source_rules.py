@@ -127,7 +127,6 @@ PUBLIC_API = frozenset(fringelab.__all__) | {
     "additive_functional",
     "additive_mean_density",
     "additive_variance_density",
-    "covariance_interaction",
 }
 
 

@@ -33,14 +33,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import repeat
-from operator import add, mul, sub, truediv
+from operator import add, mul
 from typing import NamedTuple
 
 import numpy as np
 
-from .distributions import OffspringDistribution, WeightSequence
+from .distributions import OffspringDistribution, WeightSequence, normalize_log_weights
 from .errors import NotConverged, UnsupportedRegime, as_integer
-from .exact_moments import _pattern_constants
+from .exact_moments import _over_common, _pattern_constants
 from .tree_core import (
     DegreeStatistic,
     PlaneTree,
@@ -138,16 +138,11 @@ class EquivalentOffspring:
     sigma2: object
 
 
-def _tilted_pmf(degrees: list, logs: list, s: float):
-    """The law proportional to exp(logs[j]) * s**degrees[j] over the
-    parallel lists of degrees and log weights, as an iterator: the float
-    steps of normalize_log_weights, in the same order."""
-    if s > 0:
-        tilted = list(map(add, logs, map(mul, degrees, repeat(math.log(s)))))
-    else:
-        tilted = [lw if i == 0 else -INF for i, lw in zip(degrees, logs)]
-    raw = list(map(math.exp, map(sub, tilted, repeat(max(tilted)))))
-    return map(truediv, raw, repeat(sum(raw)))
+def _tilted_pmf(degrees: list, logs: list, s: float) -> list:
+    """normalize_log_weights of logs[j] + degrees[j] log s, the law
+    proportional to exp(logs[j]) s^degrees[j], for a tilt s > 0: the
+    bisection and the radius give no other."""
+    return normalize_log_weights(list(map(add, logs, map(mul, degrees, repeat(math.log(s))))))
 
 
 def _tilted_mean(degrees: list, logs: list, s: float) -> float:
@@ -211,19 +206,18 @@ def _solve_unit_mean(degrees: list, logs: list, rho) -> float:
     raise NotConverged(f"tilt bisection stalled at [{lo}, {hi}]")
 
 
-def _inverse_variance(w: WeightSequence, regime: str):
-    """(equivalent law, 1/vs^2) with 1/inf := 0 in the infinite-variance regime."""
-    eq = equivalent_offspring(w)
+def _inverse_variance(eq: EquivalentOffspring, regime: str):
+    """1/vs^2 of the equivalent law, with 1/inf := 0 in the infinite-variance regime."""
     if regime == "infinite_variance":
-        return eq, 0
-    if regime not in ("auto", "finite_variance"):
+        return 0
+    if regime != "auto":
         raise UnsupportedRegime(f"unknown regime {regime!r}")
     if not (eq.nu >= 1 and 0 < eq.sigma2 < INF):
         raise UnsupportedRegime(
             "weights outside the finite-variance critical case; pass "
             "regime='infinite_variance' to assert a stable/subcritical regime"
         )
-    return eq, 1 / eq.sigma2
+    return 1 / eq.sigma2
 
 
 @dataclass(frozen=True)
@@ -262,23 +256,22 @@ def sg_fringe_covariance(w: WeightSequence, patterns, regime: str = "auto") -> C
     Diagonal: pi - (2|T| - 1 + 1/vs^2) pi^2; off-diagonal: the containment
     terms minus (|T| + |T'| - 1 + 1/vs^2) pi pi', where vs^2 is the
     offspring variance in the finite-variance case and inf otherwise
-    (1/inf := 0).  The containment counts come from the pattern-tuple
-    cache, which raises DuplicatePatterns on repeated patterns.
+    (1/inf := 0).  pi, |T| - 1 and the containment counts come from one
+    _integer_trees of the patterns under theta, which raises
+    DuplicatePatterns on repeated patterns before the regime is checked.
     """
-    patterns = tuple(patterns)
-    _, tau, _ = _pattern_constants(patterns)
-    eq, inv = _inverse_variance(w, regime)
-    theta = eq.theta
-    pis = [tree_probability(theta, t) for t in patterns]
-    m = len(patterns)
-    entries = [[None] * m for _ in range(m)]
-    for i in range(m):
-        entries[i][i] = pis[i] - (2 * patterns[i].size - 1 + inv) * pis[i] ** 2
-        for j in range(i + 1, m):
-            cross = tau[j][i] * pis[i] + tau[i][j] * pis[j]  # tau[j][i]: copies of j in i
-            value = cross - (patterns[i].size + patterns[j].size - 1 + inv) * pis[i] * pis[j]
-            entries[i][j] = entries[j][i] = value
-    return CovMatrix.build(entries)
+    eq = equivalent_offspring(w)
+    it = _integer_trees(eq.theta, tuple(patterns))
+    inv = _inverse_variance(eq, regime)
+    pis = [_exact_or_float(eq.theta, (), Fraction(mass, it.power)) for mass in it.mass]
+
+    def entry(i, j):
+        if i == j:
+            return pis[i] - (2 * it.edges[i] + 1 + inv) * pis[i] ** 2
+        cross = it.tau[j][i] * pis[i] + it.tau[i][j] * pis[j]  # tau[j][i]: copies of j in i
+        return cross - (it.edges[i] + it.edges[j] + 1 + inv) * pis[i] * pis[j]
+
+    return CovMatrix.build(_symmetric(len(it.mass), entry))
 
 
 def sg_degree_covariance(w: WeightSequence, k: int, regime: str = "auto") -> CovMatrix:
@@ -286,15 +279,27 @@ def sg_degree_covariance(w: WeightSequence, k: int, regime: str = "auto") -> Cov
     size-conditioned weighted trees; k must be at least 0."""
     if as_integer(k) < 0:
         raise ValueError(f"degree bound k = {k} must be at least 0")
-    eq, inv = _inverse_variance(w, regime)
+    eq = equivalent_offspring(w)
+    inv = _inverse_variance(eq, regime)
     theta = [eq.theta.p(i) for i in range(k + 1)]
-    entries = [[None] * (k + 1) for _ in range(k + 1)]
-    for i in range(k + 1):
-        entries[i][i] = theta[i] * (1 - theta[i]) - (i - 1) ** 2 * theta[i] ** 2 * inv
-        for j in range(i + 1, k + 1):
-            value = -theta[i] * theta[j] * (1 + (i - 1) * (j - 1) * inv)
-            entries[i][j] = entries[j][i] = value
-    return CovMatrix.build(entries)
+
+    def entry(i, j):
+        if i == j:
+            return theta[i] * (1 - theta[i]) - (i - 1) ** 2 * theta[i] ** 2 * inv
+        return -theta[i] * theta[j] * (1 + (i - 1) * (j - 1) * inv)
+
+    return CovMatrix.build(_symmetric(k + 1, entry))
+
+
+def _symmetric(m: int, pair) -> list:
+    """The m x m matrix of pair(j, k) as a list of rows, for a symmetric
+    pair: each unordered pair j <= k is evaluated once and mirrored.  The
+    one builder of the package's symmetric matrices."""
+    entries = [[None] * m for _ in range(m)]
+    for j in range(m):
+        for k in range(j, m):
+            entries[j][k] = entries[k][j] = pair(j, k)
+    return entries
 
 
 # ---------------------------------------------------------------------------
@@ -391,15 +396,6 @@ def _exact_or_float(p: OffspringDistribution, values, exact: Fraction):
     return float(exact)
 
 
-def _over_common(values) -> tuple:
-    """(numerators, L): values[j] = numerators[j] / L, L the least common
-    denominator.  Each value is read by as_integer_ratio(), so a float is
-    the dyadic rational it stores."""
-    ratios = [v.as_integer_ratio() for v in values]
-    common = math.lcm(*(d for _, d in ratios))
-    return [n * (common // d) for n, d in ratios], common
-
-
 class _IntegerTrees(NamedTuple):
     """Distinct trees under a law, in integers.  With the weights p_i of
     the degrees the trees use read exactly by as_integer_ratio() (a float
@@ -449,13 +445,9 @@ def _integer_pair(it: _IntegerTrees, j: int, k: int) -> int:
 
 
 def _bilinear(pair, left, right) -> int:
-    """The sum over j, k of left[j] * right[k] * pair(j, k).  pair is
-    symmetric, so each unordered pair is evaluated once and (k, j) reuses
-    the value of (j, k)."""
-    density = [[None] * len(left) for _ in left]
-    for j in range(len(left)):
-        for k in range(j, len(left)):
-            density[j][k] = density[k][j] = pair(j, k)
+    """The sum over j, k of left[j] * right[k] * pair(j, k), for a
+    symmetric pair evaluated once per unordered pair (see _symmetric)."""
+    density = _symmetric(len(left), pair)
     return sum(v1 * sum(map(mul, right, densities)) for v1, densities in zip(left, density))
 
 

@@ -196,12 +196,13 @@ def _cmd_asymptotics(args) -> int:
         return _respond(args, config, result)
     w = parse_law(WeightSequence, args.w)
     eq = equivalent_offspring(w)
-    config = {"w": w.label()}
+    config = {"w": w.label(), "regime": args.regime, "degree_cov": args.degree_cov}
     result = {
         "tau": eq.tau,
         "nu": eq.nu,
         "sigma2": eq.sigma2,
-        "varsigma2": eq.sigma2,
+        # the variance the covariances use: inf (1/inf := 0) when asserted
+        "varsigma2": math.inf if args.regime == "infinite_variance" else eq.sigma2,
         "theta": {
             i: eq.theta.p(i) for i in eq.theta.support() if float(eq.theta.p(i)) > 1e-15
         },
@@ -345,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree-cov", type=int, default=None, metavar="K")
     p.add_argument(
         "--regime",
-        choices=("auto", "finite_variance", "infinite_variance"),
+        choices=("auto", "infinite_variance"),
         default="auto",
     )
     add_common(p)

@@ -50,13 +50,15 @@ def _log_binomial_pmf(n: int, k: int, log_p: float, log_q: float) -> float:
     return value
 
 
-def normalize_log_weights(logs: dict) -> dict:
-    """exp(logs[i]) rescaled to sum 1, taken relative to the largest log so
-    that no weight overflows; a log of -inf gets probability 0."""
-    top = max(logs.values())
-    raw = {i: math.exp(x - top) for i, x in logs.items()}
-    total = sum(raw.values())
-    return {i: v / total for i, v in raw.items()}
+def normalize_log_weights(logs: list) -> list:
+    """exp(logs[j]) rescaled to sum 1, in the order of logs, taken relative
+    to the largest log so that no weight overflows; a log of -inf gets
+    probability 0.  The one normalizer: the Poisson law, the power-law nu
+    and the tilted law of asymptotics share its float steps."""
+    top = max(logs)
+    raw = [math.exp(x - top) for x in logs]
+    total = sum(raw)
+    return [v / total for v in raw]
 
 
 # one parser per field of each family spec that from_spec reads
@@ -234,8 +236,8 @@ def _family_pmf(dist: OffspringDistribution) -> dict:
     k = dist.truncation
     if dist.kind == "poisson":
         (rate,) = dist.params
-        logs = {i: _poisson_log_weight(rate, i) for i in range(k + 1)}
-        return {i: v for i, v in normalize_log_weights(logs).items() if v > 0}
+        logs = [_poisson_log_weight(rate, i) for i in range(k + 1)]
+        return {i: v for i, v in enumerate(normalize_log_weights(logs)) if v > 0}
     if dist.kind == "power_law":
         c, beta = dist.params
         pmf = {i: c * i**-beta for i in range(1, k + 1)}
@@ -351,7 +353,8 @@ class WeightSequence(_Law):
             return self.truncated_degree()
         if self.kind in ("geometric", "poisson"):
             return math.inf
-        return sum(i * v for i, v in normalize_log_weights(self.log_weights()).items())
+        logs = self.log_weights()
+        return sum(i * v for i, v in zip(logs, normalize_log_weights(list(logs.values()))))
 
     @property
     def heavy_tailed(self) -> bool:

@@ -260,19 +260,24 @@ def _partial_sum_cached(w: OffspringDistribution, m: int) -> tuple:
     return low * m, scale**m, a, [a[0] ** m]
 
 
+def _over_common(values) -> tuple:
+    """(numerators, L): values[j] = numerators[j] / L, L the least common
+    denominator; the one such reader, for the integer law here and every
+    integer form of asymptotics.  Each value is read by as_integer_ratio(),
+    so a float is the dyadic rational it stores."""
+    ratios = [v.as_integer_ratio() for v in values]
+    common = math.lcm(*(d for _, d in ratios))
+    return [n * (common // d) for n, d in ratios], common
+
+
 @lru_cache(maxsize=256)
 def _integer_law(w: OffspringDistribution) -> tuple:
-    """(low, D, a): the law scaled to integers a_i = D p_{low+i}, with D the
-    least common denominator of its probabilities and low its least degree
-    of positive probability, so that a_0 > 0.  Float probabilities are read
-    as the exact fractions they are.  The 256 most recently used laws are
-    kept."""
-    probs = [(i, Fraction(p)) for i, p in sorted(w.probabilities().items()) if p]
-    scale = math.lcm(*(p.denominator for _, p in probs))
-    low = probs[0][0]
-    a = [0] * (probs[-1][0] - low + 1)
-    for i, p in probs:
-        a[i - low] = p.numerator * (scale // p.denominator)
+    """(low, D, a): the law scaled to integers a_i = D p_{low+i} by
+    _over_common, with low its least degree of positive probability, so
+    that a_0 > 0.  The 256 most recently used laws are kept."""
+    probs = {i: p for i, p in w.probabilities().items() if p}
+    low = min(probs)
+    a, scale = _over_common([probs.get(i, 0) for i in range(low, max(probs) + 1)])
     return low, scale, tuple(a)
 
 

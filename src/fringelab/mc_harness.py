@@ -26,12 +26,13 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from functools import partial
 from numbers import Real
 
 import numpy as np
 from scipy import stats as scistats
 
-from .asymptotics import fringe_covariance_density, plugin_mean
+from .asymptotics import _symmetric, fringe_covariance_density, plugin_mean
 from .distributions import OffspringDistribution
 from .errors import SizeTooSmall, TooFewSamples, as_integer
 from .exact_moments import factorial_moment, joint_factorial_moment, mean_count
@@ -164,6 +165,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown tests in {list(self.tests)}; known: {', '.join(TESTS)}")
         if self.standardize_with not in ("exact_mean", "plugin"):
             raise ValueError(f"standardize_with is exact_mean or plugin, not {self.standardize_with!r}")
+        if not (self.sizes and self.patterns):
+            raise ValueError("an experiment needs non-empty sizes and patterns")
         if len(set(self.patterns)) < len(self.patterns):
             raise ValueError("patterns must be distinct")
         for size in self.sizes:
@@ -263,13 +266,10 @@ def _count_occurrences(hay: np.ndarray, needle: np.ndarray) -> int:
     return int(np.count_nonzero(match))
 
 
-def _counts_chunk(args) -> list:
-    multiset, needles, seed, size_index, start, stop = args
-    rows = []
-    for r in range(start, stop):
-        word = excursion_degrees(multiset, seed.generator(size_index, r))
-        rows.append([_count_occurrences(word, needle) for needle in needles])
-    return rows
+def _count_replicate(multiset, needles, seed: Seed, size_index: int, r: int) -> list:
+    """The needle counts of replicate r, drawn from seed.generator(size_index, r)."""
+    word = excursion_degrees(multiset, seed.generator(size_index, r))
+    return [_count_occurrences(word, needle) for needle in needles]
 
 
 def collect_counts(
@@ -279,25 +279,20 @@ def collect_counts(
     seed: Seed,
     size_index: int = 0,
 ) -> np.ndarray:
-    """(replicates x len(patterns)) matrix of fringe counts; replicate r is a
-    pure function of (seed, size_index, r), so any worker split agrees."""
+    """(replicates x len(patterns)) matrix of fringe counts: _count_replicate
+    over range(replicates), serially or in one chunk of ceil(replicates /
+    workers) per FRINGELAB_THREADS worker.  Replicate r is a pure function
+    of (seed, size_index, r), so any worker split agrees."""
     workers = max(1, int(os.environ.get("FRINGELAB_THREADS", "1")))
-    if replicates < 4 * workers:
-        workers = 1
     multiset = np.array(stat.degree_multiset(), dtype=np.int64)
     needles = [np.array(p.degrees, dtype=np.int64) for p in patterns]
-    bounds = np.linspace(0, replicates, workers + 1, dtype=int)
-    jobs = [
-        (multiset, needles, seed, size_index, int(a), int(b))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if a < b
-    ]
-    if workers == 1:
-        chunks = map(_counts_chunk, jobs)
+    count = partial(_count_replicate, multiset, needles, seed, size_index)
+    if workers == 1 or replicates < 4 * workers:
+        rows = list(map(count, range(replicates)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_counts_chunk, jobs))
-    return np.array([row for chunk in chunks for row in chunk], dtype=np.int64)
+            rows = list(pool.map(count, range(replicates), chunksize=-(-replicates // workers)))
+    return np.array(rows, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +312,12 @@ def _empirical_moments(counts: np.ndarray) -> dict:
         squares = [x * x for x in col]
         s3 = sum(x * q for x, q in zip(col, squares))
         sums.append((sum(col), sum(squares), s3, sum(q * q for q in squares)))
-    cov = [[None] * m for _ in range(m)]
-    for j in range(m):
-        for k in range(j, m):
-            s12 = sums[j][1] if j == k else sum(a * b for a, b in zip(cols[j], cols[k]))
-            c = Fraction(reps * s12 - sums[j][0] * sums[k][0], reps * (reps - 1))
-            cov[j][k] = cov[k][j] = c
+
+    def covariance(j, k):
+        s12 = sums[j][1] if j == k else sum(a * b for a, b in zip(cols[j], cols[k]))
+        return Fraction(reps * s12 - sums[j][0] * sums[k][0], reps * (reps - 1))
+
+    cov = _symmetric(m, covariance)
     out = {"mean": [], "var": [], "se_mean": [], "se_var": [], "cov": cov}
     for j, (s1, s2, s3, s4) in enumerate(sums):
         var = cov[j][j]
@@ -404,6 +399,11 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ref = _references(stat, cfg.patterns)
         counts = collect_counts(stat, ref.patterns, cfg.replicates, cfg.seed, size_index)
         emp = _empirical_moments(counts)
+        # standardized counts: count minus the center, over sqrt(n)
+        centers = ref.plugin if cfg.standardize_with == "plugin" else ref.means
+        columns = zip(counts.T.astype(float), centers)
+        samples = [(column - float(center)) / math.sqrt(ref.n) for column, center in columns]
+        report.samples += [(ref.n, t.to_text(), z) for t, z in zip(ref.patterns, samples)]
         entry = {
             "size": ref.n,
             "replicates": cfg.replicates,
@@ -420,7 +420,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if "moments" in cfg.tests:
             _moment_verdicts(report, cfg, entry, emp, ref)
         if "normality" in cfg.tests:
-            _normality_verdicts(report, cfg, entry, counts, ref)
+            _normality_verdicts(report, cfg, entry, samples, ref)
         report.per_size.append(entry)
     return report
 
@@ -480,13 +480,9 @@ def _moment_verdicts(report, cfg, entry, emp, ref: _References):
             )
 
 
-def _normality_verdicts(report, cfg, entry, counts, ref: _References):
-    n = ref.n
-    centers = ref.plugin if cfg.standardize_with == "plugin" else ref.means
+def _normality_verdicts(report, cfg, entry, samples, ref: _References):
     entry["ks"] = []
-    for j, pattern in enumerate(ref.patterns):
-        z = (counts[:, j].astype(float) - float(centers[j])) / math.sqrt(n)
-        report.samples.append((n, pattern.to_text(), z))
+    for pattern, z in zip(ref.patterns, samples):
         if z.std(ddof=1) == 0:
             entry["ks"].append(None)
             continue
@@ -494,7 +490,7 @@ def _normality_verdicts(report, cfg, entry, counts, ref: _References):
         entry["ks"].append(distance)
         check = f"KS distance of standardized count below {cfg.ks_threshold}"
         # strict: normality_test passes distance < threshold
-        report.verdicts.append(_verdict(check, n, pattern.to_text(), distance, cfg.ks_threshold, ok))
+        report.verdicts.append(_verdict(check, ref.n, pattern.to_text(), distance, cfg.ks_threshold, ok))
 
 
 # ---------------------------------------------------------------------------

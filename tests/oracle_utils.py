@@ -40,11 +40,12 @@ shape as the toll with value 1 on each of its orderings.  ``point_mass``
 reads one P(S_m = k) from the library's series prefix,
 ``falling_factorial`` is the plain product, and ``outcome`` turns a
 raised exception into its type for comparisons.
-``dict_tilted_pmf``, ``dict_tilted_mean`` and ``dict_solve_unit_mean``
-are the first form of the tilt bisection of ``equivalent_offspring``,
-which builds one dict per step and takes ``math.log(s)`` once per degree;
-the library runs the same float operations in the same order over
-parallel lists of degrees and log weights.
+``dict_normalize_log_weights``, ``dict_tilted_pmf``, ``dict_tilted_mean``
+and ``dict_solve_unit_mean`` are the first form of the tilt bisection of
+``equivalent_offspring``, which builds one dict per step and takes
+``math.log(s)`` once per degree, with its own dict normalizer so that it
+does not read the library's; the library runs the same float operations
+in the same order over parallel lists of degrees and log weights.
 ``RootSum``, ``normalized_interaction`` and
 ``root_sum_normalized_covariance_density`` are the covariance density
 scaled by sqrt(pi * pi'), for every pair of trees: an accumulator class
@@ -85,7 +86,7 @@ from fringelab.asymptotics import (
     fringe_covariance_density,
     tree_probability,
 )
-from fringelab.distributions import OffspringDistribution, normalize_log_weights
+from fringelab.distributions import OffspringDistribution
 from fringelab.errors import (
     DuplicatePatterns,
     InfeasibleSize,
@@ -827,8 +828,17 @@ def root_sum_normalized_covariance_density(p, t1, t2):
     return float(value) + float(eta)
 
 
+def dict_normalize_log_weights(logs: dict) -> dict:
+    """exp(logs[i]) rescaled to sum 1, taken relative to the largest log so
+    that no weight overflows; a log of -inf gets probability 0."""
+    top = max(logs.values())
+    raw = {i: math.exp(x - top) for i, x in logs.items()}
+    total = sum(raw.values())
+    return {i: v / total for i, v in raw.items()}
+
+
 def dict_tilted_pmf(log_weights: dict, s: float) -> dict:
-    return normalize_log_weights(
+    return dict_normalize_log_weights(
         {i: lw + i * math.log(s) if s > 0 else (lw if i == 0 else -INF)
          for i, lw in log_weights.items()}
     )

@@ -544,6 +544,14 @@ class TestSimplyGeneratedCovariances:
         with pytest.raises(UnsupportedRegime):
             sg_fringe_covariance(w, [CHERRY])
 
+    @pytest.mark.parametrize("regime", ["finite_variance", "stable"])
+    def test_unknown_regime_rejected(self, regime):
+        w = WeightSequence.finite({0: 1, 2: 1})
+        with pytest.raises(UnsupportedRegime, match="unknown regime"):
+            sg_fringe_covariance(w, [CHERRY], regime=regime)
+        with pytest.raises(UnsupportedRegime, match="unknown regime"):
+            sg_degree_covariance(w, 2, regime=regime)
+
     def test_degree_cov_forced_zero(self):
         cov = sg_degree_covariance(WeightSequence.finite({0: 1, 2: 1}), 2)
         assert float(cov.entries[0][0]) == pytest.approx(0, abs=1e-10)

@@ -258,6 +258,21 @@ class TestExperimentCommand:
             for r, z in enumerate(values.tolist())
         ]
 
+    def test_samples_csv_written_whatever_the_tests(self, tmp_path, capsys):
+        # the file once held only the config line and the header unless the
+        # normality test ran
+        written = {}
+        for tests in (["moments"], ["moments", "normality"]):
+            cfg_path, csv_path = tmp_path / "cfg.json", tmp_path / f"{len(tests)}.csv"
+            cfg_path.write_text(json.dumps({"sizes": [301], "replicates": 100, "tests": tests}))
+            code, _, _ = run_cli(
+                capsys, "experiment", "--config", str(cfg_path), "--samples-csv", str(csv_path)
+            )
+            assert code == 0
+            written[len(tests)] = csv_path.read_text().splitlines()
+        assert len(written[1]) == 2 + 100
+        assert written[1][1:] == written[2][1:]  # the first line echoes the tests
+
     BASE = {"sizes": [301], "replicates": 120}
 
     # How each config fared before the config was checked on reading: most
@@ -285,12 +300,14 @@ class TestExperimentCommand:
             ({**BASE, "seed": {"stream": 2}}, [], '"seed"'),  # ran on stream 0
             ({**BASE, "patterns": [5]}, [], '"patterns"'),  # exit 2: AttributeError
             ({**BASE, "patterns": ["2,0,0", "2,0,0"]}, [], "distinct"),  # ran
+            ({**BASE, "sizes": []}, [], "non-empty"),  # ran, all_passed with no verdicts
+            ({**BASE, "patterns": []}, [], "non-empty"),  # ran, all_passed with no verdicts
         ],
         ids=[
             "list", "unknown-key", "unknown-test", "unknown-standardizer", "unknown-family",
             "extra-param", "missing-param", "negative-ratio", "bool-ratio", "float-size", "float-replicates",
             "string-replicates", "one-replicate", "seed-int", "seed-int-with-flag", "seed-float",
-            "seed-unknown-key", "pattern-int", "repeated-pattern",
+            "seed-unknown-key", "pattern-int", "repeated-pattern", "no-sizes", "no-patterns",
         ],
     )
     def test_invalid_config_rejected(self, tmp_path, capsys, raw, flags, message):
@@ -446,6 +463,15 @@ class TestErrorPaths:
         )
         assert code == 1 and out == ""
         assert "must be finite and at least 0" in err
+
+    def test_removed_finite_variance_regime(self, capsys):
+        # it was "auto" under another name
+        code, out, err = run_cli(
+            capsys, "asymptotics", "--w", '{"0": 1, "2": 1}', "--patterns", "2,0,0",
+            "--regime", "finite_variance",
+        )
+        assert code == 1 and out == ""
+        assert "finite_variance" in err
 
     def test_negative_degree_cov(self, capsys):
         code, out, err = run_cli(

@@ -64,6 +64,10 @@ CASES = {
     "asymptotics_w_geometric": [
         "asymptotics", "--w", "geometric:1", "--patterns", "1,0", "--degree-cov", "3",
     ],
+    "asymptotics_w_infinite_variance": [
+        "asymptotics", "--w", "power_law:0.1,3.5", "--patterns", "2,0,0",
+        "--regime", "infinite_variance",
+    ],
     "experiment_small": [
         "experiment", "--family", "full_binary", "--patterns", "2,0,0;2,2,0,0,0",
         "--sizes", "1001", "--reps", "200", "--seed", "4",

@@ -156,6 +156,8 @@ class TestConfig:
             (lambda: _config(sizes=(301.7,)), TypeError),
             (lambda: _config(replicates=120.0), TypeError),
             (lambda: _config(replicates=1), ValueError),
+            (lambda: _config(sizes=()), ValueError),
+            (lambda: _config(patterns=()), ValueError),
             (lambda: ExperimentConfig.from_dict([]), ValueError),
             (lambda: ExperimentConfig.from_dict({"replicate": 5}), ValueError),
             (lambda: ExperimentConfig.from_dict({"seed": 5}), ValueError),
@@ -165,7 +167,7 @@ class TestConfig:
         ids=[
             "unknown-family", "extra-param", "missing-param", "negative-ratio", "nan-ratio",
             "infinite-ratio", "bool-ratio-label", "string-ratio", "unknown-test", "unknown-standardizer", "repeated-pattern", "float-size",
-            "float-replicates", "one-replicate", "not-an-object", "unknown-key", "seed-not-object",
+            "float-replicates", "one-replicate", "no-sizes", "no-patterns", "not-an-object", "unknown-key", "seed-not-object",
             "string-seed", "pattern-not-text",
         ],
     )
@@ -377,6 +379,14 @@ class TestRunExperiment:
         counts = collect_counts(stat, [CHERRY], 120, Seed(1), size_index=1)
         expected = (counts[:, 0] - float(mean_count(stat, CHERRY))) / math.sqrt(1001)
         assert np.array_equal(report.samples[2][2], expected)
+
+    @pytest.mark.parametrize("tests", [("moments",), ("normality",)], ids=["moments", "normality"])
+    def test_samples_kept_whatever_the_tests(self, tests):
+        # they were once kept only when the KS verdicts ran
+        both = run_experiment(_config(patterns=(CHERRY, PATH3))).samples
+        samples = run_experiment(_config(patterns=(CHERRY, PATH3), tests=tests)).samples
+        assert [(n, text) for n, text, _ in samples] == [(n, text) for n, text, _ in both]
+        assert all(np.array_equal(z, expected) for (*_, z), (*_, expected) in zip(samples, both))
 
     def test_ks_verdict_is_strict(self):
         distance = run_experiment(_config(tests=("normality",))).per_size[0]["ks"][0]

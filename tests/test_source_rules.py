@@ -59,6 +59,43 @@ def test_lgamma_only_in_distributions():
     assert found == []
 
 
+def _references(tree, name: str) -> list:
+    """Lines that read the module function ``name``: an attribute such as
+    ``math.name`` or an import of ``name``.  A local variable that happens
+    to share the name is neither."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Attribute) and node.attr == name)
+        or (isinstance(node, (ast.Import, ast.ImportFrom)) and any(a.name == name for a in node.names))
+    ]
+
+
+def _references_outside(name: str, home: str) -> list:
+    return [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        if path.name != home
+        for line in _references(_tree(path.name), name)
+    ]
+
+
+def test_exp_only_in_distributions():
+    # log weights are exponentiated by the one normalizer in distributions.py
+    assert _references_outside("exp", "distributions.py") == []
+
+
+def test_lcm_only_in_exact_moments():
+    # values over a common denominator are read by the one reader in
+    # exact_moments.py
+    assert _references_outside("lcm", "exact_moments.py") == []
+
+
+def test_reference_rule_sees_attributes_and_imports():
+    source = "import math\nfrom math import exp\nx = math.exp(1) + np.exp(2)\nexp = 3\nmap(exp, [])\n"
+    assert _references(ast.parse(source), "exp") == [2, 3, 3]
+
+
 def test_every_lru_cache_is_bounded():
     # an unbounded cache keyed by a law grows with every fresh law for the
     # life of the process, so each cache states an integer maxsize

@@ -7,8 +7,7 @@ Conventions used throughout (hard-coded at the formula sites):
 * the interaction term is -inf when the two trees share a degree of
   probability zero, and then inf * 0 := 0 wherever it multiplies a
   vanishing tree probability;
-* 1/inf := 0 for the infinite-variance regimes of the simply generated
-  covariances.
+* 1/inf := 0 when vs^2 = inf in the simply generated covariances.
 
 Every limit scalar of an offspring law (tree probability, normalized
 variance, mean and covariance densities, variance forms) is evaluated in
@@ -39,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distributions import OffspringDistribution, WeightSequence, normalize_log_weights
-from .errors import NotConverged, UnsupportedRegime, as_integer
+from .errors import NotConverged, as_integer
 from .exact_moments import _over_common, _pattern_constants
 from .tree_core import (
     DegreeStatistic,
@@ -130,12 +129,16 @@ def plugin_mean(stat: DegreeStatistic, tree: PlaneTree) -> Fraction:
 @dataclass(frozen=True)
 class EquivalentOffspring:
     """Tilted offspring view of a weight sequence: theta_i = w_i tau^i /
-    Phi(tau), the unique equivalent probability law with mean min(1, nu)."""
+    Phi(tau), the unique equivalent probability law with mean min(1, nu),
+    and its variance sigma2.  varsigma2 is the vs^2 of the simply generated
+    covariances: sigma2 in the critical case nu >= 1 (inf for a heavy tail
+    at the radius) and inf when nu < 1."""
 
     tau: object
     theta: OffspringDistribution
     nu: object
     sigma2: object
+    varsigma2: object
 
 
 def _tilted_pmf(degrees: list, logs: list, s: float) -> list:
@@ -152,28 +155,25 @@ def _tilted_mean(degrees: list, logs: list, s: float) -> float:
 @lru_cache(maxsize=256)
 def equivalent_offspring(w: WeightSequence) -> EquivalentOffspring:
     """Solve for the tilting parameter and return the equivalent offspring
-    law with its mean and variance (inf for heavy power-law tails)."""
+    law with its mean and variance (inf for heavy power-law tails) and the
+    vs^2 the simply generated covariances use."""
+    nu = w.nu()
     theta = w.critical_law()
     if theta is not None:  # critical rational weights tilt to themselves: stay exact
+        tau = Fraction(1)
         sigma2 = sum(i * i * v for i, v in theta.probabilities().items()) - 1
-        return EquivalentOffspring(Fraction(1), theta, w.nu(), sigma2)
-
-    log_weights = w.log_weights()
-    degrees, logs = list(log_weights), list(log_weights.values())
-    rho = w.radius_of_convergence()
-    nu = w.nu()
-    if nu < 1:
-        tau = float(rho)
     else:
-        tau = _solve_unit_mean(degrees, logs, rho)
-
-    pmf = list(zip(degrees, _tilted_pmf(degrees, logs, tau)))
-    theta = OffspringDistribution.finite({i: v for i, v in pmf if v > 0})
-    mean = sum(i * v for i, v in pmf)
-    sigma2 = sum(i * i * v for i, v in pmf) - mean * mean
-    if w.heavy_tailed and tau >= float(rho) - 1e-15:
-        sigma2 = INF
-    return EquivalentOffspring(tau, theta, nu, sigma2)
+        log_weights = w.log_weights()
+        degrees, logs = list(log_weights), list(log_weights.values())
+        rho = w.radius_of_convergence()
+        tau = float(rho) if nu < 1 else _solve_unit_mean(degrees, logs, rho)
+        pmf = list(zip(degrees, _tilted_pmf(degrees, logs, tau)))
+        theta = OffspringDistribution.finite({i: v for i, v in pmf if v > 0})
+        mean = sum(i * v for i, v in pmf)
+        sigma2 = sum(i * i * v for i, v in pmf) - mean * mean
+        if w.heavy_tailed and tau >= float(rho) - 1e-15:
+            sigma2 = INF
+    return EquivalentOffspring(tau, theta, nu, sigma2, sigma2 if nu >= 1 else INF)
 
 
 def _solve_unit_mean(degrees: list, logs: list, rho) -> float:
@@ -206,20 +206,6 @@ def _solve_unit_mean(degrees: list, logs: list, rho) -> float:
     raise NotConverged(f"tilt bisection stalled at [{lo}, {hi}]")
 
 
-def _inverse_variance(eq: EquivalentOffspring, regime: str):
-    """1/vs^2 of the equivalent law, with 1/inf := 0 in the infinite-variance regime."""
-    if regime == "infinite_variance":
-        return 0
-    if regime != "auto":
-        raise UnsupportedRegime(f"unknown regime {regime!r}")
-    if not (eq.nu >= 1 and 0 < eq.sigma2 < INF):
-        raise UnsupportedRegime(
-            "weights outside the finite-variance critical case; pass "
-            "regime='infinite_variance' to assert a stable/subcritical regime"
-        )
-    return 1 / eq.sigma2
-
-
 @dataclass(frozen=True)
 class CovMatrix:
     """Symmetric positive-semidefinite limit covariance."""
@@ -249,20 +235,21 @@ class CovMatrix:
         return float(np.linalg.eigvalsh(self.to_numpy()).min())
 
 
-def sg_fringe_covariance(w: WeightSequence, patterns, regime: str = "auto") -> CovMatrix:
+def sg_fringe_covariance(w: WeightSequence, patterns) -> CovMatrix:
     """Limit covariance matrix of fringe counts in size-conditioned weighted
     trees, centered at size * theta-probability.
 
     Diagonal: pi - (2|T| - 1 + 1/vs^2) pi^2; off-diagonal: the containment
     terms minus (|T| + |T'| - 1 + 1/vs^2) pi pi', where vs^2 is the
-    offspring variance in the finite-variance case and inf otherwise
-    (1/inf := 0).  pi, |T| - 1 and the containment counts come from one
+    equivalent law's varsigma2: the tilted variance sigma2 when nu >= 1,
+    inf otherwise, and 1/inf := 0 as the int 0, so exact entries stay
+    exact.  pi, |T| - 1 and the containment counts come from one
     _integer_trees of the patterns under theta, which raises
-    DuplicatePatterns on repeated patterns before the regime is checked.
+    DuplicatePatterns on repeated patterns.
     """
     eq = equivalent_offspring(w)
     it = _integer_trees(eq.theta, tuple(patterns))
-    inv = _inverse_variance(eq, regime)
+    inv = 0 if eq.varsigma2 == INF else 1 / eq.varsigma2
     pis = [_exact_or_float(eq.theta, (), Fraction(mass, it.power)) for mass in it.mass]
 
     def entry(i, j):
@@ -274,13 +261,14 @@ def sg_fringe_covariance(w: WeightSequence, patterns, regime: str = "auto") -> C
     return CovMatrix.build(_symmetric(len(it.mass), entry))
 
 
-def sg_degree_covariance(w: WeightSequence, k: int, regime: str = "auto") -> CovMatrix:
+def sg_degree_covariance(w: WeightSequence, k: int) -> CovMatrix:
     """Limit covariance of the vertex counts per degree 0..k in
-    size-conditioned weighted trees; k must be at least 0."""
+    size-conditioned weighted trees; k must be at least 0.  1/vs^2 is read
+    from the equivalent law's varsigma2 as in sg_fringe_covariance."""
     if as_integer(k) < 0:
         raise ValueError(f"degree bound k = {k} must be at least 0")
     eq = equivalent_offspring(w)
-    inv = _inverse_variance(eq, regime)
+    inv = 0 if eq.varsigma2 == INF else 1 / eq.varsigma2
     theta = [eq.theta.p(i) for i in range(k + 1)]
 
     def entry(i, j):

@@ -173,6 +173,10 @@ def _cmd_moments(args) -> int:
 def _cmd_asymptotics(args) -> int:
     if not args.p and not args.w:
         raise ValueError("need --p (offspring law) or --w (weight sequence)")
+    if args.p and args.w:
+        raise ValueError("--w is not read with --p: give one of them")
+    if args.degree_cov is not None and not args.w:
+        raise ValueError("--degree-cov needs --w (weight sequence)")
     if args.p:
         p = parse_law(OffspringDistribution, args.p)
         patterns = parse_patterns(args.patterns) if args.patterns else []
@@ -196,13 +200,12 @@ def _cmd_asymptotics(args) -> int:
         return _respond(args, config, result)
     w = parse_law(WeightSequence, args.w)
     eq = equivalent_offspring(w)
-    config = {"w": w.label(), "regime": args.regime, "degree_cov": args.degree_cov}
+    config = {"w": w.label(), "degree_cov": args.degree_cov}
     result = {
         "tau": eq.tau,
         "nu": eq.nu,
         "sigma2": eq.sigma2,
-        # the variance the covariances use: inf (1/inf := 0) when asserted
-        "varsigma2": math.inf if args.regime == "infinite_variance" else eq.sigma2,
+        "varsigma2": eq.varsigma2,
         "theta": {
             i: eq.theta.p(i) for i in eq.theta.support() if float(eq.theta.p(i)) > 1e-15
         },
@@ -210,10 +213,10 @@ def _cmd_asymptotics(args) -> int:
     if args.patterns:
         patterns = parse_patterns(args.patterns)
         config["patterns"] = [t.to_text() for t in patterns]
-        cov = sg_fringe_covariance(w, patterns, regime=args.regime)
+        cov = sg_fringe_covariance(w, patterns)
         result["fringe_covariance"] = cov.entries
     if args.degree_cov is not None:
-        cov = sg_degree_covariance(w, args.degree_cov, regime=args.regime)
+        cov = sg_degree_covariance(w, args.degree_cov)
         result["degree_covariance"] = cov.entries
     return _respond(args, config, result)
 
@@ -344,11 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--w", help="weight sequence: geometric:1 or JSON map")
     p.add_argument("--patterns", help="pattern list as in moments")
     p.add_argument("--degree-cov", type=int, default=None, metavar="K")
-    p.add_argument(
-        "--regime",
-        choices=("auto", "infinite_variance"),
-        default="auto",
-    )
     add_common(p)
     p.set_defaults(func=_cmd_asymptotics)
 

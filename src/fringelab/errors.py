@@ -73,9 +73,5 @@ class NotConverged(FringelabError):
     """Root finding failed to reach the requested tolerance."""
 
 
-class UnsupportedRegime(FringelabError):
-    """Covariance formulas requested outside their supported regime."""
-
-
 class TooFewSamples(FringelabError):
     """A statistical test needs more samples than were supplied."""

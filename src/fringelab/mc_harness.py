@@ -170,9 +170,14 @@ class ExperimentConfig:
         if len(set(self.patterns)) < len(self.patterns):
             raise ValueError("patterns must be distinct")
         for size in self.sizes:
-            as_integer(size)
+            self.family.statistic(as_integer(size))  # raises before any size is sampled
         if as_integer(self.replicates) < 2:
             raise ValueError("an experiment needs at least 2 replicates")
+        for key in ("ks_threshold", "var_rel_tol"):
+            value = getattr(self, key)  # JSON true is a bool, and a bool is an int
+            if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < math.inf):
+                raise ValueError(f"{key} is a finite number > 0, not {value!r}")
+            object.__setattr__(self, key, float(value))
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
@@ -180,8 +185,9 @@ class ExperimentConfig:
         echoes.  Absent keys default to full_binary, the cherry 2,0,0, the
         one size 10001, 2000 replicates and seed 0 on stream 0, and the
         others to the field defaults.  A value that is not an object, an
-        unknown key or an unknown value raises ValueError; a count or seed
-        that is not an integer raises TypeError."""
+        unknown key, an unknown value, a size below 3 or a threshold that is
+        not a finite number > 0 raises ValueError; a count or seed that is
+        not an integer raises TypeError."""
         if not isinstance(raw, dict):
             raise ValueError(f"an experiment config is a JSON object, not {raw!r}")
         unknown = set(raw) - {f.name for f in fields(cls)} - {"family_params"}
@@ -193,9 +199,7 @@ class ExperimentConfig:
         patterns = raw.get("patterns", ["2,0,0"])
         if not all(isinstance(text, str) for text in patterns):
             raise ValueError(f'"patterns" lists texts such as "2,0,0", not {patterns!r}')
-        readers = {
-            "tests": tuple, "standardize_with": str, "ks_threshold": float, "var_rel_tol": float
-        }
+        readers = {"tests": tuple, "standardize_with": str}
         return cls(
             family=StatFamily.from_label(
                 raw.get("family", "full_binary"), tuple(raw.get("family_params", ()))
@@ -205,6 +209,7 @@ class ExperimentConfig:
             replicates=raw.get("replicates", 2000),
             seed=Seed(as_integer(seed.get("value", 0)), as_integer(seed.get("stream_id", 0))),
             **{key: read(raw[key]) for key, read in readers.items() if key in raw},
+            **{key: raw[key] for key in ("ks_threshold", "var_rel_tol") if key in raw},
         )
 
     def to_dict(self) -> dict:

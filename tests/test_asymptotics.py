@@ -50,7 +50,7 @@ from fringelab.asymptotics import (
     tree_probability,
 )
 from fringelab.distributions import OffspringDistribution, WeightSequence
-from fringelab.errors import CapExceeded, DuplicatePatterns, UnsupportedRegime
+from fringelab.errors import CapExceeded, DuplicatePatterns
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
@@ -534,23 +534,33 @@ class TestSimplyGeneratedCovariances:
 
     def test_infinite_variance_drops_term(self):
         w = WeightSequence.power_law(0.1, 2.5, truncation=2000)
-        cov = sg_fringe_covariance(w, [CHERRY], regime="infinite_variance")
+        cov = sg_fringe_covariance(w, [CHERRY])
         theta = equivalent_offspring(w).theta
         pi = float(tree_probability(theta, CHERRY))
         assert float(cov.entries[0][0]) == pytest.approx(pi - 5 * pi * pi, rel=1e-9)
 
-    def test_auto_regime_rejects_subcritical(self):
-        w = WeightSequence.power_law(0.1, 2.5, truncation=2000)
-        with pytest.raises(UnsupportedRegime):
-            sg_fringe_covariance(w, [CHERRY])
+    def test_subcritical_weights_drop_term(self):
+        # nu < 1 gives vs^2 = inf whatever sigma2 is, so 1/vs^2 := 0
+        laws = (
+            WeightSequence.power_law(0.1, 2.5, truncation=2000),
+            WeightSequence.power_law(0.1, 3.5),
+        )
+        for w in laws:
+            eq = equivalent_offspring(w)
+            assert eq.nu < 1 and eq.varsigma2 == math.inf
+            pi = float(tree_probability(eq.theta, CHERRY))
+            cov = sg_fringe_covariance(w, [CHERRY])
+            assert float(cov.entries[0][0]) == pytest.approx(pi - 5 * pi * pi, rel=1e-9)
+        assert equivalent_offspring(laws[1]).sigma2 < math.inf
 
-    @pytest.mark.parametrize("regime", ["finite_variance", "stable"])
-    def test_unknown_regime_rejected(self, regime):
-        w = WeightSequence.finite({0: 1, 2: 1})
-        with pytest.raises(UnsupportedRegime, match="unknown regime"):
-            sg_fringe_covariance(w, [CHERRY], regime=regime)
-        with pytest.raises(UnsupportedRegime, match="unknown regime"):
-            sg_degree_covariance(w, 2, regime=regime)
+    @pytest.mark.parametrize(
+        "w",
+        [WeightSequence.finite({0: 1, 2: 1}), WeightSequence.geometric(1)],
+        ids=["binary", "geometric"],
+    )
+    def test_critical_weights_keep_sigma2(self, w):
+        eq = equivalent_offspring(w)
+        assert eq.nu >= 1 and eq.varsigma2 == eq.sigma2 < math.inf
 
     def test_degree_cov_forced_zero(self):
         cov = sg_degree_covariance(WeightSequence.finite({0: 1, 2: 1}), 2)
@@ -569,7 +579,6 @@ class TestSimplyGeneratedCovariances:
     def test_duplicate_patterns(self):
         with pytest.raises(DuplicatePatterns, match="patterns must be pairwise distinct"):
             sg_fringe_covariance(WeightSequence.finite({0: 1, 2: 1}), [CHERRY, CHERRY])
-        # checked before the regime, so the pattern error wins
         w = WeightSequence.power_law(0.1, 2.5, truncation=2000)
         with pytest.raises(DuplicatePatterns):
             sg_fringe_covariance(w, [LEAF, CHERRY, LEAF])

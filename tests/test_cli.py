@@ -465,13 +465,27 @@ class TestErrorPaths:
         assert "must be finite and at least 0" in err
 
     def test_removed_finite_variance_regime(self, capsys):
-        # it was "auto" under another name
-        code, out, err = run_cli(
-            capsys, "asymptotics", "--w", '{"0": 1, "2": 1}', "--patterns", "2,0,0",
-            "--regime", "finite_variance",
-        )
+        # the weights decide vs^2, so no --regime value is taken
+        for regime in ("auto", "infinite_variance", "finite_variance"):
+            code, out, err = run_cli(
+                capsys, "asymptotics", "--w", '{"0": 1, "2": 1}', "--patterns", "2,0,0",
+                "--regime", regime,
+            )
+            assert code == 1 and out == ""
+            assert "--regime" in err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p", "geometric:1/2", "--w", "geometric:1"], "--w is not read with --p"),
+            (["--p", "geometric:1/2", "--degree-cov", "3"], "--degree-cov needs --w"),
+        ],
+        ids=["w-with-p", "degree-cov-with-p"],
+    )
+    def test_asymptotics_p_rejects_unread_flags(self, capsys, flags, message):
+        code, out, err = run_cli(capsys, "asymptotics", *flags, "--patterns", "2,0,0")
         assert code == 1 and out == ""
-        assert "finite_variance" in err
+        assert f"error: {message}" in err
 
     def test_negative_degree_cov(self, capsys):
         code, out, err = run_cli(

@@ -99,7 +99,7 @@ class TestConfig:
             "tests": ["normality"],
             "standardize_with": "plugin",
             "ks_threshold": 1,
-            "var_rel_tol": 0,
+            "var_rel_tol": 2,
         }
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.family == StatFamily("one_hub", (1,))
@@ -109,7 +109,7 @@ class TestConfig:
             "family": "one_hub(1)",
             "seed": {"value": 0, "stream_id": 2},
             "ks_threshold": 1.0,
-            "var_rel_tol": 0.0,
+            "var_rel_tol": 2.0,
         }
 
     def test_echo_reads_back(self):
@@ -163,12 +163,25 @@ class TestConfig:
             (lambda: ExperimentConfig.from_dict({"seed": 5}), ValueError),
             (lambda: ExperimentConfig.from_dict({"seed": {"value": "5"}}), TypeError),
             (lambda: ExperimentConfig.from_dict({"patterns": [[2, 0, 0]]}), ValueError),
+            (lambda: _config(sizes=(301, 2)), ValueError),
+            (lambda: ExperimentConfig.from_dict(
+                {"sizes": [301, 2], "replicates": 50, "tests": ["moments"]}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"ks_threshold": -1}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"ks_threshold": 0}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"ks_threshold": True}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"ks_threshold": "0.05"}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"var_rel_tol": "nan"}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"var_rel_tol": float("nan")}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"var_rel_tol": float("inf")}), ValueError),
+            (lambda: _config(var_rel_tol=-0.1), ValueError),
         ],
         ids=[
             "unknown-family", "extra-param", "missing-param", "negative-ratio", "nan-ratio",
             "infinite-ratio", "bool-ratio-label", "string-ratio", "unknown-test", "unknown-standardizer", "repeated-pattern", "float-size",
             "float-replicates", "one-replicate", "no-sizes", "no-patterns", "not-an-object", "unknown-key", "seed-not-object",
-            "string-seed", "pattern-not-text",
+            "string-seed", "pattern-not-text", "size-below-3", "size-below-3-after-a-valid-one",
+            "negative-ks-threshold", "zero-ks-threshold", "bool-ks-threshold", "string-ks-threshold",
+            "string-nan-tolerance", "nan-tolerance", "infinite-tolerance", "negative-tolerance",
         ],
     )
     def test_rejected(self, make, error):

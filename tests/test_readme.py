@@ -1,7 +1,9 @@
 """The Python examples of README.md run, and the values their comments
 give as ``# Fraction(...)`` are the values they compute; its experiment
-config section lists the keys the config reader takes."""
+config section lists the keys the config reader takes, and its CLI
+sections name only flags the parser takes."""
 
+import argparse
 import ast
 import json
 import re
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from fringelab.cli import build_parser
 from fringelab.mc_harness import ExperimentConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -52,3 +55,16 @@ def test_experiment_config_section_matches_the_reader():
     ExperimentConfig.from_dict(raw)
     with pytest.raises(ValueError, match="unknown experiment config keys"):
         ExperimentConfig.from_dict({**raw, "unlisted": 1})
+
+
+def test_cli_sections_name_only_parser_flags():
+    # a flag the parser dropped must leave the README too
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Quick start (CLI)") : text.index("## Tests")]
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    known = {flag for sub in subparsers.choices.values() for flag in sub._option_string_actions}
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    assert named and named <= known, sorted(named - known)

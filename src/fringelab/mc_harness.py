@@ -14,7 +14,10 @@ hub-tree sampler and the exact hypergeometric law of their path counts.
 
 Aggregation is exact (integer count sums), so reports are byte-identical
 for a given (config, seed) regardless of worker count; replicate r always
-uses the derived stream seed.generator(size_index, r).
+uses the stream of seed.generator(size_index, r).  Each chunk of
+replicates derives those streams once (``sampling._replicate_streams``),
+and each replicate compares its word once with each degree of the
+patterns.
 """
 
 from __future__ import annotations
@@ -36,7 +39,14 @@ from .asymptotics import _symmetric, fringe_covariance_density, plugin_mean
 from .distributions import OffspringDistribution
 from .errors import SizeTooSmall, TooFewSamples, as_integer
 from .exact_moments import factorial_moment, joint_factorial_moment, mean_count
-from .sampling import Seed, excursion_degrees, sample_hub_tree, sample_uniform_trees
+from .sampling import (
+    _STREAM_LIMIT,
+    Seed,
+    _replicate_streams,
+    excursion_degrees,
+    sample_hub_tree,
+    sample_uniform_trees,
+)
 from .tree_core import DegreeStatistic, PlaneTree, count_fringe
 
 DEFAULT_KS_THRESHOLD = 0.05
@@ -161,7 +171,9 @@ class ExperimentConfig:
     var_rel_tol: float = DEFAULT_VAR_REL_TOL
 
     def __post_init__(self):
-        if not set(self.tests) <= set(TESTS):
+        if isinstance(self.tests, str) or not self.tests:
+            raise ValueError(f"tests is a non-empty list of test names, not {self.tests!r}")
+        if not all(test in TESTS for test in self.tests):
             raise ValueError(f"unknown tests in {list(self.tests)}; known: {', '.join(TESTS)}")
         if self.standardize_with not in ("exact_mean", "plugin"):
             raise ValueError(f"standardize_with is exact_mean or plugin, not {self.standardize_with!r}")
@@ -186,8 +198,9 @@ class ExperimentConfig:
         one size 10001, 2000 replicates and seed 0 on stream 0, and the
         others to the field defaults.  A value that is not an object, an
         unknown key, an unknown value, a size below 3 or a threshold that is
-        not a finite number > 0 raises ValueError; a count or seed that is
-        not an integer raises TypeError."""
+        not a finite number > 0 raises ValueError, and so does a ``tests``
+        value that is not a non-empty list of test names; a count or seed
+        that is not an integer raises TypeError."""
         if not isinstance(raw, dict):
             raise ValueError(f"an experiment config is a JSON object, not {raw!r}")
         unknown = set(raw) - {f.name for f in fields(cls)} - {"family_params"}
@@ -199,7 +212,9 @@ class ExperimentConfig:
         patterns = raw.get("patterns", ["2,0,0"])
         if not all(isinstance(text, str) for text in patterns):
             raise ValueError(f'"patterns" lists texts such as "2,0,0", not {patterns!r}')
-        readers = {"tests": tuple, "standardize_with": str}
+        tests = raw.get("tests", list(TESTS))
+        if not isinstance(tests, list):
+            raise ValueError(f'"tests" lists test names such as "moments", not {tests!r}')
         return cls(
             family=StatFamily.from_label(
                 raw.get("family", "full_binary"), tuple(raw.get("family_params", ()))
@@ -208,8 +223,8 @@ class ExperimentConfig:
             sizes=tuple(raw.get("sizes", [10001])),
             replicates=raw.get("replicates", 2000),
             seed=Seed(as_integer(seed.get("value", 0)), as_integer(seed.get("stream_id", 0))),
-            **{key: read(raw[key]) for key, read in readers.items() if key in raw},
-            **{key: raw[key] for key in ("ks_threshold", "var_rel_tol") if key in raw},
+            tests=tuple(tests),
+            **{key: raw[key] for key in ("standardize_with", "ks_threshold", "var_rel_tol") if key in raw},
         )
 
     def to_dict(self) -> dict:
@@ -255,26 +270,37 @@ class ExperimentReport:
 # Count collection
 
 
-def _count_occurrences(hay: np.ndarray, needle: np.ndarray) -> int:
-    """Occurrences of needle as a contiguous block of hay.  Each distinct
-    degree of the needle is compared against hay once; every offset then
-    ANDs a shifted slice of its degree's mask."""
+def _degree_masks(word: np.ndarray, degrees) -> dict:
+    """degree -> the boolean mask ``word == degree``, for each of ``degrees``."""
+    return {d: word == d for d in degrees}
+
+
+def _count_occurrences(hay: np.ndarray, needle: np.ndarray, masks: dict) -> int:
+    """Occurrences of needle as a contiguous block of hay, given
+    ``masks = _degree_masks(hay, D)`` for a set D of degrees that holds
+    the needle's: every offset ANDs a shifted slice of its degree's mask."""
     n, m = hay.size, needle.size
     if m > n:
         return 0
     window = n - m + 1
     degrees = needle.tolist()
-    masks = {d: hay == d for d in set(degrees)}
     match = masks[degrees[0]][:window].copy()
     for j in range(1, m):
         match &= masks[degrees[j]][j : window + j]
     return int(np.count_nonzero(match))
 
 
-def _count_replicate(multiset, needles, seed: Seed, size_index: int, r: int) -> list:
-    """The needle counts of replicate r, drawn from seed.generator(size_index, r)."""
-    word = excursion_degrees(multiset, seed.generator(size_index, r))
-    return [_count_occurrences(word, needle) for needle in needles]
+def _count_chunk(multiset, needles, seed: Seed, size_index: int, replicates: range) -> list:
+    """The needle counts of each replicate r of ``replicates``, drawn from
+    the stream of seed.generator(size_index, r); each word is compared
+    once with each degree of the needles."""
+    degrees = set().union(*(needle.tolist() for needle in needles))
+    rows = []
+    for rng in _replicate_streams(seed, size_index, replicates):
+        word = excursion_degrees(multiset, rng)
+        masks = _degree_masks(word, degrees)
+        rows.append([_count_occurrences(word, needle, masks) for needle in needles])
+    return rows
 
 
 def collect_counts(
@@ -284,20 +310,32 @@ def collect_counts(
     seed: Seed,
     size_index: int = 0,
 ) -> np.ndarray:
-    """(replicates x len(patterns)) matrix of fringe counts: _count_replicate
-    over range(replicates), serially or in one chunk of ceil(replicates /
+    """(replicates x len(patterns)) matrix of fringe counts: _count_chunk
+    over range(replicates) serially, or over one chunk of ceil(replicates /
     workers) per FRINGELAB_THREADS worker.  Replicate r is a pure function
-    of (seed, size_index, r), so any worker split agrees."""
+    of (seed, size_index, r), so any worker split agrees.  A negative count
+    raises ValueError, and so does one above 2**32, since the streams are
+    derived for replicate indices of one spawn-key word."""
+    replicates = as_integer(replicates)
+    if not 0 <= replicates <= _STREAM_LIMIT:
+        raise ValueError(
+            f"replicates = {replicates} must be in [0, 2**32]: each replicate "
+            "index is one 32-bit spawn-key word"
+        )
     workers = max(1, int(os.environ.get("FRINGELAB_THREADS", "1")))
+    parallel = workers > 1 and replicates >= 4 * workers
+    chunk = -(-replicates // workers) if parallel else max(replicates, 1)
+    ranges = [range(r, min(r + chunk, replicates)) for r in range(0, replicates, chunk)]
     multiset = np.array(stat.degree_multiset(), dtype=np.int64)
     needles = [np.array(p.degrees, dtype=np.int64) for p in patterns]
-    count = partial(_count_replicate, multiset, needles, seed, size_index)
-    if workers == 1 or replicates < 4 * workers:
-        rows = list(map(count, range(replicates)))
-    else:
+    count = partial(_count_chunk, multiset, needles, seed, size_index)
+    if parallel:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(count, range(replicates), chunksize=-(-replicates // workers)))
-    return np.array(rows, dtype=np.int64)
+            chunks = list(pool.map(count, ranges))
+    else:
+        chunks = list(map(count, ranges))
+    rows = [row for part in chunks for row in part]
+    return np.array(rows, dtype=np.int64).reshape(replicates, len(needles))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,11 @@ Randomness is PCG64 with explicit SeedSequence stream derivation: a Seed
 is (value, stream_id), and Seed.generator(*extra) uses the spawn key
 (stream_id, *extra).  sample_uniform_trees draws a whole batch from one
 stream; ``sample --dseq`` keys replicate r as (stream_id, r), and the
-harness as (stream_id, size_index, r).  Identical seeds reproduce
-identical output on any worker layout.
+harness as (stream_id, size_index, r).  The harness does not build a
+SeedSequence and a PCG64 per replicate: ``_replicate_streams`` derives the
+states of a whole range of replicates at once, bit-identical to
+Seed.generator's, and resets one Generator to each in turn.  Identical
+seeds reproduce identical output on any worker layout.
 """
 
 from __future__ import annotations
@@ -86,6 +89,102 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
     return seed_or_rng.generator()
 
 
+# the constants of numpy's SeedSequence hash (after O'Neill's seed_seq_fe)
+# and of PCG64's 128-bit LCG multiplier
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_LOW32, _SHIFT16, _SHIFT32 = np.uint64(_MASK32), np.uint64(16), np.uint64(32)
+_STREAM_LIMIT = 2**32  # _replicate_streams reads each replicate r < 2**32 as one word
+
+
+def _entropy_words(n: int) -> int:
+    """The uint32 words numpy's SeedSequence reads from the int n >= 0."""
+    return max(1, -(-int(n).bit_length() // 32))
+
+
+def _hash32(value: np.ndarray, const: int, mult: int):
+    """One step of SeedSequence's hash on uint32 values held in uint64:
+    value ^ const, times the next constant const * mult, xor-shifted
+    right by 16.  Returns (hashed values, next constant)."""
+    following = const * mult & _MASK32
+    value = (value ^ np.uint64(const)) * np.uint64(following) & _LOW32
+    return value ^ (value >> _SHIFT16), following
+
+
+def _mul128(high: np.ndarray, low: np.ndarray, factor: int):
+    """(high, low) * factor mod 2**128 as uint64 halves; the carry of the
+    low halves' product is summed from their 32-bit halves."""
+    f_high, f_low = np.uint64(factor >> 64), np.uint64(factor & (2**64 - 1))
+    a0, a1 = low & _LOW32, low >> _SHIFT32
+    b0, b1 = f_low & _LOW32, f_low >> _SHIFT32
+    cross0, cross1 = a0 * b1, a1 * b0
+    middle = (a0 * b0 >> _SHIFT32) + (cross0 & _LOW32) + (cross1 & _LOW32)
+    carry = a1 * b1 + (cross0 >> _SHIFT32) + (cross1 >> _SHIFT32) + (middle >> _SHIFT32)
+    return carry + high * f_low + low * f_high, low * f_low
+
+
+def _add128(high: np.ndarray, low: np.ndarray, other_high: np.ndarray, other_low: np.ndarray):
+    """(high, low) + (other_high, other_low) mod 2**128 as uint64 halves."""
+    total = low + other_low
+    return high + other_high + (total < low), total
+
+
+def _replicate_streams(seed: Seed, size_index: int, replicates: range):
+    """Yield one Generator per replicate r of ``replicates`` (a step-1
+    range below ``_STREAM_LIMIT``), in order, each time in the state of
+    ``seed.generator(size_index, r)``.  It is the same Generator every
+    time, so a replicate's draws end before the next one is asked for.
+
+    numpy keeps SeedSequence and PCG64 seeding stable across versions (NEP
+    19, "Random number generator policy"), so the states are derived here
+    without a SeedSequence per replicate.  The pool of
+    ``SeedSequence(value, spawn_key=(stream_id, size_index))`` is every
+    replicate's pool before r, its last entropy word, is mixed in, and its
+    hash constant is then 0x43B0D7E5 * 0x931E8875^(16 + 4 * (w - 4)) mod
+    2**32 for its w assembled words (the value's, padded to 4, then the
+    key's).  The three steps that read r run over the whole range in
+    uint64 arithmetic: mixing r into the four pool words, the output hash
+    of ``generate_state(4, uint64)``, and PCG64's seeding from the words
+    (s, seq): inc = 2 seq + 1, state = (inc + s) M + inc mod 2**128
+    (O'Neill, "PCG", HMC-CS-2014-0905).  The states are bit-identical to
+    ``Seed.generator``'s.
+    """
+    prefix = np.random.SeedSequence(seed.value, spawn_key=(seed.stream_id, size_index))
+    words = max(4, _entropy_words(seed.value)) + _entropy_words(seed.stream_id)
+    words += _entropy_words(size_index)
+    const = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 2**32) & _MASK32
+    r = np.arange(replicates.start, replicates.stop, dtype=np.uint64)
+    pool = []
+    for word in prefix.pool.tolist():
+        hashed, const = _hash32(r, const, _MULT_A)
+        mixed = (np.uint64(_MIX_L * word & _MASK32) - np.uint64(_MIX_R) * hashed) & _LOW32
+        pool.append(mixed ^ (mixed >> _SHIFT16))
+    halves, const = [], _INIT_B
+    for i in range(8):
+        hashed, const = _hash32(pool[i % 4], const, _MULT_B)
+        halves.append(hashed)
+    # generate_state's four uint64 words, each two uint32 words little-endian;
+    # PCG64 reads them as s = (high, low) = (w0, w1) and seq = (w2, w3)
+    s_high, s_low, seq_high, seq_low = (
+        halves[i] | halves[i + 1] << _SHIFT32 for i in range(0, 8, 2)
+    )
+    one = np.uint64(1)
+    inc = (seq_high << one | seq_low >> np.uint64(63), seq_low << one | one)
+    state = _add128(*_mul128(*_add128(*inc, s_high, s_low), _PCG_MULT), *inc)
+    rng = np.random.Generator(np.random.PCG64(0))
+    bit_generator = rng.bit_generator
+    for state_high, state_low, inc_high, inc_low in zip(*(half.tolist() for half in state + inc)):
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 @dataclass(frozen=True)
 class DegreeSequence:
     """Per-label child counts (d_1, ..., d_n) with sum d_i = n - 1; a count
@@ -137,7 +236,7 @@ def _shuffled(multiset: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if multiset.size <= _POSITIONS_ABOVE:
         return rng.permutation(multiset)
     inner = multiset[multiset != 0]
-    word = np.zeros_like(multiset)
+    word = np.zeros(multiset.size, multiset.dtype)
     word[rng.choice(multiset.size, inner.size, replace=False)] = inner
     return word
 
@@ -158,10 +257,11 @@ def excursion_degrees(multiset: np.ndarray, rng: np.random.Generator) -> np.ndar
     when it is not -1.
     """
     shuffled = _shuffled(multiset, rng)
-    walk = np.cumsum(shuffled - 1)
+    walk = shuffled - 1
+    walk.cumsum(out=walk)
     if walk[-1] != -1:
         raise InvalidPath("degree word does not sum to its length - 1")
-    shift = int(np.argmin(walk)) + 1  # argmin takes the first minimum
+    shift = int(walk.argmin()) + 1  # argmin takes the first minimum
     return np.concatenate((shuffled[shift:], shuffled[:shift]))
 
 

@@ -96,7 +96,7 @@ from fringelab.errors import (
     as_integer,
 )
 from fringelab.exact_moments import _partial_sum, _pattern_constants, containment_matrix
-from fringelab.sampling import excursion_degrees
+from fringelab.sampling import _shuffled, excursion_degrees
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
@@ -430,9 +430,11 @@ def dp_feasible(w, n):
 
 
 def rolled_excursion_degrees(multiset, rng):
-    """Shuffle, rotate the bridge at its first minimum with ``np.roll`` and
-    walk the rotated word again to check that it is an excursion."""
-    shuffled = rng.permutation(multiset)
+    """Shuffle with the sampler's ``_shuffled`` (numpy's permutation up to
+    10 000 entries), rotate the bridge at its first minimum with
+    ``np.roll`` and walk the rotated word again to check that it is an
+    excursion."""
+    shuffled = _shuffled(multiset, rng)
     walk = np.cumsum(shuffled - 1)
     shift = int(np.argmin(walk)) + 1  # argmin takes the first minimum
     rotated = np.roll(shuffled, -shift)

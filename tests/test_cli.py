@@ -302,12 +302,16 @@ class TestExperimentCommand:
             ({**BASE, "patterns": ["2,0,0", "2,0,0"]}, [], "distinct"),  # ran
             ({**BASE, "sizes": []}, [], "non-empty"),  # ran, all_passed with no verdicts
             ({**BASE, "patterns": []}, [], "non-empty"),  # ran, all_passed with no verdicts
+            ({**BASE, "tests": []}, [], "tests is a non-empty list"),  # ran, all_passed with no verdicts
+            ({**BASE, "tests": "moments"}, [], '"tests" lists test names'),  # its characters, unknown
+            ({**BASE, "tests": {"moments": 1}}, [], '"tests" lists test names'),  # ran the moments
         ],
         ids=[
             "list", "unknown-key", "unknown-test", "unknown-standardizer", "unknown-family",
             "extra-param", "missing-param", "negative-ratio", "bool-ratio", "float-size", "float-replicates",
             "string-replicates", "one-replicate", "seed-int", "seed-int-with-flag", "seed-float",
             "seed-unknown-key", "pattern-int", "repeated-pattern", "no-sizes", "no-patterns",
+            "no-tests", "tests-string", "tests-object",
         ],
     )
     def test_invalid_config_rejected(self, tmp_path, capsys, raw, flags, message):

@@ -1,6 +1,7 @@
 import math
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fringelab.mc_harness import (
     ExperimentConfig,
     StatFamily,
     _count_occurrences,
+    _degree_masks,
     _empirical_moments,
     _hub_law,
     collect_counts,
@@ -40,6 +42,13 @@ from fringelab.tree_core import (
 LEAF = PlaneTree((0,))
 CHERRY = PlaneTree((2, 0, 0))
 PATH3 = PlaneTree((1, 1, 0))
+
+
+def _count(hay, needle, degrees=()):
+    """_count_occurrences given the masks collect_counts builds, over the
+    needle's degrees and any others in ``degrees``."""
+    masks = _degree_masks(hay, set(needle.tolist()) | set(degrees))
+    return _count_occurrences(hay, needle, masks)
 
 
 class TestFamilies:
@@ -174,6 +183,12 @@ class TestConfig:
             (lambda: ExperimentConfig.from_dict({"var_rel_tol": float("nan")}), ValueError),
             (lambda: ExperimentConfig.from_dict({"var_rel_tol": float("inf")}), ValueError),
             (lambda: _config(var_rel_tol=-0.1), ValueError),
+            (lambda: _config(tests=()), ValueError),
+            (lambda: _config(tests="moments"), ValueError),
+            (lambda: ExperimentConfig.from_dict({"tests": []}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"tests": "moments"}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"tests": {"moments": 1}}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"tests": [["moments"]]}), ValueError),
         ],
         ids=[
             "unknown-family", "extra-param", "missing-param", "negative-ratio", "nan-ratio",
@@ -182,6 +197,8 @@ class TestConfig:
             "string-seed", "pattern-not-text", "size-below-3", "size-below-3-after-a-valid-one",
             "negative-ks-threshold", "zero-ks-threshold", "bool-ks-threshold", "string-ks-threshold",
             "string-nan-tolerance", "nan-tolerance", "infinite-tolerance", "negative-tolerance",
+            "no-tests", "tests-string", "no-tests-read", "tests-string-read", "tests-object-read",
+            "tests-nested-list-read",
         ],
     )
     def test_rejected(self, make, error):
@@ -207,7 +224,7 @@ class TestCountCollection:
             for tree in list(enumerate_trees(stat))[:5]:
                 hay = np.array(tree.degrees)
                 for pattern in all_trees_up_to(4):
-                    assert _count_occurrences(
+                    assert _count(
                         hay, np.array(pattern.degrees)
                     ) == count_fringe(tree, pattern)
 
@@ -216,43 +233,46 @@ class TestCountCollection:
         for _ in range(500):
             hay = rng.integers(0, 4, rng.integers(1, 30))
             needle = rng.integers(0, 4, rng.integers(1, 7))
-            assert _count_occurrences(hay, needle) == offsetwise_count_occurrences(
-                hay, needle
-            )
+            expected = offsetwise_count_occurrences(hay, needle)
+            assert _count(hay, needle) == expected
+            # masks of degrees outside the needle, as for several patterns
+            assert _count(hay, needle, range(5)) == expected
 
     def test_needle_longer_than_hay(self):
-        assert _count_occurrences(np.array([2, 0, 0]), np.array([2, 2, 0, 0, 0])) == 0
+        assert _count(np.array([2, 0, 0]), np.array([2, 2, 0, 0, 0])) == 0
 
     def test_needle_is_the_whole_tree(self):
         tree = np.array([3, 0, 2, 0, 0, 1, 0])
-        assert _count_occurrences(tree, tree.copy()) == 1
+        assert _count(tree, tree.copy()) == 1
 
     def test_one_vertex_tree(self):
-        assert _count_occurrences(np.array([0]), np.array([0])) == 1
-        assert _count_occurrences(np.array([0]), np.array([1, 0])) == 0
+        assert _count(np.array([0]), np.array([0])) == 1
+        assert _count(np.array([0]), np.array([1, 0])) == 0
 
     def test_needle_degree_absent_from_hay(self):
         hay = np.array([2, 2, 0, 0, 2, 0, 0])
-        assert _count_occurrences(hay, np.array([1, 0])) == 0
-        assert _count_occurrences(hay, np.array([2, 3, 0, 0, 0, 0])) == 0
+        assert _count(hay, np.array([1, 0])) == 0
+        assert _count(hay, np.array([2, 3, 0, 0, 0, 0])) == 0
 
     def test_every_small_tree_and_pattern(self):
         patterns = all_trees_up_to(4)
         for tree in all_trees_up_to(7):
             hay = np.array(tree.degrees)
             for pattern in patterns:
-                assert _count_occurrences(
+                assert _count(
                     hay, np.array(pattern.degrees)
                 ) == count_fringe(tree, pattern)
 
     def test_counts_equal_the_rolled_oracle_pipeline(self):
         # the sampled words and their counts are those of the first forms
-        # of the rotation and the counter, replicate by replicate
-        stat = StatFamily.full_binary().statistic(1001)
+        # of the rotation and the counter, replicate by replicate, each on
+        # its own seed.generator(size_index, r); 10 001 entries take the
+        # sampled-positions shuffle
         patterns = [CHERRY, PlaneTree((2, 2, 0, 0, 0))]
-        multiset = np.array(stat.degree_multiset(), dtype=np.int64)
         needles = [np.array(p.degrees) for p in patterns]
-        for seed in (Seed(1), Seed(101, 3)):
+        for size, seed in product((1001, 10_001), (Seed(1), Seed(101, 3))):
+            stat = StatFamily.full_binary().statistic(size)
+            multiset = np.array(stat.degree_multiset(), dtype=np.int64)
             counts = collect_counts(stat, patterns, 30, seed, size_index=1)
             for r in range(30):
                 word = rolled_excursion_degrees(multiset, seed.generator(1, r))
@@ -266,11 +286,30 @@ class TestCountCollection:
         assert (a == b).all()
 
     def test_worker_split_invariance(self, monkeypatch):
-        stat = DegreeStatistic.from_counts({0: 26, 2: 25})
-        serial = collect_counts(stat, [CHERRY, LEAF], 24, Seed(4))
-        monkeypatch.setenv("FRINGELAB_THREADS", "3")
-        parallel = collect_counts(stat, [CHERRY, LEAF], 24, Seed(4))
-        assert (serial == parallel).all()
+        for size, replicates, workers in ((51, 24, 3), (10_001, 10, 2)):
+            stat = StatFamily.full_binary().statistic(size)
+            monkeypatch.setenv("FRINGELAB_THREADS", "1")
+            serial = collect_counts(stat, [CHERRY, LEAF], replicates, Seed(4))
+            monkeypatch.setenv("FRINGELAB_THREADS", str(workers))
+            parallel = collect_counts(stat, [CHERRY, LEAF], replicates, Seed(4))
+            assert (serial == parallel).all()
+
+    def test_zero_replicates_give_an_empty_matrix(self):
+        stat = DegreeStatistic.from_counts({0: 3, 2: 2})
+        assert collect_counts(stat, [CHERRY, LEAF], 0, Seed(1)).shape == (0, 2)
+
+    @pytest.mark.parametrize(
+        "replicates, error, message",
+        [
+            (-3, ValueError, "replicates = -3"),
+            (2**32 + 1, ValueError, "spawn-key word"),
+            (2.0, TypeError, "is not an integer"),
+        ],
+    )
+    def test_replicate_count_rejected(self, replicates, error, message):
+        stat = DegreeStatistic.from_counts({0: 3, 2: 2})
+        with pytest.raises(error, match=message):
+            collect_counts(stat, [CHERRY], replicates, Seed(1))
 
 
 class TestEmpiricalMoments:

@@ -110,6 +110,26 @@ class TestSeed:
         with pytest.raises(TypeError, match="is not an integer"):
             make()
 
+    @pytest.mark.parametrize("value", [0, 20231207, 2**32 + 5, 2**150 + 7])
+    def test_replicate_streams_match_the_generator(self, value):
+        # each derived state is that of the SeedSequence and PCG64 built for
+        # the replicate: one- and multi-word values, stream ids and size
+        # indices, and the first and last one-word replicate indices
+        for stream_id, size_index in product((0, 4, 2**40), (0, 3, 2**33)):
+            seed = Seed(value, stream_id)
+            for r in (0, 1, 65_535, 2**32 - 1):
+                (rng,) = sampling._replicate_streams(seed, size_index, range(r, r + 1))
+                expected = seed.generator(size_index, r).bit_generator.state
+                assert rng.bit_generator.state == expected
+
+    def test_replicate_streams_reset_before_each_replicate(self):
+        # one derivation for the whole range; the draws of a replicate do not
+        # carry over into the next
+        seed, replicates = Seed(np.int64(7), np.uint8(2)), range(3, 40)
+        streams = sampling._replicate_streams(seed, np.int32(1), replicates)
+        draws = [rng.integers(0, 2**63, 3).tolist() for rng in streams]
+        assert draws == [seed.generator(1, r).integers(0, 2**63, 3).tolist() for r in replicates]
+
     def test_numpy_integers_keep_the_stream(self):
         seed = Seed(np.int64(3), np.uint8(1))
         first = seed.generator(np.int32(2), 5).integers(0, 2**63, 4)

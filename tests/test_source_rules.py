@@ -91,6 +91,14 @@ def test_lcm_only_in_exact_moments():
     assert _references_outside("lcm", "exact_moments.py") == []
 
 
+def test_stream_derivation_only_in_sampling():
+    # seeds become PCG64 streams in sampling.py alone: Seed.generator and the
+    # derived replicate streams must stay bit-identical, so one module
+    # holds both
+    for name in ("SeedSequence", "PCG64"):
+        assert _references_outside(name, "sampling.py") == []
+
+
 def test_reference_rule_sees_attributes_and_imports():
     source = "import math\nfrom math import exp\nx = math.exp(1) + np.exp(2)\nexp = 3\nmap(exp, [])\n"
     assert _references(ast.parse(source), "exp") == [2, 3, 3]

@@ -78,7 +78,9 @@ class _Law:
     The hash of the fields is kept, since every cache lookup keyed by a law
     hashes it and Fraction hashes are slow; the subclasses inherit it by
     eq=False.  A pickled law is rebuilt from its fields, so it hashes
-    afresh in a process whose str hashes differ."""
+    afresh in a process whose str hashes differ.  The law's zero is kept
+    too, Fraction(0) for an exact law and 0.0 otherwise: the value of a
+    negative or unlisted degree."""
 
     kind: str
     params: tuple
@@ -91,6 +93,7 @@ class _Law:
         if self.kind == "poisson" and not self.params[0] > 0:
             raise ValueError("poisson rate must be positive")
         object.__setattr__(self, "_hash", hash((self.kind, self.params, self.truncation)))
+        object.__setattr__(self, "_zero", Fraction(0) if self.is_exact else 0.0)
 
     def __hash__(self):
         return self._hash
@@ -129,11 +132,12 @@ class _Law:
         return getattr(cls, kind)(*values)
 
     def _finite_value(self, i: int):
-        """Value listed at degree i by a finite law (0 when unlisted)."""
+        """Value listed at degree i by a finite law (the law's zero when
+        unlisted)."""
         for degree, value in self.params:
             if degree == i:
                 return value
-        return Fraction(0)
+        return self._zero
 
     @property
     def is_exact(self) -> bool:
@@ -203,7 +207,7 @@ class OffspringDistribution(_Law):
     def p(self, i: int):
         """Probability of child count i (0 outside the support)."""
         if i < 0:
-            return Fraction(0)
+            return self._zero
         if self.kind == "finite":
             return self._finite_value(i)
         if self.kind == "geometric":
@@ -305,7 +309,7 @@ class WeightSequence(_Law):
 
     def weight(self, i: int):
         if i < 0:
-            return Fraction(0)
+            return self._zero
         if self.kind == "finite":
             return self._finite_value(i)
         if self.kind == "geometric":

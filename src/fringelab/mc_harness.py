@@ -52,6 +52,7 @@ from .tree_core import DegreeStatistic, PlaneTree, count_fringe
 DEFAULT_KS_THRESHOLD = 0.05
 DEFAULT_VAR_REL_TOL = 0.10
 TESTS = ("moments", "normality")
+_KS_MIN_SAMPLES = 100  # the fewest samples normality_test takes
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +104,9 @@ class StatFamily:
 
     @classmethod
     def one_hub(cls, ratio: float = 0.5) -> "StatFamily":
-        """Hub profiles with n1 ~ ratio * n0 single-child vertices."""
-        return cls("one_hub", (float(ratio),))
+        """Hub profiles with n1 ~ ratio * n0 single-child vertices; the
+        ratio is checked as given."""
+        return cls("one_hub", (ratio,))
 
     def statistic(self, size: int) -> DegreeStatistic:
         if size < 3:
@@ -185,6 +187,8 @@ class ExperimentConfig:
             self.family.statistic(as_integer(size))  # raises before any size is sampled
         if as_integer(self.replicates) < 2:
             raise ValueError("an experiment needs at least 2 replicates")
+        if "normality" in self.tests and self.replicates < _KS_MIN_SAMPLES:
+            raise ValueError(f"normality needs at least {_KS_MIN_SAMPLES} replicates, not {self.replicates}")
         for key in ("ks_threshold", "var_rel_tol"):
             value = getattr(self, key)  # JSON true is a bool, and a bool is an int
             if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < math.inf):
@@ -197,8 +201,9 @@ class ExperimentConfig:
         echoes.  Absent keys default to full_binary, the cherry 2,0,0, the
         one size 10001, 2000 replicates and seed 0 on stream 0, and the
         others to the field defaults.  A value that is not an object, an
-        unknown key, an unknown value, a size below 3 or a threshold that is
-        not a finite number > 0 raises ValueError, and so does a ``tests``
+        unknown key, an unknown value, a size below 3, fewer than 100
+        replicates with ``normality`` or a threshold that is not a finite
+        number > 0 raises ValueError, and so does a ``tests``
         value that is not a non-empty list of test names; a count or seed
         that is not an integer raises TypeError."""
         if not isinstance(raw, dict):
@@ -395,8 +400,8 @@ def normality_test(samples, threshold: float = DEFAULT_KS_THRESHOLD):
     """Kolmogorov-Smirnov distance of the studentized samples to the
     standard normal; returns (distance, verdict)."""
     samples = np.asarray(samples, dtype=float)
-    if samples.size < 100:
-        raise TooFewSamples(f"need >= 100 samples, got {samples.size}")
+    if samples.size < _KS_MIN_SAMPLES:
+        raise TooFewSamples(f"need >= {_KS_MIN_SAMPLES} samples, got {samples.size}")
     spread = samples.std(ddof=1)
     if spread == 0:
         return 0.5, False

@@ -91,11 +91,10 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
 
 # the constants of numpy's SeedSequence hash (after O'Neill's seed_seq_fe)
 # and of PCG64's 128-bit LCG multiplier
-_MASK32 = 0xFFFFFFFF
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_LOW32, _SHIFT16, _SHIFT32 = np.uint64(_MASK32), np.uint64(16), np.uint64(32)
 _STREAM_LIMIT = 2**32  # _replicate_streams reads each replicate r < 2**32 as one word
 
 
@@ -105,30 +104,13 @@ def _entropy_words(n: int) -> int:
 
 
 def _hash32(value: np.ndarray, const: int, mult: int):
-    """One step of SeedSequence's hash on uint32 values held in uint64:
-    value ^ const, times the next constant const * mult, xor-shifted
-    right by 16.  Returns (hashed values, next constant)."""
+    """One step of SeedSequence's hash on a uint32 array: value ^ const,
+    times the next constant const * mult, xor-shifted right by 16.  The
+    constants are Python ints below 2**32, so the array stays uint32 and
+    wraps mod 2**32.  Returns (hashed values, next constant)."""
     following = const * mult & _MASK32
-    value = (value ^ np.uint64(const)) * np.uint64(following) & _LOW32
-    return value ^ (value >> _SHIFT16), following
-
-
-def _mul128(high: np.ndarray, low: np.ndarray, factor: int):
-    """(high, low) * factor mod 2**128 as uint64 halves; the carry of the
-    low halves' product is summed from their 32-bit halves."""
-    f_high, f_low = np.uint64(factor >> 64), np.uint64(factor & (2**64 - 1))
-    a0, a1 = low & _LOW32, low >> _SHIFT32
-    b0, b1 = f_low & _LOW32, f_low >> _SHIFT32
-    cross0, cross1 = a0 * b1, a1 * b0
-    middle = (a0 * b0 >> _SHIFT32) + (cross0 & _LOW32) + (cross1 & _LOW32)
-    carry = a1 * b1 + (cross0 >> _SHIFT32) + (cross1 >> _SHIFT32) + (middle >> _SHIFT32)
-    return carry + high * f_low + low * f_high, low * f_low
-
-
-def _add128(high: np.ndarray, low: np.ndarray, other_high: np.ndarray, other_low: np.ndarray):
-    """(high, low) + (other_high, other_low) mod 2**128 as uint64 halves."""
-    total = low + other_low
-    return high + other_high + (total < low), total
+    value = (value ^ const) * following
+    return value ^ (value >> 16), following
 
 
 def _replicate_streams(seed: Seed, size_index: int, replicates: range):
@@ -144,41 +126,39 @@ def _replicate_streams(seed: Seed, size_index: int, replicates: range):
     replicate's pool before r, its last entropy word, is mixed in, and its
     hash constant is then 0x43B0D7E5 * 0x931E8875^(16 + 4 * (w - 4)) mod
     2**32 for its w assembled words (the value's, padded to 4, then the
-    key's).  The three steps that read r run over the whole range in
-    uint64 arithmetic: mixing r into the four pool words, the output hash
-    of ``generate_state(4, uint64)``, and PCG64's seeding from the words
-    (s, seq): inc = 2 seq + 1, state = (inc + s) M + inc mod 2**128
-    (O'Neill, "PCG", HMC-CS-2014-0905).  The states are bit-identical to
-    ``Seed.generator``'s.
+    key's).  The two hash steps that read r run over the whole range in
+    uint32 arrays: mixing r into the four pool words, and the eight output
+    hashes of ``generate_state(4, uint64)``.  PCG64's seeding from the
+    words (s, seq), inc = 2 seq + 1 and state = (s + inc) M + inc mod
+    2**128 (O'Neill, "PCG", HMC-CS-2014-0905), is done per replicate in
+    Python ints.  The states are bit-identical to ``Seed.generator``'s.
     """
     prefix = np.random.SeedSequence(seed.value, spawn_key=(seed.stream_id, size_index))
     words = max(4, _entropy_words(seed.value)) + _entropy_words(seed.stream_id)
     words += _entropy_words(size_index)
     const = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 2**32) & _MASK32
-    r = np.arange(replicates.start, replicates.stop, dtype=np.uint64)
+    r = np.arange(replicates.start, replicates.stop, dtype=np.uint32)
     pool = []
     for word in prefix.pool.tolist():
         hashed, const = _hash32(r, const, _MULT_A)
-        mixed = (np.uint64(_MIX_L * word & _MASK32) - np.uint64(_MIX_R) * hashed) & _LOW32
-        pool.append(mixed ^ (mixed >> _SHIFT16))
+        mixed = (_MIX_L * word & _MASK32) - _MIX_R * hashed
+        pool.append(mixed ^ (mixed >> 16))
     halves, const = [], _INIT_B
     for i in range(8):
         hashed, const = _hash32(pool[i % 4], const, _MULT_B)
-        halves.append(hashed)
-    # generate_state's four uint64 words, each two uint32 words little-endian;
-    # PCG64 reads them as s = (high, low) = (w0, w1) and seq = (w2, w3)
-    s_high, s_low, seq_high, seq_low = (
-        halves[i] | halves[i + 1] << _SHIFT32 for i in range(0, 8, 2)
-    )
-    one = np.uint64(1)
-    inc = (seq_high << one | seq_low >> np.uint64(63), seq_low << one | one)
-    state = _add128(*_mul128(*_add128(*inc, s_high, s_low), _PCG_MULT), *inc)
+        halves.append(hashed.tolist())
     rng = np.random.Generator(np.random.PCG64(0))
     bit_generator = rng.bit_generator
-    for state_high, state_low, inc_high, inc_low in zip(*(half.tolist() for half in state + inc)):
+    for h0, h1, h2, h3, h4, h5, h6, h7 in zip(*halves):
+        # generate_state's four uint64 words are uint32 pairs, low word first;
+        # PCG64 reads them as s = (w0, w1) and seq = (w2, w3), high word first
+        s = (h0 | h1 << 32) << 64 | h2 | h3 << 32
+        seq = (h4 | h5 << 32) << 64 | h6 | h7 << 32
+        inc = (2 * seq + 1) & _MASK128
+        state = ((s + inc) * _PCG_MULT + inc) & _MASK128
         bit_generator.state = {
             "bit_generator": "PCG64",
-            "state": {"state": state_high << 64 | state_low, "inc": inc_high << 64 | inc_low},
+            "state": {"state": state, "inc": inc},
             "has_uint32": 0,
             "uinteger": 0,
         }

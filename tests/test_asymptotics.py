@@ -572,6 +572,13 @@ class TestSimplyGeneratedCovariances:
         with pytest.raises(ValueError, match="must be at least 0"):
             sg_degree_covariance(WeightSequence.finite({0: 1, 2: 1}), -2)
 
+    def test_degree_cov_past_the_top_degree_is_float(self):
+        # the parent gave the rows past theta's top degree as Fraction(0)
+        # entries of a float matrix
+        cov = sg_degree_covariance(WeightSequence.power_law(0.1, 3.5, truncation=20), 22)
+        assert all(type(v) is float for row in cov.entries for v in row)
+        assert cov.entries[22][22] == cov.entries[21][22] == 0
+
     def test_degree_cov_psd_geometric(self):
         cov = sg_degree_covariance(WeightSequence.geometric(Fraction(1, 3)), 6)
         assert cov.min_eigenvalue() >= -1e-9

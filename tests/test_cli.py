@@ -305,13 +305,14 @@ class TestExperimentCommand:
             ({**BASE, "tests": []}, [], "tests is a non-empty list"),  # ran, all_passed with no verdicts
             ({**BASE, "tests": "moments"}, [], '"tests" lists test names'),  # its characters, unknown
             ({**BASE, "tests": {"moments": 1}}, [], '"tests" lists test names'),  # ran the moments
+            ({"sizes": [200001, 301], "replicates": 99}, [], "at least 100 replicates"),  # exit 1 late
         ],
         ids=[
             "list", "unknown-key", "unknown-test", "unknown-standardizer", "unknown-family",
             "extra-param", "missing-param", "negative-ratio", "bool-ratio", "float-size", "float-replicates",
             "string-replicates", "one-replicate", "seed-int", "seed-int-with-flag", "seed-float",
             "seed-unknown-key", "pattern-int", "repeated-pattern", "no-sizes", "no-patterns",
-            "no-tests", "tests-string", "tests-object",
+            "no-tests", "tests-string", "tests-object", "too-few-replicates-for-normality",
         ],
     )
     def test_invalid_config_rejected(self, tmp_path, capsys, raw, flags, message):

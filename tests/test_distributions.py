@@ -85,6 +85,20 @@ class TestOffspringDistribution:
         assert law == OffspringDistribution.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
         assert all(type(d) is int for d in law.support())
 
+    def test_zero_has_the_type_of_the_law(self):
+        # the parent read a float law's unlisted or negative degree as Fraction(0)
+        exact = OffspringDistribution.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
+        assert type(exact.p(1)) is type(exact.p(-1)) is Fraction
+        floats = [
+            OffspringDistribution.finite({0: 0.5, 2: 0.5}),
+            OffspringDistribution.poisson(0.9),
+            OffspringDistribution.power_law(0.2, 2.5),
+        ]
+        for law in floats:
+            assert type(law.p(1)) is type(law.p(-1)) is float
+        w = WeightSequence.finite({0: 1, 2: 0.5})
+        assert type(w.weight(1)) is type(w.weight(-1)) is float
+
     def test_negative_power_law_coefficient_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             OffspringDistribution.power_law(-0.1, 2.5)

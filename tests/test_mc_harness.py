@@ -189,6 +189,9 @@ class TestConfig:
             (lambda: ExperimentConfig.from_dict({"tests": "moments"}), ValueError),
             (lambda: ExperimentConfig.from_dict({"tests": {"moments": 1}}), ValueError),
             (lambda: ExperimentConfig.from_dict({"tests": [["moments"]]}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"sizes": [200001, 301], "replicates": 99}), ValueError),
+            (lambda: StatFamily.one_hub(True), ValueError),
+            (lambda: StatFamily.one_hub("0.5"), ValueError),
         ],
         ids=[
             "unknown-family", "extra-param", "missing-param", "negative-ratio", "nan-ratio",
@@ -198,7 +201,7 @@ class TestConfig:
             "negative-ks-threshold", "zero-ks-threshold", "bool-ks-threshold", "string-ks-threshold",
             "string-nan-tolerance", "nan-tolerance", "infinite-tolerance", "negative-tolerance",
             "no-tests", "tests-string", "no-tests-read", "tests-string-read", "tests-object-read",
-            "tests-nested-list-read",
+            "tests-nested-list-read", "too-few-replicates-for-normality", "bool-ratio-builder", "string-ratio-builder",
         ],
     )
     def test_rejected(self, make, error):

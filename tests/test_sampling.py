@@ -114,13 +114,18 @@ class TestSeed:
     def test_replicate_streams_match_the_generator(self, value):
         # each derived state is that of the SeedSequence and PCG64 built for
         # the replicate: one- and multi-word values, stream ids and size
-        # indices, and the first and last one-word replicate indices
+        # indices, the first and last one-word replicate indices, and a
+        # multi-replicate range ending at the top of the uint32 index range
+        top = range(2**32 - 4, 2**32)
         for stream_id, size_index in product((0, 4, 2**40), (0, 3, 2**33)):
             seed = Seed(value, stream_id)
             for r in (0, 1, 65_535, 2**32 - 1):
                 (rng,) = sampling._replicate_streams(seed, size_index, range(r, r + 1))
                 expected = seed.generator(size_index, r).bit_generator.state
                 assert rng.bit_generator.state == expected
+            derived = sampling._replicate_streams(seed, size_index, top)
+            states = [rng.bit_generator.state for rng in derived]
+            assert states == [seed.generator(size_index, r).bit_generator.state for r in top]
 
     def test_replicate_streams_reset_before_each_replicate(self):
         # one derivation for the whole range; the draws of a replicate do not

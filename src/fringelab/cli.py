@@ -370,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=_cmd_check_gw)
 
-    p = sub.add_parser("crosscheck", help="hub-tree sampler agreement test")
+    p = sub.add_parser("crosscheck", help="sampler test against the exact law on hub profiles")
     p.add_argument("--n0", type=int, required=True)
     p.add_argument("--n1", type=int, required=True)
     p.add_argument("--reps", type=int, default=10000)

@@ -9,8 +9,8 @@ distance.  Two purely exact scans probe the finite-size error of the
 moment approximations: one tracks the gap between exact mean/variance and
 their limit forms across sizes, the other checks the quadratic-exponent
 shape of high factorial moments that underlies the normality proofs.  The
-crosscheck tests the bridge-rotation sampler against an independent
-hub-tree sampler and the exact hypergeometric law of their path counts.
+crosscheck tests the bridge-rotation sampler on hub profiles against the
+exact hypergeometric law of their path counts.
 
 Aggregation is exact (integer count sums), so reports are byte-identical
 for a given (config, seed) regardless of worker count; replicate r always
@@ -44,7 +44,6 @@ from .sampling import (
     Seed,
     _replicate_streams,
     excursion_degrees,
-    sample_hub_tree,
     sample_uniform_trees,
 )
 from .tree_core import DegreeStatistic, PlaneTree, count_fringe
@@ -77,9 +76,9 @@ class StatFamily:
         if len(self.params) != arity:
             raise ValueError(f"{self.name} takes {arity} parameter(s), not {list(self.params)}")
         if self.name == "one_hub":
-            ratio = self.params[0]  # JSON true is a bool, and a bool is an int
-            if isinstance(ratio, bool) or not (isinstance(ratio, Real) and 0 <= ratio < math.inf):
-                raise ValueError(f"the one_hub ratio is a finite number >= 0, not {ratio!r}")
+            ratio = self.params[0]  # what a label carries; JSON true is a bool, a bool an int
+            if isinstance(ratio, bool) or not (isinstance(ratio, (int, float)) and 0 <= ratio < math.inf):
+                raise ValueError(f"the one_hub ratio is a finite int or float >= 0, not {ratio!r}")
 
     @classmethod
     def from_label(cls, text: str, params=()) -> "StatFamily":
@@ -626,53 +625,37 @@ def _hub_law(n0: int, n1: int) -> list:
     """Entry k counts the trees with profile {0: n0, 1: n1, n0: 1} and k
     copies of ``1,0``, C(n0, k) C(n1, k): a tree is a weak composition of n1
     into the trunk and the n0 legs of the hub, and a copy is a nonempty leg."""
-    law = [1]
-    for k in range(min(n0, n1)):
-        law.append(law[-1] * (n0 - k) * (n1 - k) // (k + 1) ** 2)
-    return law
+    return [math.comb(n0, k) * math.comb(n1, k) for k in range(min(n0, n1) + 1)]
 
 
 def composition_crosscheck(n0: int, n1: int, reps: int, seed: Seed) -> dict:
-    """Tally N_{1,0} in ``reps`` trees with profile {0: n0, 1: n1, n0: 1}
-    from each of two independent samplers, ``sample_hub_tree`` (stars and
-    bars) and the bridge rotation.  ``two_sample_p`` compares the tallies;
-    ``exact_p_hub`` and ``exact_p_uniform`` test each against the exact
-    hypergeometric law of ``_hub_law`` at every size, by a chi-square whose
-    lowest cell merges into the next while it expects fewer than 5 draws,
-    then likewise at the top.  With one cell left, p is 1.0 if every draw
-    lies in the support, else 0.0.  ``passed`` when all three exceed 1e-3."""
+    """Tally N_{1,0} in ``reps`` bridge-rotation trees with profile
+    {0: n0, 1: n1, n0: 1} and test the tally against the exact
+    hypergeometric law of ``_hub_law`` at every size: ``exact_p_uniform``
+    is a chi-square whose lowest cell merges into the next while it expects
+    fewer than 5 draws, then likewise at the top.  With one cell left, p is
+    1.0 if every draw lies in the support, else 0.0.  ``passed`` when p
+    exceeds 1e-3."""
     for name, value, low in (("n0", n0, 2), ("n1", n1, 0), ("reps", reps, 1)):
         if as_integer(value) < low:
             raise ValueError(f"{name} = {value} must be at least {low}")
     pattern = PlaneTree((1, 0))
     stat = DegreeStatistic.from_counts({0: n0, 1: n1, n0: 1})
-    gen_hub = seed.generator(0)
-    tally_hub = Counter(count_fringe(sample_hub_tree(n0, n1, gen_hub), pattern) for _ in range(reps))
-    uniform = sample_uniform_trees(stat, reps, seed.generator(1))
-    tally_uni = Counter(count_fringe(tree, pattern) for tree in uniform)
-
-    keys = sorted(set(tally_hub) | set(tally_uni))
-    table = [[tally_hub[k] for k in keys], [tally_uni[k] for k in keys]]
-    result = {"n0": n0, "n1": n1, "reps": reps, "support": keys, "degenerate": len(keys) == 1}
-    result["two_sample_p"] = (
-        1.0 if result["degenerate"] else float(scistats.chi2_contingency(table).pvalue)
-    )
-
+    trees = sample_uniform_trees(stat, reps, seed.generator(1))
+    tally = Counter(count_fringe(tree, pattern) for tree in trees)
     total = math.comb(n0 + n1, n0)
     law = [v / total for v in _hub_law(n0, n1)]
+    result = {"n0": n0, "n1": n1, "reps": reps, "support": sorted(tally)}
     result["exact_support"] = list(range(len(law)))
-    for label, tally in (("hub", tally_hub), ("uniform", tally_uni)):
-        cells = [[tally[k], p * reps] for k, p in enumerate(law)]
-        for end in (0, -1):
-            while len(cells) > 1 and cells[end][1] < 5:
-                obs, exp = cells.pop(end)
-                cells[end] = [cells[end][0] + obs, cells[end][1] + exp]
-        obs, exp = zip(*cells)
-        if len(cells) == 1 or sum(obs) < reps:
-            result[f"exact_p_{label}"] = float(sum(obs) == reps)
-        else:
-            result[f"exact_p_{label}"] = float(scistats.chisquare(obs, exp).pvalue)
-    result["passed"] = all(
-        result[key] > 1e-3 for key in ("two_sample_p", "exact_p_hub", "exact_p_uniform")
-    )
+    cells = [[tally[k], p * reps] for k, p in enumerate(law)]
+    for end in (0, -1):
+        while len(cells) > 1 and cells[end][1] < 5:
+            obs, exp = cells.pop(end)
+            cells[end] = [cells[end][0] + obs, cells[end][1] + exp]
+    obs, exp = zip(*cells)
+    if len(cells) == 1 or sum(obs) < reps:
+        result["exact_p_uniform"] = float(sum(obs) == reps)
+    else:
+        result["exact_p_uniform"] = float(scistats.chisquare(obs, exp).pvalue)
+    result["passed"] = result["exact_p_uniform"] > 1e-3
     return result

@@ -216,8 +216,9 @@ def _shuffled(multiset: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     if multiset.size <= _POSITIONS_ABOVE:
         return rng.permutation(multiset)
     inner = multiset[multiset != 0]
+    positions = rng.choice(multiset.size, inner.size, replace=False)
     word = np.zeros(multiset.size, multiset.dtype)
-    word[rng.choice(multiset.size, inner.size, replace=False)] = inner
+    word[positions] = inner
     return word
 
 
@@ -507,32 +508,3 @@ def _least_sums(w: OffspringDistribution) -> tuple:
                 least[nxt] = total + c
                 heapq.heappush(heap, (total + c, nxt))
     return tuple(least)
-
-
-def sample_hub_tree(n0: int, n1: int, seed) -> PlaneTree:
-    """Uniform tree whose profile is n0 leaves, n1 single-child vertices and
-    one hub of degree n0.
-
-    Such trees are in bijection with compositions of n1 into n0 + 1 parts:
-    the trunk above the hub and the n0 legs below it carry the degree-1
-    vertices.  Sampling a uniform composition (stars and bars) therefore
-    gives an exact-uniform tree, independently of the bridge-rotation
-    sampler.
-    """
-    if n0 < 2 or n1 < 0:
-        raise ValueError("need n0 >= 2 and n1 >= 0")
-    rng = _as_generator(seed)
-    parts = _uniform_composition(n1, n0 + 1, rng)
-    degrees = [1] * parts[0] + [n0]
-    for leg in parts[1:]:
-        degrees.extend([1] * leg)
-        degrees.append(0)
-    return PlaneTree(tuple(degrees))
-
-
-def _uniform_composition(total: int, parts: int, rng) -> list:
-    """Uniform weak composition of ``total`` into ``parts`` parts."""
-    if total == 0:
-        return [0] * parts
-    bars = np.sort(rng.choice(total + parts - 1, size=parts - 1, replace=False))
-    return (np.diff([-1, *bars, total + parts - 1]) - 1).tolist()

@@ -134,7 +134,8 @@ class TestConfig:
     @pytest.mark.parametrize(
         "family",
         [StatFamily.full_binary(), StatFamily.geometric_profile(), StatFamily.one_hub(0.25),
-         StatFamily.one_hub(2), StatFamily("one_hub", (3,)), StatFamily.one_hub(1e-7)],
+         StatFamily.one_hub(2), StatFamily("one_hub", (3,)), StatFamily.one_hub(1e-7),
+         StatFamily.one_hub(1), StatFamily.one_hub(0.5), StatFamily.one_hub(np.float64(0.5))],
     )
     def test_family_label_reads_back(self, family):
         assert StatFamily.from_label(family.label()) == family
@@ -192,6 +193,7 @@ class TestConfig:
             (lambda: ExperimentConfig.from_dict({"sizes": [200001, 301], "replicates": 99}), ValueError),
             (lambda: StatFamily.one_hub(True), ValueError),
             (lambda: StatFamily.one_hub("0.5"), ValueError),
+            (lambda: StatFamily.one_hub(Fraction(1, 2)), ValueError),
         ],
         ids=[
             "unknown-family", "extra-param", "missing-param", "negative-ratio", "nan-ratio",
@@ -202,6 +204,7 @@ class TestConfig:
             "string-nan-tolerance", "nan-tolerance", "infinite-tolerance", "negative-tolerance",
             "no-tests", "tests-string", "no-tests-read", "tests-string-read", "tests-object-read",
             "tests-nested-list-read", "too-few-replicates-for-normality", "bool-ratio-builder", "string-ratio-builder",
+            "fraction-ratio-builder",
         ],
     )
     def test_rejected(self, make, error):
@@ -505,12 +508,11 @@ class TestMomentGapScan:
 class TestCompositionCrosscheck:
     def test_degenerate(self):
         result = composition_crosscheck(2, 0, 200, Seed(0))
-        assert result["degenerate"] and result["passed"]
+        assert result["support"] == result["exact_support"] == [0]
+        assert result["exact_p_uniform"] == 1.0 and result["passed"]
 
     def test_small_case_with_exact_law(self):
         result = composition_crosscheck(2, 3, 10_000, Seed(9))
-        assert result["two_sample_p"] > 1e-3
-        assert result["exact_p_hub"] > 1e-3
         assert result["exact_p_uniform"] > 1e-3
         assert result["passed"]
 
@@ -534,30 +536,31 @@ class TestCompositionCrosscheck:
                 }
                 checked += 1
         assert checked == 89
-        # the recurrence, past enumeration, against the binomials themselves
-        assert _hub_law(300, 200) == [math.comb(300, k) * math.comb(200, k) for k in range(201)]
 
     def test_tail_cells_are_pooled(self):
-        # unpooled, 2 draws in the cell k = 0, which expects 0.17, gave p = 6.3e-5
-        result = composition_crosscheck(6, 7, 300, Seed(204))
-        assert result["exact_p_hub"] > 1e-3 and result["passed"]
+        # the first seed from 0 whose unpooled p is below 1e-3: 1 draw in the
+        # cell k = 0, which expects 0.17, and 4 in k = 6, which expects 1.2,
+        # gave p = 5.6e-4 unpooled and 3.1e-3 pooled
+        result = composition_crosscheck(6, 7, 300, Seed(305))
+        assert result["exact_p_uniform"] > 1e-3 and result["passed"]
         # one draw pools every cell into one, which holds it
         result = composition_crosscheck(2, 3, 1, Seed(0))
-        assert result["exact_p_hub"] == result["exact_p_uniform"] == 1.0
+        assert result["exact_p_uniform"] == 1.0
 
     def test_exact_law_above_ten_thousand_trees(self):
-        # C(120, 60) trees: once too many to enumerate, so no exact test ran
+        # C(120, 60) trees: far too many to enumerate
         result = composition_crosscheck(60, 60, 2_000, Seed(0))
         assert result["exact_support"] == list(range(61))
-        for label in ("hub", "uniform"):
-            assert math.isfinite(result[f"exact_p_{label}"])
-            assert result[f"exact_p_{label}"] > 1e-3
+        assert math.isfinite(result["exact_p_uniform"])
+        assert result["exact_p_uniform"] > 1e-3
         assert result["passed"]
 
     def test_draw_outside_the_support_fails(self, monkeypatch):
-        # a hub sampler that returns the tree 1,0 gives N = 1 where the law
-        # of {0: 2, 2: 1} is the point mass at 0
-        monkeypatch.setattr(mc_harness, "sample_hub_tree", lambda n0, n1, rng: PlaneTree((1, 0)))
+        # a sampler that returns the tree 1,0 gives N = 1 where the law of
+        # {0: 2, 2: 1} is the point mass at 0
+        monkeypatch.setattr(
+            mc_harness, "sample_uniform_trees", lambda stat, reps, rng: [PlaneTree((1, 0))] * reps
+        )
         result = composition_crosscheck(2, 0, 50, Seed(0))
-        assert result["exact_p_hub"] == 0.0 and result["exact_p_uniform"] == 1.0
+        assert result["exact_p_uniform"] == 0.0
         assert not result["passed"]

@@ -40,14 +40,12 @@ from fringelab.sampling import (
     _least_sums,
     excursion_degrees,
     sample_conditioned_gw,
-    sample_hub_tree,
     sample_labelled_tree,
     sample_uniform_trees,
 )
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
-    count_fringe,
     count_trees,
     degree_statistic,
     enumerate_trees,
@@ -201,15 +199,18 @@ class TestUniformTree:
         assert chisquare_pvalue(tally, expected, reps) > 1e-3
 
     def test_uniformity_bigger_class(self):
-        stat = DegreeStatistic.from_counts({0: 4, 1: 1, 2: 3})
-        m = count_trees(stat)
-        reps = 5_000 * m
-        tally = Counter(
-            t.degrees for t in sample_uniform_trees(stat, reps, Seed(7, 3))
-        )
-        expected = {t.degrees: Fraction(1, m) for t in enumerate_trees(stat)}
-        assert len(tally) == m
-        assert chisquare_pvalue(tally, expected, reps) > 1e-3
+        # the second profile is a hub profile: 3 leaves, 2 unary vertices and
+        # one hub of degree 3, 10 trees
+        for counts in ({0: 4, 1: 1, 2: 3}, {0: 3, 1: 2, 3: 1}):
+            stat = DegreeStatistic.from_counts(counts)
+            m = count_trees(stat)
+            reps = 5_000 * m
+            tally = Counter(
+                t.degrees for t in sample_uniform_trees(stat, reps, Seed(7, 3))
+            )
+            expected = {t.degrees: Fraction(1, m) for t in enumerate_trees(stat)}
+            assert len(tally) == m
+            assert chisquare_pvalue(tally, expected, reps) > 1e-3
 
     def test_large_instance_runs(self):
         m = 200_000
@@ -224,6 +225,14 @@ def _binary_multiset(size: int) -> np.ndarray:
     vertex when size is even, and the leaves."""
     counts = {0: (size + 1) // 2, 1: 1 - size % 2, 2: (size - 1) // 2}
     return np.repeat(np.array(list(counts), dtype=np.int64), list(counts.values()))
+
+
+def _word_digest(size: int) -> str:
+    """sha256 of 20 words of the binary multiset from one stream."""
+    rng = Seed(2026).generator()
+    words = (excursion_degrees(_binary_multiset(size), rng) for _ in range(20))
+    text = "\n".join(",".join(map(str, word.tolist())) for word in words)
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class TestSampledPositions:
@@ -253,12 +262,20 @@ class TestSampledPositions:
         ],
     )
     def test_words_up_to_the_constant_keep_their_bytes(self, size, digest):
-        # sha256 of 20 words from one stream, computed when every word was a
-        # permutation of the whole multiset
-        rng = Seed(2026).generator()
-        words = (excursion_degrees(_binary_multiset(size), rng) for _ in range(20))
-        text = "\n".join(",".join(map(str, word.tolist())) for word in words)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        # computed when every word was a permutation of the whole multiset
+        assert _word_digest(size) == digest
+
+    @pytest.mark.parametrize(
+        "size, digest",
+        [
+            (10_001, "9ff6b4b04a297647e28d83b2fd577b358ed1acf9c0ef220e8d82110fd02b9257"),
+            (100_001, "4e2e504f0084f536d00e6c45a78b00e2e72ad36943f9b503c1e5b36ae5f8da67"),
+        ],
+    )
+    def test_words_above_the_constant_keep_their_bytes(self, size, digest):
+        # computed when the word of zeros was allocated before choice drew
+        # the positions
+        assert _word_digest(size) == digest
 
     @pytest.mark.parametrize("size, method", [(10_000, "permutation"), (10_001, "choice")])
     def test_path_switches_above_the_constant(self, size, method):
@@ -768,69 +785,3 @@ class TestLawCaches:
         for cache in caches + (equivalent_offspring,):
             info = cache.cache_info()
             assert info.misses >= 300 and info.currsize <= 256, (cache.__name__, info)
-
-
-class TestHubSampler:
-    def test_degenerate(self):
-        assert sample_hub_tree(2, 0, Seed(0)) == PlaneTree((2, 0, 0))
-
-    def test_three_equally_likely(self):
-        reps = 6_000
-        tally = Counter()
-        gen = Seed(23).generator()
-        for _ in range(reps):
-            tally[sample_hub_tree(2, 1, gen).degrees] += 1
-        assert len(tally) == 3
-        expected = {k: Fraction(1, 3) for k in tally}
-        assert chisquare_pvalue(tally, expected, reps) > 1e-3
-
-    def test_trees_per_seed_keep_their_bytes(self):
-        # sha256 of 90 trees, computed when the composition was read off its
-        # bars in a Python loop
-        h = hashlib.sha256()
-        for value in range(5):
-            gen = Seed(value).generator(0)
-            for n0, n1 in [(2, 0), (2, 3), (3, 2), (6, 7), (60, 60), (1000, 1000)]:
-                for _ in range(3):
-                    h.update(sample_hub_tree(n0, n1, gen).to_text().encode() + b";")
-        assert h.hexdigest() == "132ce870d03d37f76da4d941da2191397f3747818ba220abbedd740965450dae"
-
-    def test_profile(self):
-        tree = sample_hub_tree(3, 2, Seed(5))
-        assert degree_statistic(tree).as_dict() == {0: 3, 1: 2, 3: 1}
-
-    def test_path2_count_matches_composition_enumeration(self):
-        # exact law of N_(1,0) from the 10 compositions of 2 into 4 parts
-        n0, n1, reps = 3, 2, 20_000
-        pattern = PlaneTree((1, 0))
-        from itertools import product
-
-        counts = Counter()
-        for parts in product(range(n1 + 1), repeat=n0 + 1):
-            if sum(parts) == n1:
-                counts[sum(1 for leg in parts[1:] if leg >= 1)] += 1
-        total = sum(counts.values())
-        assert total == 10
-        expected = {k: Fraction(v, total) for k, v in counts.items()}
-        tally = Counter()
-        gen = Seed(29).generator()
-        for _ in range(reps):
-            tally[count_fringe(sample_hub_tree(n0, n1, gen), pattern)] += 1
-        assert chisquare_pvalue(tally, expected, reps) > 1e-3
-
-    def test_matches_uniform_sampler_distribution(self):
-        # the two independent samplers induce the same hub-tree law
-        n0, n1, reps = 3, 2, 8_000
-        stat = DegreeStatistic.from_counts({0: n0, 1: n1, n0: 1})
-        gen_a, gen_b = Seed(31).generator(0), Seed(31).generator(1)
-        tally_a = Counter(
-            sample_hub_tree(n0, n1, gen_a).degrees for _ in range(reps)
-        )
-        tally_b = Counter(
-            t.degrees for t in sample_uniform_trees(stat, reps, gen_b)
-        )
-        keys = sorted(set(tally_a) | set(tally_b))
-        table = np.array(
-            [[tally_a.get(k, 0) for k in keys], [tally_b.get(k, 0) for k in keys]]
-        )
-        assert scistats.chi2_contingency(table).pvalue > 1e-3

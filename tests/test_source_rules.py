@@ -104,6 +104,34 @@ def test_reference_rule_sees_attributes_and_imports():
     assert _references(ast.parse(source), "exp") == [2, 3, 3]
 
 
+def _tree_builds_outside(tree, home: str) -> list:
+    """Lines of the PlaneTree(...) and _unchecked_tree(...) calls outside
+    the top-level function ``home``."""
+    return [
+        node.lineno
+        for top in tree.body
+        if getattr(top, "name", None) != home
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and _name(node.func) in {"PlaneTree", "_unchecked_tree"}
+    ]
+
+
+def test_sampling_builds_trees_only_in_sample_tree():
+    # every sampler of sampling.py decodes a rotated word in _sample_tree;
+    # a tree built anywhere else there would be a second tree sampler
+    assert _tree_builds_outside(_tree("sampling.py"), "_sample_tree") == []
+
+
+def test_tree_build_rule_sees_calls_outside_the_home():
+    source = (
+        "def _sample_tree(word):\n    return _unchecked_tree(word)\n"
+        "def hub(word):\n    return tree_core.PlaneTree(word)\n"
+        "def typed() -> PlaneTree:\n    pass\n"
+        "root = PlaneTree((0,))\n"
+    )
+    assert _tree_builds_outside(ast.parse(source), "_sample_tree") == [4, 7]
+
+
 def test_every_lru_cache_is_bounded():
     # an unbounded cache keyed by a law grows with every fresh law for the
     # life of the process, so each cache states an integer maxsize

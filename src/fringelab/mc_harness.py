@@ -330,7 +330,7 @@ def collect_counts(
     parallel = workers > 1 and replicates >= 4 * workers
     chunk = -(-replicates // workers) if parallel else max(replicates, 1)
     ranges = [range(r, min(r + chunk, replicates)) for r in range(0, replicates, chunk)]
-    multiset = np.array(stat.degree_multiset(), dtype=np.int64)
+    multiset = stat.degree_multiset()
     needles = [np.array(p.degrees, dtype=np.int64) for p in patterns]
     count = partial(_count_chunk, multiset, needles, seed, size_index)
     if parallel:

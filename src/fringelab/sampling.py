@@ -187,13 +187,12 @@ def sample_uniform_trees(stat: DegreeStatistic, reps: int, seed) -> list:
     if as_integer(reps) < 0:
         raise ValueError(f"reps = {reps} must be at least 0")
     rng = _as_generator(seed)
-    degrees, counts = zip(*stat.items)
-    multiset = np.repeat(np.array(degrees, dtype=np.int64), counts)
+    multiset = stat.degree_multiset()
     return [_sample_tree(multiset, rng) for _ in range(reps)]
 
 
 def _sample_tree(multiset: np.ndarray, rng: np.random.Generator) -> PlaneTree:
-    """The tree of one shuffle of the sorted int64 degree multiset."""
+    """The tree of one shuffle of the sorted non-negative int64 degree multiset."""
     return _unchecked_tree(tuple(excursion_degrees(multiset, rng).tolist()))
 
 
@@ -204,18 +203,20 @@ _POSITIONS_ABOVE = 10_000
 
 
 def _shuffled(multiset: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """A uniform arrangement of the int64 degree multiset.
+    """A uniform arrangement of the sorted, non-negative int64 degree multiset.
 
     Up to ``_POSITIONS_ABOVE`` entries it is ``rng.permutation``.  Above,
-    the k non-zero entries, in their given order, are written at the k
-    positions of ``rng.choice(n, k, replace=False)`` into a word of zeros.
-    choice orders its sample uniformly (shuffle=True), so every ordered
-    k-sample of positions is equally likely, and each arrangement arises
-    from exactly prod_{d != 0} c_d! of them.
+    the k non-zero entries, the tail after the zeros, are written in their
+    given order at the k positions of ``rng.choice(n, k, replace=False)``
+    into a word of zeros.  choice orders its sample uniformly
+    (shuffle=True), so every ordered k-sample of positions is equally
+    likely, and each arrangement arises from exactly prod_{d != 0} c_d!
+    of them.  There an unsorted multiset summing to n - 1 gives InvalidPath
+    (a non-zero entry missed) or a uniform word of its own profile.
     """
     if multiset.size <= _POSITIONS_ABOVE:
         return rng.permutation(multiset)
-    inner = multiset[multiset != 0]
+    inner = multiset[multiset.searchsorted(0, side="right") :]
     positions = rng.choice(multiset.size, inner.size, replace=False)
     word = np.zeros(multiset.size, multiset.dtype)
     word[positions] = inner
@@ -226,8 +227,9 @@ def excursion_degrees(multiset: np.ndarray, rng: np.random.Generator) -> np.ndar
     """Shuffle a degree multiset and rotate the induced bridge at its first
     minimum; the result is the preorder degree word of a uniform tree.
 
-    Above 10 000 entries only the non-leaves are placed, at uniformly drawn
-    positions (``_shuffled``); both shuffles are exactly uniform.
+    The multiset must be sorted and non-negative: above 10 000 entries
+    only its tail after the zeros is placed, at uniformly drawn positions
+    (``_shuffled``); both shuffles are exactly uniform.
 
     By the cycle lemma the rotated word is an excursion (partial sums of
     degree - 1 stay >= 0 and end at -1) exactly when the walk ends at -1:

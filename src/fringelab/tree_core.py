@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import CapExceeded, InvalidDegreeStatistic, InvalidPreorder, as_integer
 
 ENUMERATION_CAP = 12
@@ -80,24 +82,21 @@ def _unchecked_tree(degrees: tuple) -> PlaneTree:
 
 @dataclass(frozen=True)
 class DegreeStatistic:
-    """Counts of vertices per child count: items (degree, count), count > 0.
-
-    Feasible as the degree profile of a tree iff
-    sum_i n(i) = 1 + sum_i i*n(i).
+    """Counts of vertices per child count: integer items (degree, count),
+    degrees strictly increasing from 0 (``from_counts`` sorts them) and
+    counts >= 1, so equal profiles are equal; else InvalidDegreeStatistic,
+    or TypeError for a non-integer.  Feasible as the degree profile of a
+    tree iff sum_i n(i) = 1 + sum_i i*n(i).
     """
 
     items: tuple
 
     def __post_init__(self):
-        seen = set()
+        previous = -1
         for degree, count in self.items:
-            if degree < 0 or count <= 0:
-                raise InvalidDegreeStatistic(
-                    f"bad entry degree={degree} count={count}"
-                )
-            if degree in seen:
-                raise InvalidDegreeStatistic(f"repeated degree {degree}")
-            seen.add(degree)
+            if as_integer(degree) <= previous or as_integer(count) < 1:
+                raise InvalidDegreeStatistic(f"bad or unsorted entry degree={degree} count={count}")
+            previous = degree
         if self.size != 1 + self.edge_count:
             raise InvalidDegreeStatistic(
                 f"balance violated: {self.size} vertices vs "
@@ -129,12 +128,11 @@ class DegreeStatistic:
     def as_dict(self) -> dict:
         return {d: c for d, c in self.items}
 
-    def degree_multiset(self):
-        """The sorted multiset c(n): n(0) zeros, n(1) ones, and so on."""
-        out = []
-        for d, c in self.items:
-            out.extend([d] * c)
-        return out
+    def degree_multiset(self) -> np.ndarray:
+        """The multiset c(n) as a sorted int64 array: n(0) zeros, n(1) ones,
+        and so on; the samplers' shuffle reads its non-leaves as its tail."""
+        degrees, counts = zip(*self.items)
+        return np.repeat(np.array(degrees, dtype=np.int64), counts)
 
     def empirical_distribution(self) -> dict:
         """Exact per-degree frequencies n(i)/|n|."""
@@ -197,8 +195,7 @@ def enumerate_trees(stat: DegreeStatistic, cap: int = ENUMERATION_CAP):
     n = stat.size
     if n > cap:
         raise CapExceeded(f"|n| = {n} exceeds enumeration cap {cap}")
-    degrees = sorted(stat.as_dict())
-    remaining = [stat.count(d) for d in degrees]
+    degrees, remaining = [d for d, _ in stat.items], [c for _, c in stat.items]
     prefix = [0] * n
 
     def backtrack(pos, total):

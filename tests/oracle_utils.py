@@ -18,7 +18,10 @@ residue-class feasibility test replaces.  ``rolled_excursion_degrees`` and
 ``offsetwise_count_occurrences`` are the first forms of the sampler's
 rotation and of the harness's window counter: the rotation by ``np.roll``
 checked by a second walk over the rotated word, and one fresh comparison
-of the whole word per needle position.
+of the whole word per needle position.  ``compressed_shuffled`` is the
+first form of the sampled-positions shuffle, which finds the non-leaves
+by a mask over the whole multiset where the sampler, given the sorted
+multiset, reads them as its tail after the zeros.
 ``two_series_degree_factorial_moment`` is the first form of the degree
 moment, a product of Fractions whose normalizer P(S_n = n - 1) reads its
 own series, and ``pairwise_additive_variance_forms`` the first form of the
@@ -96,7 +99,7 @@ from fringelab.errors import (
     as_integer,
 )
 from fringelab.exact_moments import _partial_sum, _pattern_constants, containment_matrix
-from fringelab.sampling import _shuffled, excursion_degrees
+from fringelab.sampling import _POSITIONS_ABOVE, excursion_degrees
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
@@ -429,12 +432,26 @@ def dp_feasible(w, n):
     return reachable[n - 1]
 
 
+def compressed_shuffled(multiset, rng):
+    """The sampler's shuffle with the non-zero entries masked out of the
+    whole multiset: numpy's permutation up to ``_POSITIONS_ABOVE``
+    entries, and above it the non-zero entries, in their given order,
+    written at the positions of ``rng.choice(n, k, replace=False)``."""
+    if multiset.size <= _POSITIONS_ABOVE:
+        return rng.permutation(multiset)
+    inner = multiset[multiset != 0]
+    positions = rng.choice(multiset.size, inner.size, replace=False)
+    word = np.zeros(multiset.size, multiset.dtype)
+    word[positions] = inner
+    return word
+
+
 def rolled_excursion_degrees(multiset, rng):
-    """Shuffle with the sampler's ``_shuffled`` (numpy's permutation up to
+    """Shuffle with ``compressed_shuffled`` (numpy's permutation up to
     10 000 entries), rotate the bridge at its first minimum with
     ``np.roll`` and walk the rotated word again to check that it is an
     excursion."""
-    shuffled = _shuffled(multiset, rng)
+    shuffled = compressed_shuffled(multiset, rng)
     walk = np.cumsum(shuffled - 1)
     shift = int(np.argmin(walk)) + 1  # argmin takes the first minimum
     rotated = np.roll(shuffled, -shift)
@@ -497,7 +514,7 @@ def sampled_position_images(stat, shuffle) -> Counter:
     """Word -> number of ordered k-samples of positions (k the profile's
     non-leaves) that ``shuffle(multiset, rng)`` sends to it, over all of
     them, with ``OrderedSampleRng`` as the rng."""
-    multiset = np.array(stat.degree_multiset(), dtype=np.int64)
+    multiset = stat.degree_multiset()
     n, k = multiset.size, int(np.count_nonzero(multiset))
     rng = OrderedSampleRng(n, k)
     return Counter(tuple(shuffle(multiset, rng).tolist()) for _ in range(math.perm(n, k)))

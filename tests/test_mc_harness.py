@@ -278,7 +278,7 @@ class TestCountCollection:
         needles = [np.array(p.degrees) for p in patterns]
         for size, seed in product((1001, 10_001), (Seed(1), Seed(101, 3))):
             stat = StatFamily.full_binary().statistic(size)
-            multiset = np.array(stat.degree_multiset(), dtype=np.int64)
+            multiset = stat.degree_multiset()
             counts = collect_counts(stat, patterns, 30, seed, size_index=1)
             for r in range(30):
                 word = rolled_excursion_degrees(multiset, seed.generator(1, r))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from oracle_utils import (
     all_degree_statistics,
+    compressed_shuffled,
     dp_feasible,
     rolled_excursion_degrees,
     sampled_position_images,
@@ -30,6 +31,7 @@ from fringelab.errors import (
     InvalidDegreeSequence,
     InvalidPath,
 )
+from fringelab.mc_harness import StatFamily, collect_counts
 from fringelab.sampling import (
     _SCREEN_ROWS,
     DegreeSequence,
@@ -235,6 +237,17 @@ def _word_digest(size: int) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _gw_leaf_pair_multiset(n: int) -> np.ndarray:
+    """A multiset of n entries from ``_LeafPair.multiset`` under
+    geometric(1/2): n >> (d + 1) vertices of each degree d in 2..13, the
+    split of the leaves and the unary vertices (a = 1) forced."""
+    pair = _leaf_pair(OffspringDistribution.geometric(Fraction(1, 2)), n)
+    row = np.zeros(pair.degrees.size, dtype=np.int64)
+    row[2:14] = [n >> (d + 1) for d in range(2, 14)]
+    m, weight = (row @ pair.others).tolist()
+    return pair.multiset(row, n - m, n - 1 - weight)
+
+
 class TestSampledPositions:
     # above _POSITIONS_ABOVE entries the shuffle writes the non-leaves at
     # positions drawn by rng.choice instead of permuting the whole word
@@ -282,6 +295,52 @@ class TestSampledPositions:
         rng = Mock(wraps=Seed(1).generator())
         excursion_degrees(_binary_multiset(size), rng)
         assert [name for name, _, _ in rng.method_calls] == [method]
+
+    @pytest.mark.parametrize(
+        "build, size",
+        [
+            (lambda: StatFamily.geometric_profile().statistic(24_000).degree_multiset(), 23_926),
+            (lambda: StatFamily.one_hub(0.5).statistic(15_000).degree_multiset(), 15_000),
+            (lambda: _gw_leaf_pair_multiset(12_000), 12_000),
+        ],
+        ids=["geometric_profile", "one_hub(0.5)", "gw-leaf-pair"],
+    )
+    def test_tail_of_the_sorted_multiset_keeps_the_masked_words(self, build, size):
+        # reading the non-leaves as the tail of the sorted multiset changes
+        # no draw: word for word, and the stream left in the same state
+        multiset = build()
+        assert multiset.size == size and multiset.sum() == size - 1
+        for i in range(4):
+            rng, oracle_rng = Seed(i).generator(), Seed(i).generator()
+            for _ in range(2):
+                word = sampling._shuffled(multiset, rng)
+                assert word.tolist() == compressed_shuffled(multiset, oracle_rng).tolist()
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+    def test_descending_multiset_above_the_constant_raises(self):
+        # its tail after the first zero misses every binary vertex
+        with pytest.raises(InvalidPath):
+            excursion_degrees(_binary_multiset(10_001)[::-1].copy(), Seed(1).generator())
+
+    def test_every_sampler_shuffles_a_sorted_multiset(self, monkeypatch):
+        # the positions path reads the non-leaves as the tail after the
+        # zeros, so no library sampler may hand it an unsorted multiset
+        shuffled, sizes = sampling._shuffled, []
+
+        def spy(multiset, rng):
+            assert (multiset[1:] >= multiset[:-1]).all()
+            sizes.append(multiset.size)
+            return shuffled(multiset, rng)
+
+        monkeypatch.setattr(sampling, "_shuffled", spy)
+        monkeypatch.delenv("FRINGELAB_THREADS", raising=False)
+        for stat in (DegreeStatistic.from_counts({0: 4, 1: 1, 2: 3}), StatFamily.one_hub(0.5).statistic(10_500)):
+            sample_uniform_trees(stat, 2, Seed(1))
+            collect_counts(stat, [PlaneTree((2, 0, 0))], 2, Seed(2))
+        sample_conditioned_gw(FULL_BINARY, 11, Seed(3))
+        sample_conditioned_gw(OffspringDistribution.geometric(Fraction(1, 2)), 40, Seed(4))
+        sample_labelled_tree(DegreeSequence((0, 2, 0, 3, 0, 0, 1)), Seed(5))
+        assert sizes == [8, 8, 8, 8] + [10_500] * 4 + [11, 40, 7]
 
     def test_words_above_the_constant_are_excursions(self):
         multiset = _binary_multiset(10_001)

@@ -132,6 +132,53 @@ def test_tree_build_rule_sees_calls_outside_the_home():
     assert _tree_builds_outside(ast.parse(source), "_sample_tree") == [4, 7]
 
 
+def _repeat_sites(tree) -> list:
+    """(definition, line) of every ``.repeat`` attribute (``np.repeat`` or
+    an array's ``repeat``) and every import of ``repeat`` from numpy, with
+    the enclosing definition as ``Class.method`` ("" at module level)."""
+    sites = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{owner}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Attribute) and child.attr == "repeat") or (
+                isinstance(child, ast.ImportFrom)
+                and child.module == "numpy"
+                and any(alias.name == "repeat" for alias in child.names)
+            ):
+                sites.append((owner, child.lineno))
+            visit(child, owner)
+
+    visit(tree, "")
+    return sites
+
+
+def test_degree_multisets_are_built_only_by_the_two_builders():
+    # a degree multiset is np.repeat over sorted degrees, and the shuffle
+    # reads its non-leaves as the tail after the zeros; a third builder
+    # could hand it an unsorted one
+    homes = {("tree_core.py", "DegreeStatistic.degree_multiset"), ("sampling.py", "_LeafPair.multiset")}
+    found = [
+        f"{path.name}:{line}:{owner}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for owner, line in _repeat_sites(_tree(path.name))
+        if (path.name, owner) not in homes
+    ]
+    assert found == []
+
+
+def test_repeat_rule_names_the_enclosing_definition():
+    source = (
+        "import numpy as np\nfrom numpy import repeat\nfrom itertools import repeat as again\n"
+        "class Stat:\n    def multiset(self):\n        return np.repeat(self.d, self.c)\n"
+        "def word(a):\n    return a.repeat(2) + list(again(0, 2))\n"
+        "ones = numpy.repeat(1, 3)\n"
+    )
+    assert _repeat_sites(ast.parse(source)) == [("", 2), ("Stat.multiset", 6), ("word", 8), ("", 9)]
+
+
 def test_every_lru_cache_is_bounded():
     # an unbounded cache keyed by a law grows with every fresh law for the
     # life of the process, so each cache states an integer maxsize

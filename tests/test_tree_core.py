@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -143,7 +144,34 @@ class TestDegreeStatistic:
 
     def test_degree_multiset(self):
         stat = DegreeStatistic.from_counts({0: 3, 2: 2})
-        assert stat.degree_multiset() == [0, 0, 0, 2, 2]
+        multiset = stat.degree_multiset()
+        assert multiset.tolist() == [0, 0, 0, 2, 2]
+        assert multiset.dtype == np.int64
+
+    @pytest.mark.parametrize("items", [((2, 1), (0, 2)), ((0, 2), (0, 1)), ((-1, 1), (0, 1), (1, 1))])
+    def test_unsorted_or_repeated_degrees_raise(self, items):
+        with pytest.raises(InvalidDegreeStatistic, match="bad or unsorted entry"):
+            DegreeStatistic(items)
+
+    @pytest.mark.parametrize("items, bad", [(((0, 2.0), (2, 1)), 2.0), (((0, 2), (Fraction(2), 1)), Fraction(2))])
+    def test_non_integer_items_raise(self, items, bad):
+        with pytest.raises(TypeError, match=re.escape(repr(bad))):
+            DegreeStatistic(items)
+
+    def test_equal_profiles_compare_and_hash_equal(self):
+        stat = DegreeStatistic(((0, 2), (2, 1)))
+        assert stat == DegreeStatistic.from_counts({2: 1, 0: 2})
+        assert hash(stat) == hash(DegreeStatistic.from_counts({2: 1, 0: 2}))
+
+    @given(st.dictionaries(st.integers(0, 6), st.integers(0, 4), min_size=1))
+    @settings(max_examples=60, deadline=None)
+    def test_degree_multiset_is_sorted_int64(self, counts):
+        # the leaves make any counts feasible: n(0) = 1 + sum_i (i - 1) n(i)
+        counts[0] = 1 + sum((d - 1) * c for d, c in counts.items() if d)
+        multiset = DegreeStatistic.from_counts(counts).degree_multiset()
+        assert isinstance(multiset, np.ndarray) and multiset.dtype == np.int64
+        assert (multiset[1:] >= multiset[:-1]).all()
+        assert sorted(Counter(multiset.tolist()).items()) == sorted((d, c) for d, c in counts.items() if c)
 
     def test_empirical_distribution(self):
         stat = DegreeStatistic.from_counts({0: 3, 2: 2})

@@ -13,10 +13,10 @@ crosscheck tests the bridge-rotation sampler on hub profiles against the
 exact hypergeometric law of their path counts.
 
 Aggregation is exact (integer count sums), so reports are byte-identical
-for a given (config, seed) regardless of worker count; replicate r always
-uses the stream of seed.generator(size_index, r).  Each chunk of
-replicates derives those streams once (``sampling._replicate_streams``),
-and each replicate compares its word once with each degree of the
+for a given (config, seed) regardless of worker count.  The replicates of
+a size are cut into chunks whose length depends on the profile size alone,
+and chunk c draws its replicates in turn from seed.generator(size_index,
+c); each replicate compares its word once with each degree of the
 patterns.
 """
 
@@ -39,13 +39,7 @@ from .asymptotics import _symmetric, fringe_covariance_density, plugin_mean
 from .distributions import OffspringDistribution
 from .errors import SizeTooSmall, TooFewSamples, as_integer
 from .exact_moments import factorial_moment, joint_factorial_moment, mean_count
-from .sampling import (
-    _STREAM_LIMIT,
-    Seed,
-    _replicate_streams,
-    excursion_degrees,
-    sample_uniform_trees,
-)
+from .sampling import Seed, excursion_degrees, sample_uniform_trees
 from .tree_core import DegreeStatistic, PlaneTree, count_fringe
 
 DEFAULT_KS_THRESHOLD = 0.05
@@ -202,9 +196,9 @@ class ExperimentConfig:
         others to the field defaults.  A value that is not an object, an
         unknown key, an unknown value, a size below 3, fewer than 100
         replicates with ``normality`` or a threshold that is not a finite
-        number > 0 raises ValueError, and so does a ``tests``
-        value that is not a non-empty list of test names; a count or seed
-        that is not an integer raises TypeError."""
+        number > 0 raises ValueError, and so does a ``patterns``,
+        ``sizes`` or ``tests`` value that is not a non-empty list; a count
+        or seed that is not an integer raises TypeError."""
         if not isinstance(raw, dict):
             raise ValueError(f"an experiment config is a JSON object, not {raw!r}")
         unknown = set(raw) - {f.name for f in fields(cls)} - {"family_params"}
@@ -214,8 +208,11 @@ class ExperimentConfig:
         if not isinstance(seed, dict) or not seed.keys() <= {"value", "stream_id"}:
             raise ValueError(f'"seed" is an object of "value" and "stream_id", not {seed!r}')
         patterns = raw.get("patterns", ["2,0,0"])
-        if not all(isinstance(text, str) for text in patterns):
+        if not (isinstance(patterns, list) and all(isinstance(text, str) for text in patterns)):
             raise ValueError(f'"patterns" lists texts such as "2,0,0", not {patterns!r}')
+        sizes = raw.get("sizes", [10001])
+        if not isinstance(sizes, list):
+            raise ValueError(f'"sizes" lists sizes such as 10001, not {sizes!r}')
         tests = raw.get("tests", list(TESTS))
         if not isinstance(tests, list):
             raise ValueError(f'"tests" lists test names such as "moments", not {tests!r}')
@@ -224,7 +221,7 @@ class ExperimentConfig:
                 raw.get("family", "full_binary"), tuple(raw.get("family_params", ()))
             ),
             patterns=tuple(PlaneTree.from_text(text) for text in patterns),
-            sizes=tuple(raw.get("sizes", [10001])),
+            sizes=tuple(sizes),
             replicates=raw.get("replicates", 2000),
             seed=Seed(as_integer(seed.get("value", 0)), as_integer(seed.get("stream_id", 0))),
             tests=tuple(tests),
@@ -294,13 +291,22 @@ def _count_occurrences(hay: np.ndarray, needle: np.ndarray, masks: dict) -> int:
     return int(np.count_nonzero(match))
 
 
-def _count_chunk(multiset, needles, seed: Seed, size_index: int, replicates: range) -> list:
-    """The needle counts of each replicate r of ``replicates``, drawn from
-    the stream of seed.generator(size_index, r); each word is compared
-    once with each degree of the needles."""
+# a chunk of harness replicates holds about this many degree-word entries;
+# its length must not depend on the worker count, or the samples would
+_CHUNK_ENTRIES = 2**17
+
+
+def _count_chunk(
+    multiset, needles, seed: Seed, size_index: int, replicates: int, length: int, chunk: int
+) -> list:
+    """The needle counts of the replicates chunk * length up to (chunk + 1)
+    * length or ``replicates``, drawn in turn from
+    seed.generator(size_index, chunk); each word is compared once with
+    each degree of the needles."""
     degrees = set().union(*(needle.tolist() for needle in needles))
+    rng = seed.generator(size_index, chunk)
     rows = []
-    for rng in _replicate_streams(seed, size_index, replicates):
+    for _ in range(min(length, replicates - chunk * length)):
         word = excursion_degrees(multiset, rng)
         masks = _degree_masks(word, degrees)
         rows.append([_count_occurrences(word, needle, masks) for needle in needles])
@@ -314,31 +320,30 @@ def collect_counts(
     seed: Seed,
     size_index: int = 0,
 ) -> np.ndarray:
-    """(replicates x len(patterns)) matrix of fringe counts: _count_chunk
-    over range(replicates) serially, or over one chunk of ceil(replicates /
-    workers) per FRINGELAB_THREADS worker.  Replicate r is a pure function
-    of (seed, size_index, r), so any worker split agrees.  A negative count
-    raises ValueError, and so does one above 2**32, since the streams are
-    derived for replicate indices of one spawn-key word."""
+    """(replicates x len(patterns)) matrix of fringe counts.
+
+    The replicates are cut into chunks of max(1, 2**17 // n), n the
+    profile size, the last one possibly short.  Chunk c draws its
+    replicates in turn from seed.generator(size_index, c), so replicate 0
+    is the first draw of seed.generator(size_index, 0).  The chunks run serially, or
+    whole chunks are spread over the FRINGELAB_THREADS workers when there
+    are at least two per worker.  The chunk boundaries depend on n alone,
+    so any worker split agrees.  A negative count raises ValueError."""
     replicates = as_integer(replicates)
-    if not 0 <= replicates <= _STREAM_LIMIT:
-        raise ValueError(
-            f"replicates = {replicates} must be in [0, 2**32]: each replicate "
-            "index is one 32-bit spawn-key word"
-        )
-    workers = max(1, int(os.environ.get("FRINGELAB_THREADS", "1")))
-    parallel = workers > 1 and replicates >= 4 * workers
-    chunk = -(-replicates // workers) if parallel else max(replicates, 1)
-    ranges = [range(r, min(r + chunk, replicates)) for r in range(0, replicates, chunk)]
+    if replicates < 0:
+        raise ValueError(f"replicates = {replicates} must be at least 0")
     multiset = stat.degree_multiset()
+    length = max(1, _CHUNK_ENTRIES // multiset.size)
+    chunks = range(-(-replicates // length))
+    workers = max(1, int(os.environ.get("FRINGELAB_THREADS", "1")))
     needles = [np.array(p.degrees, dtype=np.int64) for p in patterns]
-    count = partial(_count_chunk, multiset, needles, seed, size_index)
-    if parallel:
+    count = partial(_count_chunk, multiset, needles, seed, size_index, replicates, length)
+    if workers > 1 and len(chunks) >= 2 * workers:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(count, ranges))
+            parts = list(pool.map(count, chunks, chunksize=-(-len(chunks) // workers)))
     else:
-        chunks = list(map(count, ranges))
-    rows = [row for part in chunks for row in part]
+        parts = list(map(count, chunks))
+    rows = [row for part in parts for row in part]
     return np.array(rows, dtype=np.int64).reshape(replicates, len(needles))
 
 

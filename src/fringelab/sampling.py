@@ -30,10 +30,8 @@ Randomness is PCG64 with explicit SeedSequence stream derivation: a Seed
 is (value, stream_id), and Seed.generator(*extra) uses the spawn key
 (stream_id, *extra).  sample_uniform_trees draws a whole batch from one
 stream; ``sample --dseq`` keys replicate r as (stream_id, r), and the
-harness as (stream_id, size_index, r).  The harness does not build a
-SeedSequence and a PCG64 per replicate: ``_replicate_streams`` derives the
-states of a whole range of replicates at once, bit-identical to
-Seed.generator's, and resets one Generator to each in turn.  Identical
+harness keys chunk c of its replicates at size index s as (stream_id, s,
+c), the chunk's replicates drawing from that one stream in turn.  Identical
 seeds reproduce identical output on any worker layout.
 """
 
@@ -87,82 +85,6 @@ def _as_generator(seed_or_rng) -> np.random.Generator:
     if isinstance(seed_or_rng, np.random.Generator):
         return seed_or_rng
     return seed_or_rng.generator()
-
-
-# the constants of numpy's SeedSequence hash (after O'Neill's seed_seq_fe)
-# and of PCG64's 128-bit LCG multiplier
-_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_STREAM_LIMIT = 2**32  # _replicate_streams reads each replicate r < 2**32 as one word
-
-
-def _entropy_words(n: int) -> int:
-    """The uint32 words numpy's SeedSequence reads from the int n >= 0."""
-    return max(1, -(-int(n).bit_length() // 32))
-
-
-def _hash32(value: np.ndarray, const: int, mult: int):
-    """One step of SeedSequence's hash on a uint32 array: value ^ const,
-    times the next constant const * mult, xor-shifted right by 16.  The
-    constants are Python ints below 2**32, so the array stays uint32 and
-    wraps mod 2**32.  Returns (hashed values, next constant)."""
-    following = const * mult & _MASK32
-    value = (value ^ const) * following
-    return value ^ (value >> 16), following
-
-
-def _replicate_streams(seed: Seed, size_index: int, replicates: range):
-    """Yield one Generator per replicate r of ``replicates`` (a step-1
-    range below ``_STREAM_LIMIT``), in order, each time in the state of
-    ``seed.generator(size_index, r)``.  It is the same Generator every
-    time, so a replicate's draws end before the next one is asked for.
-
-    numpy keeps SeedSequence and PCG64 seeding stable across versions (NEP
-    19, "Random number generator policy"), so the states are derived here
-    without a SeedSequence per replicate.  The pool of
-    ``SeedSequence(value, spawn_key=(stream_id, size_index))`` is every
-    replicate's pool before r, its last entropy word, is mixed in, and its
-    hash constant is then 0x43B0D7E5 * 0x931E8875^(16 + 4 * (w - 4)) mod
-    2**32 for its w assembled words (the value's, padded to 4, then the
-    key's).  The two hash steps that read r run over the whole range in
-    uint32 arrays: mixing r into the four pool words, and the eight output
-    hashes of ``generate_state(4, uint64)``.  PCG64's seeding from the
-    words (s, seq), inc = 2 seq + 1 and state = (s + inc) M + inc mod
-    2**128 (O'Neill, "PCG", HMC-CS-2014-0905), is done per replicate in
-    Python ints.  The states are bit-identical to ``Seed.generator``'s.
-    """
-    prefix = np.random.SeedSequence(seed.value, spawn_key=(seed.stream_id, size_index))
-    words = max(4, _entropy_words(seed.value)) + _entropy_words(seed.stream_id)
-    words += _entropy_words(size_index)
-    const = _INIT_A * pow(_MULT_A, 16 + 4 * (words - 4), 2**32) & _MASK32
-    r = np.arange(replicates.start, replicates.stop, dtype=np.uint32)
-    pool = []
-    for word in prefix.pool.tolist():
-        hashed, const = _hash32(r, const, _MULT_A)
-        mixed = (_MIX_L * word & _MASK32) - _MIX_R * hashed
-        pool.append(mixed ^ (mixed >> 16))
-    halves, const = [], _INIT_B
-    for i in range(8):
-        hashed, const = _hash32(pool[i % 4], const, _MULT_B)
-        halves.append(hashed.tolist())
-    rng = np.random.Generator(np.random.PCG64(0))
-    bit_generator = rng.bit_generator
-    for h0, h1, h2, h3, h4, h5, h6, h7 in zip(*halves):
-        # generate_state's four uint64 words are uint32 pairs, low word first;
-        # PCG64 reads them as s = (w0, w1) and seq = (w2, w3), high word first
-        s = (h0 | h1 << 32) << 64 | h2 | h3 << 32
-        seq = (h4 | h5 << 32) << 64 | h6 | h7 << 32
-        inc = (2 * seq + 1) & _MASK128
-        state = ((s + inc) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        yield rng
 
 
 @dataclass(frozen=True)

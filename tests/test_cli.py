@@ -202,9 +202,9 @@ class TestExperimentCommand:
     @pytest.mark.parametrize(
         "sizes, digest",
         [
-            ([501], "0b06c965a8e54b43f681832550e4d9ba5aae8c380b15d73e593c583ce4b554ce"),
+            ([501], "8d0745a032f624a38c8eea2dec4f820fea6bf5566063e3d514a9d80aa67c8bf2"),
             # two sizes that give the same n keep one block each, in run order
-            ([1000, 1001], "01a2a9463efdd300e79d57886c89ff9388832036f9f254a6955283a83ffeff8c"),
+            ([1000, 1001], "38e3a00eb8c4cd1c27b8cd0926a0abf40f3ca7e54628e6d372deb19b795d5a0c"),
         ],
         ids=["one-size", "two-sizes-one-n"],
     )
@@ -299,6 +299,9 @@ class TestExperimentCommand:
             ({**BASE, "seed": {"value": 1.5}}, [], "is not an integer"),  # ran with seed 1
             ({**BASE, "seed": {"stream": 2}}, [], '"seed"'),  # ran on stream 0
             ({**BASE, "patterns": [5]}, [], '"patterns"'),  # exit 2: AttributeError
+            ({**BASE, "patterns": "0"}, [], '"patterns"'),  # ran on the leaf pattern
+            ({**BASE, "patterns": "2,0,0"}, [], '"patterns"'),  # exit 1: degree total 2 != 0
+            ({"sizes": 101, "replicates": 120}, [], '"sizes"'),  # exit 1: int not iterable
             ({**BASE, "patterns": ["2,0,0", "2,0,0"]}, [], "distinct"),  # ran
             ({**BASE, "sizes": []}, [], "non-empty"),  # ran, all_passed with no verdicts
             ({**BASE, "patterns": []}, [], "non-empty"),  # ran, all_passed with no verdicts
@@ -311,7 +314,8 @@ class TestExperimentCommand:
             "list", "unknown-key", "unknown-test", "unknown-standardizer", "unknown-family",
             "extra-param", "missing-param", "negative-ratio", "bool-ratio", "float-size", "float-replicates",
             "string-replicates", "one-replicate", "seed-int", "seed-int-with-flag", "seed-float",
-            "seed-unknown-key", "pattern-int", "repeated-pattern", "no-sizes", "no-patterns",
+            "seed-unknown-key", "pattern-int", "patterns-string-leaf", "patterns-string-cherry",
+            "sizes-int", "repeated-pattern", "no-sizes", "no-patterns",
             "no-tests", "tests-string", "tests-object", "too-few-replicates-for-normality",
         ],
     )

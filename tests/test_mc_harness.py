@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from itertools import product
 
@@ -31,7 +32,7 @@ from fringelab.mc_harness import (
     normality_test,
     run_experiment,
 )
-from fringelab.sampling import Seed
+from fringelab.sampling import Seed, excursion_degrees
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
@@ -173,6 +174,9 @@ class TestConfig:
             (lambda: ExperimentConfig.from_dict({"seed": 5}), ValueError),
             (lambda: ExperimentConfig.from_dict({"seed": {"value": "5"}}), TypeError),
             (lambda: ExperimentConfig.from_dict({"patterns": [[2, 0, 0]]}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"patterns": "0"}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"patterns": "2,0,0"}), ValueError),
+            (lambda: ExperimentConfig.from_dict({"sizes": 101}), ValueError),
             (lambda: _config(sizes=(301, 2)), ValueError),
             (lambda: ExperimentConfig.from_dict(
                 {"sizes": [301, 2], "replicates": 50, "tests": ["moments"]}), ValueError),
@@ -199,7 +203,8 @@ class TestConfig:
             "unknown-family", "extra-param", "missing-param", "negative-ratio", "nan-ratio",
             "infinite-ratio", "bool-ratio-label", "string-ratio", "unknown-test", "unknown-standardizer", "repeated-pattern", "float-size",
             "float-replicates", "one-replicate", "no-sizes", "no-patterns", "not-an-object", "unknown-key", "seed-not-object",
-            "string-seed", "pattern-not-text", "size-below-3", "size-below-3-after-a-valid-one",
+            "string-seed", "pattern-not-text", "patterns-string-leaf", "patterns-string-cherry", "sizes-int",
+            "size-below-3", "size-below-3-after-a-valid-one",
             "negative-ks-threshold", "zero-ks-threshold", "bool-ks-threshold", "string-ks-threshold",
             "string-nan-tolerance", "nan-tolerance", "infinite-tolerance", "negative-tolerance",
             "no-tests", "tests-string", "no-tests-read", "tests-string-read", "tests-object-read",
@@ -271,19 +276,27 @@ class TestCountCollection:
 
     def test_counts_equal_the_rolled_oracle_pipeline(self):
         # the sampled words and their counts are those of the first forms
-        # of the rotation and the counter, replicate by replicate, each on
-        # its own seed.generator(size_index, r); 10 001 entries take the
-        # sampled-positions shuffle
+        # of the rotation and the counter, replicate by replicate: chunk c
+        # of 2**17 // n replicates draws them in turn from
+        # seed.generator(size_index, c).  Each run spans three chunks, the
+        # last one short; 10 001 entries take the sampled-positions shuffle
         patterns = [CHERRY, PlaneTree((2, 2, 0, 0, 0))]
         needles = [np.array(p.degrees) for p in patterns]
-        for size, seed in product((1001, 10_001), (Seed(1), Seed(101, 3))):
+        runs = ((1001, 130, 270), (10_001, 13, 30))
+        for (size, length, replicates), seed in product(runs, (Seed(1), Seed(101, 3))):
             stat = StatFamily.full_binary().statistic(size)
             multiset = stat.degree_multiset()
-            counts = collect_counts(stat, patterns, 30, seed, size_index=1)
-            for r in range(30):
-                word = rolled_excursion_degrees(multiset, seed.generator(1, r))
-                expected = [offsetwise_count_occurrences(word, x) for x in needles]
-                assert counts[r].tolist() == expected
+            counts = collect_counts(stat, patterns, replicates, seed, size_index=1)
+            expected = []
+            for chunk in range(3):
+                rng = seed.generator(1, chunk)
+                for _ in range(min(length, replicates - chunk * length)):
+                    word = rolled_excursion_degrees(multiset, rng)
+                    expected.append([offsetwise_count_occurrences(word, x) for x in needles])
+            assert counts.tolist() == expected
+            # replicate 0 is the first word of seed.generator(size_index, 0)
+            tree = PlaneTree(tuple(excursion_degrees(multiset, seed.generator(1, 0)).tolist()))
+            assert counts[0].tolist() == [count_fringe(tree, p) for p in patterns]
 
     def test_deterministic_given_seed(self):
         stat = DegreeStatistic.from_counts({0: 51, 2: 50})
@@ -292,13 +305,24 @@ class TestCountCollection:
         assert (a == b).all()
 
     def test_worker_split_invariance(self, monkeypatch):
-        for size, replicates, workers in ((51, 24, 3), (10_001, 10, 2)):
+        # at least two chunks per worker, so the pool starts, on both
+        # shuffle paths: 130 replicates a chunk at n = 1 001, 13 at 10 001
+        started = []
+
+        class Pool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(mc_harness, "ProcessPoolExecutor", Pool)
+        for size, replicates, workers in ((1001, 700, 3), (10_001, 50, 2)):
             stat = StatFamily.full_binary().statistic(size)
             monkeypatch.setenv("FRINGELAB_THREADS", "1")
             serial = collect_counts(stat, [CHERRY, LEAF], replicates, Seed(4))
             monkeypatch.setenv("FRINGELAB_THREADS", str(workers))
             parallel = collect_counts(stat, [CHERRY, LEAF], replicates, Seed(4))
             assert (serial == parallel).all()
+        assert started == [3, 2]
 
     def test_zero_replicates_give_an_empty_matrix(self):
         stat = DegreeStatistic.from_counts({0: 3, 2: 2})
@@ -308,7 +332,6 @@ class TestCountCollection:
         "replicates, error, message",
         [
             (-3, ValueError, "replicates = -3"),
-            (2**32 + 1, ValueError, "spawn-key word"),
             (2.0, TypeError, "is not an integer"),
         ],
     )

@@ -92,11 +92,44 @@ def test_lcm_only_in_exact_moments():
 
 
 def test_stream_derivation_only_in_sampling():
-    # seeds become PCG64 streams in sampling.py alone: Seed.generator and the
-    # derived replicate streams must stay bit-identical, so one module
-    # holds both
+    # seeds become PCG64 streams in sampling.py alone, in Seed.generator
     for name in ("SeedSequence", "PCG64"):
         assert _references_outside(name, "sampling.py") == []
+
+
+def _stream_state_sites(tree) -> list:
+    """Lines that read a ``pool`` attribute (a SeedSequence's entropy
+    pool) or assign a ``state`` attribute (a bit generator's state)."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and (node.attr, type(node.ctx)) in {("pool", ast.Load), ("state", ast.Store)}
+    )
+
+
+def test_no_stream_is_derived_by_hand():
+    # every stream is a Seed.generator; a state derived from a seed's pool
+    # and set on a bit generator would be a second derivation, kept equal
+    # to numpy's seeding only by hand
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(SOURCE.glob("*.py"))
+        for line in _stream_state_sites(_tree(path.name))
+    ]
+    assert found == []
+
+
+def test_stream_state_rule_sees_pool_reads_and_state_writes():
+    source = (
+        "words = np.random.SeedSequence(1).pool.tolist()\n"
+        "rng.bit_generator.state = {'state': 0}\n"
+        "saved = rng.bit_generator.state\n"
+        "pool = 3\n"
+        "bit_generator.state = saved\n"
+        "executor.pool.map(f, [])\n"
+    )
+    assert _stream_state_sites(ast.parse(source)) == [1, 2, 5, 6]
 
 
 def test_reference_rule_sees_attributes_and_imports():

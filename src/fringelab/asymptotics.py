@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import repeat
-from operator import add, mul
+from operator import add, mul, ne
 from typing import NamedTuple
 
 import numpy as np
@@ -213,14 +213,16 @@ class CovMatrix:
     entries: tuple
 
     def __post_init__(self):
-        m = len(self.entries)
-        for row in self.entries:
+        rows = self.entries
+        m = len(rows)
+        for row in rows:
             if len(row) != m:
                 raise ValueError("covariance matrix must be square")
-        for i in range(m):
-            for j in range(m):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("covariance matrix must be symmetric")
+        # row j against column j from the diagonal on: each pair j < k
+        # once, and each diagonal entry with itself, which only a NaN fails
+        for j, column in enumerate(zip(*rows)):
+            if any(map(ne, rows[j][j:], column[j:])):
+                raise ValueError("covariance matrix must be symmetric")
         if m and self.min_eigenvalue() < -1e-9:
             raise ValueError("covariance matrix is not PSD within tolerance")
 

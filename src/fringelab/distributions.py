@@ -268,17 +268,15 @@ def _mass_table(dist: OffspringDistribution):
 
 def sample_offspring(dist: OffspringDistribution, rng, size: int, *, tally: int):
     """``size`` iid child counts, drawn as size // tally rows of ``tally``
-    and returned only as their degree counts: a pair (degrees, counts) where
-    counts[r, j] is how many draws of row r equal degrees[j].  A row is one
-    multinomial(tally, p) vector over the masses of ``_mass_table``, drawn
-    at O(support) cost; degrees of float mass 0 are left out.  The degrees
-    array is cached and read-only.
+    and returned only as their degree counts: counts[r, j] is how many
+    draws of row r equal the j-th degree of ``_mass_table(dist)``.  A row
+    is one multinomial(tally, p) vector over those masses, drawn at
+    O(support) cost; degrees of float mass 0 have no column.
     """
     rows, rest = divmod(size, tally)
     if rest:
         raise ValueError(f"size {size} is not a multiple of tally {tally}")
-    degrees, masses = _mass_table(dist)
-    return degrees, rng.multinomial(tally, masses, size=rows)
+    return rng.multinomial(tally, _mass_table(dist)[1], size=rows)
 
 
 @dataclass(frozen=True, eq=False)

@@ -196,19 +196,14 @@ def sample_labelled_tree(dseq: DegreeSequence, seed):
 
 
 _FIRST_BLOCK, _LAST_BLOCK = 8, 256  # count vectors per block of attempts
-_SCREEN_ROWS = 64  # blocks this long are screened in numpy before the row tests
+_MAX_ATTEMPTS = 1_000_000  # count vectors drawn before AttemptsExhausted
 
 # float decisions closer than this (plus a share of the summed log terms)
 # to the threshold are redone in exact arithmetic
 _LOG_SLACK = 1e-9
 
 
-def sample_conditioned_gw(
-    w: OffspringDistribution,
-    n: int,
-    seed,
-    max_attempts: int = 1_000_000,
-) -> PlaneTree:
+def sample_conditioned_gw(w: OffspringDistribution, n: int, seed) -> PlaneTree:
     """Size-conditioned branching-process tree, exact by rejection on the
     degree counts (Devroye, "Simulating size-constrained Galton-Watson
     trees", SIAM J. Comput. 2012).
@@ -237,24 +232,21 @@ def sample_conditioned_gw(
     fractions of the float masses and of u when the two logs are close.
 
     Attempts are drawn in blocks of 8 count vectors, doubling up to 256,
-    at most ``max_attempts`` in all, which must be at least 1.
-    The vectors of a block are tested one by one in row order, and the
-    first accepted one, its split written in, is the multiset that is
-    shuffled.  Feasibility of (w, n) is checked once per cached (w, n),
-    by ``_leaf_pair``.
+    at most ``_MAX_ATTEMPTS`` in all.  The vectors of a block are tested
+    one by one in row order, and the first accepted one, its split written
+    in, is the multiset that is shuffled.  Feasibility of (w, n) is
+    checked once per cached (w, n), by ``_leaf_pair``.
     """
-    n, max_attempts = as_integer(n), as_integer(max_attempts)
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be at least 1")
+    n = as_integer(n)
     if n < 1:
         raise InfeasibleSize("n must be at least 1")
     pair = _leaf_pair(w, n)
     rng = _as_generator(seed)
     attempts, block = 0, _FIRST_BLOCK
-    while attempts < max_attempts:
-        rows = min(block, _LAST_BLOCK, max_attempts - attempts)
+    while attempts < _MAX_ATTEMPTS:
+        rows = min(block, _LAST_BLOCK, _MAX_ATTEMPTS - attempts)
         # rows of n offspring draws, each kept only as its tally
-        _, counts = sample_offspring(w, rng, rows * n, tally=n)
+        counts = sample_offspring(w, rng, rows * n, tally=n)
         hit = pair.first_accepted(counts @ pair.others, rng.random)
         if hit is not None:
             row, size, k = hit
@@ -299,19 +291,8 @@ class _LeafPair:
         """(row, N, c_a) of the first accepted count vector, in row order,
         given the (m, W) of each as the rows of ``sums``, or None when none
         is.  ``draw()`` gives u, one call per vector whose forced c_a is an
-        integer in [0, N].  A block of at least ``_SCREEN_ROWS`` vectors is
-        screened for those in numpy first, since a row loop that rarely
-        stops early costs more there; either way they are tested in row
-        order, so the draws, and the trees, are the same."""
+        integer in [0, N], in row order."""
         n, a = self.n, self.a
-        if len(sums) >= _SCREEN_ROWS:
-            sizes = n - sums[:, 0]
-            splits, rest = np.divmod(n - 1 - sums[:, 1], a)
-            rows = np.flatnonzero((rest == 0) & (splits >= 0) & (splits <= sizes))
-            for row, size, k in zip(rows.tolist(), sizes[rows].tolist(), splits[rows].tolist()):
-                if self.accepts(draw(), size, k):
-                    return row, size, k
-            return None
         for row, (m, weight) in enumerate(sums.tolist()):
             size = n - m
             k, rest = divmod(n - 1 - weight, a)

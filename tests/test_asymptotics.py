@@ -600,6 +600,12 @@ class TestCovMatrix:
         with pytest.raises(ValueError):
             CovMatrix.build([[1, 2], [2, 1]])
 
+    def test_nan_diagonal_rejected(self):
+        # eigvalsh reads this matrix as PSD, so the symmetry check, which
+        # compares the diagonal with itself, is what rejects it
+        with pytest.raises(ValueError, match="symmetric"):
+            CovMatrix.build([[math.nan, 0.0], [0.0, 1.0]])
+
     def test_probe_emits_psd(self):
         for p in random_distribution_corpus(6, seed=5):
             patterns = [

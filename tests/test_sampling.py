@@ -33,7 +33,6 @@ from fringelab.errors import (
 )
 from fringelab.mc_harness import StatFamily, collect_counts
 from fringelab.sampling import (
-    _SCREEN_ROWS,
     DegreeSequence,
     Seed,
     _check_feasible,
@@ -413,7 +412,7 @@ class TestConditionedGW:
         assert sample_conditioned_gw(w, 1, Seed(0)) == PlaneTree((0,))
         for n in range(2, 8):
             with pytest.raises(InfeasibleSize):
-                sample_conditioned_gw(w, n, Seed(0), max_attempts=4)
+                sample_conditioned_gw(w, n, Seed(0))
 
     def test_infeasible_even_size(self):
         with pytest.raises(InfeasibleSize):
@@ -426,10 +425,10 @@ class TestConditionedGW:
 
     def test_infeasible_at_any_size(self):
         with pytest.raises(InfeasibleSize):
-            sample_conditioned_gw(FULL_BINARY, 100_002, Seed(0), max_attempts=4)
+            sample_conditioned_gw(FULL_BINARY, 100_002, Seed(0))
         w = OffspringDistribution.finite({1: Fraction(1, 2), 2: Fraction(1, 2)})
         with pytest.raises(InfeasibleSize):
-            sample_conditioned_gw(w, 100_003, Seed(0), max_attempts=4)
+            sample_conditioned_gw(w, 100_003, Seed(0))
 
     def test_feasible_large_size(self):
         # mean-1 law on {0, 3, 5}; 200 000 = 3a + 5b is reachable
@@ -452,7 +451,7 @@ class TestConditionedGW:
                 feasible = False
             assert feasible == dp_feasible(w, n), n
 
-    def test_attempts_exhausted(self):
+    def test_attempts_exhausted(self, monkeypatch):
         # feasible but forced through an absurdly small attempt budget is
         # indistinguishable from never accepting: condition a subcritical
         # law on an exponentially rare total, so the forced leaf pair's
@@ -460,14 +459,15 @@ class TestConditionedGW:
         w = OffspringDistribution.finite(
             {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
         )
+        monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", 3)
         with pytest.raises(AttemptsExhausted) as err:
-            sample_conditioned_gw(w, 100_001, Seed(0), max_attempts=3)
+            sample_conditioned_gw(w, 100_001, Seed(0))
         assert err.value.acceptance_rate <= 1 / 3
 
     @pytest.mark.parametrize(
-        "max_attempts, blocks", [(100, [8, 16, 32, 44]), (3, [3])], ids=["100", "3"]
+        "cap, blocks", [(100, [8, 16, 32, 44]), (3, [3])], ids=["100", "3"]
     )
-    def test_block_schedule(self, max_attempts, blocks, monkeypatch):
+    def test_block_schedule(self, cap, blocks, monkeypatch):
         # a subcritical law that accepts no row within the budget: blocks of
         # 8 rows double until the budget cuts the last one short
         w = OffspringDistribution.finite(
@@ -480,10 +480,11 @@ class TestConditionedGW:
             return draw(dist, rng, size, tally=tally)
 
         monkeypatch.setattr(sampling, "sample_offspring", spy)
+        monkeypatch.setattr(sampling, "_MAX_ATTEMPTS", cap)
         with pytest.raises(AttemptsExhausted) as err:
-            sample_conditioned_gw(w, 1_001, Seed(0), max_attempts=max_attempts)
+            sample_conditioned_gw(w, 1_001, Seed(0))
         assert rows == blocks
-        assert err.value.acceptance_rate == 1 / max_attempts
+        assert err.value.acceptance_rate == 1 / cap
 
     def test_geometric_matches_weighted_law(self):
         w = OffspringDistribution.geometric(Fraction(1, 2))
@@ -588,20 +589,34 @@ class TestConditionedGW:
         )
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
-    @pytest.mark.parametrize(
-        "kwargs, error",
-        [
-            ({"max_attempts": 0}, ValueError),  # the parent gave up after 0 attempts
-            ({"n": 50.5}, TypeError),  # the parent indexed a tuple with a float
-            ({"max_attempts": 2.5}, TypeError),
-        ],
-        ids=["max-attempts-0", "float-n", "float-max-attempts"],
-    )
-    def test_invalid_arguments_raise(self, kwargs, error):
-        args = {"n": 51, "max_attempts": 100} | kwargs
-        message = "is not an integer" if error is TypeError else "must be at least 1"
-        with pytest.raises(error, match=message):
-            sample_conditioned_gw(FULL_BINARY, seed=Seed(0), **args)
+    def test_long_block_trees_keep_their_bytes(self, monkeypatch):
+        # a subcritical law at n = 101 rejects most count vectors, so some
+        # of these trees are accepted in blocks of 64 rows or more; their
+        # bytes pin the order of the row tests and of the draws of u there
+        w = OffspringDistribution.finite(
+            {0: Fraction(1, 2), 1: Fraction(1, 4), 2: Fraction(1, 4)}
+        )
+        n, sizes, draw = 101, [], sampling.sample_offspring
+
+        def spy(dist, rng, size, *, tally):
+            sizes.append(size)
+            return draw(dist, rng, size, tally=tally)
+
+        monkeypatch.setattr(sampling, "sample_offspring", spy)
+        text = "\n".join(
+            sample_conditioned_gw(w, n, Seed(s, 11)).to_text() for s in range(6)
+        )
+        assert any(size >= 64 * n for size in sizes)
+        assert (
+            hashlib.sha256(text.encode()).hexdigest()
+            == "f88c81acb09a204496bd61a0bc9a8dcbb64adf9017958d895dd7f38534380c61"
+        )
+
+    @pytest.mark.parametrize("n", [50.5], ids=["float-n"])
+    def test_invalid_arguments_raise(self, n):
+        # an earlier version indexed a tuple with the float
+        with pytest.raises(TypeError, match="is not an integer"):
+            sample_conditioned_gw(FULL_BINARY, n, Seed(0))
 
     def test_infeasible_raises_on_every_call(self):
         # the feasibility check runs inside the cached _leaf_pair, whose
@@ -694,34 +709,6 @@ class TestLeafPairAcceptance:
         draws = iter([0.999, 2.0**-60])
         assert pair.first_accepted(np.array(sums), draws.__next__) == (2, pair.low, pair.mode)
         assert next(draws, None) is None
-
-    @pytest.mark.parametrize("law", range(len(LEAF_PAIR_LAWS)))
-    def test_long_block_screen_matches_row_by_row(self, law):
-        # a block of _SCREEN_ROWS or more is screened in numpy; it must draw
-        # u for the same rows, in the same order, and accept the same row
-        n = 21 if law == 5 else 15  # {0, 10} has trees only at n = 1 mod 10
-        pair = _leaf_pair(OffspringDistribution.finite(LEAF_PAIR_LAWS[law]), n)
-        sums = np.array(list(compositions(n, len(pair.degrees)))) @ pair.others
-        # every fifth row forces c_a > N, c_a < 0, or (a > 1) a fractional c_a
-        marks = range(0, len(sums), 4)
-        odd = np.resize([(n - 1, 0), (0, n + 5), (1, n - 1 - pair.a // 2)], (len(marks), 2))
-        sums = np.insert(sums, marks, odd, axis=0)
-        sums = np.tile(sums, (-(-2 * _SCREEN_ROWS // len(sums)), 1))
-        for start in range(0, len(sums) - _SCREEN_ROWS + 1, 7):
-            block = sums[start:]
-            u = np.random.default_rng(start).random(len(block)).tolist()
-            screened, row_by_row = [], []
-            hit = pair.first_accepted(block, lambda: screened.append(u[len(screened)]) or screened[-1])
-            expected = None
-            for row in range(len(block)):
-                one = pair.first_accepted(
-                    block[row : row + 1], lambda: row_by_row.append(u[len(row_by_row)]) or row_by_row[-1]
-                )
-                if one is not None:
-                    expected = (row,) + one[1:]
-                    break
-            assert screened == row_by_row
-            assert hit == expected
 
     def test_multiset_writes_the_forced_split(self):
         w = OffspringDistribution.finite(LEAF_PAIR_LAWS[3])  # degrees 0, 2, 4

@@ -295,14 +295,17 @@ def _public_definitions() -> dict:
 
 def _read_outside_own_definition(tree) -> set:
     """Every name a module reads, as a name or an attribute, outside the
-    top-level definition of that name; importing a name does not read it."""
+    top-level definition of that name; importing a name does not read it,
+    and neither does assigning to it."""
     used = set()
     for top in tree.body:
         owner = getattr(top, "name", None)
         used |= {
             _name(node)
             for node in ast.walk(top)
-            if isinstance(node, (ast.Name, ast.Attribute)) and _name(node) != owner
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and not isinstance(node.ctx, ast.Store)
+            and _name(node) != owner
         }
     return used
 
@@ -321,18 +324,30 @@ def test_every_public_function_has_a_library_caller_or_is_public_api():
     assert sorted(PUBLIC_API - defined.keys()) == []
 
 
-def _unread_private_definitions(trees: dict, used: set) -> list:
-    """file:name of each module-level private function or class (one
-    leading underscore) of the modules in ``trees`` whose name is not in
-    ``used``."""
+def _defined_names(top) -> list:
+    """The names a module-level statement defines: a function or class, or
+    each plain name an assignment binds, tuple targets included."""
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [top.name]
+    targets = top.targets if isinstance(top, ast.Assign) else []
     return [
-        f"{file}:{node.name}"
+        node.id
+        for target in targets
+        for node in ast.walk(target)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+    ]
+
+
+def _unread_private_definitions(trees: dict, used: set) -> list:
+    """file:name of each module-level private function, class or constant
+    (one leading underscore) of the modules in ``trees`` whose name is not
+    in ``used``."""
+    return [
+        f"{file}:{name}"
         for file, tree in sorted(trees.items())
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name.startswith("_")
-        and not node.name.startswith("__")
-        and node.name not in used
+        for top in tree.body
+        for name in _defined_names(top)
+        if name.startswith("_") and not name.startswith("__") and name not in used
     ]
 
 
@@ -351,13 +366,26 @@ def test_unread_private_rule_sees_reads_outside_the_definition():
             "class _Shape:\n    pass\n"
             "def _imported_only():\n    pass\n"
             "def __getattr__(name):\n    pass\n"
-            "def public():\n    return _called()\n"
+            "def public():\n    return _called() + _READ\n"
+            "_READ = 1\n"
+            "_WRITTEN = 2\n"
+            "_PAIR, (_LONE, *_REST) = 3, (4, 5)\n"
+            "__all__ = ['public']\n"
         ),
-        "b.py": "import a\nfrom a import _imported_only, _Shape\nshape = a._Shape\n",
+        "b.py": (
+            "import a\nfrom a import _imported_only, _Shape\nshape = a._Shape\n"
+            "a._WRITTEN = a._PAIR\n"
+        ),
     }
     trees = {file: ast.parse(source) for file, source in sources.items()}
     used = set().union(*map(_read_outside_own_definition, trees.values()))
-    assert _unread_private_definitions(trees, used) == ["a.py:_recursive", "a.py:_imported_only"]
+    assert _unread_private_definitions(trees, used) == [
+        "a.py:_recursive",
+        "a.py:_imported_only",
+        "a.py:_WRITTEN",
+        "a.py:_LONE",
+        "a.py:_REST",
+    ]
 
 
 def _may_turn_off_shuffle(call: ast.Call) -> bool:

@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 
 from .asymptotics import (
+    _symmetric,
     classify_exceptional,
     equivalent_offspring,
     fringe_covariance_density,
@@ -182,7 +183,9 @@ def _cmd_asymptotics(args) -> int:
         patterns = parse_patterns(args.patterns) if args.patterns else []
         containment_matrix(patterns)  # raises DuplicatePatterns, as --w and moments do
         config = {"p": p.label(), "patterns": [t.to_text() for t in patterns]}
-        matrix = [[fringe_covariance_density(p, a, b) for b in patterns] for a in patterns]
+        matrix = _symmetric(
+            len(patterns), lambda j, k: fringe_covariance_density(p, patterns[j], patterns[k])
+        )
         result = {
             "patterns": [
                 {

@@ -4,11 +4,14 @@ The harness draws uniform trees from built-in convergent families of degree
 profiles, tallies fringe-pattern counts, and compares empirical moments with
 three references: the exact finite-size values (rational arithmetic), the
 covariance-density predictions scaled by the size, and the plug-in mean.
-Standardized counts are tested for normality by Kolmogorov-Smirnov
-distance.  Two purely exact scans probe the finite-size error of the
-moment approximations: one tracks the gap between exact mean/variance and
-their limit forms across sizes, the other checks the quadratic-exponent
-shape of high factorial moments that underlies the normality proofs.  The
+Counts centered at the exact mean are tested for normality by
+Kolmogorov-Smirnov distance.  The gates are module constants: a KS
+verdict passes below DEFAULT_KS_THRESHOLD, and the variance verdicts
+allow the relative error DEFAULT_VAR_REL_TOL.  Two purely exact scans
+probe the finite-size error of the moment approximations: one tracks the
+gap between exact mean/variance and their limit forms across sizes, the
+other checks the quadratic-exponent shape of high factorial moments that
+underlies the normality proofs.  The
 crosscheck tests the bridge-rotation sampler on hub profiles against the
 exact hypergeometric law of their path counts.
 
@@ -30,7 +33,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import partial
-from numbers import Real
 
 import numpy as np
 from scipy import stats as scistats
@@ -102,17 +104,22 @@ class StatFamily:
         return cls("one_hub", (ratio,))
 
     def statistic(self, size: int) -> DegreeStatistic:
+        """The family's profile at ``size``; ValueError for a size below 3
+        or a profile of fewer than 3 vertices."""
         if size < 3:
             raise ValueError("families need size >= 3")
         if self.name == "full_binary":
             m = max(1, round((size - 1) / 2))
-            return DegreeStatistic.from_counts({0: m + 1, 2: m})
-        if self.name == "geometric_profile":
-            return _geometric_profile(size)
-        (ratio,) = self.params  # one_hub
-        n0 = max(2, round(size / (1 + ratio)) - 1)
-        n1 = size - n0 - 1
-        return DegreeStatistic.from_counts({0: n0, 1: n1, n0: 1})
+            stat = DegreeStatistic.from_counts({0: m + 1, 2: m})
+        elif self.name == "geometric_profile":
+            stat = _geometric_profile(size)
+        else:
+            (ratio,) = self.params  # one_hub
+            n0 = max(2, round(size / (1 + ratio)) - 1)
+            stat = DegreeStatistic.from_counts({0: n0, 1: size - n0 - 1, n0: 1})
+        if stat.size < 3:
+            raise ValueError(f"{self.label()} at size {size} has {stat.size} vertices, fewer than 3")
+        return stat
 
     def target(self) -> OffspringDistribution:
         if self.name == "full_binary":
@@ -133,7 +140,9 @@ class StatFamily:
 
 def _geometric_profile(size: int) -> DegreeStatistic:
     """Counts n(i) ~ size * 2^-(i+1), floored, with n(0) adjusted by the
-    signed balance deficit so the profile is feasible."""
+    signed balance deficit so the profile is feasible: n(0) ends at
+    1 + n(2) + 2 n(3) + ... >= 1.  Below size 8 it has fewer than 3
+    vertices."""
     counts = {}
     i = 0
     while True:
@@ -144,8 +153,6 @@ def _geometric_profile(size: int) -> DegreeStatistic:
         i += 1
     deficit = 1 + sum(d * c for d, c in counts.items()) - sum(counts.values())
     counts[0] += deficit
-    if counts[0] < 1:
-        raise ValueError(f"geometric profile infeasible at size {size}")
     return DegreeStatistic.from_counts(counts)
 
 
@@ -161,17 +168,12 @@ class ExperimentConfig:
     replicates: int
     seed: Seed
     tests: tuple = TESTS
-    standardize_with: str = "exact_mean"
-    ks_threshold: float = DEFAULT_KS_THRESHOLD
-    var_rel_tol: float = DEFAULT_VAR_REL_TOL
 
     def __post_init__(self):
         if isinstance(self.tests, str) or not self.tests:
             raise ValueError(f"tests is a non-empty list of test names, not {self.tests!r}")
         if not all(test in TESTS for test in self.tests):
             raise ValueError(f"unknown tests in {list(self.tests)}; known: {', '.join(TESTS)}")
-        if self.standardize_with not in ("exact_mean", "plugin"):
-            raise ValueError(f"standardize_with is exact_mean or plugin, not {self.standardize_with!r}")
         if not (self.sizes and self.patterns):
             raise ValueError("an experiment needs non-empty sizes and patterns")
         if len(set(self.patterns)) < len(self.patterns):
@@ -182,21 +184,15 @@ class ExperimentConfig:
             raise ValueError("an experiment needs at least 2 replicates")
         if "normality" in self.tests and self.replicates < _KS_MIN_SAMPLES:
             raise ValueError(f"normality needs at least {_KS_MIN_SAMPLES} replicates, not {self.replicates}")
-        for key in ("ks_threshold", "var_rel_tol"):
-            value = getattr(self, key)  # JSON true is a bool, and a bool is an int
-            if isinstance(value, bool) or not (isinstance(value, Real) and 0 < value < math.inf):
-                raise ValueError(f"{key} is a finite number > 0, not {value!r}")
-            object.__setattr__(self, key, float(value))
 
     @classmethod
     def from_dict(cls, raw) -> "ExperimentConfig":
         """The config of an experiment JSON object, the form ``to_dict``
         echoes.  Absent keys default to full_binary, the cherry 2,0,0, the
-        one size 10001, 2000 replicates and seed 0 on stream 0, and the
-        others to the field defaults.  A value that is not an object, an
-        unknown key, an unknown value, a size below 3, fewer than 100
-        replicates with ``normality`` or a threshold that is not a finite
-        number > 0 raises ValueError, and so does a ``patterns``,
+        one size 10001, 2000 replicates, seed 0 on stream 0 and both tests.
+        A value that is not an object, an unknown key, an unknown value, a
+        size below 3 or fewer than 100 replicates with ``normality``
+        raises ValueError, and so does a ``patterns``,
         ``sizes`` or ``tests`` value that is not a non-empty list; a count
         or seed that is not an integer raises TypeError."""
         if not isinstance(raw, dict):
@@ -225,7 +221,6 @@ class ExperimentConfig:
             replicates=raw.get("replicates", 2000),
             seed=Seed(as_integer(seed.get("value", 0)), as_integer(seed.get("stream_id", 0))),
             tests=tuple(tests),
-            **{key: raw[key] for key in ("standardize_with", "ks_threshold", "var_rel_tol") if key in raw},
         )
 
     def to_dict(self) -> dict:
@@ -236,9 +231,6 @@ class ExperimentConfig:
             "replicates": self.replicates,
             "seed": {"value": self.seed.value, "stream_id": self.seed.stream_id},
             "tests": list(self.tests),
-            "standardize_with": self.standardize_with,
-            "ks_threshold": self.ks_threshold,
-            "var_rel_tol": self.var_rel_tol,
         }
 
 
@@ -434,13 +426,18 @@ class _References:
 
 def _references(stat: DegreeStatistic, patterns) -> _References:
     pn = OffspringDistribution.finite(stat.empirical_distribution())
+    patterns = list(patterns)
+    means = [mean_count(stat, p) for p in patterns]
     return _References(
         n=stat.size,
-        patterns=list(patterns),
-        means=[mean_count(stat, p) for p in patterns],
-        variances=[exact_variance(stat, p) for p in patterns],
+        patterns=patterns,
+        means=means,
+        # Var N = E(N)_2 + E N - (E N)^2, from the means above
+        variances=[factorial_moment(stat, p, 2) + mu - mu * mu for p, mu in zip(patterns, means)],
         plugin=[plugin_mean(stat, p) for p in patterns],
-        gamma=[[fringe_covariance_density(pn, t1, t2) for t2 in patterns] for t1 in patterns],
+        gamma=_symmetric(
+            len(patterns), lambda j, k: fringe_covariance_density(pn, patterns[j], patterns[k])
+        ),
     )
 
 
@@ -451,10 +448,9 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         ref = _references(stat, cfg.patterns)
         counts = collect_counts(stat, ref.patterns, cfg.replicates, cfg.seed, size_index)
         emp = _empirical_moments(counts)
-        # standardized counts: count minus the center, over sqrt(n)
-        centers = ref.plugin if cfg.standardize_with == "plugin" else ref.means
-        columns = zip(counts.T.astype(float), centers)
-        samples = [(column - float(center)) / math.sqrt(ref.n) for column, center in columns]
+        # standardized counts: count minus the exact mean, over sqrt(n)
+        columns = zip(counts.T.astype(float), ref.means)
+        samples = [(column - float(mean)) / math.sqrt(ref.n) for column, mean in columns]
         report.samples += [(ref.n, t.to_text(), z) for t, z in zip(ref.patterns, samples)]
         entry = {
             "size": ref.n,
@@ -472,7 +468,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
         if "moments" in cfg.tests:
             _moment_verdicts(report, cfg, entry, emp, ref)
         if "normality" in cfg.tests:
-            _normality_verdicts(report, cfg, entry, samples, ref)
+            _normality_verdicts(report, entry, samples, ref)
         report.per_size.append(entry)
     return report
 
@@ -509,12 +505,12 @@ def _moment_verdicts(report, cfg, entry, emp, ref: _References):
             (
                 "empirical variance within max(4 SE, rel tol) of exact",
                 abs(float(emp["var"][j] - ref.variances[j])),
-                max(4 * se_var, cfg.var_rel_tol * float(ref.variances[j])),
+                max(4 * se_var, DEFAULT_VAR_REL_TOL * float(ref.variances[j])),
             ),
             (
                 "empirical variance per vertex near covariance density",
                 abs(float(emp["var"][j]) / n - density),
-                max(cfg.var_rel_tol * max(density, 1e-12), 4 * se_var / n),
+                max(DEFAULT_VAR_REL_TOL * max(density, 1e-12), 4 * se_var / n),
             ),
         ):
             report.verdicts.append(_verdict(check, n, pattern.to_text(), observed, tolerance))
@@ -532,17 +528,17 @@ def _moment_verdicts(report, cfg, entry, emp, ref: _References):
             )
 
 
-def _normality_verdicts(report, cfg, entry, samples, ref: _References):
+def _normality_verdicts(report, entry, samples, ref: _References):
     entry["ks"] = []
     for pattern, z in zip(ref.patterns, samples):
         if z.std(ddof=1) == 0:
             entry["ks"].append(None)
             continue
-        distance, ok = normality_test(z, cfg.ks_threshold)
+        distance, ok = normality_test(z, DEFAULT_KS_THRESHOLD)
         entry["ks"].append(distance)
-        check = f"KS distance of standardized count below {cfg.ks_threshold}"
+        check = f"KS distance of standardized count below {DEFAULT_KS_THRESHOLD}"
         # strict: normality_test passes distance < threshold
-        report.verdicts.append(_verdict(check, ref.n, pattern.to_text(), distance, cfg.ks_threshold, ok))
+        report.verdicts.append(_verdict(check, ref.n, pattern.to_text(), distance, DEFAULT_KS_THRESHOLD, ok))
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,6 @@ def test_criterion_04_clt_desk_scale():
         replicates=2_000,
         seed=Seed(2025, 4),
         tests=("moments", "normality"),
-        ks_threshold=0.05,
-        var_rel_tol=0.10,
     )
     report = run_experiment(cfg)
     entry = report.per_size[0]

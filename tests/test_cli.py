@@ -173,7 +173,6 @@ class TestExperimentCommand:
             "replicates": 150,
             "seed": {"value": 5, "stream_id": 0},
             "tests": ["moments", "normality"],
-            "ks_threshold": 0.2,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -202,9 +201,9 @@ class TestExperimentCommand:
     @pytest.mark.parametrize(
         "sizes, digest",
         [
-            ([501], "8d0745a032f624a38c8eea2dec4f820fea6bf5566063e3d514a9d80aa67c8bf2"),
+            ([501], "bb3f53c11127c4b49e1b26b2813eb9d11430cfe9c6af6feb3ede99637e90c104"),
             # two sizes that give the same n keep one block each, in run order
-            ([1000, 1001], "38e3a00eb8c4cd1c27b8cd0926a0abf40f3ca7e54628e6d372deb19b795d5a0c"),
+            ([1000, 1001], "8396c836f4db42d83b7496bb7b05d65167a4434a128b6dfeed199d9aba72c284"),
         ],
         ids=["one-size", "two-sizes-one-n"],
     )
@@ -216,7 +215,6 @@ class TestExperimentCommand:
             "replicates": 150,
             "seed": {"value": 5, "stream_id": 0},
             "tests": ["moments", "normality"],
-            "ks_threshold": 0.2,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -237,7 +235,6 @@ class TestExperimentCommand:
             "replicates": 100,
             "seed": {"value": 3},
             "tests": ["normality"],
-            "ks_threshold": 1,
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
@@ -284,7 +281,8 @@ class TestExperimentCommand:
             ([1, 2], [], "JSON object"),  # exit 2: AttributeError
             ({**BASE, "replicate": 100}, [], "unknown experiment config keys"),  # ran
             ({**BASE, "tests": ["moment"]}, [], "unknown tests"),  # ran, no moment verdicts
-            ({**BASE, "standardize_with": "plugn"}, [], "exact_mean or plugin"),  # ran
+            # the centering is fixed, so the key is unknown
+            ({**BASE, "standardize_with": "plugn"}, [], "unknown experiment config keys"),  # ran
             ({**BASE, "family": "binary"}, [], "unknown family"),  # exit 1 already
             ({**BASE, "family_params": [7]}, [], "takes 0 parameter"),  # ran
             ({**BASE, "family": "one_hub"}, [], "takes 1 parameter"),  # exit 1, unpack error
@@ -400,6 +398,22 @@ class TestErrorPaths:
         code, out, err = run_cli(capsys, command, "--family", label, "--sizes", "301")
         assert code == 1 and out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("size", ["3", "4", "5", "6", "7"])
+    def test_geometric_profile_of_fewer_than_3_vertices(self, capsys, size):
+        # experiment once passed every verdict on these 1- and 2-vertex
+        # profiles, and check-gw failed late on a zero plug-in mean
+        code, out, err = run_cli(
+            capsys, "experiment", "--family", "geometric_profile", "--sizes", size,
+            "--reps", "200", "--patterns", "1,0",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "fewer than 3" in err
+        code, out, err = run_cli(
+            capsys, "check-gw", "--family", "geometric_profile", "--sizes", f"{size},8"
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "fewer than 3" in err
 
     def test_missing_required_flag(self, capsys):
         code, _, _ = run_cli(capsys, "count")

@@ -14,6 +14,7 @@ from oracle_utils import (
 )
 
 from fringelab import mc_harness
+from fringelab.asymptotics import plugin_mean
 from fringelab.errors import TooFewSamples
 from fringelab.exact_moments import mean_count
 from fringelab.mc_harness import (
@@ -71,6 +72,21 @@ class TestFamilies:
         hubs = [d for d in counts if d >= 2]
         assert len(hubs) == 1 and counts[hubs[0]] == 1
 
+    @pytest.mark.parametrize("size", [3, 4, 5, 6, 7])
+    def test_geometric_profile_of_fewer_than_3_vertices_refused(self, size):
+        # these sizes built {0: 1} or {0: 1, 1: 1}, and an experiment on them
+        # passed every verdict on a tree of 1 or 2 vertices
+        with pytest.raises(ValueError, match="fewer than 3"):
+            StatFamily.geometric_profile().statistic(size)
+        with pytest.raises(ValueError, match="fewer than 3"):
+            _config(family=StatFamily.geometric_profile(), sizes=(size,))
+
+    def test_geometric_profile_from_size_8(self):
+        family = StatFamily.geometric_profile()
+        assert family.statistic(8).as_dict() == {0: 2, 1: 2, 2: 1}
+        report = run_experiment(_config(family=family, patterns=(PlaneTree((1, 0)),), sizes=(8,)))
+        assert report.per_size[0]["size"] == 5
+
     def test_convergence_to_target(self):
         for family in (StatFamily.full_binary(), StatFamily.geometric_profile()):
             target = family.target()
@@ -93,9 +109,6 @@ class TestConfig:
             "replicates": 2000,
             "seed": {"value": 0, "stream_id": 0},
             "tests": ["moments", "normality"],
-            "standardize_with": "exact_mean",
-            "ks_threshold": 0.05,
-            "var_rel_tol": 0.1,
         }
 
     def test_every_key_echoes_as_read(self):
@@ -107,19 +120,14 @@ class TestConfig:
             "replicates": 120,
             "seed": {"stream_id": 2},
             "tests": ["normality"],
-            "standardize_with": "plugin",
-            "ks_threshold": 1,
-            "var_rel_tol": 2,
         }
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.family == StatFamily("one_hub", (1,))
-        # the label carries the parameters, and the thresholds echo as floats
+        # the label carries the parameters
         assert cfg.to_dict() == {
             **{key: value for key, value in raw.items() if key != "family_params"},
             "family": "one_hub(1)",
             "seed": {"value": 0, "stream_id": 2},
-            "ks_threshold": 1.0,
-            "var_rel_tol": 2.0,
         }
 
     def test_echo_reads_back(self):
@@ -162,7 +170,8 @@ class TestConfig:
             (lambda: StatFamily.from_label("one_hub(true)"), ValueError),
             (lambda: StatFamily("one_hub", ("0.5",)), ValueError),
             (lambda: _config(tests=("moment",)), ValueError),
-            (lambda: _config(standardize_with="plugn"), ValueError),
+            # the constructor has no gate fields
+            (lambda: _config(standardize_with="plugn"), TypeError),
             (lambda: _config(patterns=(CHERRY, CHERRY)), ValueError),
             (lambda: _config(sizes=(301.7,)), TypeError),
             (lambda: _config(replicates=120.0), TypeError),
@@ -180,6 +189,7 @@ class TestConfig:
             (lambda: _config(sizes=(301, 2)), ValueError),
             (lambda: ExperimentConfig.from_dict(
                 {"sizes": [301, 2], "replicates": 50, "tests": ["moments"]}), ValueError),
+            # a config naming a gate key is refused whatever the value
             (lambda: ExperimentConfig.from_dict({"ks_threshold": -1}), ValueError),
             (lambda: ExperimentConfig.from_dict({"ks_threshold": 0}), ValueError),
             (lambda: ExperimentConfig.from_dict({"ks_threshold": True}), ValueError),
@@ -187,7 +197,7 @@ class TestConfig:
             (lambda: ExperimentConfig.from_dict({"var_rel_tol": "nan"}), ValueError),
             (lambda: ExperimentConfig.from_dict({"var_rel_tol": float("nan")}), ValueError),
             (lambda: ExperimentConfig.from_dict({"var_rel_tol": float("inf")}), ValueError),
-            (lambda: _config(var_rel_tol=-0.1), ValueError),
+            (lambda: _config(var_rel_tol=-0.1), TypeError),
             (lambda: _config(tests=()), ValueError),
             (lambda: _config(tests="moments"), ValueError),
             (lambda: ExperimentConfig.from_dict({"tests": []}), ValueError),
@@ -215,6 +225,16 @@ class TestConfig:
     def test_rejected(self, make, error):
         with pytest.raises(error):
             make()
+
+    @pytest.mark.parametrize(
+        "key, value", [("ks_threshold", 0.05), ("var_rel_tol", 0.1), ("standardize_with", "exact_mean")]
+    )
+    def test_gate_keys_are_unknown(self, key, value):
+        # the KS and variance gates and the centering are constants; naming
+        # one, even at its value, is refused like any unknown key
+        with pytest.raises(ValueError, match=f"unknown experiment config keys \\['{key}'\\]"):
+            ExperimentConfig.from_dict({key: value})
+        assert key not in ExperimentConfig.from_dict({}).to_dict()
 
 
 def _config(**changes) -> ExperimentConfig:
@@ -426,7 +446,6 @@ class TestRunExperiment:
             sizes=(2001,),
             replicates=500,
             seed=Seed(12),
-            ks_threshold=0.1,
         )
         report = run_experiment(cfg)
         assert report.all_passed, [v for v in report.verdicts if not v["passed"]]
@@ -470,25 +489,35 @@ class TestRunExperiment:
         assert all(np.array_equal(z, expected) for (*_, z), (*_, expected) in zip(samples, both))
 
     def test_ks_verdict_is_strict(self):
-        distance = run_experiment(_config(tests=("normality",))).per_size[0]["ks"][0]
+        report = run_experiment(_config(tests=("normality",)))
+        z, distance = report.samples[0][2], report.per_size[0]["ks"][0]
         for threshold, passed in ((distance, False), (math.nextafter(distance, 1), True)):
-            (verdict,) = run_experiment(_config(tests=("normality",), ks_threshold=threshold)).verdicts
-            assert verdict["observed"] == distance and verdict["passed"] is passed
+            assert normality_test(z, threshold) == (distance, passed)
+        # the experiment judges by the same test at the constant threshold
+        (verdict,) = report.verdicts
+        assert verdict["observed"] == distance
+        assert verdict["tolerance"] == mc_harness.DEFAULT_KS_THRESHOLD
+        assert verdict["passed"] is (distance < mc_harness.DEFAULT_KS_THRESHOLD)
 
     def test_standardization_modes_agree_at_scale(self):
-        reports = {}
-        for mode in ("exact_mean", "plugin"):
-            cfg = ExperimentConfig(
-                family=StatFamily.full_binary(),
-                patterns=(CHERRY,),
-                sizes=(10001,),
-                replicates=600,
-                seed=Seed(3),
-                tests=("normality",),
-                standardize_with=mode,
-            )
-            reports[mode] = run_experiment(cfg).per_size[0]["ks"][0]
-        assert abs(reports["exact_mean"] - reports["plugin"]) <= 0.01
+        # centering at the plug-in mean instead of the exact mean shifts the
+        # samples by a constant, and no shift moves the KS distance: the
+        # test studentizes its input
+        cfg = ExperimentConfig(
+            family=StatFamily.full_binary(),
+            patterns=(CHERRY,),
+            sizes=(10001,),
+            replicates=600,
+            seed=Seed(3),
+            tests=("normality",),
+        )
+        report = run_experiment(cfg)
+        (n, _, z), distance = report.samples[0], report.per_size[0]["ks"][0]
+        stat = cfg.family.statistic(10001)
+        to_plugin = float(mean_count(stat, CHERRY) - plugin_mean(stat, CHERRY)) / math.sqrt(n)
+        assert to_plugin != 0
+        for shift in (to_plugin, 1.0, -250.0):
+            assert normality_test(z + shift)[0] == pytest.approx(distance, abs=1e-12)
 
 
 class TestMomentConditionScan:

@@ -45,7 +45,6 @@ from .tree_core import (
     PlaneTree,
     UnorderedKey,
     canonical_unordered,
-    count_fringe,
     degree_statistic,
     enumerate_orderings,
 )
@@ -63,12 +62,11 @@ ROOT_MAX_ITER = 200
 
 
 def tree_probability(p: OffspringDistribution, tree: PlaneTree):
-    """Probability that an unconditioned branching tree with offspring law p
-    equals ``tree``: prod over appearing degrees of p_i ** n_T(i), one
-    integer prod_i a_i^{n_T(i)} over D^{|T|} (see _IntegerTrees), rounded
-    as _exact_or_float says."""
-    it = _integer_trees(p, (tree,))
-    return _exact_or_float(p, (), Fraction(it.mass[0], it.power))
+    """pi_T, the probability that an unconditioned branching tree with
+    offspring law p equals ``tree``: prod over appearing degrees of
+    p_i ** n_T(i).  It is the mean density of the indicator toll of T (see
+    additive_mean_density)."""
+    return additive_mean_density(p, TollFunction.indicator(tree))
 
 
 def fringe_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: PlaneTree):
@@ -342,14 +340,6 @@ class TollFunction:
 
     def support(self) -> tuple:
         return tuple(t for t, _ in self.items)
-
-
-def additive_functional(tree: PlaneTree, toll: TollFunction):
-    """F(T) = sum over vertices v of f(fringe subtree at v), evaluated as a
-    finite linear combination of fringe counts."""
-    return sum(
-        value * count_fringe(tree, pattern) for pattern, value in toll.items
-    )
 
 
 def additive_mean_density(p: OffspringDistribution, toll: TollFunction):

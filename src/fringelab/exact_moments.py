@@ -13,8 +13,9 @@ number b_j of marked copies of T_j that sit inside another marked copy
 ("bound" copies); each term is a ratio of falling factorials of the degree
 counts times a combinatorial factor counting the placements of the bound
 copies.  Means, single-pattern factorial moments and product moments are
-the special cases q = (1), q = (q) and q = (1, 1) of that one sum.  Its
-terms are integer numerators over the one denominator (|n|)_t / |n|,
+the special cases q = (1), q = (q) and q = (1, 1) of that one sum, and
+``exact_covariance`` reads variances and covariances from those three.
+Its terms are integer numerators over the one denominator (|n|)_t / |n|,
 t = min(|n|, 1 + sum_j q_j (|T_j| - 1)), divided once.  The sum visits
 only the b that can contribute: b_j is at most the number of possible
 hosts of T_j, and terms that place more vertices than |n| are zero, so
@@ -81,6 +82,15 @@ def product_moment(
 ) -> Fraction:
     """E[N_T N_T'] for distinct patterns, exact."""
     return joint_factorial_moment(stat, [pattern, pattern2], [1, 1])
+
+
+def exact_covariance(stat: DegreeStatistic, t1: PlaneTree, t2: PlaneTree) -> Fraction:
+    """Cov(N_T, N_T') = E[N_T N_T'] - E N_T E N_T', exact; on the diagonal
+    Var N_T = E(N_T)_2 + E N_T - (E N_T)^2, exact."""
+    mu = mean_count(stat, t1)
+    if t1 == t2:
+        return factorial_moment(stat, t1, 2) + mu - mu * mu
+    return product_moment(stat, t1, t2) - mu * mean_count(stat, t2)
 
 
 def containment_matrix(patterns) -> list:

@@ -40,7 +40,7 @@ from scipy import stats as scistats
 from .asymptotics import _symmetric, fringe_covariance_density, plugin_mean
 from .distributions import OffspringDistribution
 from .errors import SizeTooSmall, TooFewSamples, as_integer
-from .exact_moments import factorial_moment, joint_factorial_moment, mean_count
+from .exact_moments import exact_covariance, factorial_moment, mean_count
 from .sampling import Seed, excursion_degrees, sample_uniform_trees
 from .tree_core import DegreeStatistic, PlaneTree, count_fringe
 
@@ -376,22 +376,6 @@ def _empirical_moments(counts: np.ndarray) -> dict:
     return out
 
 
-def exact_variance(stat: DegreeStatistic, pattern: PlaneTree) -> Fraction:
-    """Var N_T from the first two factorial moments, exact."""
-    first = joint_factorial_moment(stat, [pattern], [1])
-    second = joint_factorial_moment(stat, [pattern], [2])
-    return second + first - first * first
-
-
-def exact_covariance(
-    stat: DegreeStatistic, t1: PlaneTree, t2: PlaneTree
-) -> Fraction:
-    if t1 == t2:
-        return exact_variance(stat, t1)
-    joint = joint_factorial_moment(stat, [t1, t2], [1, 1])
-    return joint - mean_count(stat, t1) * mean_count(stat, t2)
-
-
 def normality_test(samples, threshold: float = DEFAULT_KS_THRESHOLD):
     """Kolmogorov-Smirnov distance of the studentized samples to the
     standard normal; returns (distance, verdict)."""
@@ -427,13 +411,11 @@ class _References:
 def _references(stat: DegreeStatistic, patterns) -> _References:
     pn = OffspringDistribution.finite(stat.empirical_distribution())
     patterns = list(patterns)
-    means = [mean_count(stat, p) for p in patterns]
     return _References(
         n=stat.size,
         patterns=patterns,
-        means=means,
-        # Var N = E(N)_2 + E N - (E N)^2, from the means above
-        variances=[factorial_moment(stat, p, 2) + mu - mu * mu for p, mu in zip(patterns, means)],
+        means=[mean_count(stat, p) for p in patterns],
+        variances=[exact_covariance(stat, p, p) for p in patterns],
         plugin=[plugin_mean(stat, p) for p in patterns],
         gamma=_symmetric(
             len(patterns), lambda j, k: fringe_covariance_density(pn, patterns[j], patterns[k])

@@ -133,12 +133,17 @@ def _shuffled(multiset: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     into a word of zeros.  choice orders its sample uniformly
     (shuffle=True), so every ordered k-sample of positions is equally
     likely, and each arrangement arises from exactly prod_{d != 0} c_d!
-    of them.  There an unsorted multiset summing to n - 1 gives InvalidPath
-    (a non-zero entry missed) or a uniform word of its own profile.
+    of them.  The tail starts at the cut ``searchsorted(0, side="right")``;
+    a non-zero entry before the cut, which the word would lose, raises
+    InvalidPath before any position is drawn.  Any other multiset, sorted
+    or not, gives a uniform word of its own profile.
     """
     if multiset.size <= _POSITIONS_ABOVE:
         return rng.permutation(multiset)
-    inner = multiset[multiset.searchsorted(0, side="right") :]
+    cut = multiset.searchsorted(0, side="right")
+    if np.count_nonzero(multiset[:cut]):
+        raise InvalidPath("degree multiset is not sorted: a non-zero entry precedes its zeros")
+    inner = multiset[cut:]
     positions = rng.choice(multiset.size, inner.size, replace=False)
     word = np.zeros(multiset.size, multiset.dtype)
     word[positions] = inner

@@ -61,8 +61,10 @@ The enumeration helpers (``all_trees``, ``all_degree_statistics``) list
 every plane tree and every feasible degree profile of a size;
 ``fringe_subtrees`` extracts the fringe subtree at each vertex, and
 ``count_fringe_by_extraction`` and ``fringe_distribution`` recount fringe
-subtrees with it; ``covariance_matrix_probe`` gives the
-spectrum of a fringe limit covariance matrix.  No library code needs them.
+subtrees with it; ``additive_functional`` evaluates a toll's additive
+functional on one given tree as a combination of fringe counts;
+``covariance_matrix_probe`` gives the spectrum of a fringe limit
+covariance matrix.  No library code needs them.
 ``rotation_images`` passes fixed degree words through the sampler's own
 rotation, with a stand-in generator whose shuffle changes nothing, and
 ``sampled_position_images`` passes every ordered sample of positions
@@ -85,7 +87,6 @@ from fringelab.asymptotics import (
     ROOT_MAX_ITER,
     ROOT_TOLERANCE,
     CovMatrix,
-    additive_functional,
     fringe_covariance_density,
     tree_probability,
 )
@@ -563,6 +564,12 @@ def two_series_degree_factorial_moment(w, n, q) -> Fraction:
             return Fraction(0)
     numerator = point_mass(w, n - q_total, n - 1 - weighted)
     return value * numerator / denominator
+
+
+def additive_functional(tree: PlaneTree, toll):
+    """F(T) = sum over vertices v of f(fringe subtree at v), evaluated as a
+    finite linear combination of fringe counts."""
+    return sum(value * count_fringe(tree, pattern) for pattern, value in toll.items)
 
 
 def pairwise_additive_variance_forms(p, toll):

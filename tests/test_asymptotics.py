@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracle_utils import (
     DyadicLaw,
+    additive_functional,
     all_degree_statistics,
     all_trees,
     all_trees_up_to,
@@ -36,7 +37,6 @@ from fringelab.asymptotics import (
     CovMatrix,
     TollFunction,
     additive_covariance_density,
-    additive_functional,
     additive_mean_density,
     additive_variance_density,
     additive_variance_forms,

@@ -16,7 +16,7 @@ from oracle_utils import (
 from fringelab import mc_harness
 from fringelab.asymptotics import plugin_mean
 from fringelab.errors import TooFewSamples
-from fringelab.exact_moments import mean_count
+from fringelab.exact_moments import exact_covariance, mean_count
 from fringelab.mc_harness import (
     ExperimentConfig,
     StatFamily,
@@ -26,8 +26,6 @@ from fringelab.mc_harness import (
     _hub_law,
     collect_counts,
     composition_crosscheck,
-    exact_covariance,
-    exact_variance,
     moment_condition_scan,
     moment_gap_scan,
     normality_test,
@@ -404,7 +402,7 @@ class TestExactHelpers:
                 ]
                 mean = Fraction(sum(counts), len(counts))
                 var = sum((c - mean) ** 2 for c in counts) / len(counts)
-                assert exact_variance(stat, pattern) == var
+                assert exact_covariance(stat, pattern, pattern) == var
 
     def test_covariance_matches_brute_force(self):
         stat = DegreeStatistic.from_counts({0: 4, 2: 3})
@@ -417,11 +415,6 @@ class TestExactHelpers:
         my = Fraction(sum(c[1] for c in counts), n)
         cov = sum((c[0] - mx) * (c[1] - my) for c in counts) / n
         assert exact_covariance(stat, CHERRY, LEAF) == cov
-
-    def test_covariance_of_a_pattern_with_itself_is_its_variance(self):
-        stat = DegreeStatistic.from_counts({0: 4, 2: 3})
-        for pattern in (CHERRY, LEAF):
-            assert exact_covariance(stat, pattern, pattern) == exact_variance(stat, pattern)
 
 
 class TestRunExperiment:

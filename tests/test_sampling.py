@@ -296,6 +296,15 @@ class TestSampledPositions:
         with pytest.raises(InvalidPath):
             excursion_degrees(_binary_multiset(10_001)[::-1].copy(), Seed(1).generator())
 
+    def test_non_leaf_before_the_zeros_raises_before_any_draw(self):
+        # without the check the positions path loses the 7 and returns a
+        # valid word of another profile, {0: 5001, 1: 1, 2: 5000}
+        multiset = np.array([7] + [0] * 5000 + [1] + [2] * 5000, dtype=np.int64)
+        rng = Mock(wraps=Seed(1).generator())
+        with pytest.raises(InvalidPath):
+            excursion_degrees(multiset, rng)
+        assert rng.method_calls == []
+
     def test_every_sampler_shuffles_a_sorted_multiset(self, monkeypatch):
         # the positions path reads the non-leaves as the tail after the
         # zeros, so no library sampler may hand it an unsorted multiset

@@ -271,14 +271,10 @@ PUBLIC_API = frozenset(fringelab.__all__) | {
     # exact moments without a library caller yet
     "degree_factorial_moment",
     "partial_sum_pmf",
-    "product_moment",
-    "exact_covariance",
     "moment_gap_scan",
     # samplers reached from tests only
     "sample_conditioned_gw",
     # linear statistics without a library caller yet
-    "additive_functional",
-    "additive_mean_density",
     "additive_variance_density",
 }
 

@@ -82,7 +82,8 @@ def parse_patterns(text: str) -> list:
 
 def parse_law(cls, text: str):
     """An OffspringDistribution or WeightSequence (``cls``) from a JSON map
-    of exact values or a family spec such as ``geometric:1/2``."""
+    of exact values or a spec such as ``geometric:1/2``, the finite label
+    ``finite{0:1/2,2:1/2}`` that the echo writes included."""
     body = _read_arg(text).strip()
     if body.startswith("{"):
         raw = json.loads(body)

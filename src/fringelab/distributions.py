@@ -65,6 +65,11 @@ def normalize_log_weights(logs: list) -> list:
 _SPEC_ARGS = {"geometric": [Fraction], "poisson": [float], "power_law": [float, float]}
 
 
+def _finite_map(body: str) -> dict:
+    """{degree: Fraction} of the 'd:v,...' body of a finite label."""
+    return {int(d): Fraction(v) for d, v in (pair.split(":") for pair in body.split(","))}
+
+
 @dataclass(frozen=True)
 class _Law:
     """A law kind with its params and truncation; the base of both
@@ -115,18 +120,24 @@ class _Law:
         return cls("poisson", (float(rate),), truncation)
 
     @classmethod
+    def power_law(cls, c, beta, truncation: int = DEFAULT_TRUNCATION):
+        return cls("power_law", (float(c), float(beta)), truncation)
+
+    @classmethod
     def from_spec(cls, text: str):
-        """Parse CLI syntax: 'geometric:1/2', 'poisson:0.9',
-        'power_law:0.3,2.5', or a JSON-ish finite map handled by callers.
-        A spec with the wrong number of fields or an unreadable number
-        raises ValueError quoting the spec."""
+        """Parse what ``label`` writes: 'finite{0:1/2,2:1/2}' (values read as
+        exact Fractions), 'geometric:1/2', 'poisson:0.9' or
+        'power_law:0.3,2.5'.  A spec with the wrong number of fields or an
+        unreadable number raises ValueError quoting the spec."""
         kind, _, arg = text.partition(":")
-        kind = kind.strip()
-        if kind not in _SPEC_ARGS:
+        kind, fields = kind.strip(), arg.split(",")
+        parsers = _SPEC_ARGS.get(kind)
+        if text.startswith("finite{") and text.endswith("}"):
+            kind, parsers, fields = "finite", [_finite_map], [text[len("finite{") : -1]]
+        if parsers is None:
             raise ValueError(f"unknown {cls._spec_noun} spec {text!r}")
         try:
-            fields = zip(_SPEC_ARGS[kind], arg.split(","), strict=True)
-            values = [parse(field) for parse, field in fields]
+            values = [parse(field) for parse, field in zip(parsers, fields, strict=True)]
         except (ValueError, ZeroDivisionError):
             raise ValueError(f"malformed {cls._spec_noun} spec {text!r}") from None
         return getattr(cls, kind)(*values)
@@ -200,10 +211,6 @@ class OffspringDistribution(_Law):
             if sum(c * i**-beta for i in range(1, self.truncation + 1)) >= 1:
                 raise ValueError("power-law tail mass >= 1; reduce c")
 
-    @classmethod
-    def power_law(cls, c, beta, truncation: int = DEFAULT_TRUNCATION):
-        return cls("power_law", (float(c), float(beta)), truncation)
-
     def p(self, i: int):
         """Probability of child count i (0 outside the support)."""
         if i < 0:
@@ -226,12 +233,6 @@ class OffspringDistribution(_Law):
     def probabilities(self) -> dict:
         """Mapping over the (truncated) support."""
         return {i: self.p(i) for i in self.support()}
-
-    def mean(self):
-        if self.kind == "geometric":
-            (r,) = self.params
-            return r / (1 - r)
-        return sum(i * p for i, p in self.probabilities().items())
 
 
 @lru_cache(maxsize=256)
@@ -285,8 +286,9 @@ class WeightSequence(_Law):
 
     Same kinds as OffspringDistribution but unnormalized:
     geometric(ratio) means w_i = ratio**i (ratio=1 gives all-ones weights),
-    poisson(rate) means w_i = rate**i / i!, and power_law(c, beta, w0) means
-    w_0 = w0 and w_i = c * i**-beta for i >= 1.
+    poisson(rate) means w_i = rate**i / i!, and power_law(c, beta) means
+    w_0 = 1 and w_i = c * i**-beta for i >= 1.  Weights a * b**i * w_i give
+    the same tree law, so a power law has no other w_0.
     """
 
     _spec_noun = "weight"
@@ -301,10 +303,6 @@ class WeightSequence(_Law):
         if not any(v > 0 for v in weights[2:]):
             raise ValueError("need w_i > 0 for some i >= 2")
 
-    @classmethod
-    def power_law(cls, c, beta, w0=1, truncation: int = DEFAULT_TRUNCATION):
-        return cls("power_law", (float(c), float(beta), _as_exact(w0)), truncation)
-
     def weight(self, i: int):
         if i < 0:
             return self._zero
@@ -316,8 +314,8 @@ class WeightSequence(_Law):
         if self.kind == "poisson":
             (rate,) = self.params
             return math.exp(_poisson_log_weight(rate, i))
-        c, beta, w0 = self.params
-        return w0 if i == 0 else c * i**-beta
+        c, beta = self.params
+        return 1.0 if i == 0 else c * i**-beta
 
     def _weights(self) -> list:
         return [self.weight(i) for i in range(self.truncated_degree() + 1)]
@@ -373,12 +371,3 @@ class WeightSequence(_Law):
         if sum(v for _, v in self.params) != 1 or sum(d * v for d, v in self.params) != 1:
             return None
         return OffspringDistribution.finite(dict(self.params))
-
-    def scaled(self, a, b) -> "WeightSequence":
-        """Equivalent weights a * b**i * w_i (finite kind only)."""
-        if self.kind != "finite":
-            raise ValueError("scaling implemented for finite weights only")
-        a, b = _as_exact(a), _as_exact(b)
-        return WeightSequence.finite(
-            {d: a * b**d * w for d, w in self.params}
-        )

@@ -77,14 +77,12 @@ class StatFamily:
                 raise ValueError(f"the one_hub ratio is a finite int or float >= 0, not {ratio!r}")
 
     @classmethod
-    def from_label(cls, text: str, params=()) -> "StatFamily":
+    def from_label(cls, text: str) -> "StatFamily":
         """``name(p, ...)`` as ``label`` writes it, each p a JSON number, or
-        ``name`` with ``params``.  ValueError if malformed or given both."""
+        a bare ``name``.  ValueError if malformed."""
         name, paren, body = text.partition("(")
-        if paren and params:
-            raise ValueError(f"family {text!r} also given parameters {list(params)}")
         try:
-            params = json.loads(f"[{body[:-1]}]" if body.endswith(")") else "") if paren else params
+            params = json.loads(f"[{body[:-1]}]" if body.endswith(")") else "") if paren else ()
         except ValueError:
             raise ValueError(f"malformed family label {text!r}") from None
         return cls(name, tuple(params))
@@ -197,9 +195,12 @@ class ExperimentConfig:
         or seed that is not an integer raises TypeError."""
         if not isinstance(raw, dict):
             raise ValueError(f"an experiment config is a JSON object, not {raw!r}")
-        unknown = set(raw) - {f.name for f in fields(cls)} - {"family_params"}
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown experiment config keys {sorted(unknown)}")
+        family = raw.get("family", "full_binary")
+        if not isinstance(family, str):
+            raise ValueError(f'"family" is a label such as "one_hub(0.5)", not {family!r}')
         seed = raw.get("seed", {})
         if not isinstance(seed, dict) or not seed.keys() <= {"value", "stream_id"}:
             raise ValueError(f'"seed" is an object of "value" and "stream_id", not {seed!r}')
@@ -213,9 +214,7 @@ class ExperimentConfig:
         if not isinstance(tests, list):
             raise ValueError(f'"tests" lists test names such as "moments", not {tests!r}')
         return cls(
-            family=StatFamily.from_label(
-                raw.get("family", "full_binary"), tuple(raw.get("family_params", ()))
-            ),
+            family=StatFamily.from_label(family),
             patterns=tuple(PlaneTree.from_text(text) for text in patterns),
             sizes=tuple(sizes),
             replicates=raw.get("replicates", 2000),

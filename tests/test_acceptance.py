@@ -289,11 +289,12 @@ def test_criterion_06_tilted_equivalents():
         )
         and abs(float(ones.sigma2) - 2) <= 1e-12
     )
-    base = equivalent_offspring(WeightSequence.finite({0: 2, 1: 1, 3: 5}))
+    weights = {0: 2, 1: 1, 3: 5}
+    base = equivalent_offspring(WeightSequence.finite(weights))
     ok_invariance = True
     for a, b in ((Fraction(3, 2), Fraction(2, 3)), (2, 3), (Fraction(1, 7), 1)):
         tilted = equivalent_offspring(
-            WeightSequence.finite({0: 2, 1: 1, 3: 5}).scaled(a, b)
+            WeightSequence.finite({i: a * b**i * w for i, w in weights.items()})
         )
         for i in range(4):
             if abs(float(tilted.theta.p(i)) - float(base.theta.p(i))) > 1e-12:

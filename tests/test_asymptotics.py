@@ -467,10 +467,10 @@ class TestEquivalentOffspring:
         assert float(eq.theta.p(0)) == pytest.approx(0.5, abs=1e-14)
 
     def test_equivalence_invariance(self):
-        w = WeightSequence.finite({0: 2, 1: 1, 3: 5})
-        base = equivalent_offspring(w)
+        weights = {0: 2, 1: 1, 3: 5}
+        base = equivalent_offspring(WeightSequence.finite(weights))
         for a, b in [(Fraction(3, 2), Fraction(2, 3)), (2, 3), (Fraction(1, 7), 1)]:
-            tilted = equivalent_offspring(w.scaled(a, b))
+            tilted = equivalent_offspring(WeightSequence.finite({i: a * b**i * w for i, w in weights.items()}))
             for i in range(4):
                 assert float(tilted.theta.p(i)) == pytest.approx(
                     float(base.theta.p(i)), abs=1e-12
@@ -505,7 +505,7 @@ class TestEquivalentOffspring:
             WeightSequence.poisson(0.5),
             WeightSequence.poisson(3),
             WeightSequence.power_law(1, 2.5),
-            WeightSequence.power_law(2, 3.5, 1),
+            WeightSequence.power_law(2, 3.5),
         ],
         ids=lambda w: w.label(),
     )

@@ -5,7 +5,8 @@ import json
 import jsonschema
 import pytest
 
-from fringelab.cli import main
+from fringelab.cli import main, parse_law
+from fringelab.distributions import OffspringDistribution, WeightSequence
 from fringelab.mc_harness import ExperimentConfig, run_experiment
 from fringelab.schemas import EXPERIMENT_REPORT, RESULT_ENVELOPE
 
@@ -114,6 +115,15 @@ class TestBasicCommands:
         for row in json.loads(out)["result"]["patterns"]:
             for field in ("probability", "variance_density", "normalized_variance"):
                 assert type(row[field]) is float, (row["pattern"], field)
+
+    @pytest.mark.parametrize("flag, cls", [("--p", OffspringDistribution), ("--w", WeightSequence)])
+    @pytest.mark.parametrize(
+        "spec", ['{"0": "1/2", "2": 0.5}', "geometric:1/2", "poisson:0.9", "power_law:0.1,3.5"]
+    )
+    def test_echoed_law_reads_back(self, capsys, flag, cls, spec):
+        code, out, _ = run_cli(capsys, "asymptotics", flag, spec, "--patterns", "2,0,0")
+        assert code == 0
+        assert cls.from_spec(json.loads(out)["config"][flag[2:]]) == parse_law(cls, spec)
 
     def test_asymptotics_weights(self, capsys):
         code, out, _ = run_cli(
@@ -284,10 +294,11 @@ class TestExperimentCommand:
             # the centering is fixed, so the key is unknown
             ({**BASE, "standardize_with": "plugn"}, [], "unknown experiment config keys"),  # ran
             ({**BASE, "family": "binary"}, [], "unknown family"),  # exit 1 already
-            ({**BASE, "family_params": [7]}, [], "takes 0 parameter"),  # ran
+            ({**BASE, "family": "full_binary(7)"}, [], "takes 0 parameter"),  # ran, as family_params [7]
             ({**BASE, "family": "one_hub"}, [], "takes 1 parameter"),  # exit 1, unpack error
-            ({**BASE, "family": "one_hub", "family_params": [-1]}, [], "ratio"),  # exit 2
-            ({**BASE, "family": "one_hub", "family_params": [True]}, [], "ratio"),  # ran at ratio 1
+            ({**BASE, "family": ["one_hub", 0.5]}, [], '"family"'),  # exit 2: AttributeError
+            ({**BASE, "family": "one_hub(-1)"}, [], "ratio"),  # exit 2, as family_params [-1]
+            ({**BASE, "family": "one_hub(true)"}, [], "ratio"),  # ran at ratio 1, as family_params [true]
             ({**BASE, "sizes": [301.7]}, [], "is not an integer"),  # ran at 301
             ({**BASE, "replicates": 120.5}, [], "is not an integer"),  # ran 120
             ({**BASE, "replicates": "120"}, [], "is not an integer"),  # ran 120
@@ -310,7 +321,7 @@ class TestExperimentCommand:
         ],
         ids=[
             "list", "unknown-key", "unknown-test", "unknown-standardizer", "unknown-family",
-            "extra-param", "missing-param", "negative-ratio", "bool-ratio", "float-size", "float-replicates",
+            "extra-param", "missing-param", "family-not-text", "negative-ratio", "bool-ratio", "float-size", "float-replicates",
             "string-replicates", "one-replicate", "seed-int", "seed-int-with-flag", "seed-float",
             "seed-unknown-key", "pattern-int", "patterns-string-leaf", "patterns-string-cherry",
             "sizes-int", "repeated-pattern", "no-sizes", "no-patterns",

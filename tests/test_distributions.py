@@ -14,6 +14,7 @@ import pytest
 from oracle_utils import bound_copy_term, point_mass
 
 import fringelab
+from fringelab.asymptotics import equivalent_offspring
 from fringelab.distributions import (
     OffspringDistribution,
     WeightSequence,
@@ -33,7 +34,9 @@ class TestOffspringDistribution:
         geo = OffspringDistribution.geometric(Fraction(1, 2))
         assert geo.p(3) == Fraction(1, 16)
         assert geo.is_exact
-        assert geo.mean() == 1
+        # the mean of geometric(1/2) truncated at 512: 1 - 514 / 2**513
+        mean = sum(i * v for i, v in geo.probabilities().items())
+        assert mean == 1 - Fraction(514, 2**513)
 
     def test_finite_validation(self):
         with pytest.raises(ValueError):
@@ -55,8 +58,9 @@ class TestOffspringDistribution:
     def test_from_spec(self):
         assert OffspringDistribution.from_spec("geometric:1/2").p(0) == Fraction(1, 2)
         assert OffspringDistribution.from_spec("poisson:1.0").kind == "poisson"
-        with pytest.raises(ValueError, match="unknown distribution spec"):
-            OffspringDistribution.from_spec("cauchy:1")
+        for spec in ("cauchy:1", "finite:0:1"):
+            with pytest.raises(ValueError, match="unknown distribution spec"):
+                OffspringDistribution.from_spec(spec)
 
     @pytest.mark.parametrize(
         "law",
@@ -138,9 +142,12 @@ class TestWeightSequence:
         assert WeightSequence.geometric(Fraction(1, 2)).radius_of_convergence() == 2
 
     def test_scaled(self):
+        # a * b**i * w_i with a = 2, b = 3 tilts to the same law
         w = WeightSequence.finite({0: 1, 2: 1})
-        scaled = w.scaled(2, 3)
-        assert scaled.weight(0) == 2 and scaled.weight(2) == 18
+        scaled = WeightSequence.finite({0: 2, 2: 18})
+        base, tilted = equivalent_offspring(w).theta, equivalent_offspring(scaled).theta
+        assert tilted.support() == base.support() == (0, 2)
+        assert tilted.p(0) == pytest.approx(base.p(0), abs=1e-12)
 
     def test_poisson_rate_must_be_positive(self):
         with pytest.raises(ValueError, match="poisson rate must be positive"):
@@ -153,15 +160,13 @@ class TestWeightSequence:
             WeightSequence.power_law(-0.1, 2.5)
         with pytest.raises(ValueError, match="nonnegative"):
             WeightSequence.finite({0: 1, 1: -1, 2: 1})
-        with pytest.raises(ValueError, match="w_0 must be positive"):
-            WeightSequence.power_law(0.1, 2.5, w0=0)
 
     def test_every_kind_checked_at_construction(self):
         for kind, params in [
             ("finite", ((0, Fraction(1)), (1, Fraction(1)))),
             ("geometric", (Fraction(-1, 2),)),
             ("poisson", (-1.0,)),
-            ("power_law", (0.0, 2.5, Fraction(1))),
+            ("power_law", (0.0, 2.5)),
         ]:
             with pytest.raises(ValueError):
                 WeightSequence(kind, params)
@@ -179,8 +184,6 @@ class TestWeightSequence:
             ):
                 with pytest.raises(ValueError, match="non-finite parameter"):
                     law()
-        with pytest.raises(ValueError, match="non-finite parameter"):
-            WeightSequence.power_law(0.1, 2.5, w0=inf)
 
     def test_from_spec_rejects_extra_power_law_fields(self):
         for cls in (OffspringDistribution, WeightSequence):
@@ -198,6 +201,11 @@ class TestWeightSequence:
             "poisson:1,2",
             "geometric:x",
             "geometric:1/0",
+            "finite{}",
+            "finite{0:1/2,2}",
+            "finite{x:1}",
+            "finite{0:1/0}",
+            "finite{0:1:2}",
         ],
     )
     def test_malformed_spec_is_named(self, spec):
@@ -206,6 +214,10 @@ class TestWeightSequence:
             with pytest.raises(ValueError, match=f"malformed {noun} spec") as info:
                 cls.from_spec(spec)
             assert repr(spec) in str(info.value)
+
+    def test_finite_label_of_an_invalid_law_names_its_fault(self):
+        with pytest.raises(ValueError, match="sum to 5/6"):
+            OffspringDistribution.from_spec("finite{0:1/2,2:1/3}")
 
     def test_laws_of_different_classes_never_equal(self):
         p = OffspringDistribution.finite({0: Fraction(1, 2), 2: Fraction(1, 2)})
@@ -252,7 +264,7 @@ class TestLawHash:
         assert self.run(_LOOK_UP_LAW, 2, data).decode().split() == ["True", "True", "1"]
 
     def test_pickle_round_trip_in_process(self):
-        for law in (FULL_BINARY_LAW, WeightSequence.power_law(0.5, 2.5, 2), GEOMETRIC_HALF):
+        for law in (FULL_BINARY_LAW, WeightSequence.power_law(0.5, 2.5), GEOMETRIC_HALF):
             again = pickle.loads(pickle.dumps(law))
             assert again == law and hash(again) == hash(law) and type(again) is type(law)
 

@@ -8,6 +8,7 @@ the change log which outputs moved and why.
 
 import contextlib
 import io
+import json
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,16 @@ def test_cli_output_matches_golden(name):
     code, out = run_case(CASES[name])
     assert code == 0
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(name for name in CASES if name.startswith("asymptotics")))
+def test_echoed_law_reproduces_the_golden(name):
+    # the p or w a run echoes, given back as the flag, runs the same law
+    argv = list(CASES[name])
+    golden = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+    (at,) = [i + 1 for i, arg in enumerate(argv) if arg in ("--p", "--w")]
+    argv[at] = json.loads(golden)["config"][argv[at - 1].lstrip("-")]
+    assert run_case(argv) == (0, golden)
 
 
 if __name__ == "__main__":

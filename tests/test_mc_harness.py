@@ -111,8 +111,7 @@ class TestConfig:
 
     def test_every_key_echoes_as_read(self):
         raw = {
-            "family": "one_hub",
-            "family_params": [1],
+            "family": "one_hub(1)",
             "patterns": ["1,0", "0"],
             "sizes": [301, 401],
             "replicates": 120,
@@ -121,19 +120,15 @@ class TestConfig:
         }
         cfg = ExperimentConfig.from_dict(raw)
         assert cfg.family == StatFamily("one_hub", (1,))
-        # the label carries the parameters
-        assert cfg.to_dict() == {
-            **{key: value for key, value in raw.items() if key != "family_params"},
-            "family": "one_hub(1)",
-            "seed": {"value": 0, "stream_id": 2},
-        }
+        assert cfg.to_dict() == {**raw, "seed": {"value": 0, "stream_id": 2}}
 
     def test_echo_reads_back(self):
         echo = ExperimentConfig.from_dict({"patterns": ["2,0,0", "1,0"], "sizes": [501]}).to_dict()
         assert ExperimentConfig.from_dict(echo).to_dict() == echo
 
     def test_one_hub_echo_reads_back(self):
-        cfg = ExperimentConfig.from_dict({"family": "one_hub", "family_params": [0.5]})
+        cfg = ExperimentConfig.from_dict({"family": "one_hub(0.5)"})
+        assert cfg.family == StatFamily.one_hub(0.5)
         echo = cfg.to_dict()
         assert echo["family"] == "one_hub(0.5)"
         assert ExperimentConfig.from_dict(echo) == cfg
@@ -148,13 +143,11 @@ class TestConfig:
         assert StatFamily.from_label(family.label()) == family
 
     @pytest.mark.parametrize(
-        "text, params",
-        [("one_hub(0.5", ()), ("one_hub(0.5)x", ()), ("one_hub(a)", ()), ("one_hub()", ()),
-         ("one_hub(0.5)", (0.5,)), ("one_hub", ()), ("one_hub(0.5,1)", ())],
+        "text", ["one_hub(0.5", "one_hub(0.5)x", "one_hub(a)", "one_hub()", "one_hub", "one_hub(0.5,1)"]
     )
-    def test_bad_family_label(self, text, params):
+    def test_bad_family_label(self, text):
         with pytest.raises(ValueError):
-            StatFamily.from_label(text, params)
+            StatFamily.from_label(text)
 
     @pytest.mark.parametrize(
         "make, error",
@@ -233,6 +226,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"unknown experiment config keys \\['{key}'\\]"):
             ExperimentConfig.from_dict({key: value})
         assert key not in ExperimentConfig.from_dict({}).to_dict()
+
+    def test_family_params_is_unknown(self):
+        # the family label, such as one_hub(0.5), is the one spelling of its
+        # parameters
+        with pytest.raises(ValueError, match="unknown experiment config keys \\['family_params'\\]"):
+            ExperimentConfig.from_dict({"family": "one_hub", "family_params": [0.5]})
 
 
 def _config(**changes) -> ExperimentConfig:

@@ -320,6 +320,78 @@ def test_every_public_function_has_a_library_caller_or_is_public_api():
     assert sorted(PUBLIC_API - defined.keys()) == []
 
 
+# The public methods, classmethods and properties that may have no reader
+# in the library, each with the reason.  A new public method needs a
+# reader in the library or a line here; a method that gains a reader
+# leaves the list.
+PUBLIC_METHODS = {
+    "_Law.poisson": "from_spec reaches it through getattr on the spec's kind",
+    "_Law.power_law": "from_spec reaches it through getattr on the spec's kind",
+    "StatFamily.full_binary": "a constructor that the benchmark and users call",
+    "StatFamily.geometric_profile": "a constructor that the benchmark and users call",
+    "StatFamily.one_hub": "a constructor that the benchmark and users call",
+    "StatFamily.target": "the limit law of a family, for the hub-profile and simply generated references",
+    "TollFunction.orderings": "the unordered-shape toll, for labelled trees in the harness",
+}
+
+
+def _public_methods(trees: dict) -> dict:
+    """Class.name -> definition of every public method, classmethod and
+    property in a class body of the modules in ``trees``.  Private classes
+    count too: a base such as distributions._Law gives its public
+    subclasses their methods."""
+    return {
+        f"{top.name}.{node.name}": node
+        for _, tree in sorted(trees.items())
+        for top in tree.body
+        if isinstance(top, ast.ClassDef)
+        for node in top.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+    }
+
+
+def _unread_methods(trees: dict) -> list:
+    """Class.name of each public method whose name the modules in ``trees``
+    never read as an attribute, ``x.name``, outside the method's own
+    definition.  The rule goes by name alone, so a shared attribute name
+    hides a method: any object's attribute of that name counts as its
+    reader, as numpy's ``.mean`` once did for ``OffspringDistribution.mean``,
+    which only tests called."""
+    reads = [
+        node
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store)
+    ]
+    unread = []
+    for name, definition in _public_methods(trees).items():
+        own = set(map(id, ast.walk(definition)))
+        if not any(node.attr == definition.name and id(node) not in own for node in reads):
+            unread.append(name)
+    return unread
+
+
+def test_every_public_method_has_a_library_reader_or_a_reason():
+    trees = {path.name: _tree(path.name) for path in SOURCE.glob("*.py")}
+    assert sorted(_unread_methods(trees)) == sorted(PUBLIC_METHODS)
+
+
+def test_method_rule_flags_methods_no_one_else_reads():
+    source = (
+        "class Law:\n"
+        "    def read(self):\n        return 1\n"
+        "    @property\n    def unread(self):\n        return self.unread\n"
+        "    @classmethod\n    def build(cls):\n        return cls()\n"
+        "    def mean(self):\n        return 0\n"
+        "    def _private(self):\n        return 2\n"
+        "class _Base:\n    def inherited(self):\n        return 3\n"
+        "Law.build().read()\n"
+        "spread = np.ones(3).mean()\n"  # a shared name hides Law.mean
+        "law.inherited = None\n"
+    )
+    assert _unread_methods({"a.py": ast.parse(source)}) == ["Law.unread", "_Base.inherited"]
+
+
 def _defined_names(top) -> list:
     """The names a module-level statement defines: a function or class, or
     each plain name an assignment binds, tuple targets included."""

@@ -1,13 +1,9 @@
 """Limit-law quantities for fringe counts in trees with given degrees.
 
-Conventions used throughout (hard-coded at the formula sites):
-
-* 0/0 := 0 inside the interaction sum, so degrees absent from either tree
-  contribute nothing;
-* the interaction term is -inf when the two trees share a degree of
-  probability zero, and then inf * 0 := 0 wherever it multiplies a
-  vanishing tree probability;
-* 1/inf := 0 when vs^2 = inf in the simply generated covariances.
+Every density is a polynomial in the weights, so a degree of probability
+zero needs no convention of its own; the one convention, hard-coded at
+its formula sites, is 1/inf := 0 when vs^2 = inf in the simply generated
+covariances.
 
 Every limit scalar of an offspring law (tree probability, normalized
 variance, mean and covariance densities, variance forms) is evaluated in
@@ -79,20 +75,14 @@ def fringe_covariance_density(p: OffspringDistribution, t1: PlaneTree, t2: Plane
 def normalized_variance(p: OffspringDistribution, tree: PlaneTree):
     """Variance density over tree probability, gamma_TT / pi_T, extended by
     continuity to pi_T = 0: the polynomial 1 + (|T|-1)^2 pi_T - sum_i
-    n_T(i)^2 prod_j p_j^{n_T(j) - [i = j]} in the weights.  With a_i = D p_i
-    as in _IntegerTrees it is one integer over D^{|T|}, rounded as
-    _exact_or_float says.  Each product is taken from the weights, since
-    it stays nonzero where a_i = 0 and n_T(i) = 1 although pi_T = 0: under
-    {0: 1} the cherry gives exactly 1 - 1 = 0."""
-    degrees, counts = zip(*degree_statistic(tree).items)
-    a, scale = _over_common([p.p(degree) for degree in degrees])
-    lowered = sum(
-        n * n * math.prod(map(pow, a, [c - (j == i) for j, c in enumerate(counts)]))
-        for i, n in enumerate(counts)
-    )
-    power = scale**tree.size
-    numerator = power + (tree.size - 1) ** 2 * math.prod(map(pow, a, counts)) - scale * lowered
-    return _exact_or_float(p, (), Fraction(numerator, power))
+    n_T(i) dpi_T/dp_i in the weights, one integer over D^{|T|} read from
+    the tree's _IntegerTrees and rounded as _exact_or_float says.  The
+    derivative stays nonzero where p_i = 0 and n_T(i) = 1 although
+    pi_T = 0: under {0: 1} the cherry gives exactly 1 - 1 = 0."""
+    it = _integer_trees(p, (tree,))
+    shared = sum(map(mul, it.counts[0], it.share[0]))
+    numerator = it.power + it.edges[0] ** 2 * it.mass[0] - it.scale * shared
+    return _exact_or_float(p, (), Fraction(numerator, it.power))
 
 
 def classify_exceptional(tree: PlaneTree, p: OffspringDistribution) -> str:
@@ -381,9 +371,10 @@ class _IntegerTrees(NamedTuple):
     the degrees the trees use read exactly by as_integer_ratio() (a float
     is the dyadic rational it stores), D their least common denominator,
     a_i = D p_i and S the largest tree size, pi_j = prod_i a_i^{n_j(i)} /
-    D^{|T_j|}, so mass[j] = D^S pi_j is an integer, and so is
-    share[j][i] = n_j(i) mass[j] / a_i, since a_i divides the product
-    whenever n_j(i) >= 1 (share is 0 where the mass is 0)."""
+    D^{|T_j|}, so mass[j] = D^S pi_j is an integer polynomial in the a_i,
+    and share[j][i] = n_j(i) D^{S-|T_j|} prod_l a_l^{n_j(l) - [l = i]} is
+    its derivative in a_i, D^{S-1} dpi_j/dp_i: nonzero where a_i = 0 and
+    n_j(i) = 1 although the mass is 0, and 0 where n_j(i) = 0."""
 
     scale: int  # D
     power: int  # D^S
@@ -403,9 +394,12 @@ def _integer_trees(p: OffspringDistribution, trees: tuple) -> _IntegerTrees:
     counts = list(zip(*(uses for _, uses in profile)))
     mass, share = [], []
     for e, row in zip(edges, counts):
-        m = scale ** (top - e) * math.prod(map(pow, a, row))
-        mass.append(m)
-        share.append([n * (m // ai) if n and m else 0 for n, ai in zip(row, a)])
+        base = scale ** (top - e)
+        mass.append(base * math.prod(map(pow, a, row)))
+        share.append([
+            n * base * math.prod(map(pow, a, [c - (l == i) for l, c in enumerate(row)])) if n else 0
+            for i, n in enumerate(row)
+        ])
     return _IntegerTrees(scale, scale ** (top + 1), edges, tau, counts, mass, share)
 
 
@@ -413,10 +407,9 @@ def _integer_pair(it: _IntegerTrees, j: int, k: int) -> int:
     """D^{2S} times the fringe covariance density of trees j and k: the
     cross terms inner1 * pi_j + inner2 * pi_k (pi_j alone on the diagonal),
     inner1 the copies of tree k in tree j and inner2 the reverse, plus
-    eta * pi_j * pi_k with eta = (|T_j|-1)(|T_k|-1) - sum_i n_j(i) n_k(i) /
-    p_i (0/0 := 0), in which each n_j(i) n_k(i) / p_i becomes
-    n_k(i) * D * share[j][i] / mass[j].  A zero mass leaves the cross terms
-    only (inf * 0 := 0 when eta = -inf)."""
+    eta * pi_j * pi_k = (|T_j|-1)(|T_k|-1) pi_j pi_k - sum_i n_k(i) pi_k
+    dpi_j/dp_i, a polynomial in the weights, with pi_k dpi_j/dp_i read as
+    mass[k] * D * share[j][i]."""
     mj, mk = it.mass[j], it.mass[k]
     cross = mj if j == k else it.tau[k][j] * mj + it.tau[j][k] * mk
     shared = sum(map(mul, it.counts[k], it.share[j]))

@@ -5,8 +5,11 @@ from operator import index
 
 def as_integer(value) -> int:
     """``value`` as an int through operator.index, so numpy integers pass
-    and floats or fractions raise TypeError instead of being truncated."""
+    and floats or fractions raise TypeError instead of being truncated; a
+    bool, which index() reads as 1 or 0, raises it too."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         return index(value)
     except TypeError:
         raise TypeError(f"{value!r} is not an integer") from None
@@ -54,7 +57,8 @@ class DuplicatePatterns(FringelabError):
 
 
 class AttemptsExhausted(FringelabError):
-    """Rejection sampling gave up; carries the observed acceptance rate."""
+    """Rejection sampling gave up.  ``acceptance_rate`` is 1 / attempts, an
+    upper bound: no attempt was accepted, so it is not the observed rate."""
 
     def __init__(self, message, acceptance_rate=0.0):
         super().__init__(message)

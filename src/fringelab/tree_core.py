@@ -107,8 +107,8 @@ class DegreeStatistic:
     def from_counts(cls, counts) -> "DegreeStatistic":
         """Build from a mapping degree -> count; zero counts are dropped and
         a degree or count that is not an integer raises TypeError."""
-        pairs = dict(counts).items()
-        return cls(tuple(sorted((as_integer(d), as_integer(c)) for d, c in pairs if c)))
+        pairs = [(as_integer(d), as_integer(c)) for d, c in dict(counts).items()]
+        return cls(tuple(sorted(pair for pair in pairs if pair[1])))
 
     @property
     def size(self) -> int:

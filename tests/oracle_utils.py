@@ -745,7 +745,7 @@ def unordered_tree_probability(p, tree_or_key):
 def unordered_covariance_density(p, t1, t2):
     """Covariance density for counts of unordered fringe shapes: the plane
     formula with unordered probabilities and unordered containment counts
-    (0/0 and inf * 0 read as 0, as in the library)."""
+    (0/0 and inf * 0 read as 0, which the library's polynomials give)."""
     r1, r2 = _as_plane_representative(t1), _as_plane_representative(t2)
     pi1, pi2 = unordered_tree_probability(p, r1), unordered_tree_probability(p, r2)
     eta = covariance_interaction(p, r1, r2)

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -51,6 +52,7 @@ from fringelab.asymptotics import (
 )
 from fringelab.distributions import OffspringDistribution, WeightSequence
 from fringelab.errors import CapExceeded, DuplicatePatterns
+from fringelab.exact_moments import _pattern_constants
 from fringelab.tree_core import (
     DegreeStatistic,
     PlaneTree,
@@ -561,6 +563,37 @@ class TestSimplyGeneratedCovariances:
     def test_critical_weights_keep_sigma2(self, w):
         eq = equivalent_offspring(w)
         assert eq.nu >= 1 and eq.varsigma2 == eq.sigma2 < math.inf
+
+    @pytest.mark.parametrize(
+        "w",
+        [
+            WeightSequence.finite({0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)}),
+            WeightSequence.finite({0: Fraction(1, 2), 2: Fraction(1, 2)}),
+        ],
+        ids=lambda w: w.label(),
+    )
+    def test_law_of_total_covariance(self, w):
+        # the simply generated covariance is the given-degree density under
+        # theta plus the degree fluctuation J Sigma_deg J^T, with J_T(i) =
+        # dpi_T/dtheta_i read from _IntegerTrees as D * share / D^S
+        trees = all_trees_up_to(5)
+        theta = equivalent_offspring(w).theta
+        it = asymptotics._integer_trees(theta, trees)
+        degrees = [degree for degree, _ in _pattern_constants(trees)[2]]
+        jacobian = [[Fraction(it.scale * s, it.power) for s in row] for row in it.share]
+        sigma = sg_degree_covariance(w, 4).entries
+        cov = sg_fringe_covariance(w, trees).entries
+        pairs = 0
+        for j, k in itertools.combinations_with_replacement(range(len(trees)), 2):
+            fluctuation = sum(
+                jacobian[j][a] * sigma[da][db] * jacobian[k][b]
+                for a, da in enumerate(degrees)
+                for b, db in enumerate(degrees)
+            )
+            expected = fringe_covariance_density(theta, trees[j], trees[k]) + fluctuation
+            assert cov[j][k] == expected and type(cov[j][k]) is type(expected) is Fraction
+            pairs += 1
+        assert (len(trees), pairs) == (23, 276)
 
     def test_degree_cov_forced_zero(self):
         cov = sg_degree_covariance(WeightSequence.finite({0: 1, 2: 1}), 2)

@@ -306,6 +306,7 @@ class TestExperimentCommand:
             ({**BASE, "seed": 5}, [], '"seed"'),  # exit 2: AttributeError
             ({**BASE, "seed": 5}, ["--seed", "1"], '"seed"'),  # exit 2: AttributeError
             ({**BASE, "seed": {"value": 1.5}}, [], "is not an integer"),  # ran with seed 1
+            ({**BASE, "seed": {"value": True, "stream_id": False}}, [], "is not an integer"),  # ran as seed 1, stream 0
             ({**BASE, "seed": {"stream": 2}}, [], '"seed"'),  # ran on stream 0
             ({**BASE, "patterns": [5]}, [], '"patterns"'),  # exit 2: AttributeError
             ({**BASE, "patterns": "0"}, [], '"patterns"'),  # ran on the leaf pattern
@@ -322,7 +323,7 @@ class TestExperimentCommand:
         ids=[
             "list", "unknown-key", "unknown-test", "unknown-standardizer", "unknown-family",
             "extra-param", "missing-param", "family-not-text", "negative-ratio", "bool-ratio", "float-size", "float-replicates",
-            "string-replicates", "one-replicate", "seed-int", "seed-int-with-flag", "seed-float",
+            "string-replicates", "one-replicate", "seed-int", "seed-int-with-flag", "seed-float", "seed-bool",
             "seed-unknown-key", "pattern-int", "patterns-string-leaf", "patterns-string-cherry",
             "sizes-int", "repeated-pattern", "no-sizes", "no-patterns",
             "no-tests", "tests-string", "tests-object", "too-few-replicates-for-normality",
@@ -456,9 +457,13 @@ class TestErrorPaths:
         assert code == 1 and "--exact" in err
 
     @pytest.mark.parametrize("command", ["count", "enumerate"])
-    @pytest.mark.parametrize("stat", ['{"0": 3.9, "2": 2}', '{"0": 3, "2": "2"}', '{"0": 3.0, "2": 2}'])
+    @pytest.mark.parametrize(
+        "stat",
+        ['{"0": 3.9, "2": 2}', '{"0": 3, "2": "2"}', '{"0": 3.0, "2": 2}', '{"0": true}', '{"0": 1, "2": false}'],
+    )
     def test_non_integer_count_rejected(self, capsys, command, stat):
-        # read, not truncated: 3.9 would otherwise count the trees of {0: 3, 2: 2}
+        # read, not truncated: 3.9 would otherwise count the trees of {0: 3, 2: 2},
+        # true the one tree of {0: 1}, and false would be dropped as a zero count
         code, out, err = run_cli(capsys, command, "--stat", stat)
         assert code == 1 and out == ""
         assert err.startswith("error:") and "is not an integer" in err

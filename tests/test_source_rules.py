@@ -165,10 +165,9 @@ def test_tree_build_rule_sees_calls_outside_the_home():
     assert _tree_builds_outside(ast.parse(source), "_sample_tree") == [4, 7]
 
 
-def _repeat_sites(tree) -> list:
-    """(definition, line) of every ``.repeat`` attribute (``np.repeat`` or
-    an array's ``repeat``) and every import of ``repeat`` from numpy, with
-    the enclosing definition as ``Class.method`` ("" at module level)."""
+def _sites(tree, matches) -> list:
+    """(definition, line) of every node that ``matches``, with the
+    enclosing definition as ``Class.method`` ("" at module level)."""
     sites = []
 
     def visit(node, owner):
@@ -176,16 +175,26 @@ def _repeat_sites(tree) -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, f"{owner}.{child.name}".lstrip("."))
                 continue
-            if (isinstance(child, ast.Attribute) and child.attr == "repeat") or (
-                isinstance(child, ast.ImportFrom)
-                and child.module == "numpy"
-                and any(alias.name == "repeat" for alias in child.names)
-            ):
+            if matches(child):
                 sites.append((owner, child.lineno))
             visit(child, owner)
 
     visit(tree, "")
     return sites
+
+
+def _repeat_sites(tree) -> list:
+    """Sites (see _sites) of every ``.repeat`` attribute (``np.repeat`` or
+    an array's ``repeat``) and every import of ``repeat`` from numpy."""
+    return _sites(
+        tree,
+        lambda node: (isinstance(node, ast.Attribute) and node.attr == "repeat")
+        or (
+            isinstance(node, ast.ImportFrom)
+            and node.module == "numpy"
+            and any(alias.name == "repeat" for alias in node.names)
+        ),
+    )
 
 
 def test_degree_multisets_are_built_only_by_the_two_builders():
@@ -210,6 +219,41 @@ def test_repeat_rule_names_the_enclosing_definition():
         "ones = numpy.repeat(1, 3)\n"
     )
     assert _repeat_sites(ast.parse(source)) == [("", 2), ("Stat.multiset", 6), ("word", 8), ("", 9)]
+
+
+def _weight_reader_sites(tree) -> list:
+    """Sites (see _sites) of every ``_over_common`` call whose arguments
+    read a law's weights through its ``.p`` method, called or passed."""
+    return _sites(
+        tree,
+        lambda node: isinstance(node, ast.Call)
+        and _name(node.func) == "_over_common"
+        and any(
+            isinstance(inner, ast.Attribute) and inner.attr == "p"
+            for arg in node.args
+            for inner in ast.walk(arg)
+        ),
+    )
+
+
+def test_weights_become_integers_only_in_integer_trees():
+    # every limit density of asymptotics.py reads the law through the one
+    # integer tree form; a density with its own reader of the weights would
+    # be a second route to the same polynomial
+    assert [owner for owner, _ in _weight_reader_sites(_tree("asymptotics.py"))] == ["_integer_trees"]
+
+
+def test_weight_reader_rule_sees_reads_outside_integer_trees():
+    source = (
+        "def _integer_trees(p, trees):\n    a, scale = _over_common([p.p(d) for d in ds])\n"
+        "def normalized_variance(p, tree):\n    a, scale = _over_common([p.p(d) for d, _ in items])\n"
+        "def additive_mean_density(p, toll):\n    numerators, common = _over_common(values)\n"
+        "class Law:\n    def scaled(self):\n        return exact_moments._over_common(list(map(self.p, ds)))\n"
+        "p = _over_common([law.pmf(0), x.p])\n"
+    )
+    assert _weight_reader_sites(ast.parse(source)) == [
+        ("_integer_trees", 2), ("normalized_variance", 4), ("Law.scaled", 9), ("", 10)
+    ]
 
 
 def test_every_lru_cache_is_bounded():

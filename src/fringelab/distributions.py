@@ -75,10 +75,10 @@ class _Law:
     """A law kind with its params and truncation; the base of both
     OffspringDistribution and WeightSequence.  A finite law's params are
     its sorted (degree, nonzero value) pairs.  Each class checks its
-    constraints in __post_init__, after the base rejects NaN and infinite
-    parameters, so every way of building a law is validated.  Laws of
-    different classes never compare equal, so caches keyed by laws keep
-    them apart.
+    constraints in __post_init__, after the base rejects a truncation that
+    is not a nonnegative integer and NaN or infinite parameters, so every
+    way of building a law is validated.  Laws of different classes never
+    compare equal, so caches keyed by laws keep them apart.
 
     The hash of the fields is kept, since every cache lookup keyed by a law
     hashes it and Fraction hashes are slow; the subclasses inherit it by
@@ -92,6 +92,8 @@ class _Law:
     truncation: int = DEFAULT_TRUNCATION
 
     def __post_init__(self):
+        if as_integer(self.truncation) < 0:
+            raise ValueError(f"truncation {self.truncation} must be at least 0")
         values = [v for _, v in self.params] if self.kind == "finite" else self.params
         if any(isinstance(v, float) and not math.isfinite(v) for v in values):
             raise ValueError(f"non-finite parameter in {self.kind} law")

@@ -37,7 +37,6 @@ seeds reproduce identical output on any worker layout.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -374,47 +373,21 @@ def _check_feasible(w: OffspringDistribution, n: int) -> None:
     """Reject (w, n) pairs for which no degree draw can sum to n - 1.
 
     Exact at every n: n - 1 must be a sum of positive degrees (n - 1 of
-    them at most, since each adds at least 1), which holds iff it is at
-    least the least such sum in its residue class mod the smallest
-    positive degree.
+    them at most, since each adds at least 1).  Bit t of ``reach`` is set
+    when t is such a sum, over the n bits 0..n - 1; each degree d joins by
+    the shifts d, 2d, 4d, ... up to n - 1, which reach every multiple of d
+    there, and the scan stops once bit n - 1 is set.
     """
     if w.p(0) == 0:
         raise InfeasibleSize("trees need leaves: p_0 = 0")
     target = n - 1
-    least = _least_sums(w)
-    if target and target < least[target % len(least)]:
+    mask, reach = (2 << target) - 1, 1
+    for d in w.support():
+        shift = d
+        while 0 < shift <= target and not reach >> target & 1:
+            reach |= reach << shift & mask
+            shift *= 2
+    if not reach >> target & 1:
         raise InfeasibleSize(
             f"n - 1 = {target} is not a sum of degrees from {w.support()}"
         )
-
-
-@lru_cache(maxsize=256)
-def _least_sums(w: OffspringDistribution) -> tuple:
-    """least[r] = least sum of positive degrees that is r mod a, with a
-    the smallest positive degree (infinity if there is none).
-
-    Classes that the gcd of the degrees does not divide stay infinite, so
-    the table also enforces that the gcd divides n - 1.  Computed by
-    Dijkstra over the a residues; only the smallest degree of each class
-    (the support is sorted) can be part of a least sum.
-    """
-    coins = [d for d in w.support() if d >= 1]
-    if not coins:
-        return (math.inf,)
-    a = coins[0]
-    steps = {}
-    for c in coins[1:]:
-        steps.setdefault(c % a, c)
-    least = [math.inf] * a
-    least[0] = 0
-    heap = [(0, 0)]
-    while heap:
-        total, r = heapq.heappop(heap)
-        if total > least[r]:
-            continue
-        for c in steps.values():
-            nxt = (r + c) % a
-            if total + c < least[nxt]:
-                least[nxt] = total + c
-                heapq.heappush(heap, (total + c, nxt))
-    return tuple(least)

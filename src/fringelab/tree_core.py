@@ -33,7 +33,7 @@ def _check_preorder(degrees) -> None:
     if k == 0:
         raise InvalidPreorder("empty degree sequence")
     for j, d in enumerate(degrees, start=1):
-        if d < 0:
+        if as_integer(d) < 0:
             raise InvalidPreorder(f"negative degree at index {j - 1}", index=j - 1)
         total += d
         if j < k and total < j:

@@ -13,12 +13,13 @@ it visits the whole bound-copy box and builds each term as a product of
 big integers read from prefix tables of falling factorials, where the
 library walks the box in rows and gets each term from the previous one
 by a ratio of small integers.
-``dp_feasible`` is the plain reachability table that the sampler's
-residue-class feasibility test replaces.  ``rolled_excursion_degrees`` and
-``offsetwise_count_occurrences`` are the first forms of the sampler's
-rotation and of the harness's window counter: the rotation by ``np.roll``
-checked by a second walk over the rotated word, and one fresh comparison
-of the whole word per needle position.  ``compressed_shuffled`` is the
+``dp_feasible`` is the oracle of the sampler's reachability set: the
+same sums of positive degrees, one table entry per total.
+``rolled_excursion_degrees`` and ``offsetwise_count_occurrences`` are
+the first forms of the sampler's rotation and of the harness's window
+counter: the rotation by ``np.roll`` checked by a second walk over the
+rotated word, and one fresh comparison of the whole word per needle
+position.  ``compressed_shuffled`` is the
 first form of the sampled-positions shuffle, which finds the non-leaves
 by a mask over the whole multiset where the sampler, given the sorted
 multiset, reads them as its tail after the zeros.

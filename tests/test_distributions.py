@@ -185,6 +185,20 @@ class TestWeightSequence:
                 with pytest.raises(ValueError, match="non-finite parameter"):
                     law()
 
+    def test_truncation_checked(self):
+        # a negative truncation left an empty support, and a float or bool
+        # one built a law that failed, or read as 1, only at first use
+        for law in (
+            lambda: OffspringDistribution.geometric(Fraction(1, 2), truncation=-3),
+            lambda: WeightSequence.poisson(1.0, truncation=-3),
+        ):
+            with pytest.raises(ValueError, match="truncation -3 must be at least 0"):
+                law()
+        for truncation in (2.5, True):
+            for cls in (OffspringDistribution, WeightSequence):
+                with pytest.raises(TypeError, match="is not an integer"):
+                    cls.poisson(1.0, truncation=truncation)
+
     def test_from_spec_rejects_extra_power_law_fields(self):
         for cls in (OffspringDistribution, WeightSequence):
             with pytest.raises(ValueError):

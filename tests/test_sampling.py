@@ -38,7 +38,6 @@ from fringelab.sampling import (
     _check_feasible,
     _leaf_pair,
     _LeafPair,
-    _least_sums,
     excursion_degrees,
     sample_conditioned_gw,
     sample_labelled_tree,
@@ -448,17 +447,32 @@ class TestConditionedGW:
         assert tree.size == 200_001
         assert set(tree.degrees) <= {0, 3, 5}
 
-    @pytest.mark.parametrize("coins", [(2,), (3, 5), (4, 6), (6, 10, 15)])
+    @pytest.mark.parametrize(
+        "coins", [(2,), (3, 5), (4, 6), (6, 10, 15), (1000, 1001, 1002)]
+    )
     def test_feasibility_matches_reachability_table(self, coins):
+        # the last case has a smallest positive degree of 1000; its sizes
+        # run through every sum of up to three degrees
         probs = {0: Fraction(1, 2)} | {c: Fraction(1, 2 * len(coins)) for c in coins}
         w = OffspringDistribution.finite(probs)
-        for n in range(1, 301):
+        for n in range(1, max(301, 3 * coins[-1] + 2)):
             try:
                 _check_feasible(w, n)
                 feasible = True
             except InfeasibleSize:
                 feasible = False
             assert feasible == dp_feasible(w, n), n
+
+    def test_feasibility_at_the_frobenius_number(self):
+        # 997 * 1009 - 997 - 1009 = 1 003 967 is the largest total that
+        # the coprime degrees 997 and 1009 cannot make
+        w = OffspringDistribution.finite(
+            {0: Fraction(1, 2), 997: Fraction(1, 4), 1009: Fraction(1, 4)}
+        )
+        with pytest.raises(InfeasibleSize, match="n - 1 = 1003967 is not a sum"):
+            _check_feasible(w, 1_003_968)
+        for n in (1_003_969, 1_003_970):
+            _check_feasible(w, n)
 
     def test_attempts_exhausted(self, monkeypatch):
         # feasible but forced through an absurdly small attempt budget is
@@ -807,7 +821,7 @@ class TestLawCaches:
     def test_caches_keyed_by_a_law_stay_bounded(self):
         # every fresh law adds an entry to each cache; unbounded, 300 laws
         # would leave 300 entries each for the life of the process
-        caches = (_family_pmf, _mass_table, _least_sums, _leaf_pair)
+        caches = (_family_pmf, _mass_table, _leaf_pair)
         for k in range(300):
             law = OffspringDistribution.poisson(0.5 + k / 1000)
             sample_conditioned_gw(law, 5, Seed(k))

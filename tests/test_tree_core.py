@@ -84,6 +84,12 @@ class TestDecodePreorder:
         with pytest.raises(InvalidPreorder):
             PlaneTree(())
 
+    @pytest.mark.parametrize("degrees", [(1.0, 0.0), (True, False), (2, 0.0, 0)])
+    def test_non_integer_degree_rejected(self, degrees):
+        # a float or bool degree would print as text that from_text cannot read
+        with pytest.raises(TypeError, match="is not an integer"):
+            PlaneTree(degrees)
+
     def test_text_roundtrip(self):
         t = PlaneTree.from_text("2,0,2,0,0")
         assert t.to_text() == "2,0,2,0,0"
